@@ -13,7 +13,6 @@ from .model import (
     StateVector,
     VariableIndex,
     basis_state,
-    is_trace_conserving,
     pack,
     state_violation_magnitude,
     trace_defect,

@@ -1,19 +1,34 @@
-"""Generator construction for each transport scenario.
+"""Generator construction for each transport scenario, from one channel
+table per scenario.
 
 State labels: the measured system is empty (a), occupies the first dot
 (b) or the second dot (c); primed labels mark the same configuration with
 the detector dot occupied.  The single-dot scenario has no c states.
 
-Every multi-term matrix entry is assembled with math.fsum, which returns
-the correctly rounded sum regardless of term order.  The rule-driven
-builder therefore reproduces the hand-coded coupled-dot generator bit for
-bit, not merely within rounding.
+A ChannelTable holds one scenario's quantum rate equations (Gurvitz &
+Prager, PRB 53, 15932 (1996)) and is compiled once into generator cells:
+
+1. a channel at rate k adds +k in its destination row and -k on its
+   source diagonal;
+2. each coherence decays at half the summed rates of all channels leaving
+   its two member states, plus the pure-dephasing width;
+3. every pair hops at Omega between its member occupations, and its
+   detuning rotates its (Re, Im) slots into each other;
+4. a detector exit (collector or backflow) at the same rate from both
+   members of a pair keeps the superposition and feeds the pair of their
+   destinations at that rate.  Detector entry has no such counterpart, so
+   entry open for both dots dephases without a coherent entry transfer.
+
+Multi-term cells are math.fsum, the correctly rounded sum in any order.
+Sign-of-zero rule: a single-term cell holds its width as is and a loss
+cell is the negated sum, so an all-zero loss reads -0.0; the generalized
+scenario sums every rate cell with fsum over signed terms, giving +0.0.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import fsum
 
 import numpy as np
@@ -33,6 +48,12 @@ SCENARIOS = (
     REDUCED_DOUBLE_DOT,
     GENERALIZED_DOUBLE_DOT_SET,
 )
+
+SYSTEM_EMITTER = "system emitter"
+SYSTEM_COLLECTOR = "system collector"
+DETECTOR_ENTRY = "detector entry"
+DETECTOR_COLLECTOR = "detector collector"
+DETECTOR_BACKFLOW = "detector backflow"
 
 
 def index_single_dot_set() -> IndexMap:
@@ -82,267 +103,156 @@ class BlockingConfig:
         return cls(False, False, True)
 
 
-def _require_equal_amplitudes(r: RateSet, what: str):
-    if not r.is_equal_amplitudes:
-        raise ValueError(
-            f"{what} assumes equal tunneling amplitudes; primed widths must equal unprimed ones")
+@dataclass(frozen=True)
+class Channel:
+    """Population transfer from source to destination at a RateSet width."""
+
+    source: str
+    destination: str
+    rate: str
+    kind: str
+
+
+@dataclass(frozen=True)
+class ChannelTable:
+    """One scenario.  Detuning terms are (RateSet field, sign), dephasing
+    lists pure-dephasing widths; rule_sums picks the generalized
+    scenario's sign-of-zero rule."""
+
+    label: str
+    index: IndexMap
+    channels: tuple[Channel, ...]
+    coherences: tuple = ()
+    dephasing: tuple[str, ...] = ()
+    equal_amplitudes: bool = False
+    rule_sums: bool = False
+
+    @cached_property
+    def _cells(self):
+        pos = {lab: self.index.diagonal(lab) for lab in self.index.diagonal_labels}
+        forced = self.rule_sums
+        loss, loss_sign = (1.0, -1.0) if forced else (-1.0, 1.0)    # sign-of-zero rule
+        cells = {}                      # (row, col) -> (coefficient, terms, forced)
+        for ch in self.channels:                                        # rule 1
+            src, dst = pos[ch.source], pos[ch.destination]
+            cells.setdefault((dst, src), (1.0, [], forced))[1].append((ch.rate, 1.0))
+            cells.setdefault((src, src), (loss, [], forced))[1].append((ch.rate, loss_sign))
+
+        exits = {(ch.source, ch.destination, ch.rate) for ch in self.channels
+                 if ch.kind in (DETECTOR_COLLECTOR, DETECTOR_BACKFLOW)}
+        omega = [("Omega", 1.0)]
+        for (p, q), detuning in self.coherences:
+            u, v = self.index.coherence((p, q))
+            rates = [ch.rate for ch in self.channels if ch.source in (p, q)] + list(self.dephasing)
+            cells[(u, u)] = cells[(v, v)] = (-0.5, [(f, 1.0) for f in rates], forced)  # rule 2
+            for row, col, coef, terms in ((u, v, -1.0, detuning), (v, u, 1.0, detuning),  # rule 3
+                                          (pos[p], v, -2.0, omega), (pos[q], v, 2.0, omega),
+                                          (v, pos[p], 1.0, omega), (v, pos[q], -1.0, omega)):
+                cells[(row, col)] = (coef, terms, False)
+            for (p2, q2), _ in self.coherences:                         # rule 4
+                feed = [(f, 1.0) for src, dst, f in sorted(exits)
+                        if (src, dst) == (p, p2) and (q, q2, f) in exits]
+                if feed:
+                    u2, v2 = self.index.coherence((p2, q2))
+                    cells[(u2, u)] = cells[(v2, v)] = (1.0, feed, forced)
+
+        keys = [(tuple(terms), force) for _, terms, force in cells.values()]
+        quantities = list(dict.fromkeys(keys))
+        return (quantities, np.array([row * len(self.index) + col for row, col in cells]),
+                np.array([coef for coef, _, _ in cells.values()]),
+                np.array([quantities.index(key) for key in keys]))
+
+    def generator(self, r: RateSet) -> Generator:
+        """Each compiled cell is its coefficient times a quantity: the
+        single term of the quantity as is, else the fsum of its terms."""
+        if self.equal_amplitudes and not r.is_equal_amplitudes:
+            raise ValueError(f"{self.label} assumes equal tunneling amplitudes; "
+                             "primed widths must equal unprimed ones")
+        quantities, flat, coefs, of = self._cells
+        q = np.array([fsum([s * getattr(r, f) for f, s in terms]) if force or len(terms) != 1
+                      else terms[0][1] * getattr(r, terms[0][0]) for terms, force in quantities])
+        g = np.zeros(len(self.index) ** 2)
+        g[flat] = coefs * q[of]
+        return Generator(g.reshape(len(self.index), -1), self.index, self.label)
+
+    def weights(self, r: RateSet) -> dict[str, dict[str, float]]:
+        """Source label -> width, for the system collector, the detector
+        collector and the detector backflow channels."""
+        return {name: {ch.source: getattr(r, ch.rate) for ch in self.channels if ch.kind == kind}
+                for name, kind in (("system", SYSTEM_COLLECTOR), ("detector", DETECTOR_COLLECTOR),
+                                   ("detector_return", DETECTOR_BACKFLOW))}
+
+
+@lru_cache(maxsize=None)
+def scenario_table(scenario: str, blocking: BlockingConfig | None = None) -> ChannelTable:
+    """The table of a scenario: one or two dots in series, the emitter
+    filling the first from a and the collector emptying the last into a,
+    plus a detector joining each s to s' under the scenario's blocking
+    (the generalized scenario takes it as an argument).  A width is primed
+    when the other subsystem is occupied while it tunnels; the monitored
+    coupled dots require equal amplitudes and use unprimed widths."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario == GENERALIZED_DOUBLE_DOT_SET and blocking is None:
+        raise ValueError("the generalized scenario needs a BlockingConfig")
+    blocking = {SINGLE_DOT_SET: BlockingConfig.blocked_on_either_dot(),  # the one dot blocks
+                DOUBLE_DOT_SET: BlockingConfig.blocked_on_second_dot(),
+                GENERALIZED_DOUBLE_DOT_SET: blocking}.get(scenario)
+    states = ("a", "b") if scenario == SINGLE_DOT_SET else ("a", "b", "c")
+    equal_amplitudes = len(states) == 3 and blocking is not None
+
+    def width(name: str, primed) -> str:
+        return f"{name}_p" if primed and not equal_amplitudes else name
+
+    channels = []
+    for det in ("",) if blocking is None else ("", "'"):
+        channels += [Channel("a" + det, "b" + det, width("Gamma_L", det), SYSTEM_EMITTER),
+                     Channel(states[-1] + det, "a" + det, width("Gamma_R", det), SYSTEM_COLLECTOR)]
+    coherences = [(("b", "c"), (("epsilon", 1.0),))] if len(states) == 3 else []
+    if blocking is not None:
+        blocked = (False, blocking.blocked_when_dot1, blocking.blocked_when_dot2)
+        for dot, s in enumerate(states):
+            if not blocked[dot]:
+                channels.append(Channel(s, s + "'", width("gamma_L", dot), DETECTOR_ENTRY))
+            channels.append(Channel(s + "'", s, width("gamma_R", dot), DETECTOR_COLLECTOR))
+            if blocked[dot] and blocking.backflow_when_blocked:
+                channels.append(Channel(s + "'", s, width("gamma_L", dot), DETECTOR_BACKFLOW))
+        if coherences:
+            # the detector electron shifts the dot levels by U1 and U2
+            coherences.append((("b'", "c'"), (("epsilon", 1.0), ("U1", -1.0), ("U2", 1.0))))
+    index = (index_single_dot_set() if scenario == SINGLE_DOT_SET
+             else index_double_dot_set() if blocking is not None else index_double_dot())
+    return ChannelTable(scenario, index, tuple(channels), tuple(coherences),
+                        ("gamma_L",) if scenario == REDUCED_DOUBLE_DOT else (),
+                        equal_amplitudes, scenario == GENERALIZED_DOUBLE_DOT_SET)
 
 
 def build_single_dot_set(r: RateSet) -> Generator:
-    """Detector dot plus a single-level measured dot, diagonal sector only.
-
-    The four occupation probabilities close on themselves: there are no
-    isolated-state transitions, hence no coherence slots at all.  The
-    detector entry channel is blocked while the system dot is occupied, so
-    the b' state is reached only through the system channel and drains
-    both ways (gamma'_L backflow plus gamma'_R collector exit).
-    """
-    idx = index_single_dot_set()
-    a, b, ap, bp = range(4)
-    g = np.zeros((4, 4))
-
-    g[a, a] = -fsum((r.gamma_L, r.Gamma_L))
-    g[a, b] = r.Gamma_R
-    g[a, ap] = r.gamma_R
-
-    g[b, a] = r.Gamma_L
-    g[b, b] = -r.Gamma_R
-    g[b, bp] = fsum((r.gamma_L_p, r.gamma_R_p))
-
-    g[ap, a] = r.gamma_L
-    g[ap, ap] = -fsum((r.gamma_R, r.Gamma_L_p))
-    g[ap, bp] = r.Gamma_R_p
-
-    g[bp, ap] = r.Gamma_L_p
-    g[bp, bp] = -fsum((r.gamma_L_p, r.gamma_R_p, r.Gamma_R_p))
-
-    return Generator(g, idx, SINGLE_DOT_SET)
-
-
-def _bloch_double_dot(r: RateSet, coherence_decay: float, label: str) -> Generator:
-    """Three occupations plus one coherence pair for the coupled dots.
-
-    Layout [a, b, c, Re, Im].  The hopping enters the populations through
-    the imaginary part only (i*Omega*(sigma_bc - sigma_cb) = -2*Omega*Im),
-    while the detuning rotates (Re, Im) into each other.
-    """
-    idx = index_double_dot()
-    a, b, c, u, v = range(5)
-    g = np.zeros((5, 5))
-
-    g[a, a] = -r.Gamma_L
-    g[a, c] = r.Gamma_R
-
-    g[b, a] = r.Gamma_L
-    g[b, v] = -2.0 * r.Omega
-
-    g[c, c] = -r.Gamma_R
-    g[c, v] = 2.0 * r.Omega
-
-    g[u, u] = -coherence_decay
-    g[u, v] = -r.epsilon
-
-    g[v, b] = r.Omega
-    g[v, c] = -r.Omega
-    g[v, u] = r.epsilon
-    g[v, v] = -coherence_decay
-
-    return Generator(g, idx, label)
+    """Single-level dot plus detector: four occupations, no coherences."""
+    return scenario_table(SINGLE_DOT_SET).generator(r)
 
 
 def build_double_dot_bare(r: RateSet) -> Generator:
-    """Coupled dots without a detector.
-
-    The coherence decays at Gamma_R/2: half the total decay rate of its
-    two member states (b cannot decay, c drains to the collector).
-    """
-    return _bloch_double_dot(r, r.Gamma_R / 2.0, DOUBLE_DOT_BARE)
+    """Coupled dots without a detector, layout [a, b, c, Re, Im]."""
+    return scenario_table(DOUBLE_DOT_BARE).generator(r)
 
 
 def build_reduced_double_dot(r: RateSet) -> Generator:
-    """Coupled dots with the fast detector folded into pure dephasing.
-
-    Identical to the bare generator except the coherence decay picks up
-    gamma_L/2: merely opening the detector entry channel for one of the
-    two dots dephases the superposition, even though the detector is
-    occupied for a vanishing fraction of the time.
-    """
-    return _bloch_double_dot(r, fsum((r.Gamma_R, r.gamma_L)) / 2.0, REDUCED_DOUBLE_DOT)
+    """Coupled dots with the fast detector folded into pure dephasing."""
+    return scenario_table(REDUCED_DOUBLE_DOT).generator(r)
 
 
 def build_double_dot_set(r: RateSet) -> Generator:
-    """Coupled dots monitored by the detector, entry blocked by dot 2 only.
-
-    Requires equal amplitudes (primed widths equal to unprimed); the fully
-    independent-width variant of this scenario is not defined.  Layout
-    [a, a', b, b', c, c', Re, Im, Re', Im'].  Notable structure:
-
-    * c' drains both through the system channel (Gamma_R) and through the
-      detector leaving either way (gamma_L + gamma_R), since its detector
-      electron sits above the left Fermi level;
-    * the primed coherence feeds the unprimed one at gamma_R, the shared
-      collector-exit channel of b' and c';
-    * the primed coherence rotates at the shifted detuning
-      epsilon - U1 + U2 and decays at (gamma_L + 2*gamma_R + Gamma_R)/2.
-    """
-    _require_equal_amplitudes(r, "the monitored coupled-dot scenario")
-    idx = index_double_dot_set()
-    a, ap, b, bp, c, cp, u, v, up, vp = range(10)
-    g = np.zeros((10, 10))
-
-    g[a, a] = -fsum((r.Gamma_L, r.gamma_L))
-    g[a, ap] = r.gamma_R
-    g[a, c] = r.Gamma_R
-
-    g[ap, a] = r.gamma_L
-    g[ap, ap] = -fsum((r.Gamma_L, r.gamma_R))
-    g[ap, cp] = r.Gamma_R
-
-    g[b, a] = r.Gamma_L
-    g[b, b] = -r.gamma_L
-    g[b, bp] = r.gamma_R
-    g[b, v] = -2.0 * r.Omega
-
-    g[bp, ap] = r.Gamma_L
-    g[bp, b] = r.gamma_L
-    g[bp, bp] = -r.gamma_R
-    g[bp, vp] = -2.0 * r.Omega
-
-    g[c, c] = -r.Gamma_R
-    g[c, cp] = fsum((r.gamma_L, r.gamma_R))
-    g[c, v] = 2.0 * r.Omega
-
-    g[cp, cp] = -fsum((r.Gamma_R, r.gamma_L, r.gamma_R))
-    g[cp, vp] = 2.0 * r.Omega
-
-    decay = fsum((r.Gamma_R, r.gamma_L)) / 2.0
-    g[u, u] = -decay
-    g[u, v] = -r.epsilon
-    g[u, up] = r.gamma_R
-
-    g[v, b] = r.Omega
-    g[v, c] = -r.Omega
-    g[v, u] = r.epsilon
-    g[v, v] = -decay
-    g[v, vp] = r.gamma_R
-
-    decay_p = fsum((r.gamma_L, r.gamma_R, r.gamma_R, r.Gamma_R)) / 2.0
-    shift = fsum((r.epsilon, -r.U1, r.U2))
-    g[up, up] = -decay_p
-    g[up, vp] = -shift
-
-    g[vp, bp] = r.Omega
-    g[vp, cp] = -r.Omega
-    g[vp, up] = shift
-    g[vp, vp] = -decay_p
-
-    return Generator(g, idx, DOUBLE_DOT_SET)
-
-
-# occupancy of the measured system in each unprimed configuration
-_OCCUPIED_DOT = {"a": None, "b": 1, "c": 2}
+    """Coupled dots plus detector, entry blocked by the second dot only."""
+    return scenario_table(DOUBLE_DOT_SET).generator(r)
 
 
 def build_generalized_double_dot_set(r: RateSet, cfg: BlockingConfig) -> Generator:
-    """Coupled dots plus detector with configurable entry blocking.
-
-    Assembly rules:
-
-    1. the detector entry channel (gamma_L, unprimed state s to s')
-       exists unless s's dot occupancy blocks the detector;
-    2. a primed state whose configuration is blocked holds its detector
-       electron above the left Fermi level, so with backflow enabled it
-       decays back at gamma_L on top of the collector exit gamma_R;
-    3. each coherence decays at half the sum of all decay rates of its two
-       member states;
-    4. a detector-exit channel present for both members of the primed pair
-       preserves the system superposition and feeds the unprimed coherence
-       at its rate (collector exits always qualify, backflow only when
-       both members are blocked).
-
-    With entry blocked by the second dot only this reproduces
-    build_double_dot_set exactly, entry for entry.  Detector entry open
-    for both dots is an extrapolated configuration (see
-    BlockingConfig.unrestricted); note that rule 4 has no entry-side
-    counterpart, so that configuration dephases without a coherent
-    entry transfer.
-    """
-    _require_equal_amplitudes(r, "the generalized coupled-dot scenario")
-    idx = index_double_dot_set()
-    labels = ("a", "b", "c")
-    pos = {lab: idx.diagonal(lab) for lab in ("a", "a'", "b", "b'", "c", "c'")}
-
-    def blocked(lab: str) -> bool:
-        dot = _OCCUPIED_DOT[lab]
-        if dot == 1:
-            return cfg.blocked_when_dot1
-        if dot == 2:
-            return cfg.blocked_when_dot2
-        return False
-
-    # channel list: (source label, destination label, rate)
-    channels = [("a", "b", r.Gamma_L), ("c", "a", r.Gamma_R),
-                ("a'", "b'", r.Gamma_L), ("c'", "a'", r.Gamma_R)]
-    for lab in labels:
-        if not blocked(lab):
-            channels.append((lab, lab + "'", r.gamma_L))
-        channels.append((lab + "'", lab, r.gamma_R))
-        if blocked(lab) and cfg.backflow_when_blocked:
-            channels.append((lab + "'", lab, r.gamma_L))
-
-    out_rates = defaultdict(list)
-    cell_terms = defaultdict(list)
-    for src, dst, rate in channels:
-        out_rates[src].append(rate)
-        cell_terms[(pos[dst], pos[src])].append(rate)
-        cell_terms[(pos[src], pos[src])].append(-rate)
-
-    g = np.zeros((10, 10))
-    for (i, j), terms in cell_terms.items():
-        g[i, j] = fsum(terms)
-
-    def coherence_block(pair, detuning):
-        u, v = idx.coherence(pair)
-        bpos, cpos = pos[pair[0]], pos[pair[1]]
-        decay = fsum(out_rates[pair[0]] + out_rates[pair[1]]) / 2.0
-        g[u, u] = -decay
-        g[u, v] = -detuning
-        g[v, u] = detuning
-        g[v, v] = -decay
-        g[bpos, v] = -2.0 * r.Omega
-        g[cpos, v] = 2.0 * r.Omega
-        g[v, bpos] = r.Omega
-        g[v, cpos] = -r.Omega
-
-    coherence_block(("b", "c"), r.epsilon)
-    coherence_block(("b'", "c'"), fsum((r.epsilon, -r.U1, r.U2)))
-
-    # rule 4: coherent transfer from the primed pair into the unprimed one
-    feed_terms = [r.gamma_R]
-    if blocked("b") and blocked("c") and cfg.backflow_when_blocked:
-        feed_terms.append(r.gamma_L)
-    feed = fsum(feed_terms)
-    u, v = idx.coherence(("b", "c"))
-    up, vp = idx.coherence(("b'", "c'"))
-    g[u, up] = feed
-    g[v, vp] = feed
-
-    return Generator(g, idx, GENERALIZED_DOUBLE_DOT_SET)
+    """Coupled dots plus detector with configurable entry blocking."""
+    return scenario_table(GENERALIZED_DOUBLE_DOT_SET, cfg).generator(r)
 
 
 def build_scenario(scenario: str, r: RateSet,
                    blocking: BlockingConfig | None = None) -> Generator:
-    """Dispatch a scenario label to its builder."""
-    if scenario == SINGLE_DOT_SET:
-        return build_single_dot_set(r)
-    if scenario == DOUBLE_DOT_BARE:
-        return build_double_dot_bare(r)
-    if scenario == DOUBLE_DOT_SET:
-        return build_double_dot_set(r)
-    if scenario == REDUCED_DOUBLE_DOT:
-        return build_reduced_double_dot(r)
-    if scenario == GENERALIZED_DOUBLE_DOT_SET:
-        if blocking is None:
-            raise ValueError("the generalized scenario needs a BlockingConfig")
-        return build_generalized_double_dot_set(r, blocking)
-    raise ValueError(f"unknown scenario {scenario!r}")
+    """Build the generator of a scenario label."""
+    return scenario_table(scenario, blocking).generator(r)

@@ -72,7 +72,7 @@ def _pick(flag_value, config_value, name: str, required: bool = True):
 
 
 def _generator_for(cfg: RunConfig):
-    blocking = cfg.blocking_config() if cfg.scenario == builders.GENERALIZED_DOUBLE_DOT_SET else None
+    blocking = cfg.blocking_config()
     return builders.build_scenario(cfg.scenario, cfg.rates, blocking), blocking
 
 
@@ -131,9 +131,8 @@ def _cmd_sweep(args) -> int:
     param = _pick(args.param, cfg.run.param, "--param")
     grid_spec = _pick(args.grid, cfg.run.grid, "--grid")
     grid = parse_grid(grid_spec)
-    blocking = cfg.blocking_config() if cfg.scenario == builders.GENERALIZED_DOUBLE_DOT_SET else None
     try:
-        spec = SweepSpec(cfg.scenario, cfg.rates, param, tuple(grid), blocking)
+        spec = SweepSpec(cfg.scenario, cfg.rates, param, tuple(grid), cfg.blocking_config())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = run_sweep(spec)

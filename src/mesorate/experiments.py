@@ -178,19 +178,12 @@ def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float],
     for v in grid:
         regime, blocking = selector.classify(v)
         if regime == REGIME_BLIND:
-            reference = _reference_or_nan(analytic.double_dot_current_bare, base)
+            reference = _analytic_reference(builders.DOUBLE_DOT_BARE, base)
         elif regime == REGIME_RESOLVING:
-            reference = _reference_or_nan(analytic.double_dot_current_measured, base)
+            reference = _analytic_reference(builders.REDUCED_DOUBLE_DOT, base)
         else:
             reference = math.nan
         row = _evaluate_point(builders.GENERALIZED_DOUBLE_DOT_SET, base, blocking,
                               analytic_value=reference, regime=regime)
         rows.append(dataclasses.replace(row, param=v))
     return rows
-
-
-def _reference_or_nan(formula, r: RateSet) -> float:
-    try:
-        return formula(r)
-    except ValueError:
-        return math.nan

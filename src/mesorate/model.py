@@ -272,11 +272,6 @@ def trace_defect(g: Generator) -> float:
     return float(np.abs(left @ g.matrix).max())
 
 
-def is_trace_conserving(g: Generator, tol: float = 1e-12) -> bool:
-    """Trace-conservation check, tolerance scaled by the generator size."""
-    return trace_defect(g) <= tol * max(1.0, float(np.abs(g.matrix).max(initial=0.0)))
-
-
 def pack(index: IndexMap, occupations: Mapping[str, float],
          coherences: Mapping[tuple, complex] | None = None,
          tol: float = 1e-12) -> StateVector:
@@ -311,41 +306,46 @@ def basis_state(index: IndexMap, label: str) -> StateVector:
     return pack(index, {label: 1.0})
 
 
+def _invariants(x: StateVector):
+    """Raw invariant quantities: the trace, each (label, occupation) and
+    each coherence block (pair, |sigma|^2, p*q), its occupations clamped
+    to zero so a reported negative occupation does not double-report."""
+    occupations = [(label, x.occupation(label)) for label in x.index.diagonal_labels]
+    blocks = []
+    for pair in x.index.coherence_pairs:
+        bound = max(x.occupation(pair[0]), 0.0) * max(x.occupation(pair[1]), 0.0)
+        blocks.append((pair, abs(x.coherence(pair)) ** 2, bound))
+    return x.trace(), occupations, blocks
+
+
 def validate_state(x: StateVector, tol: float = 1e-9) -> list[str]:
     """Report-only invariant check; empty list means the state is valid.
 
     Checks probability normalization, diagonal bounds [0, 1] and the
-    positivity of each 2x2 coherence block, |sigma_pq|^2 <= p*q.  Diagonal
-    entries are clamped to zero inside the block check so an already
-    reported negative occupation does not double-report.
+    positivity of each 2x2 coherence block, |sigma_pq|^2 <= p*q.
     """
+    total, occupations, blocks = _invariants(x)
     violations = []
-    total = x.trace()
     if abs(total - 1.0) > tol:
         violations.append(f"normalization: diagonal sum {total!r} differs from 1 by {abs(total - 1.0):.3e}")
-    for label in x.index.diagonal_labels:
-        p = x.occupation(label)
+    for label, p in occupations:
         if p < -tol:
             violations.append(f"negativity: occupation of {label} is {p:.3e}")
         if p > 1.0 + tol:
             violations.append(f"overflow: occupation of {label} is {p:.3e} > 1")
-    for pair in x.index.coherence_pairs:
-        c = x.coherence(pair)
-        bound = max(x.occupation(pair[0]), 0.0) * max(x.occupation(pair[1]), 0.0)
-        if abs(c) ** 2 > bound + tol:
+    for pair, sigma2, bound in blocks:
+        if sigma2 > bound + tol:
             violations.append(
-                f"coherence block {pair[0]},{pair[1]}: |sigma|^2 = {abs(c)**2:.3e} exceeds {bound:.3e}")
+                f"coherence block {pair[0]},{pair[1]}: |sigma|^2 = {sigma2:.3e} exceeds {bound:.3e}")
     return violations
 
 
 def state_violation_magnitude(x: StateVector) -> float:
     """Largest raw invariant violation of a state, 0.0 when clean."""
-    worst = abs(x.trace() - 1.0)
-    for label in x.index.diagonal_labels:
-        p = x.occupation(label)
+    total, occupations, blocks = _invariants(x)
+    worst = abs(total - 1.0)
+    for _, p in occupations:
         worst = max(worst, -p, p - 1.0)
-    for pair in x.index.coherence_pairs:
-        c = x.coherence(pair)
-        bound = max(x.occupation(pair[0]), 0.0) * max(x.occupation(pair[1]), 0.0)
-        worst = max(worst, abs(c) ** 2 - bound)
+    for _, sigma2, bound in blocks:
+        worst = max(worst, sigma2 - bound)
     return max(worst, 0.0)

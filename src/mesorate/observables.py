@@ -12,6 +12,8 @@ from . import builders
 from .analytic import single_dot_current
 from .model import RateSet, StateVector
 
+_RESOLVING = builders.BlockingConfig.blocked_on_second_dot()
+
 
 @dataclass(frozen=True)
 class CurrentWeights:
@@ -37,40 +39,10 @@ class CurrentWeights:
 
 def weights_for(scenario: str, r: RateSet,
                 blocking: "builders.BlockingConfig | None" = None) -> CurrentWeights:
-    """Collector weight maps for one scenario.
-
-    For the generalized scenario pass the BlockingConfig so the backflow
-    diagnostic can list the blocked primed states; the detector and system
-    collector maps do not depend on it.
-    """
-    if scenario == builders.SINGLE_DOT_SET:
-        return CurrentWeights(
-            detector={"a'": r.gamma_R, "b'": r.gamma_R_p},
-            system={"b": r.Gamma_R, "b'": r.Gamma_R_p},
-            detector_return={"b'": r.gamma_L_p},
-        )
-    if scenario in (builders.DOUBLE_DOT_BARE, builders.REDUCED_DOUBLE_DOT):
-        return CurrentWeights(detector={}, system={"c": r.Gamma_R})
-    if scenario == builders.DOUBLE_DOT_SET:
-        return CurrentWeights(
-            detector={"a'": r.gamma_R, "b'": r.gamma_R, "c'": r.gamma_R},
-            system={"c": r.Gamma_R, "c'": r.Gamma_R},
-            detector_return={"c'": r.gamma_L},
-        )
-    if scenario == builders.GENERALIZED_DOUBLE_DOT_SET:
-        back = {}
-        cfg = blocking if blocking is not None else builders.BlockingConfig.blocked_on_second_dot()
-        if cfg.backflow_when_blocked:
-            if cfg.blocked_when_dot1:
-                back["b'"] = r.gamma_L
-            if cfg.blocked_when_dot2:
-                back["c'"] = r.gamma_L
-        return CurrentWeights(
-            detector={"a'": r.gamma_R, "b'": r.gamma_R, "c'": r.gamma_R},
-            system={"c": r.Gamma_R, "c'": r.Gamma_R},
-            detector_return=back,
-        )
-    raise ValueError(f"unknown scenario {scenario!r}")
+    """Collector weight maps of a scenario, read from its channel table;
+    blocking (default: entry blocked by the second dot) only changes the
+    generalized scenario's backflow diagnostic."""
+    return CurrentWeights(**builders.scenario_table(scenario, blocking or _RESOLVING).weights(r))
 
 
 def current(x: StateVector, weights: Mapping[str, float]) -> float:

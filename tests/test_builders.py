@@ -18,6 +18,7 @@ from mesorate import (
     trace_defect,
     weights_for,
 )
+from mesorate.acceptance import _hand_coded_double_dot_set
 
 # exactly representable rates so the transcribed matrices can be compared
 # entry for entry with hand-written literals
@@ -204,8 +205,9 @@ class TestGeneralizedBuilder:
     def test_golden_equality_with_hand_coded(self):
         cfg = BlockingConfig.blocked_on_second_dot()
         for r in random_rate_sets(40, seed=13) + [POW2_DOUBLE, RateSet()]:
-            assert np.array_equal(build_generalized_double_dot_set(r, cfg).matrix,
-                                  build_double_dot_set(r).matrix)
+            hand_coded = _hand_coded_double_dot_set(r).matrix
+            assert np.array_equal(build_generalized_double_dot_set(r, cfg).matrix, hand_coded)
+            assert np.array_equal(build_double_dot_set(r).matrix, hand_coded)
 
     def test_blind_detector_leaves_current_undistorted(self):
         r = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
