@@ -320,10 +320,10 @@ def criterion_8() -> CriterionResult:
     worst_negativity = 0.0
     for _, g, x0, t_final, dt in _suite_evolve_runs():
         traj = evolve(g, x0, t_final, dt)
-        drift = abs(traj.final.trace() - traj.states[0].trace()) / t_final
+        drift = abs(traj.final.trace() - x0.trace()) / t_final
         worst_drift_rate = max(worst_drift_rate, drift)
         diag = list(g.index.diagonal_positions)
-        worst_negativity = max(worst_negativity, -float(traj.values_matrix()[:, diag].min()))
+        worst_negativity = max(worst_negativity, -float(traj.values[:, diag].min()))
 
     rng = np.random.default_rng(SEED + 2)
     worst_residual = 0.0

@@ -113,7 +113,7 @@ def _cmd_evolve(args) -> int:
     x0 = basis_state(g.index, g.index.diagonal_labels[0])
     traj = evolve(g, x0, cfg.run.t_final, cfg.run.dt)
     output.write_timeseries_csv(traj, args.out, w.system, w.detector or None)
-    print(f"wrote {len(traj.states)} samples to {args.out}")
+    print(f"wrote {len(traj.times)} samples to {args.out}")
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import builders
-from .model import EnergyConfig, RateSet
+from .model import RATE_FIELDS, EnergyConfig, RateSet
 
 
 class ConfigError(ValueError):
@@ -26,19 +26,10 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_RATE_KEYS = tuple(f.name for f in dataclasses.fields(RateSet))
 _ENERGY_KEYS = tuple(f.name for f in dataclasses.fields(EnergyConfig))
 _RUN_FLOAT_KEYS = ("dt", "t_final", "tol")
 _RUN_STR_KEYS = ("param", "grid", "out", "format", "blocking")
 _SECTIONS = ("scenario", "rates", "energies", "run")
-
-REQUIRED_RATES = {
-    builders.SINGLE_DOT_SET: ("gamma_L", "gamma_R", "Gamma_L", "Gamma_R"),
-    builders.DOUBLE_DOT_BARE: ("Gamma_L", "Gamma_R", "Omega"),
-    builders.REDUCED_DOUBLE_DOT: ("Gamma_L", "Gamma_R", "Omega", "gamma_L"),
-    builders.DOUBLE_DOT_SET: ("Gamma_L", "Gamma_R", "Omega", "gamma_L", "gamma_R"),
-    builders.GENERALIZED_DOUBLE_DOT_SET: ("Gamma_L", "Gamma_R", "Omega", "gamma_L", "gamma_R"),
-}
 
 BLOCKING_NAMES = {
     "blind": builders.BlockingConfig.blocked_on_either_dot,
@@ -71,6 +62,16 @@ class RunConfig:
     def blocking_config(self) -> builders.BlockingConfig:
         name = self.run.blocking or "resolving"
         return BLOCKING_NAMES[name]()
+
+
+def required_rates(scenario: str) -> tuple[str, ...]:
+    """[rates] keys a scenario needs: each width its channel table reads
+    (unprimed; alike under every blocking), dephasing, Omega if coherent."""
+    table = builders.scenario_table(scenario, BLOCKING_NAMES["resolving"]())
+    needed = {ch.rate.removesuffix("_p") for ch in table.channels} | set(table.dephasing)
+    if table.coherences:
+        needed.add("Omega")
+    return tuple(key for key in RATE_FIELDS if key in needed)
 
 
 def _parse_float(token: str, key: str, line: int) -> float:
@@ -121,10 +122,10 @@ def parse_config(text: str) -> RunConfig:
     # [rates]
     rate_kwargs: dict[str, float] = {}
     for key, (token, lineno) in sections["rates"].items():
-        if key not in _RATE_KEYS:
+        if key not in RATE_FIELDS:
             raise ConfigError(f"unknown key {key} in section [rates]", lineno)
         rate_kwargs[key] = _parse_float(token, key, lineno)
-    for key in REQUIRED_RATES[scenario]:
+    for key in required_rates(scenario):
         if key not in rate_kwargs:
             raise ConfigError(f"missing required key {key} for scenario {scenario}")
     try:
@@ -179,7 +180,7 @@ def load_config(path: str) -> RunConfig:
 def render_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(render_config(c)) == c."""
     lines = ["[scenario]", f"name = {cfg.scenario}", "", "[rates]"]
-    for key in _RATE_KEYS:
+    for key in RATE_FIELDS:
         lines.append(f"{key} = {getattr(cfg.rates, key)!r}")
     if cfg.energy is not None:
         lines.append("")

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import analytic, builders, observables
-from .model import EnergyConfig, RateSet, state_violation_magnitude
+from .model import RATE_FIELDS, EnergyConfig, RateSet, state_violation_magnitude
 from .solver import DegenerateSteadyState, steady_state
 
 REGIME_BLIND = "blind"            # entry shut for either dot: no which-dot information
 REGIME_RESOLVING = "resolving"    # entry shut only for the second dot
 REGIME_EXTRAPOLATED = "extrapolated"  # entry open for both dots; untested territory
-
-_SWEEPABLE = tuple(f.name for f in dataclasses.fields(RateSet))
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.scenario not in builders.SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.parameter not in _SWEEPABLE:
+        if self.parameter not in RATE_FIELDS:
             raise ValueError(f"parameter {self.parameter!r} is not a RateSet field")
         grid = tuple(float(v) for v in self.grid)
         if not grid:

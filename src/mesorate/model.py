@@ -23,19 +23,9 @@ DIAGONAL = "diag"
 RE_COHERENCE = "re"
 IM_COHERENCE = "im"
 
-_WIDTH_FIELDS = (
-    "gamma_L", "gamma_R", "gamma_L_p", "gamma_R_p",
-    "Gamma_L", "Gamma_R", "Gamma_L_p", "Gamma_R_p",
-)
-_ENERGY_FIELDS = ("Omega", "epsilon", "U", "U1", "U2")
-
 # unprimed width -> its detector-occupied (primed) counterpart
-_PRIMED_TWIN = {
-    "gamma_L": "gamma_L_p",
-    "gamma_R": "gamma_R_p",
-    "Gamma_L": "Gamma_L_p",
-    "Gamma_R": "Gamma_R_p",
-}
+_PRIMED_TWIN = {name: f"{name}_p" for name in ("gamma_L", "gamma_R", "Gamma_L", "Gamma_R")}
+_WIDTH_FIELDS = (*_PRIMED_TWIN, *_PRIMED_TWIN.values())
 
 
 @dataclass(frozen=True)
@@ -71,7 +61,7 @@ class RateSet:
         for name, twin in _PRIMED_TWIN.items():
             if getattr(self, twin) is None:
                 object.__setattr__(self, twin, float(getattr(self, name)))
-        for name in _WIDTH_FIELDS + _ENERGY_FIELDS:
+        for name in RATE_FIELDS:
             value = float(getattr(self, name))
             object.__setattr__(self, name, value)
             if not math.isfinite(value):
@@ -92,13 +82,17 @@ class RateSet:
         old value, the twin follows, so equal-amplitude parameter sets stay
         equal-amplitude under sweeps.
         """
-        if name not in {f.name for f in dataclasses.fields(self)}:
+        if name not in RATE_FIELDS:
             raise ValueError(f"unknown RateSet field {name!r}")
         kwargs = {name: value}
         twin = _PRIMED_TWIN.get(name)
         if twin is not None and getattr(self, twin) == getattr(self, name):
             kwargs[twin] = value
         return dataclasses.replace(self, **kwargs)
+
+
+# the sweepable parameters and [rates] config keys, in declaration order
+RATE_FIELDS = tuple(f.name for f in dataclasses.fields(RateSet))
 
 
 @dataclass(frozen=True)

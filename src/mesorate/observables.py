@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import builders
 from .analytic import single_dot_current
-from .model import RateSet, StateVector
+from .model import IndexMap, RateSet, StateVector
 
 _RESOLVING = builders.BlockingConfig.blocked_on_second_dot()
 
@@ -45,12 +45,20 @@ def weights_for(scenario: str, r: RateSet,
     return CurrentWeights(**builders.scenario_table(scenario, blocking or _RESOLVING).weights(r))
 
 
-def current(x: StateVector, weights: Mapping[str, float]) -> float:
-    """Weighted occupation sum, in units of e times a rate."""
+def occupation_sum(index: IndexMap, weights: Mapping[str, float]) -> Callable[..., float]:
+    """Weighted occupation sum of a sample row in the layout index, in units
+    of e times a rate: the fsum of occupation times width, with the weight
+    labels resolved to slot positions once."""
     try:
-        return math.fsum(x.occupation(label) * w for label, w in weights.items())
+        terms = [(index.diagonal(label), w) for label, w in weights.items()]
     except KeyError as exc:
         raise ValueError(f"weight refers to a slot missing from the state: {exc}") from exc
+    return lambda sample: math.fsum([sample[slot] * w for slot, w in terms])
+
+
+def current(x: StateVector, weights: Mapping[str, float]) -> float:
+    """Weighted occupation sum of one state."""
+    return occupation_sum(x.index, weights)(x.values.tolist())
 
 
 def delta_detector_current(r: RateSet, detector_current: float) -> float:

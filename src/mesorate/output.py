@@ -14,9 +14,11 @@ import math
 from typing import Sequence
 
 from .experiments import SweepRow
-from .solver import Trajectory
 from .model import DIAGONAL, RE_COHERENCE
+from .observables import occupation_sum
+from .solver import Trajectory
 
+# the SweepRow fields written, in column order
 SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max_violation")
 
 
@@ -30,17 +32,18 @@ def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for row in rows:
-        writer.writerow([_fmt(row.param), _fmt(row.I_S_numeric), _fmt(row.I_S_analytic),
-                         _fmt(row.I_D), _fmt(row.Delta_I_D), _fmt(row.max_violation)])
+    writer.writerows([_fmt(getattr(row, name)) for name in SWEEP_HEADER] for row in rows)
     return buf.getvalue()
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def write_csv(rows: Sequence[SweepRow], path: str) -> None:
     """Sweep table as CSV; fails before creating the file when empty."""
-    text = sweep_csv_text(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_text(path, sweep_csv_text(rows))
 
 
 def column_token(entry) -> str:
@@ -53,31 +56,27 @@ def column_token(entry) -> str:
 
 
 def timeseries_csv_text(traj: Trajectory, system_weights=None, detector_weights=None) -> str:
-    from .observables import current
-
+    """Columns t, every slot, I_S if system weights are given, I_D if detector ones."""
     header = ["t"] + [column_token(e) for e in traj.index.entries]
+    sums = []
     if system_weights is not None:
         header.append("I_S")
+        sums.append(occupation_sum(traj.index, system_weights))
     if detector_weights:
         header.append("I_D")
+        sums.append(occupation_sum(traj.index, detector_weights))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for t, state in zip(traj.times, traj.states):
-        row = [_fmt(t)] + [_fmt(v) for v in state.values]
-        if system_weights is not None:
-            row.append(_fmt(current(state, system_weights)))
-        if detector_weights:
-            row.append(_fmt(current(state, detector_weights)))
-        writer.writerow(row)
+    for t, sample in zip(traj.times.tolist(), traj.values):
+        sample = sample.tolist()
+        writer.writerow([_fmt(v) for v in [t, *sample, *(f(sample) for f in sums)]])
     return buf.getvalue()
 
 
 def write_timeseries_csv(traj: Trajectory, path: str,
                          system_weights=None, detector_weights=None) -> None:
-    text = timeseries_csv_text(traj, system_weights, detector_weights)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_text(path, timeseries_csv_text(traj, system_weights, detector_weights))
 
 
 _SVG_W, _SVG_H = 640, 480
@@ -154,6 +153,4 @@ def svg_text(rows: Sequence[SweepRow], x_label: str, y_label: str = "current") -
 
 def write_svg(rows: Sequence[SweepRow], path: str,
               x_label: str, y_label: str = "current") -> None:
-    text = svg_text(rows, x_label, y_label)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_text(path, svg_text(rows, x_label, y_label))

@@ -5,9 +5,9 @@ is replaced by the probability normalization and the resulting square
 system is solved by LU with partial pivoting, then polished with
 extended-precision iterative refinement.  That keeps the stiff detector
 limits (collector width four orders above the emitter width) out of the
-integrator entirely.  Time evolution uses fixed-step classical RK4 with a
-stability guard on the default step; no adaptivity, no matrix
-exponentials, so identical inputs give identical trajectories.
+integrator entirely.  Time evolution is fixed-step classical RK4 with a
+guarded default step, each step written into one (n_samples, dim) array;
+no adaptivity, no matrix exponentials, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -34,26 +34,28 @@ class StepTooLarge(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled linear evolution; one StateVector per time point."""
+    """Sampled linear evolution: row k of the read-only (n_samples, dim)
+    array values is the state at times[k], in the slot layout of index."""
 
     times: np.ndarray
-    states: tuple[StateVector, ...]
+    values: np.ndarray
     index: IndexMap
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float, copy=True)
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be strictly increasing")
+        v = np.array(self.values, dtype=float, copy=True)
+        if v.shape != (len(t), len(self.index)):
+            raise ValueError(f"values must have shape {(len(t), len(self.index))}, got {v.shape}")
         t.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", v)
 
     @property
     def final(self) -> StateVector:
-        return self.states[-1]
-
-    def values_matrix(self) -> np.ndarray:
-        """Samples stacked as an (n_times, dim) array."""
-        return np.stack([s.values for s in self.states])
+        return StateVector(self.values[-1], self.index)
 
 
 def default_step(g: Generator) -> float:
@@ -154,19 +156,18 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     diag = list(g.index.diagonal_positions)
     G = g.matrix
 
-    x = x0.values.copy()
-    times = [0.0]
-    states = [x0]
+    values = np.empty((n_steps + 1, g.dim))
+    x = values[0] = x0.values
+    trace = math.fsum(x[diag])
     for k in range(1, n_steps + 1):
-        x_next = _rk4_step(G, x, h)
-        drift = abs(math.fsum(x_next[diag]) - math.fsum(x[diag]))
+        x = values[k] = _rk4_step(G, x, h)
+        trace_next = math.fsum(x[diag])
+        drift = abs(trace_next - trace)
         if not drift <= trace_budget_per_step:
             raise StepTooLarge(
                 f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
-        x = x_next
-        times.append(k * h)
-        states.append(StateVector(x, g.index))
-    return Trajectory(np.array(times), tuple(states), g.index)
+        trace = trace_next
+    return Trajectory(np.arange(n_steps + 1) * h, values, g.index)
 
 
 def relaxation_check(g: Generator, tol: float, horizon_cap: float | None = None,
@@ -194,7 +195,7 @@ def relaxation_check(g: Generator, tol: float, horizon_cap: float | None = None,
 
     while horizon <= horizon_cap:
         traj = evolve(g, x0, horizon)
-        gaps = np.abs(traj.values_matrix() - target.values).max(axis=1)
+        gaps = np.abs(traj.values - target.values).max(axis=1)
         hits = np.nonzero(gaps < tol)[0]
         if hits.size:
             return float(traj.times[hits[0]])

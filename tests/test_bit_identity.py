@@ -4,8 +4,9 @@ weight map and the CLI outputs on the README configs.
 `np.array_equal` cannot see the sign of a zero (-0.0 == 0.0), but the
 CSV writer prints `-0`, so the digests pin the raw bytes instead.  The
 expected values were recorded from the hand-coded builders that preceded
-the channel tables; regenerate them only for a deliberate change of
-numbers, never to make a refactor pass.
+the channel tables, and the evolve and time-series digests from the
+writer that kept one StateVector per sample; regenerate them only for a
+deliberate change of numbers, never to make a refactor pass.
 """
 
 import hashlib
@@ -14,8 +15,10 @@ import itertools
 import numpy as np
 import pytest
 
-from mesorate import BlockingConfig, RateSet, build_scenario, cli_main, weights_for
+from mesorate import (BlockingConfig, RateSet, basis_state, build_scenario, cli_main, evolve,
+                      weights_for)
 from mesorate.acceptance import _GOLDEN_SETS, _hand_coded_double_dot_set
+from mesorate.output import timeseries_csv_text
 
 WIDTHS = ("gamma_L", "gamma_R", "Gamma_L", "Gamma_R")
 
@@ -199,10 +202,16 @@ CLI_RUNS = {
     "evolve:single_dot_set": (
         f"[scenario]\nname = single_dot_set\n\n{EVOLVE_RATES}\n[run]\nt_final = 10.0\n",
         ["evolve"]),
+    # no detector, so no I_D column
+    **{f"evolve:{s}": (
+        f"[scenario]\nname = {s}\n\n{EVOLVE_RATES}\n[run]\nt_final = 10.0\n", ["evolve"])
+       for s in ("double_dot_bare", "reduced_double_dot")},
 }
 
 CLI_SHA256 = {
+    "evolve:double_dot_bare": "a990434f11405c1bd0b883778a5cc1d03ed342e5378a7baf3a8fdf24f35c24cd",
     "evolve:double_dot_set": "5a5aa97eadc7a902acb400dad63dc80564fa3f471496da04862da2da778cdead",
+    "evolve:reduced_double_dot": "fbeced60c5c2e9f608905d98d1adc8db89e54b6db2001a10870a4797fa16c07b",
     "evolve:single_dot_set": "1125be2e35e8bf3ba4b612621afc15d9986a8f5b507f6e9f050c9d743798d7c3",
     "fig3": "1330a4e34280eaa3818e6b4b25a679da8ee32b49a5fde7597238056e51ac49f7",
     "steady:double_dot_bare": "c90b9b475fb3de921e6d8bfa75d1e5f397ce196a7f668f88665d5e0ebb6b631a",
@@ -234,3 +243,19 @@ def cli_output(name, tmp_path, capsys):
 def test_cli_output_bytes(name, tmp_path, capsys):
     digest = hashlib.sha256(cli_output(name, tmp_path, capsys)).hexdigest()
     assert digest == CLI_SHA256[name]
+
+
+# the time-series writer with no weights at all: slot columns only
+TIMESERIES_SHA256 = {
+    "double_dot_bare": "ef82f366ffe2368f62d834ad1194d0f5ae9b96d7c1c60bf9f3f6eb69ed549a0a",
+    "double_dot_set": "36c8170dcc1821572e8e29bc1184784c46c3763a1eca4823a5bd219a1cc657b2",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TIMESERIES_SHA256))
+def test_timeseries_without_weights_bytes(scenario):
+    r = RateSet(gamma_L=1.0, gamma_R=3.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0, U1=1.0, U2=2.0)
+    g = build_scenario(scenario, r)
+    traj = evolve(g, basis_state(g.index, "a"), 10.0)
+    digest = hashlib.sha256(timeseries_csv_text(traj).encode()).hexdigest()
+    assert digest == TIMESERIES_SHA256[scenario]

@@ -1,7 +1,25 @@
+import itertools
+
 import pytest
 
-from mesorate import ConfigError, RateSet, parse_config, parse_grid, render_config
-from mesorate.config import RunConfig, RunOptions
+from mesorate import BlockingConfig, ConfigError, RateSet, parse_config, parse_grid, render_config
+from mesorate.builders import scenario_table
+from mesorate.config import RunConfig, RunOptions, required_rates
+
+# the hand table the channel-table derivation replaced, kept literally so
+# the derivation cannot silently drop a key
+REQUIRED_RATES = {
+    "single_dot_set": ("gamma_L", "gamma_R", "Gamma_L", "Gamma_R"),
+    "double_dot_bare": ("Gamma_L", "Gamma_R", "Omega"),
+    "reduced_double_dot": ("Gamma_L", "Gamma_R", "Omega", "gamma_L"),
+    "double_dot_set": ("Gamma_L", "Gamma_R", "Omega", "gamma_L", "gamma_R"),
+    "generalized_double_dot_set": ("Gamma_L", "Gamma_R", "Omega", "gamma_L", "gamma_R"),
+}
+REQUIRED_CASES = [(s, key) for s, keys in REQUIRED_RATES.items() for key in keys]
+
+
+def rates_config(scenario, keys):
+    return f"[scenario]\nname = {scenario}\n[rates]\n" + "".join(f"{k} = 1\n" for k in keys)
 
 FULL = """\
 # monitored coupled dots
@@ -72,10 +90,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="missing required key name"):
             parse_config("[rates]\nOmega = 1\n")
 
-    def test_missing_required_rate(self):
-        text = "[scenario]\nname = double_dot_bare\n[rates]\nGamma_L = 1\nGamma_R = 1\n"
-        with pytest.raises(ConfigError, match="missing required key Omega"):
+    @pytest.mark.parametrize("scenario,key", REQUIRED_CASES,
+                             ids=[f"{s}-{k}" for s, k in REQUIRED_CASES])
+    def test_missing_required_rate(self, scenario, key):
+        text = rates_config(scenario, [k for k in REQUIRED_RATES[scenario] if k != key])
+        with pytest.raises(ConfigError, match=f"missing required key {key} for scenario"):
             parse_config(text)
+
+    @pytest.mark.parametrize("scenario", sorted(REQUIRED_RATES))
+    def test_required_rates_suffice(self, scenario):
+        assert parse_config(rates_config(scenario, REQUIRED_RATES[scenario])).scenario == scenario
+
+    @pytest.mark.parametrize("scenario", sorted(REQUIRED_RATES))
+    def test_required_rates_are_the_hand_table(self, scenario):
+        assert sorted(required_rates(scenario)) == sorted(REQUIRED_RATES[scenario])
+
+    def test_every_blocking_reads_the_same_widths(self):
+        # required_rates derives the generalized scenario's keys from one blocking
+        read = {frozenset(ch.rate for ch in scenario_table(
+                    "generalized_double_dot_set", BlockingConfig(*flags)).channels)
+                for flags in itertools.product((False, True), repeat=3)}
+        assert read == {frozenset(("Gamma_L", "Gamma_R", "gamma_L", "gamma_R"))}
 
     def test_unknown_scenario_named_with_line(self):
         with pytest.raises(ConfigError, match="line 2"):

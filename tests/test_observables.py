@@ -183,9 +183,9 @@ class TestScaleInvariance:
 
 class TestTimeResolvedCurrent:
     def test_transient_current_starts_at_zero_and_reaches_dc(self):
-        from mesorate import basis_state, evolve
+        from mesorate import StateVector, basis_state, evolve
         g = build_single_dot_set(ALL_ONES)
         w = weights_for("single_dot_set", ALL_ONES)
         traj = evolve(g, basis_state(g.index, "a"), 30.0)
-        assert current(traj.states[0], w.system) == 0.0
+        assert current(StateVector(traj.values[0], traj.index), w.system) == 0.0
         assert current(traj.final, w.system) == pytest.approx(0.5, abs=1e-8)

@@ -71,7 +71,14 @@ class TestTimeseriesCsv:
         w = weights_for("single_dot_set", r)
         text = timeseries_csv_text(traj, w.system, w.detector)
         assert text.split("\n")[0] == "t,a,b,ap,bp,I_S,I_D"
-        assert len(text.strip().split("\n")) == 1 + len(traj.states)
+        assert len(text.strip().split("\n")) == 1 + len(traj.times)
+
+    def test_weight_on_missing_slot_rejected(self):
+        r = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
+        g = build_single_dot_set(r)
+        traj = evolve(g, basis_state(g.index, "a"), 1.0, dt=0.5)
+        with pytest.raises(ValueError, match="missing"):
+            timeseries_csv_text(traj, {"c": 1.0})
 
 
 class TestSvg:

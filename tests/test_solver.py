@@ -9,6 +9,7 @@ from mesorate import (
     IndexMap,
     NoConvergence,
     RateSet,
+    StateVector,
     StepTooLarge,
     Trajectory,
     basis_state,
@@ -130,10 +131,11 @@ class TestEvolve:
         g = build_double_dot_bare(RABI)
         x0 = pack(g.index, {"b": 1.0})
         traj = evolve(g, x0, 6.0, dt=0.01)
-        for t, state in zip(traj.times, traj.states):
-            assert state.occupation("b") == pytest.approx(math.cos(t) ** 2, abs=1e-7)
-            im = state.coherence(("b", "c")).imag
-            assert im == pytest.approx(math.sin(2 * t) / 2.0, abs=1e-7)
+        _, im = g.index.coherence(("b", "c"))
+        np.testing.assert_allclose(traj.values[:, g.index.diagonal("b")],
+                                   np.cos(traj.times) ** 2, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(traj.values[:, im], np.sin(2 * traj.times) / 2.0,
+                                   rtol=0, atol=1e-7)
 
     def test_fourth_order_convergence(self):
         g = build_double_dot_bare(RABI)
@@ -161,7 +163,7 @@ class TestEvolve:
         drift = abs(traj.final.trace() - 1.0) / 30.0
         assert drift < 1e-9
         diag = list(g.index.diagonal_positions)
-        assert traj.values_matrix()[:, diag].min() > -1e-6
+        assert traj.values[:, diag].min() > -1e-6
 
     def test_default_step_guard(self):
         g = build_single_dot_set(ALL_ONES_SINGLE)
@@ -198,7 +200,7 @@ class TestEvolve:
         with pytest.raises(ValueError, match="cap"):
             evolve(small, basis_state(small.index, "a"), 1.0, dt=0.01, max_steps=10)
         traj = evolve(small, basis_state(small.index, "a"), 1.0, dt=0.01, max_steps=200)
-        assert len(traj.states) == 101
+        assert len(traj.times) == 101
 
     def test_endpoint_lands_exactly_on_t_final(self):
         g = build_single_dot_set(ALL_ONES_SINGLE)
@@ -212,13 +214,31 @@ class TestTrajectory:
         g = build_single_dot_set(ALL_ONES_SINGLE)
         x = basis_state(g.index, "a")
         with pytest.raises(ValueError, match="strictly increasing"):
-            Trajectory(np.array([0.0, 0.0]), (x, x), g.index)
+            Trajectory(np.array([0.0, 0.0]), np.stack([x.values, x.values]), g.index)
+
+    def test_values_shape_enforced(self):
+        g = build_single_dot_set(ALL_ONES_SINGLE)
+        x = basis_state(g.index, "a")
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(np.array([0.0, 1.0]), np.stack([x.values] * 3), g.index)
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(np.array([0.0, 1.0]), np.stack([x.values] * 2)[:, :-1], g.index)
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(np.array([0.0]), x.values, g.index)
+
+    def test_values_read_only(self):
+        g = build_single_dot_set(ALL_ONES_SINGLE)
+        traj = evolve(g, basis_state(g.index, "a"), 1.0)
+        assert traj.values.shape == (len(traj.times), g.dim)
+        with pytest.raises(ValueError):
+            traj.values[0, 0] = 0.5
+        np.testing.assert_array_equal(traj.final.values, traj.values[-1])
 
     def test_states_validate_along_the_way(self):
         g = build_single_dot_set(ALL_ONES_SINGLE)
         traj = evolve(g, basis_state(g.index, "a"), 10.0)
-        for state in traj.states[:: len(traj.states) // 10]:
-            assert validate_state(state, 1e-6) == []
+        for sample in traj.values[:: len(traj.times) // 10]:
+            assert validate_state(StateVector(sample, g.index), 1e-6) == []
 
 
 class TestRelaxationCheck:
