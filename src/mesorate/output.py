@@ -8,10 +8,8 @@ for the same reason.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .experiments import SweepRow
 from .model import DIAGONAL, RE_COHERENCE
@@ -22,18 +20,18 @@ from .solver import Trajectory
 SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max_violation")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _row_format(n_columns: int) -> str:
+    """printf format of one CSV row of floats at 17 significant digits."""
+    return ",".join(["%.17g"] * n_columns) + "\n"
 
 
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
     if not rows:
         raise ValueError("refusing to write an empty table")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    writer.writerows([_fmt(getattr(row, name)) for name in SWEEP_HEADER] for row in rows)
-    return buf.getvalue()
+    row_format = _row_format(len(SWEEP_HEADER))
+    lines = [",".join(SWEEP_HEADER) + "\n"]
+    lines += [row_format % tuple([getattr(row, name) for name in SWEEP_HEADER]) for row in rows]
+    return "".join(lines)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -55,8 +53,9 @@ def column_token(entry) -> str:
     return f"{prefix}_{tag}"
 
 
-def timeseries_csv_text(traj: Trajectory, system_weights=None, detector_weights=None) -> str:
-    """Columns t, every slot, I_S if system weights are given, I_D if detector ones."""
+def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[str]:
+    """The header line, then one line per sample.  The weights are resolved
+    before the first line is asked for, so a bad weight map raises here."""
     header = ["t"] + [column_token(e) for e in traj.index.entries]
     sums = []
     if system_weights is not None:
@@ -65,18 +64,29 @@ def timeseries_csv_text(traj: Trajectory, system_weights=None, detector_weights=
     if detector_weights:
         header.append("I_D")
         sums.append(occupation_sum(traj.index, detector_weights))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for t, sample in zip(traj.times.tolist(), traj.values):
-        sample = sample.tolist()
-        writer.writerow([_fmt(v) for v in [t, *sample, *(f(sample) for f in sums)]])
-    return buf.getvalue()
+    row_format = _row_format(len(header))
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for t, sample in zip(traj.times.tolist(), traj.values):
+            sample = sample.tolist()
+            yield row_format % (t, *sample, *[f(sample) for f in sums])
+
+    return lines()
+
+
+def timeseries_csv_text(traj: Trajectory, system_weights=None, detector_weights=None) -> str:
+    """Columns t, every slot, I_S if system weights are given, I_D if detector ones."""
+    return "".join(_timeseries_lines(traj, system_weights, detector_weights))
 
 
 def write_timeseries_csv(traj: Trajectory, path: str,
                          system_weights=None, detector_weights=None) -> None:
-    _write_text(path, timeseries_csv_text(traj, system_weights, detector_weights))
+    """timeseries_csv_text streamed to path line by line, without holding
+    the whole text; a bad weight map fails before the file is created."""
+    lines = _timeseries_lines(traj, system_weights, detector_weights)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
 
 
 _SVG_W, _SVG_H = 640, 480

@@ -82,6 +82,17 @@ class TestEvolve:
         assert lines[0] == "t,a,b,c,re_bc,im_bc,I_S"
         assert len(lines) > 100
 
+    def test_unstable_step_is_numerical_failure(self, tmp_path, capsys):
+        # the README rates with gamma_R = 3: trace-conserving, but dt = 2
+        # is outside RK4's stability region
+        p = tmp_path / "unstable.cfg"
+        p.write_text(SET_CFG.replace("gamma_R = 100.0", "gamma_R = 3.0")
+                     + "\n[run]\nt_final = 2000.0\ndt = 2.0\n")
+        out_path = tmp_path / "ts.csv"
+        assert cli_main(["evolve", "--config", str(p), "--out", str(out_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_missing_t_final_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "no_t.cfg"
         p.write_text(BARE_CFG.replace("t_final = 30.0", ""))

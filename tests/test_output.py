@@ -1,13 +1,17 @@
+import hashlib
 import math
 import re
 
+import numpy as np
 import pytest
 
 from mesorate import (
     EnergyConfig,
     RateSet,
     SweepSpec,
+    Trajectory,
     basis_state,
+    build_scenario,
     build_single_dot_set,
     evolve,
     run_fermi_sweep,
@@ -17,7 +21,8 @@ from mesorate import (
     write_svg,
 )
 from mesorate.experiments import SweepRow
-from mesorate.output import sweep_csv_text, svg_text, timeseries_csv_text
+from mesorate.output import (sweep_csv_text, svg_text, timeseries_csv_text,
+                             write_timeseries_csv)
 
 ROW = SweepRow(param=1.0, I_S_numeric=0.5, I_S_analytic=0.5, I_D=math.nan,
                Delta_I_D=math.nan, max_violation=0.0)
@@ -73,12 +78,53 @@ class TestTimeseriesCsv:
         assert text.split("\n")[0] == "t,a,b,ap,bp,I_S,I_D"
         assert len(text.strip().split("\n")) == 1 + len(traj.times)
 
-    def test_weight_on_missing_slot_rejected(self):
+    def test_weight_on_missing_slot_rejected(self, tmp_path):
         r = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
         g = build_single_dot_set(r)
         traj = evolve(g, basis_state(g.index, "a"), 1.0, dt=0.5)
         with pytest.raises(ValueError, match="missing"):
             timeseries_csv_text(traj, {"c": 1.0})
+        path = tmp_path / "ts.csv"
+        with pytest.raises(ValueError, match="missing"):
+            write_timeseries_csv(traj, str(path), {"c": 1.0})
+        assert not path.exists()
+
+
+# A hand-built trajectory, independent of the integrator: signed zeros,
+# extremes of the exponent range, a subnormal and values that need all 17
+# significant digits, with non-dyadic weights so the current columns do too.
+HAND_RATES = RateSet(gamma_L=1.0 / 3.0, gamma_R=0.7, Gamma_L=2.0 ** 0.5, Gamma_R=0.1,
+                     Omega=1.0, U1=1.0, U2=2.0)
+HAND_TIMES = [-0.0, 1e-300, 0.1 + 0.2, 1.0 / 3.0, 1e300]
+HAND_VALUES = [
+    [1.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+    [1e-300, 1e300, -1e-300, -1e300, 5e-324, 1.0 / 3.0, 2.0 / 3.0, 0.1, -0.1, math.pi],
+    [0.1 + 0.2, 1.0 - 2.0 ** -52, 2.0 ** -1074, 123456789.12345678, -math.e, 1e-17,
+     9007199254740993.0, 1.7976931348623157e308 / 1e10, -2.2250738585072014e-308, 1e22],
+    [math.sqrt(2.0), -math.sqrt(3.0), 1e-5 / 3.0, 7e-8, 0.30000000000000004, -1e-320,
+     6.02214076e23 / 7.0, 1.0 / 7.0, -5.0 / 11.0, 0.5],
+    [0.25, 0.25, 0.125, 0.125, 0.0625, 0.0625, 0.0, -1.0 / 9.0, 1.0 / 9.0, -0.0],
+]
+HAND_SHA256 = "eeb7f5e8eef360a3ddccd1090b2e632e557078eb667c813e535d39b88e186efc"
+
+
+class TestTimeseriesBytes:
+    def hand_trajectory(self):
+        g = build_scenario("double_dot_set", HAND_RATES)
+        return Trajectory(np.array(HAND_TIMES), np.array(HAND_VALUES), g.index)
+
+    def test_hand_built_trajectory_bytes(self):
+        w = weights_for("double_dot_set", HAND_RATES)
+        text = timeseries_csv_text(self.hand_trajectory(), w.system, w.detector)
+        assert hashlib.sha256(text.encode()).hexdigest() == HAND_SHA256
+
+    def test_file_bytes_equal_text(self, tmp_path):
+        traj = self.hand_trajectory()
+        w = weights_for("double_dot_set", HAND_RATES)
+        for weights in ((), (w.system,), (w.system, w.detector)):
+            path = tmp_path / "ts.csv"
+            write_timeseries_csv(traj, str(path), *weights)
+            assert path.read_bytes() == timeseries_csv_text(traj, *weights).encode()
 
 
 class TestSvg:

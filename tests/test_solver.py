@@ -23,9 +23,23 @@ from mesorate import (
     steady_state,
     validate_state,
 )
+from mesorate.acceptance import _suite_evolve_runs
 
 ALL_ONES_SINGLE = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
 RABI = RateSet(Omega=1.0)
+# the README config with a slower detector (gamma_R = 1e4 exceeds the step cap)
+README_SLOW = RateSet(gamma_L=1.0, gamma_R=3.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
+                      epsilon=0.0, U1=1.0, U2=2.0)
+
+
+def _rk4_step(G, x, h):
+    """Stage-wise classical RK4: the reference for the propagator evolve uses."""
+    k1 = G @ x
+    k2 = G @ (x + 0.5 * h * k1)
+    k3 = G @ (x + 0.5 * h * k2)
+    k4 = G @ (x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
 
 
 def rational_steady_state(matrix_rows):
@@ -169,6 +183,26 @@ class TestEvolve:
         g = build_single_dot_set(ALL_ONES_SINGLE)
         assert default_step(g) == pytest.approx(0.1 / 3.0)
 
+    # the "monitored coupled dots" run is the README config at gamma_R = 3
+    @pytest.mark.parametrize("case", _suite_evolve_runs(), ids=lambda c: c[0])
+    def test_matches_stage_wise_rk4(self, case):
+        _, g, x0, t_final, dt = case
+        traj = evolve(g, x0, t_final, dt)
+        h = t_final / (len(traj.times) - 1)
+        x = x0.values
+        worst = 0.0
+        for sample in traj.values[1:]:
+            x = _rk4_step(g.matrix, x, h)
+            worst = max(worst, float(np.abs(sample - x).max()))
+        assert worst <= 1e-13
+
+    def test_step_too_large_on_conserving_generator(self):
+        # trace-conserving, but dt = 2 is outside RK4's stability region:
+        # the per-step guard stops the run once the growing mode shows
+        g = build_double_dot_set(README_SLOW)
+        with pytest.raises(StepTooLarge, match="shrink dt"):
+            evolve(g, basis_state(g.index, "a"), 2000.0, dt=2.0)
+
     def test_step_too_large_on_leaky_generator(self):
         leaky = Generator(np.array([[-1.0]]), IndexMap(("a",)), "leaky")
         with pytest.raises(StepTooLarge):
@@ -233,6 +267,18 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.values[0, 0] = 0.5
         np.testing.assert_array_equal(traj.final.values, traj.values[-1])
+
+    def test_caller_array_not_aliased(self):
+        g = build_single_dot_set(ALL_ONES_SINGLE)
+        x = basis_state(g.index, "a")
+        times = np.array([0.0, 1.0])
+        values = np.stack([x.values, x.values])
+        traj = Trajectory(times, values, g.index)
+        times[1] = 2.0
+        values[1, 0] = 0.5
+        np.testing.assert_array_equal(traj.times, [0.0, 1.0])
+        np.testing.assert_array_equal(traj.values, np.stack([x.values, x.values]))
+        assert not traj.values.flags.writeable
 
     def test_states_validate_along_the_way(self):
         g = build_single_dot_set(ALL_ONES_SINGLE)
