@@ -36,6 +36,7 @@ from .builders import (
     index_double_dot,
     index_double_dot_set,
     index_single_dot_set,
+    scenario_table,
 )
 from .solver import (
     DegenerateSteadyState,
@@ -46,6 +47,7 @@ from .solver import (
     evolve,
     relaxation_check,
     steady_state,
+    steady_states,
 )
 from .observables import CurrentWeights, current, delta_detector_current, weights_for
 from .analytic import (

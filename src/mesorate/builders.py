@@ -27,6 +27,7 @@ scenario sums every rate cell with fsum over signed terms, giving +0.0.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import fsum
@@ -162,18 +163,30 @@ class ChannelTable:
                 np.array([coef for coef, _, _ in cells.values()]),
                 np.array([quantities.index(key) for key in keys]))
 
-    def generator(self, r: RateSet) -> Generator:
-        """Each compiled cell is its coefficient times a quantity: the
-        single term of the quantity as is, else the fsum of its terms."""
+    def quantities(self, r: RateSet) -> array:
+        """The compiled cells' quantities at r: the single term of a
+        quantity as is, else the fsum of its terms.  A packed array of
+        doubles, so a sweep holding one row per grid point stays small."""
         if self.equal_amplitudes and not r.is_equal_amplitudes:
             raise ValueError(f"{self.label} assumes equal tunneling amplitudes; "
                              "primed widths must equal unprimed ones")
-        quantities, flat, coefs, of = self._cells
-        q = np.array([fsum([s * getattr(r, f) for f, s in terms]) if force or len(terms) != 1
-                      else terms[0][1] * getattr(r, terms[0][0]) for terms, force in quantities])
-        g = np.zeros(len(self.index) ** 2)
-        g[flat] = coefs * q[of]
-        return Generator(g.reshape(len(self.index), -1), self.index, self.label)
+        return array("d", [fsum([s * getattr(r, f) for f, s in terms])
+                           if force or len(terms) != 1 else terms[0][1] * getattr(r, terms[0][0])
+                           for terms, force in self._cells[0]])
+
+    def stack(self, quantities) -> np.ndarray:
+        """Generator matrices, shape (N, dim, dim), from N rows of
+        quantities: each compiled cell is its coefficient times a quantity."""
+        keys, flat, coefs, of = self._cells
+        q = np.array(quantities, dtype=float).reshape(-1, len(keys))
+        dim = len(self.index)
+        g = np.zeros((len(q), dim * dim))
+        g[:, flat] = coefs * q[:, of]
+        return g.reshape(-1, dim, dim)
+
+    def generator(self, r: RateSet) -> Generator:
+        """The one-row case of stack."""
+        return Generator(self.stack([self.quantities(r)])[0], self.index, self.label)
 
     def weights(self, r: RateSet) -> dict[str, dict[str, float]]:
         """Source label -> width, for the system collector, the detector

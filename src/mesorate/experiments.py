@@ -1,21 +1,25 @@
 """Parameter sweeps over the stationary solutions.
 
-Rows are evaluated in grid order and every quantity is a pure function of
-the sweep specification, so repeated runs serialize to identical bytes.
-A grid point whose model is disconnected is reported as a row of NaNs
-with the error message attached instead of aborting the sweep.
+The generators of a whole grid are assembled as one stack and solved by
+one steady_states call, which gives every point exactly the bits of its
+own steady_state solve.  Every quantity is a pure function of the sweep
+specification, so repeated runs serialize to identical bytes.  A grid
+point whose model is disconnected is reported as a row of NaNs with the
+error message attached instead of aborting the sweep; any other error is
+raised, the one the first failing point in grid order would raise.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import analytic, builders, observables
-from .model import RATE_FIELDS, EnergyConfig, RateSet, state_violation_magnitude
-from .solver import DegenerateSteadyState, steady_state
+from .model import RATE_FIELDS, EnergyConfig, RateSet, StateVector, state_violation_magnitude
+from .solver import DegenerateSteadyState, steady_states
 
 REGIME_BLIND = "blind"            # entry shut for either dot: no which-dot information
 REGIME_RESOLVING = "resolving"    # entry shut only for the second dot
@@ -75,39 +79,75 @@ def _analytic_reference(scenario: str, r: RateSet) -> float:
     return math.nan
 
 
-def _evaluate_point(scenario: str, r: RateSet,
-                    blocking: builders.BlockingConfig | None,
-                    analytic_value: float | None = None,
-                    regime: str | None = None) -> SweepRow:
-    reference = _analytic_reference(scenario, r) if analytic_value is None else analytic_value
-    try:
-        g = builders.build_scenario(scenario, r, blocking)
-        x = steady_state(g)
-    except DegenerateSteadyState as exc:
-        return SweepRow(math.nan, math.nan, reference, math.nan, math.nan, math.nan,
-                        regime=regime, error=str(exc))
-    w = observables.weights_for(scenario, r, blocking)
-    i_s = observables.current(x, w.system)
-    if w.detector:
-        i_d = observables.current(x, w.detector)
-        delta = observables.delta_detector_current(r, i_d)
-    else:
-        i_d = math.nan
-        delta = math.nan
-    return SweepRow(math.nan, i_s, reference, i_d, delta,
-                    state_violation_magnitude(x),
-                    occupations={lab: x.occupation(lab) for lab in x.index.diagonal_labels},
-                    regime=regime)
+class _Point(NamedTuple):
+    """A grid point ready for the stationary solve: quantities are its
+    channel table's cell quantities."""
+
+    param: float
+    rates: RateSet
+    blocking: builders.BlockingConfig | None
+    reference: float
+    regime: str | None
+    quantities: array
+
+
+def _solved_rows(scenario: str, points: list[_Point],
+                 failure: Exception | None = None) -> list[SweepRow]:
+    """Rows of the points in grid order, their generators solved as one
+    stack per blocking configuration.
+
+    A DegenerateSteadyState point becomes a row of NaNs carrying the
+    message; any other error is raised, the first in grid order, with
+    failure (raised by the point after the last one given) coming last.
+    """
+    solved = [None] * len(points)
+    for blocking in dict.fromkeys(p.blocking for p in points):
+        members = [k for k, p in enumerate(points) if p.blocking == blocking]
+        table = builders.scenario_table(scenario, blocking)
+        values, errors = steady_states(table.stack([points[k].quantities for k in members]),
+                                       table.index)
+        for k, v, err in zip(members, values, errors):
+            solved[k] = (v, table.index, err)
+
+    rows = []
+    for p, (v, index, err) in zip(points, solved):
+        if isinstance(err, DegenerateSteadyState):
+            rows.append(SweepRow(p.param, math.nan, p.reference, math.nan, math.nan, math.nan,
+                                 regime=p.regime, error=str(err)))
+            continue
+        if err is not None:
+            raise err
+        x = StateVector(v, index)
+        w = observables.weights_for(scenario, p.rates, p.blocking)
+        i_s = observables.current(x, w.system)
+        if w.detector:
+            i_d = observables.current(x, w.detector)
+            delta = observables.delta_detector_current(p.rates, i_d)
+        else:
+            i_d = math.nan
+            delta = math.nan
+        rows.append(SweepRow(p.param, i_s, p.reference, i_d, delta,
+                             state_violation_magnitude(x),
+                             occupations={lab: x.occupation(lab)
+                                          for lab in x.index.diagonal_labels},
+                             regime=p.regime))
+    if failure is not None:
+        raise failure
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Stationary currents along the grid, one row per grid point."""
-    rows = []
+    points = []
     for value in spec.grid:
-        r = spec.base.replacing(spec.parameter, value)
-        row = _evaluate_point(spec.scenario, r, spec.blocking)
-        rows.append(dataclasses.replace(row, param=value))
-    return rows
+        try:
+            r = spec.base.replacing(spec.parameter, value)
+            reference = _analytic_reference(spec.scenario, r)
+            table = builders.scenario_table(spec.scenario, spec.blocking)
+            points.append(_Point(value, r, spec.blocking, reference, None, table.quantities(r)))
+        except (ValueError, ArithmeticError) as exc:  # raised once the points before it are solved
+            return _solved_rows(spec.scenario, points, exc)
+    return _solved_rows(spec.scenario, points)
 
 
 @dataclass(frozen=True)
@@ -172,16 +212,18 @@ def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float],
                 f"Fermi level {v!r} reaches E0 + U2 = {selector.threshold_extrapolated!r}; "
                 "that territory is extrapolated and must be enabled explicitly")
 
-    rows = []
+    points = []
     for v in grid:
         regime, blocking = selector.classify(v)
-        if regime == REGIME_BLIND:
-            reference = _analytic_reference(builders.DOUBLE_DOT_BARE, base)
-        elif regime == REGIME_RESOLVING:
-            reference = _analytic_reference(builders.REDUCED_DOUBLE_DOT, base)
-        else:
-            reference = math.nan
-        row = _evaluate_point(builders.GENERALIZED_DOUBLE_DOT_SET, base, blocking,
-                              analytic_value=reference, regime=regime)
-        rows.append(dataclasses.replace(row, param=v))
-    return rows
+        try:
+            if regime == REGIME_BLIND:
+                reference = _analytic_reference(builders.DOUBLE_DOT_BARE, base)
+            elif regime == REGIME_RESOLVING:
+                reference = _analytic_reference(builders.REDUCED_DOUBLE_DOT, base)
+            else:
+                reference = math.nan
+            table = builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET, blocking)
+            points.append(_Point(v, base, blocking, reference, regime, table.quantities(base)))
+        except (ValueError, ArithmeticError) as exc:  # raised once the points before it are solved
+            return _solved_rows(builders.GENERALIZED_DOUBLE_DOT_SET, points, exc)
+    return _solved_rows(builders.GENERALIZED_DOUBLE_DOT_SET, points)

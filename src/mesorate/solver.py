@@ -5,13 +5,19 @@ is replaced by the probability normalization and the resulting square
 system is solved by LU with partial pivoting, then polished with
 extended-precision iterative refinement.  That keeps the stiff detector
 limits (collector width four orders above the emitter width) out of the
-integrator entirely.  Time evolution is fixed-step classical RK4 with a
-guarded default step.  For a constant generator one RK4 step is exactly
-the matrix polynomial P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, so P
-is built once per run and each step is one product P x written into a
-row of one (n_samples, dim) array; the trace is still checked after every
-step.  No adaptivity, no matrix exponentials, so reruns are
-bit-identical.
+integrator entirely.  One engine, steady_states, solves a whole stack of
+generators (N, dim, dim): each LAPACK step (the SVD rank test, the LU
+solve, each refinement solve) is one call on the stack, every check runs
+per generator, and a generator that fails gets its own error without
+failing the others.  steady_state is its one-generator case, so a sweep
+and a single solve share every line and every bit.
+
+Time evolution is fixed-step classical RK4 with a guarded default step.
+For a constant generator one RK4 step is exactly the matrix polynomial
+P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, so P is built once per run
+and each step is one product P x written into a row of one
+(n_samples, dim) array; the trace is still checked after every step.  No
+adaptivity, no matrix exponentials, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ class Trajectory:
 
     def __post_init__(self):
         t = _read_only(self.times)
-        if np.any(np.diff(t) <= 0.0):
+        if not np.all(t[1:] > t[:-1]):     # NaN compares False, so it fails too
             raise ValueError("times must be strictly increasing")
         v = _read_only(self.values)
         if v.shape != (len(t), len(self.index)):
@@ -79,54 +85,136 @@ def default_step(g: Generator) -> float:
     return 0.1 / m if m > 0.0 else math.inf
 
 
-def steady_state(g: Generator, rank_tol: float = 1e-10) -> StateVector:
-    """Stationary state: G x = 0 with the diagonal slots summing to 1.
+def steady_states(matrices: np.ndarray, index: IndexMap,
+                  rank_tol: float = 1e-10) -> tuple[np.ndarray, list[Exception | None]]:
+    """Stationary states of a stack of generators sharing one slot layout.
 
-    rank_tol is relative to the largest singular value and flags
-    disconnected models whose null space is more than one-dimensional.
-    The returned vector satisfies ||G x||_inf <= 1e-12 ||G||_inf.
+    matrices has shape (N, dim, dim).  Returns the (N, dim) array of
+    solutions and one entry per generator: None where it was solved, else
+    the exception steady_state raises for that generator alone, whose row
+    of the array is then NaN.  Every check runs per generator; each LAPACK
+    step is one call on the whole stack: one SVD, then the LU solve and
+    its three refinement solves.
     """
-    G = g.matrix
-    n = g.dim
-    singulars = np.linalg.svd(G, compute_uv=False)
-    largest = float(singulars[0]) if n else 0.0
-    if largest == 0.0:
-        raise DegenerateSteadyState("zero generator: every state is stationary")
-    null_dim = int(np.count_nonzero(singulars <= rank_tol * largest))
-    if null_dim > 1:
-        raise DegenerateSteadyState(
-            f"{null_dim}-dimensional null space: the model is disconnected")
-    if null_dim == 0:
-        raise ValueError("generator has no stationary direction; it does not conserve trace")
+    G = np.asarray(matrices, dtype=float)
+    n_points, n = len(G), len(index)
+    errors: list[Exception | None] = [None] * n_points
+
+    try:
+        singulars = np.linalg.svd(G, compute_uv=False)
+    except np.linalg.LinAlgError:
+        # some member did not converge: it fails alone, the others go on
+        singulars = np.full((n_points, n), np.nan)
+        for k, s in enumerate(_each_member(np.linalg.svd, G, compute_uv=False)):
+            if isinstance(s, np.linalg.LinAlgError):
+                errors[k] = s
+            else:
+                singulars[k] = s
+    largest = singulars[:, 0] if n else np.zeros(n_points)
+    null_dims = (singulars <= rank_tol * largest[:, np.newaxis]).sum(axis=1)
+    ok = []
+    for k, (top, null_dim) in enumerate(zip(largest.tolist(), null_dims.tolist())):
+        if errors[k] is not None:
+            pass
+        elif top == 0.0:
+            errors[k] = DegenerateSteadyState("zero generator: every state is stationary")
+        elif null_dim > 1:
+            errors[k] = DegenerateSteadyState(
+                f"{null_dim}-dimensional null space: the model is disconnected")
+        elif null_dim == 0:
+            errors[k] = ValueError(
+                "generator has no stationary direction; it does not conserve trace")
+        else:
+            ok.append(k)
 
     # Any single balance row of a diagonal slot is linearly dependent on the
     # others (their sum is the zero row), so replacing the first one keeps
     # all information and makes the system square and nonsingular.
-    A = G.copy()
-    A[0, :] = 0.0
-    A[0, list(g.index.diagonal_positions)] = 1.0
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
+    # IndexMap puts the diagonal slots first.  A is the only copy of the
+    # stack kept: its replaced row is saved and put back for the residual
+    # check, so a stack the caller does not hold is freed here.
+    A = G.copy() if len(ok) == n_points else G[ok]
+    del G, matrices
+    row0 = A[:, 0, :].copy()
+    A[:, 0, :] = 0.0
+    A[:, 0, :len(index.diagonal_positions)] = 1.0
+    rhs = np.zeros((len(ok), n, 1))
+    rhs[:, 0] = 1.0
     try:
         x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyState(f"constrained stationary system is singular: {exc}") from exc
+    except np.linalg.LinAlgError:
+        solved = _each_member(np.linalg.solve, A, rhs)
+        keep = []
+        for j, res in enumerate(solved):
+            if isinstance(res, np.linalg.LinAlgError):
+                err = DegenerateSteadyState(f"constrained stationary system is singular: {res}")
+                err.__cause__ = res
+                errors[ok[j]] = err
+            else:
+                keep.append(j)
+        ok, A, row0, rhs = [ok[j] for j in keep], A[keep], row0[keep], rhs[keep]
+        x = np.linalg.solve(A, rhs)
 
     # Iterative refinement with the residual accumulated in extended
     # precision: recovers the tiny occupations (collector width >> emitter
     # width leaves primed states at ~1e-12) to full relative accuracy.
-    A_ld = A.astype(np.longdouble)
-    rhs_ld = rhs.astype(np.longdouble)
     for _ in range(3):
-        residual = rhs_ld - A_ld @ x.astype(np.longdouble)
-        x = x + np.linalg.solve(A, residual.astype(float))
+        x = x + np.linalg.solve(A, _extended_residual(A, x, rhs))
 
-    norm = g.norm_inf()
-    defect = float(np.abs(G @ x).max())
-    if defect > 1e-12 * norm:
-        raise ArithmeticError(
-            f"stationary residual {defect:.3e} exceeds 1e-12 * ||G||_inf = {1e-12 * norm:.3e}")
-    return StateVector(x, g.index)
+    A[:, 0, :] = row0               # the generators of the ok members again
+    defects = np.abs(A @ x).max(axis=(1, 2))
+    norms = np.abs(A, out=A).sum(axis=2).max(axis=1)
+    values = np.full((n_points, n), np.nan)
+    values[ok] = x[:, :, 0]
+    for k, defect, norm in zip(ok, defects.tolist(), norms.tolist()):
+        if defect > 1e-12 * norm:
+            errors[k] = ArithmeticError(
+                f"stationary residual {defect:.3e} exceeds 1e-12 * ||G||_inf = "
+                f"{1e-12 * norm:.3e}")
+            values[k] = np.nan
+    return values, errors
+
+
+# members per extended-precision block: the longdouble copy of the stack
+# is made a block at a time, so it stays small next to the stack itself
+_EXTENDED_BLOCK = 64
+
+
+def _extended_residual(A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs - A x evaluated in longdouble and rounded to float, member by
+    member exactly as on the whole stack."""
+    out = np.empty_like(x)
+    for lo in range(0, len(A), _EXTENDED_BLOCK):
+        block = slice(lo, lo + _EXTENDED_BLOCK)
+        out[block] = (rhs[block].astype(np.longdouble)
+                      - A[block].astype(np.longdouble) @ x[block].astype(np.longdouble))
+    return out
+
+
+def _each_member(fn, stack, *args, **kwargs) -> list:
+    """fn on each member of the stack (and of the stacked args): its result,
+    or the LinAlgError it raised."""
+    out = []
+    for k in range(len(stack)):
+        try:
+            out.append(fn(stack[k], *(a[k] for a in args), **kwargs))
+        except np.linalg.LinAlgError as exc:
+            out.append(exc)
+    return out
+
+
+def steady_state(g: Generator, rank_tol: float = 1e-10) -> StateVector:
+    """Stationary state: G x = 0 with the diagonal slots summing to 1.
+
+    The one-generator case of steady_states.  rank_tol is relative to the
+    largest singular value and flags disconnected models whose null space
+    is more than one-dimensional.  The returned vector satisfies
+    ||G x||_inf <= 1e-12 ||G||_inf.
+    """
+    values, errors = steady_states(g.matrix[np.newaxis], g.index, rank_tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return StateVector(values[0], g.index)
 
 
 def _rk4_propagator(G: np.ndarray, h: float) -> np.ndarray:

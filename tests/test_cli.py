@@ -140,6 +140,15 @@ class TestSweep:
         first = out.read_text().splitlines()[1]
         assert first.startswith("-3,")
 
+    def test_negative_width_in_grid_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "set.cfg"
+        cfg.write_text(SET_CFG)
+        out = tmp_path / "x.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--param", "gamma_R",
+                         "--grid", "-1:1:3", "--out", str(out)]) == 2
+        assert "width gamma_R must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFig3:
     def test_csv_and_svg(self, tmp_path):

@@ -12,10 +12,12 @@ from mesorate import (
     RateSet,
     RegimeSelector,
     SweepSpec,
+    build_generalized_double_dot_set,
     double_dot_current_bare,
     double_dot_current_measured,
     run_fermi_sweep,
     run_sweep,
+    steady_state,
 )
 
 BARE_BASE = RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
@@ -84,6 +86,59 @@ class TestRunSweep:
     def test_sweeping_unprimed_width_keeps_equal_amplitudes(self):
         rows = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R", (5.0,)))
         assert not rows[0].error
+
+
+class TestSweepErrors:
+    """Every grid point is solved in one stack, but the rows and errors are
+    those of solving the points one by one in grid order."""
+
+    def test_degenerate_point_mid_batch_is_a_nan_row(self):
+        # Gamma_R = 0 leaves the b-c oscillation undamped: a degenerate model
+        grid = (0.5, 1.0, 0.0, 2.0, 4.0)
+        rows = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Gamma_R", grid))
+        assert math.isnan(rows[2].I_S_numeric)
+        assert rows[2].error == "2-dimensional null space: the model is disconnected"
+        # every row, the failed one included, is the row of its point alone
+        for value, row in zip(grid, rows):
+            alone = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Gamma_R", (value,)))
+            assert repr(row) == repr(alone[0])
+
+    @pytest.mark.parametrize("grid,error", [
+        ((1.0, 1e200, -1.0), OverflowError),    # Gamma_R**2 in the closed form
+        ((1.0, -1.0, 1e200), ValueError),       # a negative width
+        ((0.0, -1.0, 1e200), ValueError),       # after a degenerate point
+    ])
+    def test_first_error_in_grid_order_is_raised(self, grid, error):
+        with pytest.raises(error) as caught:
+            run_sweep(SweepSpec("double_dot_set", SET_BASE, "Gamma_R", grid))
+        assert type(caught.value) is error
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_solver_error_of_one_member_is_raised(self):
+        # 2 * Omega overflows to inf at Omega = 1e308: that point alone has
+        # no stationary direction, an error no NaN row may hide
+        blocking = BlockingConfig.blocked_on_second_dot()
+        alone = SET_BASE.replacing("Omega", 1e308)
+        with pytest.raises(ValueError, match="no stationary direction"):
+            steady_state(build_generalized_double_dot_set(alone, blocking))
+        with pytest.raises(ValueError, match="no stationary direction"):
+            run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "Omega",
+                                (1.0, 1e308, 2.0), blocking))
+        # it also wins over a later point whose assembly overflows (fsum)
+        with pytest.raises(OverflowError):
+            run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "gamma_R",
+                                (1.0, 1e308), blocking))
+        with pytest.raises(ValueError, match="no stationary direction"):
+            run_sweep(SweepSpec("generalized_double_dot_set", alone, "gamma_R",
+                                (1.0, 1e308), blocking))
+
+    def test_fermi_sweep_solves_each_regime(self):
+        base = TestFermiSweep.BASE
+        grid = [1.5, 0.5, 1.2, 0.2]
+        rows = run_fermi_sweep(base, TestFermiSweep.ENERGY, grid)
+        for v, row in zip(grid, rows):
+            alone = run_fermi_sweep(base, TestFermiSweep.ENERGY, [v])
+            assert repr(row) == repr(alone[0])
 
 
 class TestRegimeSelector:

@@ -15,15 +15,18 @@ from mesorate import (
     basis_state,
     build_double_dot_bare,
     build_double_dot_set,
+    build_scenario,
     build_single_dot_set,
     default_step,
     evolve,
     pack,
     relaxation_check,
     steady_state,
+    steady_states,
     validate_state,
 )
 from mesorate.acceptance import _suite_evolve_runs
+from test_bit_identity import CONFIGS, SETS, config_id
 
 ALL_ONES_SINGLE = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
 RABI = RateSet(Omega=1.0)
@@ -40,6 +43,63 @@ def _rk4_step(G, x, h):
     k4 = G @ (x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
+
+
+def _steady_state_reference(g, rank_tol=1e-10):
+    """The one-generator solver that preceded the stacked engine: the
+    reference steady_states must match bit for bit, errors included."""
+    G = g.matrix
+    n = g.dim
+    singulars = np.linalg.svd(G, compute_uv=False)
+    largest = float(singulars[0]) if n else 0.0
+    if largest == 0.0:
+        raise DegenerateSteadyState("zero generator: every state is stationary")
+    null_dim = int(np.count_nonzero(singulars <= rank_tol * largest))
+    if null_dim > 1:
+        raise DegenerateSteadyState(
+            f"{null_dim}-dimensional null space: the model is disconnected")
+    if null_dim == 0:
+        raise ValueError("generator has no stationary direction; it does not conserve trace")
+    A = G.copy()
+    A[0, :] = 0.0
+    A[0, list(g.index.diagonal_positions)] = 1.0
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    try:
+        x = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSteadyState(f"constrained stationary system is singular: {exc}") from exc
+    A_ld = A.astype(np.longdouble)
+    rhs_ld = rhs.astype(np.longdouble)
+    for _ in range(3):
+        residual = rhs_ld - A_ld @ x.astype(np.longdouble)
+        x = x + np.linalg.solve(A, residual.astype(float))
+    norm = g.norm_inf()
+    defect = float(np.abs(G @ x).max())
+    if defect > 1e-12 * norm:
+        raise ArithmeticError(
+            f"stationary residual {defect:.3e} exceeds 1e-12 * ||G||_inf = {1e-12 * norm:.3e}")
+    return StateVector(x, g.index)
+
+
+def assert_stack_matches_reference(gens, rank_tol=1e-10):
+    """One stacked call against the reference per generator: the bytes of
+    every solution, the type and message of every error.  Returns the
+    number of failing points."""
+    values, errors = steady_states(np.stack([g.matrix for g in gens]), gens[0].index, rank_tol)
+    assert values.shape == (len(gens), gens[0].dim) and len(errors) == len(gens)
+    failed = 0
+    for g, v, err in zip(gens, values, errors):
+        try:
+            expected = _steady_state_reference(g, rank_tol)
+        except Exception as exc:
+            failed += 1
+            assert (type(err), str(err)) == (type(exc), str(exc))
+            assert np.isnan(v).all()
+        else:
+            assert err is None
+            assert v.tobytes() == expected.values.tobytes()
+    return failed
 
 
 def rational_steady_state(matrix_rows):
@@ -130,6 +190,54 @@ class TestSteadyState:
                     U1=1.0, U2=2.0)
         x = steady_state(build_double_dot_set(r))
         assert validate_state(x, 1e-9) == []
+
+
+# the zero generator and two disconnected models, solved in the same stack
+# as the valid points
+FAILING_SETS = (RateSet(), RateSet(gamma_R=1.0), RateSet(Omega=1.0))
+
+
+class TestStackedEngine:
+    @pytest.mark.parametrize("group", sorted(SETS))
+    @pytest.mark.parametrize("scenario,blocking", CONFIGS,
+                             ids=[config_id(*c) for c in CONFIGS])
+    def test_one_stack_matches_one_point_reference(self, scenario, blocking, group):
+        sets = SETS[group][:3] + FAILING_SETS + SETS[group][3:]
+        gens = []
+        for r in sets:
+            try:
+                gens.append(build_scenario(scenario, r, blocking))
+            except ValueError:      # the equal-amplitude guard
+                pass
+        failed = assert_stack_matches_reference(gens)
+        assert failed >= len(FAILING_SETS)
+        if group == "golden_and_random":
+            assert len(gens) - failed >= 20     # solved points share the stack
+
+    def test_failing_members_fail_alone(self):
+        # a singular constrained system (null vector with zero trace), no
+        # stationary direction, a residual beyond the bound and the zero
+        # generator, between valid generators: each fails with its own
+        # error and the valid ones are solved as if alone
+        index = IndexMap(("a", "b"))
+        matrices = ([[-1.0, 1.0], [1.0, -1.0]], [[-1.0, -1.0], [1.0, 1.0]],
+                    [[-1.0, 0.0], [0.0, -1.0]], [[-1e-11, 0.0], [0.0, -1.0]],
+                    [[0.0, 0.0], [0.0, 0.0]], [[-1.0, 2.0], [1.0, -2.0]])
+        gens = [Generator(np.array(m), index, "synthetic") for m in matrices]
+        assert assert_stack_matches_reference(gens) == 4
+        _, errors = steady_states(np.stack([g.matrix for g in gens]), index)
+        assert [type(e).__name__ for e in errors] == [
+            "NoneType", "DegenerateSteadyState", "ValueError", "ArithmeticError",
+            "DegenerateSteadyState", "NoneType"]
+        assert str(errors[1]) == "constrained stationary system is singular: Singular matrix"
+        assert isinstance(errors[1].__cause__, np.linalg.LinAlgError)
+
+    def test_rank_tol_applies_per_point(self):
+        r = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
+                    U1=1.0, U2=2.0)
+        gens = [build_double_dot_set(r.replacing("gamma_R", v)) for v in (1.0, 1e6, 1e12)]
+        for rank_tol in (1e-10, 1e-14):
+            assert_stack_matches_reference(gens, rank_tol)
 
 
 class TestEvolve:
@@ -249,6 +357,14 @@ class TestTrajectory:
         x = basis_state(g.index, "a")
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory(np.array([0.0, 0.0]), np.stack([x.values, x.values]), g.index)
+
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [0.0, 1.0, 1.0, 2.0],
+                                       [math.nan, 1.0], [0.0, 2.0, 1.0]])
+    def test_nan_and_repeated_times_rejected(self, times):
+        g = build_single_dot_set(ALL_ONES_SINGLE)
+        values = np.zeros((len(times), g.dim))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(np.array(times), values, g.index)
 
     def test_values_shape_enforced(self):
         g = build_single_dot_set(ALL_ONES_SINGLE)
