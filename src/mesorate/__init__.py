@@ -15,8 +15,6 @@ from .model import (
     basis_state,
     pack,
     state_violation_magnitude,
-    trace_defect,
-    unpack,
     validate_state,
 )
 from .builders import (

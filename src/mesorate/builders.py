@@ -30,7 +30,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import fsum
+from math import fsum, isfinite
+from operator import mul
 
 import numpy as np
 
@@ -159,25 +160,45 @@ class ChannelTable:
 
         keys = [(tuple(terms), force) for _, terms, force in cells.values()]
         quantities = list(dict.fromkeys(keys))
+        of = [quantities.index(key) for key in keys]
+        gains = [0.0] * len(quantities)     # largest |coefficient| applied to each quantity
+        for k, (coef, _, _) in zip(of, cells.values()):
+            gains[k] = max(gains[k], abs(coef))
         return (quantities, np.array([row * len(self.index) + col for row, col in cells]),
-                np.array([coef for coef, _, _ in cells.values()]),
-                np.array([quantities.index(key) for key in keys]))
+                np.array([coef for coef, _, _ in cells.values()]), np.array(of), gains)
 
     def quantities(self, r: RateSet) -> array:
         """The compiled cells' quantities at r: the single term of a
         quantity as is, else the fsum of its terms.  A packed array of
-        doubles, so a sweep holding one row per grid point stays small."""
+        doubles, so a sweep holding one row per grid point stays small.
+        A quantity whose cells would leave the float range raises a
+        ValueError naming its fields."""
         if self.equal_amplitudes and not r.is_equal_amplitudes:
             raise ValueError(f"{self.label} assumes equal tunneling amplitudes; "
                              "primed widths must equal unprimed ones")
-        return array("d", [fsum([s * getattr(r, f) for f, s in terms])
-                           if force or len(terms) != 1 else terms[0][1] * getattr(r, terms[0][0])
-                           for terms, force in self._cells[0]])
+        keys, gains = self._cells[0], self._cells[4]
+        try:
+            q = array("d", [fsum([s * getattr(r, f) for f, s in terms])
+                            if force or len(terms) != 1 else terms[0][1] * getattr(r, terms[0][0])
+                            for terms, force in keys])
+            if all(map(isfinite, map(mul, gains, q))):
+                return q
+        except OverflowError:       # fsum raises when its exact sum leaves the float range
+            pass
+        fields = []
+        for (terms, _), gain in zip(keys, gains):
+            try:
+                finite = isfinite(gain * fsum([s * getattr(r, f) for f, s in terms]))
+            except OverflowError:
+                finite = False
+            fields += [] if finite else [f for f, _ in terms]
+        raise ValueError(f"rates too large for {self.label}: a generator entry from "
+                         f"{', '.join(dict.fromkeys(fields))} overflows the float range")
 
     def stack(self, quantities) -> np.ndarray:
         """Generator matrices, shape (N, dim, dim), from N rows of
         quantities: each compiled cell is its coefficient times a quantity."""
-        keys, flat, coefs, of = self._cells
+        keys, flat, coefs, of, _ = self._cells
         q = np.array(quantities, dtype=float).reshape(-1, len(keys))
         dim = len(self.index)
         g = np.zeros((len(q), dim * dim))

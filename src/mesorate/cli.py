@@ -7,6 +7,7 @@ failure (degenerate model or no convergence), 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -25,26 +26,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stationary currents and time evolution of detector-monitored quantum dots")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=False):
+    def add_common(p, writes_file=True):
         p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument("--out", required=needs_out, help="output file path")
-        p.add_argument("--tol", type=float, default=None,
-                       help="state-validation tolerance (default 1e-9 or MESORATE_TOL)")
+        if writes_file:
+            p.add_argument("--out", required=True, help="output file path")
 
     p = sub.add_parser("steady", help="print stationary occupations and currents")
-    add_common(p)
+    add_common(p, writes_file=False)
+    p.add_argument("--tol", type=float, default=None,
+                   help="state-validation tolerance (default 1e-9 or MESORATE_TOL)")
 
     p = sub.add_parser("evolve", help="write a time-series CSV from a point mass on state a")
-    add_common(p, needs_out=True)
+    add_common(p)
 
     p = sub.add_parser("sweep", help="scan one rate parameter and write the table")
-    add_common(p, needs_out=True)
+    add_common(p)
     p.add_argument("--param", help="RateSet field to sweep")
     p.add_argument("--grid", help="start:stop:count with optional log/lin suffix")
     p.add_argument("--format", choices=("csv", "svg"), default=None)
 
     p = sub.add_parser("fig3", help="current versus detector Fermi level (two-plateau step)")
-    add_common(p, needs_out=True)
+    add_common(p)
     p.add_argument("--grid", help="Fermi-level grid, start:stop:count[log|lin]")
     p.add_argument("--format", choices=("csv", "svg"), default=None)
 
@@ -53,15 +55,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _default_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("MESORATE_TOL")
-    if env:
+    # a NaN tolerance would pass every check in validate_state
+    tol, source = args.tol, "--tol"
+    if tol is None:
+        env = os.environ.get("MESORATE_TOL")
+        if not env:
+            return 1e-9
         try:
-            return float(env)
+            tol, source = float(env), "MESORATE_TOL"
         except ValueError:
             raise ConfigError(f"MESORATE_TOL is not a number: {env!r}") from None
-    return 1e-9
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"{source} must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _pick(flag_value, config_value, name: str, required: bool = True):
@@ -118,7 +124,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _write_table(rows, args, cfg: RunConfig, x_label: str) -> None:
-    fmt = _pick(getattr(args, "format", None), cfg.run.format, "format", required=False) or "csv"
+    fmt = _pick(args.format, cfg.run.format, "format", required=False) or "csv"
     if fmt == "svg":
         output.write_svg(rows, args.out, x_label=x_label, y_label="I_S [e*rate]")
     else:

@@ -1,9 +1,12 @@
 """Flat key = value run configuration.
 
-Four sections: [scenario] names the model, [rates] and [energies] carry
-the physical parameters, [run] carries command options.  The format is
-deliberately flat so golden configs diff cleanly; render_config writes a
-canonical form that parse_config reads back unchanged.
+Four sections: [scenario] names the model, [rates] carries the physical
+parameters, [energies] the detector level E0 (read by fig3 only) and
+[run] the command options dt, t_final, param, grid, format and blocking;
+an unknown key is rejected.  The RK4 step cap and trace budget are
+constants of the solver, not settings.  The format is deliberately flat
+so golden configs diff cleanly; render_config writes a canonical form
+that parse_config reads back unchanged.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ class ConfigError(ValueError):
 
 
 _ENERGY_KEYS = tuple(f.name for f in dataclasses.fields(EnergyConfig))
-_RUN_FLOAT_KEYS = ("dt", "t_final", "tol")
-_RUN_STR_KEYS = ("param", "grid", "out", "format", "blocking")
+_RUN_FLOAT_KEYS = ("dt", "t_final")
+_RUN_STR_KEYS = ("param", "grid", "format", "blocking")
 _SECTIONS = ("scenario", "rates", "energies", "run")
 
 BLOCKING_NAMES = {
@@ -44,10 +47,8 @@ class RunOptions:
 
     dt: float | None = None
     t_final: float | None = None
-    tol: float | None = None
     param: str | None = None
     grid: str | None = None
-    out: str | None = None
     format: str | None = None
     blocking: str | None = None
 

@@ -11,7 +11,6 @@ raised, the one the first failing point in grid order would raise.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from array import array
 from dataclasses import dataclass
@@ -59,7 +58,6 @@ class SweepRow:
     I_D: float
     Delta_I_D: float
     max_violation: float
-    occupations: dict[str, float] = dataclasses.field(default_factory=dict)
     regime: str | None = None
     error: str | None = None
 
@@ -127,10 +125,7 @@ def _solved_rows(scenario: str, points: list[_Point],
             i_d = math.nan
             delta = math.nan
         rows.append(SweepRow(p.param, i_s, p.reference, i_d, delta,
-                             state_violation_magnitude(x),
-                             occupations={lab: x.occupation(lab)
-                                          for lab in x.index.diagonal_labels},
-                             regime=p.regime))
+                             state_violation_magnitude(x), regime=p.regime))
     if failure is not None:
         raise failure
     return rows

@@ -23,6 +23,8 @@ DIAGONAL = "diag"
 RE_COHERENCE = "re"
 IM_COHERENCE = "im"
 
+PACK_TOL = 1e-12        # how far pack lets the occupations sum away from 1
+
 # unprimed width -> its detector-occupied (primed) counterpart
 _PRIMED_TWIN = {name: f"{name}_p" for name in ("gamma_L", "gamma_R", "Gamma_L", "Gamma_R")}
 _WIDTH_FIELDS = (*_PRIMED_TWIN, *_PRIMED_TWIN.values())
@@ -97,31 +99,20 @@ RATE_FIELDS = tuple(f.name for f in dataclasses.fields(RateSet))
 
 @dataclass(frozen=True)
 class EnergyConfig:
-    """Level positions and reservoir Fermi levels.
+    """The detector level E0.
 
-    Only used to select the detector blocking regime; the rate equations
-    themselves carry the energies through the widths and detunings.  Both
-    resonant levels must sit inside their bias windows.
+    Only used to select the detector blocking regime: where the left
+    detector Fermi level sits against E0 + U1 and E0 + U2 decides which
+    dot shuts the detector entry.  The rate equations themselves carry the
+    energies through the widths and the detuning epsilon.
     """
 
     E0: float = 0.0
-    E1: float = 0.0
-    E2: float = 0.0
-    EFL_det: float = 1.0
-    EFR_det: float = -1.0
-    EFL_sys: float = 1.0
-    EFR_sys: float = -1.0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            v = float(getattr(self, f.name))
-            object.__setattr__(self, f.name, v)
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite")
-        if not self.EFL_det > self.E0 > self.EFR_det:
-            raise ValueError("detector level E0 must lie between the detector Fermi levels")
-        if not self.EFL_sys > self.E1 > self.EFR_sys:
-            raise ValueError("system level E1 must lie between the system Fermi levels")
+        object.__setattr__(self, "E0", float(self.E0))
+        if not math.isfinite(self.E0):
+            raise ValueError("E0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -254,25 +245,12 @@ class Generator:
         return float(np.abs(self.matrix).sum(axis=1).max()) if self.dim else 0.0
 
 
-def trace_defect(g: Generator) -> float:
-    """Largest column sum of G over diagonal rows.
-
-    Probability flow conservation makes the all-ones row over diagonal
-    slots (zero over coherence slots) a left null vector, so this is 0 up
-    to rounding for every well-formed generator.
-    """
-    left = np.zeros(g.dim)
-    left[list(g.index.diagonal_positions)] = 1.0
-    return float(np.abs(left @ g.matrix).max())
-
-
 def pack(index: IndexMap, occupations: Mapping[str, float],
-         coherences: Mapping[tuple, complex] | None = None,
-         tol: float = 1e-12) -> StateVector:
+         coherences: Mapping[tuple, complex] | None = None) -> StateVector:
     """Assemble a StateVector from occupation and coherence maps.
 
     Labels missing from the maps default to zero; unknown labels and
-    occupation sums away from 1 (beyond tol) are rejected.
+    occupation sums away from 1 (beyond PACK_TOL) are rejected.
     """
     values = np.zeros(len(index))
     for label, p in occupations.items():
@@ -283,16 +261,9 @@ def pack(index: IndexMap, occupations: Mapping[str, float],
         values[re] = c.real
         values[im] = c.imag
     total = math.fsum(float(p) for p in occupations.values())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"occupations sum to {total!r}, expected 1 within {tol:g}")
+    if abs(total - 1.0) > PACK_TOL:
+        raise ValueError(f"occupations sum to {total!r}, expected 1 within {PACK_TOL:g}")
     return StateVector(values, index)
-
-
-def unpack(x: StateVector):
-    """Inverse of pack: (occupations, coherences) with every slot listed."""
-    occ = {label: x.occupation(label) for label in x.index.diagonal_labels}
-    coh = {pair: x.coherence(pair) for pair in x.index.coherence_pairs}
-    return occ, coh
 
 
 def basis_state(index: IndexMap, label: str) -> StateVector:

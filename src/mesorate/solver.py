@@ -16,8 +16,10 @@ Time evolution is fixed-step classical RK4 with a guarded default step.
 For a constant generator one RK4 step is exactly the matrix polynomial
 P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, so P is built once per run
 and each step is one product P x written into a row of one
-(n_samples, dim) array; the trace is still checked after every step.  No
-adaptivity, no matrix exponentials, so reruns are bit-identical.
+(n_samples, dim) array; the trace is still checked after every step.  The
+trace budget and the step cap are the constants TRACE_BUDGET_PER_STEP and
+MAX_STEPS.  No adaptivity, no matrix exponentials, so reruns are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Generator, IndexMap, StateVector, basis_state
+
+
+TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
+MAX_STEPS = 1_000_000          # most steps one evolve run may take
 
 
 class DegenerateSteadyState(RuntimeError):
@@ -225,8 +231,7 @@ def _rk4_propagator(G: np.ndarray, h: float) -> np.ndarray:
     return eye + hG @ (eye + (hG / 2.0) @ (eye + (hG / 3.0) @ (eye + hG / 4.0)))
 
 
-def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = None,
-           trace_budget_per_step: float = 1e-8, max_steps: int = 1_000_000) -> Trajectory:
+def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = None) -> Trajectory:
     """Fixed-step RK4 trajectory from x0 over [0, t_final].
 
     The step is t_final divided into equal pieces no longer than dt
@@ -236,11 +241,11 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     agrees with the stage-wise step to rounding.
 
     The trace is checked after every step, not once on P: a per-step trace
-    drift beyond trace_budget_per_step (or a NaN) raises StepTooLarge, so
+    drift beyond TRACE_BUDGET_PER_STEP (or a NaN) raises StepTooLarge, so
     a run whose step is unstable stops where it blows up.  A well-formed
     generator keeps the drift at rounding level.
 
-    max_steps bounds runaway runs: a widely spread rate set drives the
+    MAX_STEPS bounds runaway runs: a widely spread rate set drives the
     guard step to t_final/dt in the millions, and the stationary question
     behind such runs belongs to steady_state, not the integrator.
     """
@@ -256,9 +261,9 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
         raise ValueError("dt must be positive")
 
     n_steps = max(1, math.ceil(t_final / dt - 1e-9))
-    if n_steps > max_steps:
+    if n_steps > MAX_STEPS:
         raise ValueError(
-            f"t_final/dt asks for {n_steps} steps (cap {max_steps}); raise dt, shorten "
+            f"t_final/dt asks for {n_steps} steps (cap {MAX_STEPS}); raise dt, shorten "
             "t_final, or use steady_state for the stationary answer")
     h = t_final / n_steps
     P = _rk4_propagator(g.matrix, h)
@@ -272,7 +277,7 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
         x = values[k] = P @ x
         trace_next = math.fsum(x[:n_diag].tolist())
         drift = abs(trace_next - trace)
-        if not drift <= trace_budget_per_step:
+        if not drift <= TRACE_BUDGET_PER_STEP:
             raise StepTooLarge(
                 f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
         trace = trace_next
@@ -282,8 +287,7 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     return Trajectory(times, values, g.index)
 
 
-def relaxation_check(g: Generator, tol: float, horizon_cap: float | None = None,
-                     start_label: str | None = None) -> float:
+def relaxation_check(g: Generator, tol: float, horizon_cap: float | None = None) -> float:
     """Earliest sampled time at which the evolution is within tol of the
     stationary state (sup norm), starting from a point mass on the first
     diagonal slot.
@@ -298,8 +302,7 @@ def relaxation_check(g: Generator, tol: float, horizon_cap: float | None = None,
     except DegenerateSteadyState as exc:
         raise NoConvergence(f"no unique stationary state: {exc}") from exc
 
-    label = start_label if start_label is not None else g.index.diagonal_labels[0]
-    x0 = basis_state(g.index, label)
+    x0 = basis_state(g.index, g.index.diagonal_labels[0])
     scale = float(np.abs(g.matrix).max(initial=0.0))
     horizon = 1.0 / scale
     if horizon_cap is None:

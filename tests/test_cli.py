@@ -149,6 +149,19 @@ class TestSweep:
         assert "width gamma_R must be >= 0, got -1.0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_grid_value_is_config_error(self, tmp_path, capfd):
+        # 2 * Omega overflows at Omega = 1e308; the point is refused before
+        # LAPACK sees an inf, so no DLASCL line is printed by the library
+        cfg = tmp_path / "fig3.cfg"
+        cfg.write_text(FIG3_CFG)
+        out = tmp_path / "x.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--param", "Omega",
+                         "--grid", "1:1e308:3", "--out", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert "a generator entry from Omega overflows" in captured.err
+        assert "DLASCL" not in captured.out + captured.err
+        assert not out.exists()
+
 
 class TestFig3:
     def test_csv_and_svg(self, tmp_path):
@@ -187,12 +200,54 @@ class TestTolOverride:
         monkeypatch.setenv("MESORATE_TOL", "not-a-number")
         assert cli_main(["steady", "--config", bare_cfg, "--tol", "1e-8"]) == 0
 
+    # NaN fails every comparison in validate_state, so it would switch the
+    # warnings off; a negative or infinite tolerance means nothing either
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-300"])
+    def test_env_tolerance_must_be_finite_and_nonnegative(self, bare_cfg, monkeypatch, capsys,
+                                                          value):
+        monkeypatch.setenv("MESORATE_TOL", value)
+        assert cli_main(["steady", "--config", bare_cfg]) == 2
+        assert "MESORATE_TOL must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-300"])
+    def test_flag_tolerance_must_be_finite_and_nonnegative(self, bare_cfg, monkeypatch, capsys,
+                                                           value):
+        monkeypatch.setenv("MESORATE_TOL", "1e-6")
+        assert cli_main(["steady", "--config", bare_cfg, f"--tol={value}"]) == 2
+        assert "--tol must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_zero_tolerance_accepted(self, bare_cfg, monkeypatch):
+        assert cli_main(["steady", "--config", bare_cfg, "--tol", "0"]) == 0
+        monkeypatch.setenv("MESORATE_TOL", "0")
+        assert cli_main(["steady", "--config", bare_cfg]) == 0
+
 
 class TestExitCodes:
     def test_usage_error(self):
         assert cli_main(["warp"]) == 1
         assert cli_main([]) == 1
         assert cli_main(["sweep"]) == 1  # --config is required
+
+    @pytest.mark.parametrize("argv", [
+        ["steady", "--out", "x.out"],
+        ["evolve", "--out", "x.out", "--tol", "1e-8"],
+        ["sweep", "--param", "Omega", "--grid", "1:2:2", "--out", "x.out", "--tol", "1e-8"],
+        ["fig3", "--grid", "0.1:0.9:3", "--out", "x.out", "--tol", "1e-8"],
+    ], ids=["steady-out", "evolve-tol", "sweep-tol", "fig3-tol"])
+    def test_removed_flags_are_usage_errors(self, bare_cfg, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv[:1] + ["--config", bare_cfg] + argv[1:]) == 1
+        assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("section,line", [
+        ("run", "tol = -1e-300"), ("run", "out = x.out"), ("energies", "EFL_det = 1.5"),
+    ])
+    def test_removed_config_keys_are_config_errors(self, tmp_path, capsys, section, line):
+        p = tmp_path / "removed.cfg"
+        # BARE_CFG ends inside its [run] section
+        p.write_text(BARE_CFG + (f"{line}\n" if section == "run" else f"[energies]\n{line}\n"))
+        assert cli_main(["steady", "--config", str(p)]) == 2
+        assert f"unknown key {line.split()[0]} in section [{section}]" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0

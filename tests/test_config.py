@@ -54,9 +54,22 @@ class TestParseConfig:
         assert cfg.energy is None
 
     def test_energies_section(self):
-        cfg = parse_config(FULL + "\n[energies]\nE0 = 0.0\nEFL_det = 1.5\n")
-        assert cfg.energy.E0 == 0.0
-        assert cfg.energy.EFL_det == 1.5
+        cfg = parse_config(FULL + "\n[energies]\nE0 = 2.0\n")
+        assert cfg.energy.E0 == 2.0
+
+    @pytest.mark.parametrize("section,line", [
+        ("energies", "E1 = 0.0"), ("energies", "E2 = 0.0"),
+        ("energies", "EFL_det = 1.5"), ("energies", "EFR_det = -1.5"),
+        ("energies", "EFL_sys = 1.5"), ("energies", "EFR_sys = -1.5"),
+        ("run", "tol = 1e-8"), ("run", "out = x.csv"),
+    ])
+    def test_removed_keys_are_unknown(self, section, line):
+        # settings no command read are rejected, not silently ignored
+        key = line.split()[0]
+        # FULL ends inside its [run] section
+        text = FULL + (f"{line}\n" if section == "run" else f"\n[energies]\n{line}\n")
+        with pytest.raises(ConfigError, match=f"unknown key {key} in section \\[{section}\\]"):
+            parse_config(text)
 
     def test_malformed_number_names_line(self):
         text = "[scenario]\nname = double_dot_bare\n[rates]\nGamma_L = abc\n"
@@ -137,14 +150,13 @@ class TestParseConfig:
 class TestRoundTrip:
     def cases(self):
         yield parse_config(FULL)
-        yield parse_config(FULL + "\n[energies]\nE0 = 0.25\nEFL_det = 2.0\n")
+        yield parse_config(FULL + "\n[energies]\nE0 = 0.25\n")
         yield RunConfig(
             scenario="single_dot_set",
             rates=RateSet(gamma_L=0.1, gamma_R=1e4, gamma_L_p=0.05,
                           Gamma_L=1 / 3, Gamma_R=2.0),
             energy=None,
-            run=RunOptions(param="gamma_R", grid="1:1e4:5log", out="x.csv",
-                           format="csv", blocking="blind", tol=1e-8),
+            run=RunOptions(param="gamma_R", grid="1:1e4:5log", format="csv", blocking="blind"),
         )
 
     def test_parse_of_render_is_identity(self):

@@ -15,7 +15,6 @@ from mesorate import (
     index_single_dot_set,
     pack,
     state_violation_magnitude,
-    unpack,
     validate_state,
 )
 
@@ -66,17 +65,16 @@ class TestRateSet:
 
 
 class TestEnergyConfig:
-    def test_defaults_satisfy_windows(self):
-        e = EnergyConfig()
-        assert e.EFL_det > e.E0 > e.EFR_det
+    def test_detector_level_is_the_only_field(self):
+        assert EnergyConfig().E0 == 0.0
+        assert EnergyConfig(E0=2.0).E0 == 2.0   # no Fermi-level window to fit in
+        for removed in ("E1", "E2", "EFL_det", "EFR_det", "EFL_sys", "EFR_sys"):
+            with pytest.raises(TypeError):
+                EnergyConfig(**{removed: 0.0})
 
-    def test_detector_window_enforced(self):
-        with pytest.raises(ValueError, match="E0"):
-            EnergyConfig(E0=2.0)  # above the default left Fermi level
-
-    def test_system_window_enforced(self):
-        with pytest.raises(ValueError, match="E1"):
-            EnergyConfig(E1=-5.0)
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="E0 must be finite"):
+            EnergyConfig(E0=math.nan)
 
 
 class TestIndexMap:
@@ -124,7 +122,8 @@ class TestPackUnpack:
             occ = dict(zip(idx.diagonal_labels, (float(p) for p in probs)))
             coh = {("b", "c"): complex(rng.normal(), rng.normal())}
             x = pack(idx, occ, coh)
-            occ2, coh2 = unpack(x)
+            occ2 = {label: x.occupation(label) for label in idx.diagonal_labels}
+            coh2 = {pair: x.coherence(pair) for pair in idx.coherence_pairs}
             assert occ2 == occ
             assert coh2 == coh
             assert np.array_equal(pack(idx, occ2, coh2).values, x.values)

@@ -25,6 +25,7 @@ from mesorate import (
     steady_states,
     validate_state,
 )
+from mesorate import solver
 from mesorate.acceptance import _suite_evolve_runs
 from test_bit_identity import CONFIGS, SETS, config_id
 
@@ -330,18 +331,20 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(g, x0, 1.0, dt=0.0)
 
-    def test_step_cap_fails_fast_on_stiff_runs(self):
+    def test_step_cap_fails_fast_on_stiff_runs(self, monkeypatch):
         # widely spread rates push the guard step into millions of steps;
         # the integrator refuses instead of building a huge trajectory
         g = build_double_dot_set(RateSet(gamma_L=1, gamma_R=1e4, Gamma_L=1,
                                          Gamma_R=1, Omega=1, U1=1, U2=2))
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="cap 1000000"):
             evolve(g, basis_state(g.index, "a"), 30.0)
-        # the cap is a parameter, not a hard limit
+        # the cap is the module constant MAX_STEPS, and a run of exactly
+        # that many steps is allowed
+        monkeypatch.setattr(solver, "MAX_STEPS", 100)
         small = build_single_dot_set(ALL_ONES_SINGLE)
-        with pytest.raises(ValueError, match="cap"):
-            evolve(small, basis_state(small.index, "a"), 1.0, dt=0.01, max_steps=10)
-        traj = evolve(small, basis_state(small.index, "a"), 1.0, dt=0.01, max_steps=200)
+        with pytest.raises(ValueError, match="asks for 102 steps"):
+            evolve(small, basis_state(small.index, "a"), 1.0, dt=0.0099)
+        traj = evolve(small, basis_state(small.index, "a"), 1.0, dt=0.01)
         assert len(traj.times) == 101
 
     def test_endpoint_lands_exactly_on_t_final(self):
