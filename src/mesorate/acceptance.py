@@ -15,7 +15,7 @@ from math import fsum
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import EnergyConfig, Generator, IndexMap, RateSet, StateVector, basis_state, pack
+from .model import RATE_FIELDS, EnergyConfig, Generator, RateSet, basis_state, pack
 from .solver import evolve, steady_states
 from .experiments import REGIME_BLIND, run_fermi_sweep
 
@@ -38,28 +38,31 @@ class CriterionResult:
     detail: str
 
 
-def _solve_all(scenario: str, rates: list[RateSet]) -> tuple[IndexMap, np.ndarray, np.ndarray]:
+def _solve_all(scenario: str, rates: list[RateSet]):
     """Generators of one scenario at many rate sets, shape (N, dim, dim),
-    and their stationary states, solved as one stack; the first failing
-    point raises its error."""
+    assembled from the rate sets as rate columns, and their stationary
+    states, solved as one stack; the first failing point raises its error.
+    Returns the table, the generators, the states and the columns."""
     table = builders.scenario_table(scenario)
-    matrices = table.stack([table.quantities(r) for r in rates])
+    columns = {name: np.array([getattr(r, name) for r in rates]) for name in RATE_FIELDS}
+    quantities, refused = table.quantity_columns(columns, len(rates))
+    if refused.any():
+        table.quantities(rates[int(refused.argmax())])      # raises that point's error
+    matrices = table.stack(quantities)
     values, errors = steady_states(matrices, table.index)
     for err in errors:
         if err is not None:
             raise err
-    return table.index, matrices, values
+    return table, matrices, values, columns
 
 
 def _currents(scenario: str, rates: list[RateSet]) -> list[tuple[float, float]]:
-    """(system, detector) current of one scenario at each rate set."""
-    index, _, values = _solve_all(scenario, rates)
-    currents = []
-    for r, v in zip(rates, values):
-        x = StateVector(v, index)
-        w = observables.weights_for(scenario, r)
-        currents.append((observables.current(x, w.system), observables.current(x, w.detector)))
-    return currents
+    """(system, detector) current of one scenario at each rate set, read
+    from the solved rows by the sweeps' columnar currents."""
+    table, _, values, columns = _solve_all(scenario, rates)
+    weights = table.weight_columns(columns)
+    return list(zip(observables.currents(table.index, weights["system"], values),
+                    observables.currents(table.index, weights["detector"], values)))
 
 
 def _monotone_decreasing(errors, floor=MONOTONE_FLOOR) -> bool:
@@ -345,7 +348,7 @@ def criterion_8() -> CriterionResult:
              for _ in range(40)]
     worst_residual = 0.0
     for scenario in (builders.DOUBLE_DOT_BARE, builders.REDUCED_DOUBLE_DOT):
-        _, matrices, values = _solve_all(scenario, rates)
+        _, matrices, values, _ = _solve_all(scenario, rates)
         for G, x in zip(matrices, values):
             worst_residual = max(worst_residual, float(np.abs(G @ x).max())
                                  / float(np.abs(G).sum(axis=1).max()))

@@ -19,39 +19,50 @@ def single_dot_current(width_left: float, width_right: float) -> float:
 
 
 def double_dot_current_bare(r: RateSet) -> float:
+    """Stationary hopping current of the bare coupled dots: bare_current
+    at the widths, hopping and detuning of r."""
+    return bare_current(r.Gamma_L, r.Gamma_R, r.Omega, r.epsilon)
+
+
+def double_dot_current_measured(r: RateSet) -> float:
+    """Stationary coupled-dot current under fast-detector dephasing:
+    dephased_current at the widths, hopping and detuning of r."""
+    return dephased_current(r.Gamma_L, r.Gamma_R, r.Omega, r.epsilon, r.gamma_L)
+
+
+def bare_current(Gamma_L: float, Gamma_R: float, Omega: float, epsilon: float) -> float:
     """Stationary hopping current of the bare coupled dots.
 
     Gamma_R * Omega^2 / (eps^2 + Gamma_R^2/4 + Omega^2 (2 + Gamma_R/Gamma_L)).
     Zero hopping short-circuits the formula to 0; the Gamma_L -> 0 pole is
     rejected.
     """
-    if r.Omega == 0.0:
+    if Omega == 0.0:
         return 0.0
-    if r.Gamma_L <= 0.0:
+    if Gamma_L <= 0.0:
         raise ValueError("Gamma_L must be positive when Omega is nonzero")
-    om2 = r.Omega ** 2
-    return r.Gamma_R * om2 / (
-        r.epsilon ** 2 + r.Gamma_R ** 2 / 4.0 + om2 * (2.0 + r.Gamma_R / r.Gamma_L))
+    om2 = Omega ** 2
+    return Gamma_R * om2 / (epsilon ** 2 + Gamma_R ** 2 / 4.0 + om2 * (2.0 + Gamma_R / Gamma_L))
 
 
-def double_dot_current_measured(r: RateSet) -> float:
+def dephased_current(Gamma_L: float, Gamma_R: float, Omega: float, epsilon: float,
+                     gamma_L: float) -> float:
     """Stationary coupled-dot current under fast-detector dephasing.
 
     eta = 1 + gamma_L/Gamma_R stretches the coherence-decay term and
     shrinks the detuning term:
     Gamma_R * Omega^2 / (eps^2/eta + eta Gamma_R^2/4 + Omega^2 (2 + Gamma_R/Gamma_L)).
     """
-    if r.Gamma_R <= 0.0:
+    if Gamma_R <= 0.0:
         raise ValueError("Gamma_R must be positive (eta undefined otherwise)")
-    if r.Omega == 0.0:
+    if Omega == 0.0:
         return 0.0
-    if r.Gamma_L <= 0.0:
+    if Gamma_L <= 0.0:
         raise ValueError("Gamma_L must be positive when Omega is nonzero")
-    eta = 1.0 + r.gamma_L / r.Gamma_R
-    om2 = r.Omega ** 2
-    return r.Gamma_R * om2 / (
-        r.epsilon ** 2 / eta + eta * r.Gamma_R ** 2 / 4.0
-        + om2 * (2.0 + r.Gamma_R / r.Gamma_L))
+    eta = 1.0 + gamma_L / Gamma_R
+    om2 = Omega ** 2
+    return Gamma_R * om2 / (
+        epsilon ** 2 / eta + eta * Gamma_R ** 2 / 4.0 + om2 * (2.0 + Gamma_R / Gamma_L))
 
 
 def amplification_ratio(r: RateSet) -> float:

@@ -27,15 +27,15 @@ scenario sums every rate cell with fsum over signed terms, giving +0.0.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import fsum, isfinite
-from operator import mul
+from itertools import repeat
+from math import fsum
 
 import numpy as np
 
-from .model import Generator, IndexMap, RateSet
+from .model import (Generator, IndexMap, RateColumns, RateSet, equal_amplitude_rows,
+                    fixed_columns)
 
 SINGLE_DOT_SET = "single_dot_set"
 DOUBLE_DOT_BARE = "double_dot_bare"
@@ -167,31 +167,54 @@ class ChannelTable:
         return (quantities, np.array([row * len(self.index) + col for row, col in cells]),
                 np.array([coef for coef, _, _ in cells.values()]), np.array(of), gains)
 
-    def quantities(self, r: RateSet) -> array:
-        """The compiled cells' quantities at r: the single term of a
-        quantity as is, else the fsum of its terms.  A packed array of
-        doubles, so a sweep holding one row per grid point stays small.
-        A quantity whose cells would leave the float range raises a
-        ValueError naming its fields."""
+    def quantity_columns(self, columns: RateColumns, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The compiled cells' quantities at each of n rows of rate columns,
+        shape (n, n_quantities): the single term of a quantity as is, else
+        the fsum of its terms.  Also the mask of the rows quantities refuses
+        (unequal amplitudes, or an entry leaving the float range), whose
+        quantities mean nothing.
+
+        A quantity that reads no array column is evaluated once, a one-term
+        one is a column product and a summed one that reads an array column
+        keeps its per-row fsum, so every row has the bits of its point alone.
+        """
+        keys, gains = self._cells[0], self._cells[4]
+        refused = np.zeros(n, dtype=bool)
+        if self.equal_amplitudes:
+            refused |= ~np.asarray(equal_amplitude_rows(columns))
+        q = np.empty((n, len(keys)))
+        for k, (terms, force) in enumerate(keys):
+            values = [s * columns[f] for f, s in terms]
+            if not force and len(terms) == 1:
+                q[:, k] = values[0]
+            elif not any(isinstance(v, np.ndarray) for v in values):
+                q[:, k] = _fsum_or_nan(values)
+            else:
+                rows = list(zip(*[v.tolist() if isinstance(v, np.ndarray) else repeat(v, n)
+                                  for v in values]))
+                try:
+                    q[:, k] = list(map(fsum, rows))
+                except OverflowError:   # a row whose exact sum leaves the float range
+                    q[:, k] = list(map(_fsum_or_nan, rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            refused |= ~np.isfinite(q * gains).all(axis=1)
+        return q, refused
+
+    def quantities(self, r: RateSet) -> np.ndarray:
+        """The one-row case of quantity_columns.  A point it refuses raises
+        a ValueError: unequal amplitudes where the scenario assumes them
+        equal, or a quantity whose cells would leave the float range,
+        naming its fields."""
         if self.equal_amplitudes and not r.is_equal_amplitudes:
             raise ValueError(f"{self.label} assumes equal tunneling amplitudes; "
                              "primed widths must equal unprimed ones")
+        q, refused = self.quantity_columns(fixed_columns(r), 1)
+        if not refused[0]:
+            return q[0]
         keys, gains = self._cells[0], self._cells[4]
-        try:
-            q = array("d", [fsum([s * getattr(r, f) for f, s in terms])
-                            if force or len(terms) != 1 else terms[0][1] * getattr(r, terms[0][0])
-                            for terms, force in keys])
-            if all(map(isfinite, map(mul, gains, q))):
-                return q
-        except OverflowError:       # fsum raises when its exact sum leaves the float range
-            pass
-        fields = []
-        for (terms, _), gain in zip(keys, gains):
-            try:
-                finite = isfinite(gain * fsum([s * getattr(r, f) for f, s in terms]))
-            except OverflowError:
-                finite = False
-            fields += [] if finite else [f for f, _ in terms]
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(q[0] * gains).tolist()
+        fields = [f for (terms, _), ok in zip(keys, finite) if not ok for f, _ in terms]
         raise ValueError(f"rates too large for {self.label}: a generator entry from "
                          f"{', '.join(dict.fromkeys(fields))} overflows the float range")
 
@@ -209,12 +232,30 @@ class ChannelTable:
         """The one-row case of stack."""
         return Generator(self.stack([self.quantities(r)])[0], self.index, self.label)
 
-    def weights(self, r: RateSet) -> dict[str, dict[str, float]]:
-        """Source label -> width, for the system collector, the detector
-        collector and the detector backflow channels."""
-        return {name: {ch.source: getattr(r, ch.rate) for ch in self.channels if ch.kind == kind}
+    @cached_property
+    def _weight_fields(self) -> dict[str, dict[str, str]]:
+        return {name: {ch.source: ch.rate for ch in self.channels if ch.kind == kind}
                 for name, kind in (("system", SYSTEM_COLLECTOR), ("detector", DETECTOR_COLLECTOR),
                                    ("detector_return", DETECTOR_BACKFLOW))}
+
+    def weight_columns(self, columns: RateColumns) -> dict[str, dict]:
+        """Source label -> width, for the system collector, the detector
+        collector and the detector backflow channels; a width is a float or
+        a column, as its field is in the rate columns."""
+        return {name: {label: columns[f] for label, f in fields.items()}
+                for name, fields in self._weight_fields.items()}
+
+    def weights(self, r: RateSet) -> dict[str, dict[str, float]]:
+        """The one-row case of weight_columns."""
+        return self.weight_columns(fixed_columns(r))
+
+
+def _fsum_or_nan(terms) -> float:
+    """fsum, or NaN where the exact sum leaves the float range."""
+    try:
+        return fsum(terms)
+    except OverflowError:
+        return np.nan
 
 
 @lru_cache(maxsize=None)

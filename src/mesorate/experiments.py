@@ -1,23 +1,40 @@
 """Parameter sweeps over the stationary solutions.
 
-The generators of a whole grid are assembled as one stack and solved by
-one steady_states call, which gives every point exactly the bits of its
-own steady_state solve.  Every quantity is a pure function of the sweep
-specification, so repeated runs serialize to identical bytes.  A grid
-point whose model is disconnected is reported as a row of NaNs with the
-error message attached instead of aborting the sweep; any other error is
-raised, the one the first failing point in grid order would raise.
+A sweep stays columnar from the swept RateSet field to its rows.  The
+grid is one array column of the rate columns (model.sweep_columns), every
+other field a float of the base RateSet, which is validated once; the
+column is validated once as an array.  The channel table evaluates the
+quantities as an (N, n_quantities) array, one steady_states call per
+blocking configuration solves the stack of generators, and the currents,
+Delta_I_D and the violation magnitude are read from the (N, dim) array
+of solutions.  Each value has the bits the point gives alone through
+RateSet, quantities, steady_state, current and
+state_violation_magnitude: elementwise IEEE arithmetic where that is
+exactly the scalar operation, a per-row fsum or ** where numpy's add or
+square would differ in a last bit or in the sign of a zero.  The
+closed-form reference column stays scalar Python per row, fed the row's
+field values.  Every quantity is a pure function of the sweep
+specification, so repeated runs serialize to identical bytes.
+
+A grid point whose model is disconnected is reported as a row of NaNs
+with the error message attached instead of aborting the sweep; any other
+error is raised, the one the first failing point in grid order raises
+alone.  The columnar checks only locate that point; its error, type and
+message, comes from running the point's own checks on it.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Sequence
+
+import numpy as np
 
 from . import analytic, builders, observables
-from .model import RATE_FIELDS, EnergyConfig, RateSet, StateVector, state_violation_magnitude
+from .model import (RATE_FIELDS, EnergyConfig, RateColumns, RateSet, fixed_columns, invalid_rows,
+                    row_rates, sweep_columns, take_rows, violation_magnitudes)
 from .solver import DegenerateSteadyState, steady_states
 
 REGIME_BLIND = "blind"            # entry shut for either dot: no which-dot information
@@ -43,7 +60,7 @@ class SweepSpec:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValueError("grid must not be empty")
-        if not all(math.isfinite(v) for v in grid):
+        if not all(map(math.isfinite, grid)):
             raise ValueError("grid values must be finite")
         object.__setattr__(self, "grid", grid)
 
@@ -62,87 +79,153 @@ class SweepRow:
     error: str | None = None
 
 
-def _analytic_reference(scenario: str, r: RateSet) -> float:
-    """Closed-form system current where one is defined; NaN otherwise."""
+# closed-form system current of each scenario with one, and the RateSet
+# fields it reads, in argument order; for the full detector model the
+# dephased form is the fast-detector limit value
+_DEPHASED = (analytic.dephased_current, ("Gamma_L", "Gamma_R", "Omega", "epsilon", "gamma_L"))
+_CLOSED_FORMS = {
+    builders.SINGLE_DOT_SET: (analytic.single_dot_current, ("Gamma_L", "Gamma_R")),
+    builders.DOUBLE_DOT_BARE: (analytic.bare_current, ("Gamma_L", "Gamma_R", "Omega", "epsilon")),
+    builders.REDUCED_DOUBLE_DOT: _DEPHASED,
+    builders.DOUBLE_DOT_SET: _DEPHASED,
+}
+
+
+def _closed_form(form, args) -> float:
     try:
-        if scenario == builders.SINGLE_DOT_SET:
-            return analytic.single_dot_current(r.Gamma_L, r.Gamma_R)
-        if scenario == builders.DOUBLE_DOT_BARE:
-            return analytic.double_dot_current_bare(r)
-        if scenario in (builders.REDUCED_DOUBLE_DOT, builders.DOUBLE_DOT_SET):
-            # for the full detector model this is the fast-detector limit value
-            return analytic.double_dot_current_measured(r)
-    except ValueError:
+        return form(*args)
+    except (ValueError, OverflowError):     # undefined, or not representable
         return math.nan
-    return math.nan
 
 
-class _Point(NamedTuple):
-    """A grid point ready for the stationary solve: quantities are its
-    channel table's cell quantities."""
+def _analytic_reference(scenario: str | None, columns: RateColumns,
+                        n: int) -> tuple[list[float], Exception | None]:
+    """Closed-form system current of each of n rows, scalar Python fed the
+    row's field values (evaluated once when none is an array column); NaN
+    where the scenario has none or it is undefined or not representable.
+    Another error ends the list: it is the error of the row after the last."""
+    if scenario not in _CLOSED_FORMS:
+        return [math.nan] * n, None
+    form, names = _CLOSED_FORMS[scenario]
+    args = [columns[name] for name in names]
+    references: list[float] = []
+    try:
+        if any(isinstance(a, np.ndarray) for a in args):
+            for row in zip(*[a.tolist() if isinstance(a, np.ndarray) else repeat(a, n)
+                             for a in args]):
+                references.append(_closed_form(form, row))
+        elif n:
+            references = [_closed_form(form, args)] * n
+    except ArithmeticError as exc:
+        return references, exc
+    return references, None
 
-    param: float
-    rates: RateSet
-    blocking: builders.BlockingConfig | None
-    reference: float
-    regime: str | None
-    quantities: array
+
+def _raised(fn, *args) -> Exception:
+    """The error fn(*args) raises: a check run on the one point the
+    columnar checks refused, for its exact type and message."""
+    try:
+        fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+    raise AssertionError(f"{fn.__qualname__} accepts a point the columnar checks refused")
 
 
-def _solved_rows(scenario: str, points: list[_Point],
-                 failure: Exception | None = None) -> list[SweepRow]:
-    """Rows of the points in grid order, their generators solved as one
-    stack per blocking configuration.
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, len(mask) if there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _outputs(table: builders.ChannelTable, columns: RateColumns, values: np.ndarray):
+    """I_S, I_D, Delta_I_D and max_violation of the stationary rows values,
+    computed in the order a point alone computes them, so that a call on
+    one row raises that point's first error."""
+    weights = table.weight_columns(columns)
+    i_s = observables.currents(table.index, weights["system"], values)
+    i_d = delta = [math.nan] * len(values)
+    if weights["detector"]:
+        i_d = observables.currents(table.index, weights["detector"], values)
+        delta = observables.detector_drops(columns, i_d)
+    return i_s, i_d, delta, violation_magnitudes(table.index, values)
+
+
+def _solved_rows(groups, params: list[float], references: list[float], regimes: list,
+                 columns: RateColumns, failure: Exception | None = None) -> list[SweepRow]:
+    """Rows of the points in grid order.  groups holds one (table, members,
+    quantities) per blocking configuration, members being grid indices, and
+    the generators of each group are solved as one stack.
 
     A DegenerateSteadyState point becomes a row of NaNs carrying the
     message; any other error is raised, the first in grid order, with
     failure (raised by the point after the last one given) coming last.
     """
-    solved = [None] * len(points)
-    for blocking in dict.fromkeys(p.blocking for p in points):
-        members = [k for k, p in enumerate(points) if p.blocking == blocking]
-        table = builders.scenario_table(scenario, blocking)
-        values, errors = steady_states(table.stack([points[k].quantities for k in members]),
-                                       table.index)
-        for k, v, err in zip(members, values, errors):
-            solved[k] = (v, table.index, err)
+    n = len(params)
+    dim = len(groups[0][0].index) if groups else 0
+    values = np.full((n, dim), math.nan)
+    errors: list[Exception | None] = [None] * n
+    for table, members, quantities in groups:
+        values[members], solved = steady_states(table.stack(quantities), table.index)
+        for k, err in zip(members.tolist(), solved):
+            errors[k] = err
+    raised = next((k for k, err in enumerate(errors)
+                   if err is not None and not isinstance(err, DegenerateSteadyState)), n)
 
-    rows = []
-    for p, (v, index, err) in zip(points, solved):
-        if isinstance(err, DegenerateSteadyState):
-            rows.append(SweepRow(p.param, math.nan, p.reference, math.nan, math.nan, math.nan,
-                                 regime=p.regime, error=str(err)))
-            continue
-        if err is not None:
-            raise err
-        x = StateVector(v, index)
-        w = observables.weights_for(scenario, p.rates, p.blocking)
-        i_s = observables.current(x, w.system)
-        if w.detector:
-            i_d = observables.current(x, w.detector)
-            delta = observables.delta_detector_current(p.rates, i_d)
-        else:
-            i_d = math.nan
-            delta = math.nan
-        rows.append(SweepRow(p.param, i_s, p.reference, i_d, delta,
-                             state_violation_magnitude(x), regime=p.regime))
+    outputs = np.full((4, n), math.nan)
+    good = [(table, members[[errors[k] is None and k < raised for k in members.tolist()]])
+            for table, members, _ in groups]
+    try:
+        for table, ok in good:
+            if len(ok):
+                outputs[:, ok] = _outputs(table, take_rows(columns, ok), values[ok])
+    except (ValueError, ArithmeticError):
+        # raise the error of the first point in grid order, on its own
+        for k, table in sorted((k, table) for table, ok in good for k in ok.tolist()):
+            _outputs(table, take_rows(columns, [k]), values[[k]])
+        raise
+    if raised < n:
+        raise errors[raised]
     if failure is not None:
         raise failure
+
+    rows = []
+    for k, (i_s, i_d, delta, violation) in enumerate(outputs.T.tolist()):
+        err = errors[k]
+        rows.append(SweepRow(params[k], i_s, references[k], i_d, delta, violation,
+                             regime=regimes[k], error=None if err is None else str(err)))
     return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Stationary currents along the grid, one row per grid point."""
-    points = []
-    for value in spec.grid:
-        try:
-            r = spec.base.replacing(spec.parameter, value)
-            reference = _analytic_reference(spec.scenario, r)
-            table = builders.scenario_table(spec.scenario, spec.blocking)
-            points.append(_Point(value, r, spec.blocking, reference, None, table.quantities(r)))
-        except (ValueError, ArithmeticError) as exc:  # raised once the points before it are solved
-            return _solved_rows(spec.scenario, points, exc)
-    return _solved_rows(spec.scenario, points)
+    """Stationary currents along the grid, one row per grid point.
+
+    The grid is one array column of the rate columns: validated, assembled
+    and solved as arrays, its rows refused, solved or degenerate exactly as
+    each point alone would be.
+    """
+    n = len(spec.grid)
+    columns = sweep_columns(spec.base, spec.parameter, np.array(spec.grid))
+    valid = _first(invalid_rows(columns, n))
+    references, reference_error = _analytic_reference(
+        spec.scenario, take_rows(columns, slice(valid)), valid)
+    try:
+        table = builders.scenario_table(spec.scenario, spec.blocking)
+    except ValueError as exc:
+        table, assembled, assembly_error = None, 0, exc
+    else:
+        quantities, refused = table.quantity_columns(columns, n)
+        assembled, assembly_error = _first(refused), None
+    # a point alone is checked in this order: RateSet, closed form, assembly
+    stop = min(valid, len(references), assembled)
+    failure = None
+    if stop == valid < n:
+        failure = _raised(row_rates, columns, stop)
+    elif reference_error is not None and stop == len(references):
+        failure = reference_error
+    elif stop < n:
+        failure = assembly_error or _raised(table.quantities, row_rates(columns, stop))
+    groups = [(table, np.arange(stop), quantities[:stop])] if stop else []
+    return _solved_rows(groups, list(spec.grid[:stop]), references[:stop], [None] * stop,
+                        take_rows(columns, slice(stop)), failure)
 
 
 @dataclass(frozen=True)
@@ -175,12 +258,25 @@ class RegimeSelector:
     def threshold_extrapolated(self) -> float:
         return self.E0 + self.U2
 
-    def classify(self, fermi_level: float) -> tuple[str, builders.BlockingConfig]:
+    def regime(self, fermi_level: float) -> str:
         if fermi_level >= self.threshold_extrapolated:
-            return REGIME_EXTRAPOLATED, builders.BlockingConfig.unrestricted()
+            return REGIME_EXTRAPOLATED
         if fermi_level >= self.threshold_resolving:
-            return REGIME_RESOLVING, builders.BlockingConfig.blocked_on_second_dot()
-        return REGIME_BLIND, builders.BlockingConfig.blocked_on_either_dot()
+            return REGIME_RESOLVING
+        return REGIME_BLIND
+
+    def classify(self, fermi_level: float) -> tuple[str, builders.BlockingConfig]:
+        regime = self.regime(fermi_level)
+        return regime, _BLOCKING[regime]()
+
+
+_BLOCKING = {
+    REGIME_BLIND: builders.BlockingConfig.blocked_on_either_dot,
+    REGIME_RESOLVING: builders.BlockingConfig.blocked_on_second_dot,
+    REGIME_EXTRAPOLATED: builders.BlockingConfig.unrestricted,
+}
+# the scenario whose closed form is the fast-detector plateau of a regime
+_PLATEAU = {REGIME_BLIND: builders.DOUBLE_DOT_BARE, REGIME_RESOLVING: builders.REDUCED_DOUBLE_DOT}
 
 
 def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float],
@@ -194,6 +290,10 @@ def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float],
     below E0 + U1, the dephased one above.  Points outside the resonance
     window (at or below E0) are rejected; points at or above E0 + U2 are
     rejected unless extrapolation is explicitly allowed.
+
+    Every point of a regime shares its rates, so the reference and the
+    quantities are evaluated once per regime, and its points are solved
+    as one stack.
     """
     selector = RegimeSelector.from_parts(energy, base)
     grid = [float(v) for v in grid]
@@ -207,18 +307,27 @@ def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float],
                 f"Fermi level {v!r} reaches E0 + U2 = {selector.threshold_extrapolated!r}; "
                 "that territory is extrapolated and must be enabled explicitly")
 
-    points = []
-    for v in grid:
-        regime, blocking = selector.classify(v)
+    regimes = [selector.regime(v) for v in grid]
+    columns = fixed_columns(base)
+    stop, failure, found = len(grid), None, {}
+    for regime in dict.fromkeys(regimes):     # in the order of first appearance
+        first = regimes.index(regime)
+        table = builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET, _BLOCKING[regime]())
+        references, error = _analytic_reference(_PLATEAU.get(regime), columns, 1)
         try:
-            if regime == REGIME_BLIND:
-                reference = _analytic_reference(builders.DOUBLE_DOT_BARE, base)
-            elif regime == REGIME_RESOLVING:
-                reference = _analytic_reference(builders.REDUCED_DOUBLE_DOT, base)
-            else:
-                reference = math.nan
-            table = builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET, blocking)
-            points.append(_Point(v, base, blocking, reference, regime, table.quantities(base)))
-        except (ValueError, ArithmeticError) as exc:  # raised once the points before it are solved
-            return _solved_rows(builders.GENERALIZED_DOUBLE_DOT_SET, points, exc)
-    return _solved_rows(builders.GENERALIZED_DOUBLE_DOT_SET, points)
+            quantities = table.quantities(base) if error is None else None
+        except (ValueError, ArithmeticError) as exc:
+            error = exc
+        if error is None:
+            found[regime] = table, quantities, references[0]
+        elif first < stop:
+            stop, failure = first, error
+
+    regimes = regimes[:stop]
+    groups = []
+    for regime, (table, quantities, _) in found.items():
+        members = np.array([k for k, name in enumerate(regimes) if name == regime], dtype=int)
+        if len(members):
+            groups.append((table, members, np.tile(quantities, (len(members), 1))))
+    return _solved_rows(groups, grid[:stop], [found[name][2] for name in regimes], regimes,
+                        columns, failure)

@@ -41,8 +41,9 @@ class RateSet:
     equal-amplitudes assumption used by the coupled-dot scenarios.
 
     Omega is the inter-dot hopping amplitude, epsilon the level detuning
-    between the two system dots, and U/U1/U2 are the Coulomb shifts that
-    decide whether the detector entry channel is blocked.
+    between the two system dots, and U1/U2 are the Coulomb shifts of the
+    two dots by a detector electron, which decide whether the detector
+    entry channel is blocked.
     """
 
     gamma_L: float = 0.0
@@ -55,7 +56,6 @@ class RateSet:
     Gamma_R_p: float | None = None
     Omega: float = 0.0
     epsilon: float = 0.0
-    U: float = 0.0
     U1: float = 0.0
     U2: float = 0.0
 
@@ -77,24 +77,73 @@ class RateSet:
         """True when every primed width equals its unprimed counterpart."""
         return all(getattr(self, t) == getattr(self, u) for u, t in _PRIMED_TWIN.items())
 
-    def replacing(self, name: str, value: float) -> "RateSet":
-        """Copy with one field changed.
-
-        When an unprimed width is changed and its primed twin matched the
-        old value, the twin follows, so equal-amplitude parameter sets stay
-        equal-amplitude under sweeps.
+    def swept_fields(self, name: str) -> tuple[str, ...]:
+        """The fields a change of name sets: name itself and, when name is
+        an unprimed width whose primed twin matches it, the twin too, so
+        equal-amplitude parameter sets stay equal-amplitude under sweeps.
         """
         if name not in RATE_FIELDS:
             raise ValueError(f"unknown RateSet field {name!r}")
-        kwargs = {name: value}
         twin = _PRIMED_TWIN.get(name)
         if twin is not None and getattr(self, twin) == getattr(self, name):
-            kwargs[twin] = value
-        return dataclasses.replace(self, **kwargs)
+            return name, twin
+        return (name,)
+
+    def replacing(self, name: str, value: float) -> "RateSet":
+        """Copy with the swept_fields of name set to value."""
+        return dataclasses.replace(self, **dict.fromkeys(self.swept_fields(name), value))
 
 
 # the sweepable parameters and [rates] config keys, in declaration order
 RATE_FIELDS = tuple(f.name for f in dataclasses.fields(RateSet))
+
+# N rate sets as columns, the layout of a sweep: each RateSet field maps to
+# a float that every row shares or to an (N,) array holding one value per row
+RateColumns = Mapping[str, "float | np.ndarray"]
+
+
+def fixed_columns(r: RateSet) -> dict:
+    """r as rate columns: every field its float."""
+    return {f: getattr(r, f) for f in RATE_FIELDS}
+
+
+def sweep_columns(base: RateSet, name: str, values: np.ndarray) -> dict:
+    """The rate sets base.replacing(name, v) for v in values, as columns:
+    the swept_fields of name hold the array values, every other field its
+    float in base."""
+    return {**fixed_columns(base), **dict.fromkeys(base.swept_fields(name), values)}
+
+
+def invalid_rows(columns: RateColumns, n: int) -> np.ndarray:
+    """Mask of the n rows RateSet refuses: a non-finite value or a negative
+    width in an array column.  Float columns come from a validated RateSet
+    and are not checked again."""
+    bad = np.zeros(n, dtype=bool)
+    for name, v in columns.items():
+        if isinstance(v, np.ndarray):
+            bad |= ~np.isfinite(v)
+            if name in _WIDTH_FIELDS:
+                bad |= v < 0.0
+    return bad
+
+
+def equal_amplitude_rows(columns: RateColumns):
+    """RateSet.is_equal_amplitudes of every row: a bool when no twin pair
+    holds an array column, else a mask."""
+    equal = True
+    for name, twin in _PRIMED_TWIN.items():
+        equal = equal & (columns[name] == columns[twin])
+    return equal
+
+
+def take_rows(columns: RateColumns, rows) -> dict:
+    """The columns of the rows selected by an index, index array or slice."""
+    return {f: v[rows] if isinstance(v, np.ndarray) else v for f, v in columns.items()}
+
+
+def row_rates(columns: RateColumns, k: int) -> RateSet:
+    """Row k as a RateSet, validated like any other."""
+    return RateSet(**take_rows(columns, k))
 
 
 @dataclass(frozen=True)
@@ -306,11 +355,39 @@ def validate_state(x: StateVector, tol: float = 1e-9) -> list[str]:
 
 
 def state_violation_magnitude(x: StateVector) -> float:
-    """Largest raw invariant violation of a state, 0.0 when clean."""
-    total, occupations, blocks = _invariants(x)
-    worst = abs(total - 1.0)
-    for _, p in occupations:
-        worst = max(worst, -p, p - 1.0)
-    for _, sigma2, bound in blocks:
-        worst = max(worst, sigma2 - bound)
-    return max(worst, 0.0)
+    """Largest raw invariant violation of a state, 0.0 when clean: the
+    one-row case of violation_magnitudes."""
+    return violation_magnitudes(x.index, x.values[np.newaxis]).tolist()[0]
+
+
+def violation_magnitudes(index: IndexMap, values: np.ndarray) -> np.ndarray:
+    """Largest raw invariant violation of every row of values, shape
+    (N, dim), 0.0 for a clean row: the largest of |trace - 1|, each
+    occupation's distance below 0 or above 1, and each coherence block's
+    |sigma|^2 - p*q, with p and q clamped to >= 0.
+
+    Each row has the bits of a Python fold over that row with max: the
+    trace is a per-row fsum, and |sigma|^2 squares with Python's **,
+    which calls libm pow and can differ in the last bit from numpy's x*x.
+    The rest is elementwise IEEE arithmetic, exact as in Python.  max
+    keeps its first argument, abs(trace - 1) >= +0.0, unless a later one
+    is strictly greater: so a NaN trace gives NaN, any other NaN is
+    skipped (fmax) and a zero result is +0.0 (the final + 0.0).
+    """
+    diag = list(index.diagonal_positions)
+    trace = np.array(list(map(math.fsum, values[:, diag].tolist())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = values[:, diag]
+        worst = np.fmax(np.abs(trace - 1.0), np.fmax(-p, p - 1.0).max(axis=1, initial=-math.inf))
+        for pair in index.coherence_pairs:
+            re, im = values[:, index.coherence(pair)].T
+            size = np.hypot(re, im)         # abs(complex(re, im)) is libm hypot too
+            if not np.all(np.isfinite(size) | ~np.isfinite(re) | ~np.isfinite(im)):
+                raise OverflowError("absolute value too large")
+            sigma2 = np.array([h ** 2 for h in size.tolist()])
+            bound = (np.maximum(values[:, index.diagonal(pair[0])], 0.0)
+                     * np.maximum(values[:, index.diagonal(pair[1])], 0.0))
+            worst = np.fmax(worst, sigma2 - bound)
+    worst = worst + 0.0
+    worst[np.isnan(trace)] = math.nan
+    return worst

@@ -1,6 +1,8 @@
 """Currents from state vectors: each collector current is the sum of the
 occupations of the states whose adjacent dot is filled, weighted by the
-partial width into that collector."""
+partial width into that collector.  currents and detector_drops are the
+columnar forms that read every row of an (N, dim) array of states at
+once, bit for bit the per-state current and delta_detector_current."""
 
 from __future__ import annotations
 
@@ -8,9 +10,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+import numpy as np
+
 from . import builders
 from .analytic import single_dot_current
-from .model import IndexMap, RateSet, StateVector
+from .model import IndexMap, RateColumns, RateSet, StateVector
 
 _RESOLVING = builders.BlockingConfig.blocked_on_second_dot()
 
@@ -68,3 +72,31 @@ def delta_detector_current(r: RateSet, detector_current: float) -> float:
     the unprimed detector widths.
     """
     return single_dot_current(r.gamma_L, r.gamma_R) - detector_current
+
+
+def currents(index: IndexMap, weights: Mapping, values: np.ndarray) -> list[float]:
+    """current of every row of values, shape (N, dim), bit for bit; a
+    weight is a float or a column of N (ChannelTable.weight_columns).
+
+    Each occupation-times-width product is one exact elementwise multiply;
+    the sum keeps its per-row fsum, which numpy's add would not match in
+    the sign of a zero sum or where the sum leaves the float range.
+    """
+    if not weights:
+        return [0.0] * len(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [(values[:, index.diagonal(label)] * w).tolist() for label, w in weights.items()]
+    return list(map(math.fsum, zip(*products)))
+
+
+def detector_drops(columns: RateColumns, detector_currents: list[float]) -> list[float]:
+    """delta_detector_current of every row: the bare detector current is
+    evaluated once unless a detector width is an array column."""
+    gamma_l, gamma_r = columns["gamma_L"], columns["gamma_R"]
+    n = len(detector_currents)
+    if isinstance(gamma_l, np.ndarray) or isinstance(gamma_r, np.ndarray):
+        bare = list(map(single_dot_current, np.broadcast_to(gamma_l, n).tolist(),
+                        np.broadcast_to(gamma_r, n).tolist()))
+    else:
+        bare = [single_dot_current(gamma_l, gamma_r)] * n
+    return [b - i for b, i in zip(bare, detector_currents)]

@@ -9,6 +9,7 @@ for the same reason.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .experiments import SweepRow
@@ -29,8 +30,9 @@ def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
     if not rows:
         raise ValueError("refusing to write an empty table")
     row_format = _row_format(len(SWEEP_HEADER))
+    fields = attrgetter(*SWEEP_HEADER)
     lines = [",".join(SWEEP_HEADER) + "\n"]
-    lines += [row_format % tuple([getattr(row, name) for name in SWEEP_HEADER]) for row in rows]
+    lines += [row_format % fields(row) for row in rows]
     return "".join(lines)
 
 

@@ -140,6 +140,17 @@ class TestSweep:
         first = out.read_text().splitlines()[1]
         assert first.startswith("-3,")
 
+    def test_coulomb_shift_U_is_refused(self, bare_cfg, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        assert cli_main(["sweep", "--config", bare_cfg, "--param", "U", "--grid", "0:100:5",
+                         "--out", str(out)]) == 2
+        assert "parameter 'U' is not a RateSet field" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(SET_CFG + "U = 3.0\n")
+        assert cli_main(["steady", "--config", str(cfg)]) == 2
+        assert "unknown key U in section [rates]" in capsys.readouterr().err
+
     def test_negative_width_in_grid_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "set.cfg"
         cfg.write_text(SET_CFG)
@@ -160,6 +171,29 @@ class TestSweep:
         captured = capfd.readouterr()
         assert "a generator entry from Omega overflows" in captured.err
         assert "DLASCL" not in captured.out + captured.err
+        assert not out.exists()
+
+    def test_overflowing_closed_form_is_a_nan_reference(self, tmp_path, capsys):
+        # epsilon**2 overflows the closed form at 1e200 while every generator
+        # entry stays finite: the sweep runs and its reference column is NaN
+        cfg = tmp_path / "set.cfg"
+        cfg.write_text(SET_CFG)
+        out = tmp_path / "eps.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--param", "epsilon",
+                         "--grid", "0:1e200:3", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        assert [line.split(",")[2] == "nan" for line in lines[1:]] == [False, True, True]
+
+    def test_assembly_error_wins_over_an_overflowing_closed_form(self, tmp_path, capsys):
+        # Omega**2 in the closed form overflows at 1e308, and so does 2*Omega
+        # in the generator: the point is refused, naming Omega
+        cfg = tmp_path / "set.cfg"
+        cfg.write_text(SET_CFG)
+        out = tmp_path / "omega.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--param", "Omega",
+                         "--grid", "0:1e308:3", "--out", str(out)]) == 2
+        assert "a generator entry from Omega overflows" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -71,6 +71,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"unknown key {key} in section \\[{section}\\]"):
             parse_config(text)
 
+    def test_coulomb_shift_U_is_unknown(self):
+        # RateSet.U is gone: nothing read it
+        text = "[scenario]\nname = double_dot_bare\n[rates]\nGamma_L = 1\nGamma_R = 1\n" \
+               "Omega = 1\nU = 3.0\n"
+        with pytest.raises(ConfigError, match=r"line 7: unknown key U in section \[rates\]"):
+            parse_config(text)
+
     def test_malformed_number_names_line(self):
         text = "[scenario]\nname = double_dot_bare\n[rates]\nGamma_L = abc\n"
         with pytest.raises(ConfigError, match="line 4"):

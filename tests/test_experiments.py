@@ -20,9 +20,13 @@ from mesorate import (
     run_fermi_sweep,
     run_sweep,
     steady_state,
+    steady_states,
 )
-from mesorate import experiments
+from mesorate import StateVector, analytic, builders, experiments, observables
 from mesorate.acceptance import ORACLE_RTOL
+from mesorate.model import RATE_FIELDS
+from mesorate.output import sweep_csv_text
+from test_model import reference_violation_magnitude
 
 BARE_BASE = RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
 SET_BASE = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
@@ -107,14 +111,20 @@ class TestSweepErrors:
             assert repr(row) == repr(alone[0])
 
     @pytest.mark.parametrize("grid,error", [
-        ((1.0, 1e200, -1.0), OverflowError),    # Gamma_R**2 in the closed form
+        ((1.0, 1e200, -1.0), ValueError),       # past a NaN closed form (Gamma_R**2 overflows)
         ((1.0, -1.0, 1e200), ValueError),       # a negative width
         ((0.0, -1.0, 1e200), ValueError),       # after a degenerate point
     ])
     def test_first_error_in_grid_order_is_raised(self, grid, error):
-        with pytest.raises(error) as caught:
+        with pytest.raises(error, match="width Gamma_R must be >= 0, got -1.0") as caught:
             run_sweep(SweepSpec("double_dot_set", SET_BASE, "Gamma_R", grid))
         assert type(caught.value) is error
+
+    def test_unrepresentable_closed_form_is_a_nan_reference(self):
+        # Gamma_R**2 overflows at 1e200: the reference is NaN, the row is kept
+        rows = run_sweep(SweepSpec("double_dot_set", SET_BASE, "Gamma_R", (1.0, 1e200)))
+        assert rows[0].I_S_analytic == double_dot_current_measured(SET_BASE)
+        assert math.isnan(rows[1].I_S_analytic)
 
     def test_solver_error_of_one_member_is_raised(self, monkeypatch):
         # an engine error other than DegenerateSteadyState is raised, not
@@ -133,6 +143,35 @@ class TestSweepErrors:
                 run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "Omega", grid,
                                     blocking))
             assert type(caught.value) is ArithmeticError
+
+    @pytest.mark.parametrize("failing,engine_fails,expected", [
+        ((4.0, 2.0), False, "drop at gamma_R = 2.0"),   # the first in grid order
+        ((1.0, 4.0), True, "drop at gamma_R = 1.0"),    # before the engine error
+        ((4.0,), True, "stationary residual"),          # after it
+    ])
+    def test_first_output_error_in_grid_order_is_raised(self, monkeypatch, failing,
+                                                        engine_fails, expected):
+        # the row outputs of all points are read at once, but a failing one
+        # raises as the points would one by one: an output error of an
+        # earlier point, then an engine error, then later points
+        engine, drops = experiments.steady_states, observables.detector_drops
+
+        def third_member_fails(matrices, index):
+            values, errors = engine(matrices, index)
+            if engine_fails:
+                values[2], errors[2] = math.nan, ArithmeticError("stationary residual")
+            return values, errors
+
+        def picky_drops(columns, detector_currents):
+            for g in np.atleast_1d(columns["gamma_R"]).tolist():
+                if g in failing:
+                    raise ValueError(f"drop at gamma_R = {g}")
+            return drops(columns, detector_currents)
+
+        monkeypatch.setattr(experiments, "steady_states", third_member_fails)
+        monkeypatch.setattr(observables, "detector_drops", picky_drops)
+        with pytest.raises((ValueError, ArithmeticError), match=expected):
+            run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R", (1.0, 2.0, 3.0, 4.0)))
 
     def test_overflowing_assembly_names_the_fields(self):
         # 2 * Omega overflows at Omega = 1e308 and a sum of widths past the
@@ -272,3 +311,217 @@ class TestStiffRegime:
                 with pytest.raises(DegenerateSteadyState) as caught:
                     steady_state(g)
                 assert str(caught.value) == row.error
+
+
+# --- per-point reference: every grid point on its own, with one RateSet,
+# quantities row, StateVector and weight map per point ---
+
+def _reference_quantities(table, r):
+    """ChannelTable.quantities as one Python pass over the compiled cells."""
+    if table.equal_amplitudes and not r.is_equal_amplitudes:
+        raise ValueError(f"{table.label} assumes equal tunneling amplitudes; "
+                         "primed widths must equal unprimed ones")
+    keys, gains = table._cells[0], table._cells[4]
+    try:
+        q = [math.fsum([s * getattr(r, f) for f, s in terms])
+             if force or len(terms) != 1 else terms[0][1] * getattr(r, terms[0][0])
+             for terms, force in keys]
+        if all(math.isfinite(g * v) for g, v in zip(gains, q)):
+            return q
+    except OverflowError:
+        pass
+    fields = []
+    for (terms, _), gain in zip(keys, gains):
+        try:
+            finite = math.isfinite(gain * math.fsum([s * getattr(r, f) for f, s in terms]))
+        except OverflowError:
+            finite = False
+        fields += [] if finite else [f for f, _ in terms]
+    raise ValueError(f"rates too large for {table.label}: a generator entry from "
+                     f"{', '.join(dict.fromkeys(fields))} overflows the float range")
+
+
+def _reference_closed_form(scenario, r):
+    try:
+        if scenario == builders.SINGLE_DOT_SET:
+            return analytic.single_dot_current(r.Gamma_L, r.Gamma_R)
+        if scenario == builders.DOUBLE_DOT_BARE:
+            return analytic.double_dot_current_bare(r)
+        if scenario in (builders.REDUCED_DOUBLE_DOT, builders.DOUBLE_DOT_SET):
+            return analytic.double_dot_current_measured(r)
+    except (ValueError, OverflowError):
+        return math.nan
+    return math.nan
+
+
+def _reference_rows(scenario, points, stacks, failure=None):
+    """points: (param, rates, blocking, reference, regime, quantities)."""
+    solved = [None] * len(points)
+    for blocking in dict.fromkeys(p[2] for p in points):
+        members = [k for k, p in enumerate(points) if p[2] == blocking]
+        table = builders.scenario_table(scenario, blocking)
+        stack = table.stack([points[k][5] for k in members])
+        stacks.append(stack)
+        values, errors = steady_states(stack, table.index)
+        for k, v, err in zip(members, values, errors):
+            solved[k] = (v, table.index, err)
+    rows = []
+    for (param, r, blocking, reference, regime, _), (v, index, err) in zip(points, solved):
+        if isinstance(err, DegenerateSteadyState):
+            rows.append(experiments.SweepRow(param, math.nan, reference, math.nan, math.nan,
+                                             math.nan, regime=regime, error=str(err)))
+            continue
+        if err is not None:
+            raise err
+        x = StateVector(v, index)
+        w = observables.weights_for(scenario, r, blocking)
+        i_s = observables.current(x, w.system)
+        if w.detector:
+            i_d = observables.current(x, w.detector)
+            delta = observables.delta_detector_current(r, i_d)
+        else:
+            i_d = delta = math.nan
+        rows.append(experiments.SweepRow(param, i_s, reference, i_d, delta,
+                                         reference_violation_magnitude(x), regime=regime))
+    if failure is not None:
+        raise failure
+    return rows
+
+
+def _reference_sweep(spec, stacks):
+    points = []
+    for value in spec.grid:
+        try:
+            r = spec.base.replacing(spec.parameter, value)
+            reference = _reference_closed_form(spec.scenario, r)
+            table = builders.scenario_table(spec.scenario, spec.blocking)
+            points.append((value, r, spec.blocking, reference, None,
+                           _reference_quantities(table, r)))
+        except (ValueError, ArithmeticError) as exc:
+            return _reference_rows(spec.scenario, points, stacks, exc)
+    return _reference_rows(spec.scenario, points, stacks)
+
+
+def _reference_fermi_sweep(base, energy, grid, allow_extrapolation, stacks):
+    selector = RegimeSelector.from_parts(energy, base)
+    grid = [float(v) for v in grid]
+    if not grid:
+        raise ValueError("grid must not be empty")
+    for v in grid:
+        if not v > energy.E0:
+            raise ValueError(f"Fermi level {v!r} is not above the detector level E0 = {energy.E0!r}")
+        if v >= selector.threshold_extrapolated and not allow_extrapolation:
+            raise ValueError(
+                f"Fermi level {v!r} reaches E0 + U2 = {selector.threshold_extrapolated!r}; "
+                "that territory is extrapolated and must be enabled explicitly")
+    scenario = builders.GENERALIZED_DOUBLE_DOT_SET
+    points = []
+    for v in grid:
+        regime, blocking = selector.classify(v)
+        try:
+            if regime == REGIME_BLIND:
+                reference = _reference_closed_form(builders.DOUBLE_DOT_BARE, base)
+            elif regime == REGIME_RESOLVING:
+                reference = _reference_closed_form(builders.REDUCED_DOUBLE_DOT, base)
+            else:
+                reference = math.nan
+            table = builders.scenario_table(scenario, blocking)
+            points.append((v, base, blocking, reference, regime,
+                           _reference_quantities(table, base)))
+        except (ValueError, ArithmeticError) as exc:
+            return _reference_rows(scenario, points, stacks, exc)
+    return _reference_rows(scenario, points, stacks)
+
+
+def _outcome(run):
+    """(rows repr, CSV text) of a run, or (exception type, message)."""
+    try:
+        rows = run()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return repr(rows), sweep_csv_text(rows)
+
+
+def _same_bits(stacks, other):
+    return len(stacks) == len(other) and all(
+        a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(stacks, other))
+
+
+_BLOCKINGS = (BlockingConfig.blocked_on_either_dot(), BlockingConfig.blocked_on_second_dot(),
+              BlockingConfig.unrestricted())
+_DIFF_CONFIGS = [(s, _BLOCKINGS[1]) for s in builders.SCENARIOS if s != "generalized_double_dot_set"]
+_DIFF_CONFIGS += [("generalized_double_dot_set", b) for b in (*_BLOCKINGS, None)]
+_DIFF_BASES = (
+    RateSet(gamma_L=1.0, gamma_R=2.0, Gamma_L=0.5, Gamma_R=1.5, Omega=0.75, epsilon=0.25,
+            U1=1.0, U2=2.0),
+    # unequal primed widths: refused by the equal-amplitude scenarios
+    RateSet(gamma_L=1.0, gamma_R=2.0, Gamma_L=0.5, Gamma_R=1.5, gamma_R_p=3.0,
+            Gamma_L_p=0.25, Omega=0.75, U1=1.0, U2=2.0),
+    # signed zeros, so the fsum cells see all-zero sums
+    RateSet(gamma_L=-0.0, gamma_R=0.0, Gamma_L=1.0, Gamma_R=-0.0, Omega=1.0, epsilon=-0.0,
+            U1=0.0, U2=-0.0),
+)
+_DIFF_GRIDS = (
+    tuple(np.geomspace(1e-3, 1e12, 6)),
+    (0.5, 2.0, -1.0, 3.0),              # a negative width ends a width sweep
+    (1.0, 0.0, -0.0, 2.0, -1.0),        # through zero
+    (1.0, 1e200, 1e308),                # overflowing closed forms and entries
+    (2.0, 3.0),                         # meets the unequal primed widths
+)
+
+
+class TestColumnarMatchesPerPoint:
+    """The columnar sweeps against the per-point reference: the same CSV
+    bytes and rows, the same generator stacks bit for bit (the sign of zero
+    included), or the same exception type and message."""
+
+    @pytest.mark.parametrize("field", RATE_FIELDS)
+    @pytest.mark.parametrize("scenario,blocking", _DIFF_CONFIGS,
+                             ids=[f"{s}-{i}" for i, (s, _) in enumerate(_DIFF_CONFIGS)])
+    def test_sweep(self, monkeypatch, scenario, blocking, field):
+        stacks = []
+
+        def recorded(matrices, index):
+            stacks.append(np.array(matrices))
+            return steady_states(matrices, index)
+
+        monkeypatch.setattr(experiments, "steady_states", recorded)
+        for base in _DIFF_BASES:
+            for grid in _DIFF_GRIDS:
+                spec = SweepSpec(scenario, base, field, grid, blocking)
+                expected_stacks = []
+                expected = _outcome(lambda: _reference_sweep(spec, expected_stacks))
+                stacks.clear()
+                assert _outcome(lambda: run_sweep(spec)) == expected, (base, grid)
+                assert _same_bits(stacks, expected_stacks), (base, grid)
+
+    @pytest.mark.parametrize("base", [
+        TestFermiSweep.BASE,
+        TestFermiSweep.BASE.replacing("gamma_L", 0.0),
+        RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, gamma_R_p=2.0, Omega=1.0,
+                U1=1.0, U2=2.0),                                        # unequal amplitudes
+        RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1e308, U1=1.0, U2=2.0),  # overflows
+        RateSet(U1=1.0, U2=2.0),                                        # degenerate
+        RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Omega=1.0, U1=1.0, U2=2.0),
+    ], ids=["monitored", "uncoupled", "unequal", "overflow", "zero", "no-collector"])
+    @pytest.mark.parametrize("grid,extrapolate", [
+        ((0.2, 0.6, 1.0, 1.4, 1.8), False),
+        ((1.5, 0.5, 2.5, 1.2, 3.0, 0.2), True),     # all three regimes, interleaved
+        ((2.0, 2.5), True),
+        ((0.5, 2.5), False),                        # extrapolated without the flag
+        ((0.5, -0.5), False),                       # below E0
+    ])
+    def test_fermi_sweep(self, monkeypatch, base, grid, extrapolate):
+        stacks, expected_stacks = [], []
+
+        def recorded(matrices, index):
+            stacks.append(np.array(matrices))
+            return steady_states(matrices, index)
+
+        monkeypatch.setattr(experiments, "steady_states", recorded)
+        energy = EnergyConfig(E0=0.0)
+        expected = _outcome(lambda: _reference_fermi_sweep(base, energy, grid, extrapolate,
+                                                           expected_stacks))
+        assert _outcome(lambda: run_fermi_sweep(base, energy, grid, extrapolate)) == expected
+        assert _same_bits(stacks, expected_stacks)

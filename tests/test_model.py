@@ -12,11 +12,13 @@ from mesorate import (
     StateVector,
     basis_state,
     index_double_dot,
+    index_double_dot_set,
     index_single_dot_set,
     pack,
     state_violation_magnitude,
     validate_state,
 )
+from mesorate.model import RATE_FIELDS, row_rates, sweep_columns, violation_magnitudes
 
 
 class TestRateSet:
@@ -62,6 +64,90 @@ class TestRateSet:
     def test_replacing_unknown_field(self):
         with pytest.raises(ValueError, match="unknown RateSet field"):
             RateSet().replacing("bogus", 1.0)
+
+    def test_coulomb_shift_U_is_gone(self):
+        # no channel table, closed form or observable ever read it
+        assert "U" not in RATE_FIELDS
+        with pytest.raises(TypeError):
+            RateSet(U=1.0)
+        with pytest.raises(ValueError, match="unknown RateSet field 'U'"):
+            RateSet().replacing("U", 1.0)
+
+
+class TestRateColumns:
+    def test_rows_are_the_replaced_rate_sets(self):
+        base = RateSet(gamma_L=1.0, gamma_R=2.0, gamma_R_p=3.0, Gamma_L=0.5, Gamma_R=0.5)
+        for name in ("gamma_L", "gamma_R", "Gamma_R", "epsilon"):
+            values = np.array([0.25, 4.0])
+            columns = sweep_columns(base, name, values)
+            for k, v in enumerate(values.tolist()):
+                assert row_rates(columns, k) == base.replacing(name, v)
+
+
+def reference_violation_magnitude(x):
+    """The per-state Python fold that violation_magnitudes replaces: the
+    reference for its bits."""
+    total = math.fsum(x.values[p] for p in x.index.diagonal_positions)
+    worst = abs(total - 1.0)
+    for label in x.index.diagonal_labels:
+        p = x.occupation(label)
+        worst = max(worst, -p, p - 1.0)
+    for pair in x.index.coherence_pairs:
+        bound = max(x.occupation(pair[0]), 0.0) * max(x.occupation(pair[1]), 0.0)
+        worst = max(worst, abs(x.coherence(pair)) ** 2 - bound)
+    return max(worst, 0.0)
+
+
+class TestViolationMagnitudes:
+    """The columnar magnitude against the per-state fold, bit for bit."""
+
+    @staticmethod
+    def _scalar(index, values):
+        return np.array([reference_violation_magnitude(StateVector(v, index)) for v in values])
+
+    @staticmethod
+    def _same(a, b):
+        return np.array_equal(a.view(np.int64), b.view(np.int64)) or all(
+            x == y and math.copysign(1, x) == math.copysign(1, y) or math.isnan(x) and math.isnan(y)
+            for x, y in zip(a.tolist(), b.tolist()))
+
+    def test_random_states_with_coherences_past_their_bound(self):
+        # sigma^2 squares with libm pow, which differs from x*x in the last
+        # bit on roughly 1 draw in 1000; 20,000 coherences meet such draws
+        rng = np.random.default_rng(11)
+        index = index_double_dot_set()
+        values = rng.uniform(-0.2, 1.2, size=(10_000, 10))
+        values[:, 6:] *= 10.0 ** rng.uniform(-3, 3, size=(10_000, 4))
+        values[::5, :6] = np.abs(values[::5, :6]) / np.abs(values[::5, :6]).sum(axis=1)[:, None]
+        values[1::7, :6] = 0.0
+        values[2::7, 6:] = -0.0
+        values[3::11, 1] = np.nan
+        values[4::11, 7] = np.nan
+        values[5::11, 8] = np.inf
+        assert self._same(violation_magnitudes(index, values), self._scalar(index, values))
+
+    def test_clean_and_signed_zero_states(self):
+        index = index_double_dot()
+        values = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [-0.0, 1.0, -0.0, -0.0, -0.0],
+                           [0.5, 0.25, 0.25, 0.0, -0.0]])
+        got = violation_magnitudes(index, values)
+        assert self._same(got, self._scalar(index, values))
+        assert got.tolist() == [0.0, 0.0, 0.0]
+        assert all(math.copysign(1.0, v) == 1.0 for v in got.tolist())
+
+    @pytest.mark.parametrize("coherence", [(1e200, 0.0), (1e308, 1e308)])
+    def test_overflow_raises_as_the_scalar_path(self, coherence):
+        index = index_double_dot()
+        values = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, *coherence]])
+        with pytest.raises(OverflowError) as scalar:
+            self._scalar(index, values)
+        with pytest.raises(OverflowError) as columnar:
+            violation_magnitudes(index, values)
+        assert str(columnar.value) == str(scalar.value)
+
+    def test_one_state_is_the_one_row_case(self):
+        x = pack(index_double_dot(), {"b": 0.5, "c": 0.5}, {("b", "c"): 0.75j})
+        assert state_violation_magnitude(x) == reference_violation_magnitude(x) == 0.3125
 
 
 class TestEnergyConfig:
