@@ -4,17 +4,22 @@ A sweep stays columnar from the swept RateSet field to its rows.  The
 grid is one array column of the rate columns (model.sweep_columns), every
 other field a float of the base RateSet, which is validated once; the
 column is validated once as an array.  The channel table evaluates the
-quantities as an (N, n_quantities) array, one steady_states call per
-blocking configuration solves the stack of generators, and the currents,
-Delta_I_D and the violation magnitude are read from the (N, dim) array
-of solutions.  Each value has the bits the point gives alone through
-RateSet, quantities, steady_state, current and
-state_violation_magnitude: elementwise IEEE arithmetic where that is
-exactly the scalar operation, a per-row fsum or ** where numpy's add or
-square would differ in a last bit or in the sign of a zero.  The
-closed-form reference column stays scalar Python per row, fed the row's
-field values.  Every quantity is a pure function of the sweep
-specification, so repeated runs serialize to identical bytes.
+quantities as an (N, n_quantities) array, one steady_states call solves
+the stack of generators, and the currents, Delta_I_D and the violation
+magnitude are read from the (N, dim) array of solutions.  Each value has
+the bits the point gives alone through RateSet, quantities,
+steady_state, current and state_violation_magnitude: elementwise IEEE
+arithmetic where that is exactly the scalar operation, a per-row fsum or
+** where numpy's add or square would differ in a last bit or in the sign
+of a zero.  The closed-form reference column stays scalar Python per
+row, fed the row's field values; it is NaN where the form is undefined
+or its arithmetic fails (an overflow, a division by an underflowed
+zero).  Every quantity is a pure function of the sweep specification, so
+repeated runs serialize to identical bytes.
+
+The points of a Fermi-level sweep differ only in their regime, so each
+regime is one generator: it is solved once and its row copied to every
+point of the regime.
 
 A grid point whose model is disconnected is reported as a row of NaNs
 with the error message attached instead of aborting the sweep; any other
@@ -26,7 +31,7 @@ message, comes from running the point's own checks on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -94,31 +99,22 @@ _CLOSED_FORMS = {
 def _closed_form(form, args) -> float:
     try:
         return form(*args)
-    except (ValueError, OverflowError):     # undefined, or not representable
+    except (ValueError, ArithmeticError):   # undefined, or its arithmetic fails
         return math.nan
 
 
-def _analytic_reference(scenario: str | None, columns: RateColumns,
-                        n: int) -> tuple[list[float], Exception | None]:
+def _analytic_reference(scenario: str | None, columns: RateColumns, n: int) -> list[float]:
     """Closed-form system current of each of n rows, scalar Python fed the
     row's field values (evaluated once when none is an array column); NaN
-    where the scenario has none or it is undefined or not representable.
-    Another error ends the list: it is the error of the row after the last."""
+    where the scenario has none or it is undefined or not representable."""
     if scenario not in _CLOSED_FORMS:
-        return [math.nan] * n, None
+        return [math.nan] * n
     form, names = _CLOSED_FORMS[scenario]
     args = [columns[name] for name in names]
-    references: list[float] = []
-    try:
-        if any(isinstance(a, np.ndarray) for a in args):
-            for row in zip(*[a.tolist() if isinstance(a, np.ndarray) else repeat(a, n)
-                             for a in args]):
-                references.append(_closed_form(form, row))
-        elif n:
-            references = [_closed_form(form, args)] * n
-    except ArithmeticError as exc:
-        return references, exc
-    return references, None
+    if any(isinstance(a, np.ndarray) for a in args):
+        return [_closed_form(form, row) for row in
+                zip(*[a.tolist() if isinstance(a, np.ndarray) else repeat(a, n) for a in args])]
+    return [_closed_form(form, args)] * n
 
 
 def _raised(fn, *args) -> Exception:
@@ -149,37 +145,29 @@ def _outputs(table: builders.ChannelTable, columns: RateColumns, values: np.ndar
     return i_s, i_d, delta, violation_magnitudes(table.index, values)
 
 
-def _solved_rows(groups, params: list[float], references: list[float], regimes: list,
-                 columns: RateColumns, failure: Exception | None = None) -> list[SweepRow]:
-    """Rows of the points in grid order.  groups holds one (table, members,
-    quantities) per blocking configuration, members being grid indices, and
-    the generators of each group are solved as one stack.
+def _solved_rows(table: builders.ChannelTable, columns: RateColumns, quantities: np.ndarray,
+                 params: list[float], references: list[float], regime: str | None = None,
+                 failure: Exception | None = None) -> list[SweepRow]:
+    """Rows of the points in grid order, one row of quantities and of the
+    columns per point, their generators solved as one stack.
 
     A DegenerateSteadyState point becomes a row of NaNs carrying the
     message; any other error is raised, the first in grid order, with
     failure (raised by the point after the last one given) coming last.
     """
     n = len(params)
-    dim = len(groups[0][0].index) if groups else 0
-    values = np.full((n, dim), math.nan)
-    errors: list[Exception | None] = [None] * n
-    for table, members, quantities in groups:
-        values[members], solved = steady_states(table.stack(quantities), table.index)
-        for k, err in zip(members.tolist(), solved):
-            errors[k] = err
+    values, errors = steady_states(table.stack(quantities), table.index)
     raised = next((k for k, err in enumerate(errors)
                    if err is not None and not isinstance(err, DegenerateSteadyState)), n)
 
     outputs = np.full((4, n), math.nan)
-    good = [(table, members[[errors[k] is None and k < raised for k in members.tolist()]])
-            for table, members, _ in groups]
+    ok = [k for k, err in enumerate(errors[:raised]) if err is None]
     try:
-        for table, ok in good:
-            if len(ok):
-                outputs[:, ok] = _outputs(table, take_rows(columns, ok), values[ok])
+        if ok:
+            outputs[:, ok] = _outputs(table, take_rows(columns, ok), values[ok])
     except (ValueError, ArithmeticError):
         # raise the error of the first point in grid order, on its own
-        for k, table in sorted((k, table) for table, ok in good for k in ok.tolist()):
+        for k in ok:
             _outputs(table, take_rows(columns, [k]), values[[k]])
         raise
     if raised < n:
@@ -191,7 +179,7 @@ def _solved_rows(groups, params: list[float], references: list[float], regimes: 
     for k, (i_s, i_d, delta, violation) in enumerate(outputs.T.tolist()):
         err = errors[k]
         rows.append(SweepRow(params[k], i_s, references[k], i_d, delta, violation,
-                             regime=regimes[k], error=None if err is None else str(err)))
+                             regime=regime, error=None if err is None else str(err)))
     return rows
 
 
@@ -205,8 +193,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     n = len(spec.grid)
     columns = sweep_columns(spec.base, spec.parameter, np.array(spec.grid))
     valid = _first(invalid_rows(columns, n))
-    references, reference_error = _analytic_reference(
-        spec.scenario, take_rows(columns, slice(valid)), valid)
+    references = _analytic_reference(spec.scenario, take_rows(columns, slice(valid)), valid)
     try:
         table = builders.scenario_table(spec.scenario, spec.blocking)
     except ValueError as exc:
@@ -214,18 +201,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     else:
         quantities, refused = table.quantity_columns(columns, n)
         assembled, assembly_error = _first(refused), None
-    # a point alone is checked in this order: RateSet, closed form, assembly
-    stop = min(valid, len(references), assembled)
+    # a point alone is checked in this order: RateSet, then assembly
+    stop = min(valid, assembled)
     failure = None
     if stop == valid < n:
         failure = _raised(row_rates, columns, stop)
-    elif reference_error is not None and stop == len(references):
-        failure = reference_error
     elif stop < n:
         failure = assembly_error or _raised(table.quantities, row_rates(columns, stop))
-    groups = [(table, np.arange(stop), quantities[:stop])] if stop else []
-    return _solved_rows(groups, list(spec.grid[:stop]), references[:stop], [None] * stop,
-                        take_rows(columns, slice(stop)), failure)
+    if not stop:
+        raise failure
+    return _solved_rows(table, take_rows(columns, slice(stop)), quantities[:stop],
+                        list(spec.grid[:stop]), references[:stop], failure=failure)
 
 
 @dataclass(frozen=True)
@@ -291,9 +277,10 @@ def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float],
     window (at or below E0) are rejected; points at or above E0 + U2 are
     rejected unless extrapolation is explicitly allowed.
 
-    Every point of a regime shares its rates, so the reference and the
-    quantities are evaluated once per regime, and its points are solved
-    as one stack.
+    Every point of a regime shares its rates, so each regime present is
+    solved once, a one-member stack, in the order of its first point, and
+    its row is copied to each of its points; the first error in grid order
+    is that of the first failing regime.
     """
     selector = RegimeSelector.from_parts(energy, base)
     grid = [float(v) for v in grid]
@@ -309,25 +296,10 @@ def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float],
 
     regimes = [selector.regime(v) for v in grid]
     columns = fixed_columns(base)
-    stop, failure, found = len(grid), None, {}
+    solved = {}
     for regime in dict.fromkeys(regimes):     # in the order of first appearance
-        first = regimes.index(regime)
         table = builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET, _BLOCKING[regime]())
-        references, error = _analytic_reference(_PLATEAU.get(regime), columns, 1)
-        try:
-            quantities = table.quantities(base) if error is None else None
-        except (ValueError, ArithmeticError) as exc:
-            error = exc
-        if error is None:
-            found[regime] = table, quantities, references[0]
-        elif first < stop:
-            stop, failure = first, error
-
-    regimes = regimes[:stop]
-    groups = []
-    for regime, (table, quantities, _) in found.items():
-        members = np.array([k for k, name in enumerate(regimes) if name == regime], dtype=int)
-        if len(members):
-            groups.append((table, members, np.tile(quantities, (len(members), 1))))
-    return _solved_rows(groups, grid[:stop], [found[name][2] for name in regimes], regimes,
-                        columns, failure)
+        reference = _analytic_reference(_PLATEAU.get(regime), columns, 1)
+        solved[regime] = _solved_rows(table, columns, table.quantities(base)[np.newaxis],
+                                      [grid[regimes.index(regime)]], reference, regime)[0]
+    return [replace(solved[regime], param=v) for v, regime in zip(grid, regimes)]

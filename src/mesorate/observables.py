@@ -1,20 +1,20 @@
 """Currents from state vectors: each collector current is the sum of the
 occupations of the states whose adjacent dot is filled, weighted by the
-partial width into that collector.  currents and detector_drops are the
-columnar forms that read every row of an (N, dim) array of states at
-once, bit for bit the per-state current and delta_detector_current."""
+partial width into that collector.  currents and detector_drops read every
+row of an (N, dim) array of states at once; current and
+delta_detector_current are their one-row cases."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from . import builders
 from .analytic import single_dot_current
-from .model import IndexMap, RateColumns, RateSet, StateVector
+from .model import IndexMap, RateColumns, RateSet, StateVector, fixed_columns
 
 _RESOLVING = builders.BlockingConfig.blocked_on_second_dot()
 
@@ -49,49 +49,45 @@ def weights_for(scenario: str, r: RateSet,
     return CurrentWeights(**builders.scenario_table(scenario, blocking or _RESOLVING).weights(r))
 
 
-def occupation_sum(index: IndexMap, weights: Mapping[str, float]) -> Callable[..., float]:
-    """Weighted occupation sum of a sample row in the layout index, in units
-    of e times a rate: the fsum of occupation times width, with the weight
-    labels resolved to slot positions once."""
-    try:
-        terms = [(index.diagonal(label), w) for label, w in weights.items()]
-    except KeyError as exc:
-        raise ValueError(f"weight refers to a slot missing from the state: {exc}") from exc
-    return lambda sample: math.fsum([sample[slot] * w for slot, w in terms])
-
-
 def current(x: StateVector, weights: Mapping[str, float]) -> float:
-    """Weighted occupation sum of one state."""
-    return occupation_sum(x.index, weights)(x.values.tolist())
+    """Weighted occupation sum of one state: the one-row case of currents."""
+    return currents(x.index, weights, x.values[np.newaxis])[0]
 
 
 def delta_detector_current(r: RateSet, detector_current: float) -> float:
-    """Drop of the detector current relative to the no-measurement value.
+    """Drop of the detector current relative to the no-measurement value:
+    the one-row case of detector_drops.
 
     The reference is always the bare resonant detector current built from
     the unprimed detector widths.
     """
-    return single_dot_current(r.gamma_L, r.gamma_R) - detector_current
+    return detector_drops(fixed_columns(r), [detector_current])[0]
 
 
 def currents(index: IndexMap, weights: Mapping, values: np.ndarray) -> list[float]:
-    """current of every row of values, shape (N, dim), bit for bit; a
-    weight is a float or a column of N (ChannelTable.weight_columns).
+    """Weighted occupation sum of every row of values, shape (N, dim), in
+    units of e times a rate; a weight is a float or a column of N
+    (ChannelTable.weight_columns).
 
     Each occupation-times-width product is one exact elementwise multiply;
     the sum keeps its per-row fsum, which numpy's add would not match in
     the sign of a zero sum or where the sum leaves the float range.
     """
+    try:
+        slots = [index.diagonal(label) for label in weights]
+    except KeyError as exc:
+        raise ValueError(f"weight refers to a slot missing from the state: {exc}") from exc
     if not weights:
         return [0.0] * len(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        products = [(values[:, index.diagonal(label)] * w).tolist() for label, w in weights.items()]
+        products = [(values[:, slot] * w).tolist() for slot, w in zip(slots, weights.values())]
     return list(map(math.fsum, zip(*products)))
 
 
 def detector_drops(columns: RateColumns, detector_currents: list[float]) -> list[float]:
-    """delta_detector_current of every row: the bare detector current is
-    evaluated once unless a detector width is an array column."""
+    """Drop of each row's detector current below the bare resonant
+    detector current of its unprimed detector widths, which is evaluated
+    once unless a detector width is an array column."""
     gamma_l, gamma_r = columns["gamma_L"], columns["gamma_R"]
     n = len(detector_currents)
     if isinstance(gamma_l, np.ndarray) or isinstance(gamma_r, np.ndarray):

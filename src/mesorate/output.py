@@ -9,13 +9,18 @@ for the same reason.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .experiments import SweepRow
 from .model import DIAGONAL, RE_COHERENCE
-from .observables import occupation_sum
+from .observables import currents
 from .solver import Trajectory
+
+# samples per block of the time-series writer: the current columns of a
+# block are read at once, so the writer holds one block, not the run
+_BLOCK = 1024
 
 # the SweepRow fields written, in column order
 SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max_violation")
@@ -56,23 +61,32 @@ def column_token(entry) -> str:
 
 
 def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[str]:
-    """The header line, then one line per sample.  The weights are resolved
-    before the first line is asked for, so a bad weight map raises here."""
+    """The header line, then one line per sample.  The current columns are
+    read _BLOCK samples at a time; the first block is read before the first
+    line is asked for, so a bad weight map raises here."""
     header = ["t"] + [column_token(e) for e in traj.index.entries]
-    sums = []
+    weights = []
     if system_weights is not None:
         header.append("I_S")
-        sums.append(occupation_sum(traj.index, system_weights))
+        weights.append(system_weights)
     if detector_weights:
         header.append("I_D")
-        sums.append(occupation_sum(traj.index, detector_weights))
+        weights.append(detector_weights)
     row_format = _row_format(len(header))
+
+    def block(lo: int):
+        rows = slice(lo, lo + _BLOCK)
+        values = traj.values[rows]
+        return zip(traj.times[rows].tolist(), values.tolist(),
+                   *[currents(traj.index, w, values) for w in weights])
+
+    first = block(0)
 
     def lines():
         yield ",".join(header) + "\n"
-        for t, sample in zip(traj.times.tolist(), traj.values):
-            sample = sample.tolist()
-            yield row_format % (t, *sample, *[f(sample) for f in sums])
+        rest = map(block, range(_BLOCK, len(traj.times), _BLOCK))
+        for t, sample, *sums in chain(first, chain.from_iterable(rest)):
+            yield row_format % (t, *sample, *sums)
 
     return lines()
 

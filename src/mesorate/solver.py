@@ -260,11 +260,13 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    n_steps = max(1, math.ceil(t_final / dt - 1e-9))
-    if n_steps > MAX_STEPS:
+    steps = t_final / dt - 1e-9
+    if not steps <= MAX_STEPS:      # refused before ceil, which fails on inf and NaN
+        count = math.ceil(steps) if math.isfinite(steps) else steps
         raise ValueError(
-            f"t_final/dt asks for {n_steps} steps (cap {MAX_STEPS}); raise dt, shorten "
+            f"t_final/dt asks for {count} steps (cap {MAX_STEPS}); raise dt, shorten "
             "t_final, or use steady_state for the stationary answer")
+    n_steps = max(1, math.ceil(steps))
     h = t_final / n_steps
     P = _rk4_propagator(g.matrix, h)
     # IndexMap puts the diagonal slots first

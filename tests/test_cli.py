@@ -93,6 +93,14 @@ class TestEvolve:
         assert "numerical failure" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_infinite_step_count_is_refused_by_the_cap(self, tmp_path, capsys):
+        p = tmp_path / "tiny_dt.cfg"
+        p.write_text(BARE_CFG.replace("t_final = 30.0", "t_final = 1e308\ndt = 5e-324"))
+        out_path = tmp_path / "ts.csv"
+        assert cli_main(["evolve", "--config", str(p), "--out", str(out_path)]) == 2
+        assert "asks for inf steps (cap 1000000)" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_missing_t_final_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "no_t.cfg"
         p.write_text(BARE_CFG.replace("t_final = 30.0", ""))
@@ -184,6 +192,24 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert len(lines) == 4
         assert [line.split(",")[2] == "nan" for line in lines[1:]] == [False, True, True]
+
+    @pytest.mark.parametrize("scenario,rates", [
+        ("double_dot_bare", "Gamma_L = 1.0\nGamma_R = 0.0\nOmega = 1.0\nepsilon = 0.0\n"),
+        ("reduced_double_dot",
+         "gamma_L = 1.0\nGamma_L = 1.0\nGamma_R = 1e-200\nOmega = 1.0\nepsilon = 0.0\n"),
+    ], ids=["bare", "dephased"])
+    def test_underflowed_closed_form_is_a_nan_reference(self, tmp_path, capsys, scenario,
+                                                        rates):
+        # Omega**2 underflows to 0 at Omega = 1e-170: the closed form divides
+        # zero by zero, and the row keeps a NaN reference
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"[scenario]\nname = {scenario}\n\n[rates]\n{rates}")
+        out = tmp_path / "omega.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--param", "Omega",
+                         "--grid", "1e-170:1:3", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        assert [line.split(",")[2] == "nan" for line in lines[1:]] == [True, False, False]
 
     def test_assembly_error_wins_over_an_overflowing_closed_form(self, tmp_path, capsys):
         # Omega**2 in the closed form overflows at 1e308, and so does 2*Omega

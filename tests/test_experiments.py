@@ -27,6 +27,7 @@ from mesorate.acceptance import ORACLE_RTOL
 from mesorate.model import RATE_FIELDS
 from mesorate.output import sweep_csv_text
 from test_model import reference_violation_magnitude
+from test_observables import reference_current, reference_delta_detector_current
 
 BARE_BASE = RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
 SET_BASE = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
@@ -125,6 +126,35 @@ class TestSweepErrors:
         rows = run_sweep(SweepSpec("double_dot_set", SET_BASE, "Gamma_R", (1.0, 1e200)))
         assert rows[0].I_S_analytic == double_dot_current_measured(SET_BASE)
         assert math.isnan(rows[1].I_S_analytic)
+
+    # Omega**2 underflows to 0 at Omega = 1e-170, and with it both terms of
+    # the closed form's fraction: bare_current(1, 0, 1e-170, 0) and
+    # dephased_current(1, 1e-200, 1e-170, 0, 1) divide zero by zero
+    UNDERFLOWING = (
+        ("double_dot_bare", RateSet(Gamma_L=1.0, Omega=1.0)),
+        ("reduced_double_dot", RateSet(gamma_L=1.0, Gamma_L=1.0, Gamma_R=1e-200, Omega=1.0)),
+    )
+
+    @pytest.mark.parametrize("scenario,base", UNDERFLOWING, ids=["bare", "dephased"])
+    def test_underflowed_closed_form_is_a_nan_reference(self, scenario, base):
+        form, names = experiments._CLOSED_FORMS[scenario]
+        with pytest.raises(ZeroDivisionError):
+            form(*[getattr(base.replacing("Omega", 1e-170), name) for name in names])
+        spec = SweepSpec(scenario, base, "Omega", (1e-170, 0.5, 1.0))
+        rows = run_sweep(spec)
+        assert math.isnan(rows[0].I_S_analytic)
+        assert all(math.isfinite(row.I_S_analytic) for row in rows[1:])
+        assert _outcome(lambda: run_sweep(spec)) == _outcome(lambda: _reference_sweep(spec, []))
+
+    def test_underflowed_plateau_is_a_nan_reference(self):
+        base = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1e-200, Omega=1e-170,
+                       U1=1.0, U2=2.0)
+        energy, grid = EnergyConfig(E0=0.0), (0.5, 1.5)
+        rows = run_fermi_sweep(base, energy, grid)
+        assert [row.regime for row in rows] == [REGIME_BLIND, REGIME_RESOLVING]
+        assert all(math.isnan(row.I_S_analytic) for row in rows)
+        assert (_outcome(lambda: run_fermi_sweep(base, energy, grid))
+                == _outcome(lambda: _reference_fermi_sweep(base, energy, grid, False, [])))
 
     def test_solver_error_of_one_member_is_raised(self, monkeypatch):
         # an engine error other than DegenerateSteadyState is raised, not
@@ -349,7 +379,7 @@ def _reference_closed_form(scenario, r):
             return analytic.double_dot_current_bare(r)
         if scenario in (builders.REDUCED_DOUBLE_DOT, builders.DOUBLE_DOT_SET):
             return analytic.double_dot_current_measured(r)
-    except (ValueError, OverflowError):
+    except (ValueError, ArithmeticError):
         return math.nan
     return math.nan
 
@@ -375,10 +405,10 @@ def _reference_rows(scenario, points, stacks, failure=None):
             raise err
         x = StateVector(v, index)
         w = observables.weights_for(scenario, r, blocking)
-        i_s = observables.current(x, w.system)
+        i_s = reference_current(x, w.system)
         if w.detector:
-            i_d = observables.current(x, w.detector)
-            delta = observables.delta_detector_current(r, i_d)
+            i_d = reference_current(x, w.detector)
+            delta = reference_delta_detector_current(r, i_d)
         else:
             i_d = delta = math.nan
         rows.append(experiments.SweepRow(param, i_s, reference, i_d, delta,
@@ -445,6 +475,16 @@ def _outcome(run):
 def _same_bits(stacks, other):
     return len(stacks) == len(other) and all(
         a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(stacks, other))
+
+
+def _regime_bits(stacks, other):
+    """The Fermi sweep solves one generator per regime: each of its
+    one-member stacks has the bits of every member the reference solves
+    for that regime."""
+    return len(stacks) == len(other) and all(
+        a.shape == (1, *b.shape[1:]) and np.array_equal(np.broadcast_to(a, b.shape).view(np.int64),
+                                                        b.view(np.int64))
         for a, b in zip(stacks, other))
 
 
@@ -524,4 +564,4 @@ class TestColumnarMatchesPerPoint:
         expected = _outcome(lambda: _reference_fermi_sweep(base, energy, grid, extrapolate,
                                                            expected_stacks))
         assert _outcome(lambda: run_fermi_sweep(base, energy, grid, extrapolate)) == expected
-        assert _same_bits(stacks, expected_stacks)
+        assert _regime_bits(stacks, expected_stacks)

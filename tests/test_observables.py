@@ -19,6 +19,27 @@ from mesorate import (
     steady_state,
     weights_for,
 )
+from mesorate.analytic import single_dot_current
+from mesorate.builders import index_double_dot_set
+
+# --- per-state reference: the weighted occupation sum as one fsum over the
+# state's Python floats, with the weight labels resolved to slots first ---
+
+def reference_occupation_sum(index, weights):
+    try:
+        terms = [(index.diagonal(label), w) for label, w in weights.items()]
+    except KeyError as exc:
+        raise ValueError(f"weight refers to a slot missing from the state: {exc}") from exc
+    return lambda sample: math.fsum([sample[slot] * w for slot, w in terms])
+
+
+def reference_current(x, weights):
+    return reference_occupation_sum(x.index, weights)(x.values.tolist())
+
+
+def reference_delta_detector_current(r, detector_current):
+    return single_dot_current(r.gamma_L, r.gamma_R) - detector_current
+
 
 ALL_ONES = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
 STEADY_ALL_ONES = StateVector(np.array([5, 7, 3, 1]) / 16, index_single_dot_set())
@@ -81,6 +102,79 @@ class TestCurrent:
     def test_slot_mismatch(self):
         with pytest.raises(ValueError, match="missing"):
             current(STEADY_ALL_ONES, {"c'": 1.0})
+
+
+def _outcome(fn, *args):
+    """The bits of fn's float result, or its exception type and message."""
+    try:
+        return int(np.float64(fn(*args)).view(np.int64))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# occupations that stress the per-row fsum: signed zeros, subnormals,
+# values whose products overflow, and NaN
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0 / 3.0, -0.1,
+           1e300, -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
+class TestCurrentMatchesReference:
+    """current and delta_detector_current are the one-row cases of currents
+    and detector_drops, bit for bit the per-state reference above."""
+
+    INDEX = index_double_dot_set()
+
+    def random_states(self, rng, n):
+        for _ in range(n):
+            values = rng.uniform(-1.0, 1.0, len(self.INDEX)) * 10.0 ** rng.integers(-320, 309)
+            special = rng.random(len(self.INDEX)) < 0.3
+            values[special] = rng.choice(SPECIAL, special.sum())
+            yield StateVector(values, self.INDEX)
+
+    def random_weights(self, rng):
+        labels = [label for label in self.INDEX.diagonal_labels if rng.random() < 0.6]
+        pool = (0.0, -0.0, 5e-324, 1.0, 0.7, 1e-300, 1e200, 1e308, 1.7976931348623157e308)
+        return {label: float(rng.choice(pool) if rng.random() < 0.5 else rng.exponential())
+                for label in labels}
+
+    def test_current_on_random_states(self):
+        rng = np.random.default_rng(7)
+        for x in self.random_states(rng, 2000):
+            w = self.random_weights(rng)
+            assert _outcome(current, x, w) == _outcome(reference_current, x, w), (x.values, w)
+
+    def test_overflowing_and_empty_weights(self):
+        # products that overflow to inf, a finite sum past the float range
+        # (fsum raises), inf - inf (fsum raises), signed zeros (fsum gives
+        # +0.0 where numpy's add would give -0.0) and no weights at all
+        # (slots a, a', b, b', c, c', then the coherences)
+        x = StateVector([1e300, -1e300, 1e308, -0.0, 1e308, 0.0, 0.25, -0.25, 1.0, 2.0],
+                        self.INDEX)
+        outcomes = []
+        for w in ({}, {"a": 1e308}, {"a": 1e308, "a'": 1e308}, {"a": 1e10, "c'": 1e10},
+                  {"b": 1.0, "c": 1.0}, {"b'": 1.0, "c'": -0.0}, {"c": 5e-324}):
+            outcomes.append(_outcome(current, x, w))
+            assert outcomes[-1] == _outcome(reference_current, x, w), w
+        assert outcomes[0] == outcomes[5] == 0     # the bits of +0.0
+        assert outcomes[2] == (ValueError, "-inf + inf in fsum")
+        assert outcomes[4] == (OverflowError, "intermediate overflow in fsum")
+
+    def test_missing_slot_message(self):
+        x = StateVector(np.zeros(len(self.INDEX)), self.INDEX)
+        for w in ({"d": 1.0}, {"a": 1.0, "z'": 0.0}):
+            assert _outcome(current, x, w) == _outcome(reference_current, x, w)
+        assert _outcome(current, x, {"d": 1.0}) == (
+            ValueError, "weight refers to a slot missing from the state: "
+                        "\"no diagonal slot for state 'd'\"")
+
+    def test_delta_detector_current_on_random_rates(self):
+        rng = np.random.default_rng(11)
+        widths = (0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300, 1.7976931348623157e308)
+        for _ in range(2000):
+            r = RateSet(gamma_L=float(rng.choice(widths)), gamma_R=float(rng.choice(widths)))
+            i_d = float(rng.choice(SPECIAL) if rng.random() < 0.5 else rng.normal())
+            assert (_outcome(delta_detector_current, r, i_d)
+                    == _outcome(reference_delta_detector_current, r, i_d)), (r, i_d)
 
 
 class TestDeltaDetectorCurrent:

@@ -21,8 +21,9 @@ from mesorate import (
     write_svg,
 )
 from mesorate.experiments import SweepRow
-from mesorate.output import (sweep_csv_text, svg_text, timeseries_csv_text,
-                             write_timeseries_csv)
+from mesorate.output import (_BLOCK, column_token, sweep_csv_text, svg_text,
+                             timeseries_csv_text, write_timeseries_csv)
+from test_observables import reference_occupation_sum
 
 ROW = SweepRow(param=1.0, I_S_numeric=0.5, I_S_analytic=0.5, I_D=math.nan,
                Delta_I_D=math.nan, max_violation=0.0)
@@ -85,9 +86,10 @@ class TestTimeseriesCsv:
         with pytest.raises(ValueError, match="missing"):
             timeseries_csv_text(traj, {"c": 1.0})
         path = tmp_path / "ts.csv"
-        with pytest.raises(ValueError, match="missing"):
-            write_timeseries_csv(traj, str(path), {"c": 1.0})
-        assert not path.exists()
+        for weights in (({"c": 1.0},), (weights_for("single_dot_set", r).system, {"c": 1.0})):
+            with pytest.raises(ValueError, match="missing"):
+                write_timeseries_csv(traj, str(path), *weights)
+            assert not path.exists()
 
 
 # A hand-built trajectory, independent of the integrator: signed zeros,
@@ -125,6 +127,50 @@ class TestTimeseriesBytes:
             path = tmp_path / "ts.csv"
             write_timeseries_csv(traj, str(path), *weights)
             assert path.read_bytes() == timeseries_csv_text(traj, *weights).encode()
+
+
+def reference_timeseries_text(traj, system_weights=None, detector_weights=None):
+    """The time-series CSV one row at a time, each current column the
+    per-state occupation sum of the row's Python floats."""
+    header = ["t"] + [column_token(e) for e in traj.index.entries]
+    sums = []
+    if system_weights is not None:
+        header.append("I_S")
+        sums.append(reference_occupation_sum(traj.index, system_weights))
+    if detector_weights:
+        header.append("I_D")
+        sums.append(reference_occupation_sum(traj.index, detector_weights))
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    lines = [",".join(header) + "\n"]
+    for t, sample in zip(traj.times.tolist(), traj.values.tolist()):
+        lines.append(row_format % (t, *sample, *[f(sample) for f in sums]))
+    return "".join(lines)
+
+
+class TestTimeseriesBlocks:
+    """The current columns are read a block of samples at a time; the bytes
+    are those of the per-row reference on either side of a block edge."""
+
+    def random_trajectory(self, n):
+        rng = np.random.default_rng(n)
+        g = build_scenario("double_dot_set", HAND_RATES)
+        values = rng.normal(size=(n, g.dim)) * 10.0 ** rng.integers(-300, 300, size=(n, g.dim))
+        values[rng.random(values.shape) < 0.05] = -0.0
+        values[rng.random(values.shape) < 0.01] = math.nan
+        values[:len(HAND_VALUES)] = HAND_VALUES
+        return Trajectory(np.cumsum(rng.exponential(size=n)), values, g.index)
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_bytes_at_block_edges(self, tmp_path, n):
+        traj = self.random_trajectory(n)
+        w = weights_for("double_dot_set", HAND_RATES)
+        for weights in ((), (w.system,), (w.system, w.detector)):
+            expected = reference_timeseries_text(traj, *weights)
+            assert expected.count("\n") == n + 1
+            assert timeseries_csv_text(traj, *weights) == expected
+            path = tmp_path / "ts.csv"
+            write_timeseries_csv(traj, str(path), *weights)
+            assert path.read_bytes() == expected.encode()
 
 
 class TestSvg:

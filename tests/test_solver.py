@@ -347,6 +347,13 @@ class TestEvolve:
         traj = evolve(small, basis_state(small.index, "a"), 1.0, dt=0.01)
         assert len(traj.times) == 101
 
+    def test_step_cap_refuses_an_infinite_step_count(self):
+        # t_final/dt overflows to inf: the cap refuses it before the count
+        # is rounded to an integer, which would raise an OverflowError
+        g = build_single_dot_set(ALL_ONES_SINGLE)
+        with pytest.raises(ValueError, match=r"asks for inf steps \(cap 1000000\)"):
+            evolve(g, basis_state(g.index, "a"), 1e308, 5e-324)
+
     def test_endpoint_lands_exactly_on_t_final(self):
         g = build_single_dot_set(ALL_ONES_SINGLE)
         traj = evolve(g, basis_state(g.index, "a"), 1.0, dt=0.3)
