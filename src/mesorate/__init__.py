@@ -14,7 +14,6 @@ from .model import (
     VariableIndex,
     basis_state,
     pack,
-    state_violation_magnitude,
     validate_state,
 )
 from .builders import (
@@ -47,7 +46,6 @@ from .solver import (
     steady_state,
     steady_states,
 )
-from .observables import CurrentWeights, current, delta_detector_current, weights_for
 from .analytic import (
     EtaFactor,
     amplification_ratio,

@@ -15,7 +15,7 @@ from math import fsum
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import RATE_FIELDS, EnergyConfig, Generator, RateSet, basis_state, pack
+from .model import RATE_FIELDS, EnergyConfig, Generator, RateSet, basis_state, fixed_columns, pack
 from .solver import evolve, steady_states
 from .experiments import REGIME_BLIND, run_fermi_sweep
 
@@ -122,7 +122,7 @@ def criterion_3() -> CriterionResult:
         r = RateSet(gamma_L=1.0, gamma_R=ratio, Gamma_L=1.0, Gamma_R=1.0)
         i_s, i_d = _currents(builders.SINGLE_DOT_SET, [r])[0]
         undistorted = analytic.single_dot_current(r.Gamma_L, r.Gamma_R)
-        delta = observables.delta_detector_current(r, i_d)
+        delta = observables.detector_drops(fixed_columns(r), [i_d])[0]
         current_errors.append(abs(i_s - undistorted) / i_s)
         ratio_errors.append(abs(delta / i_s - analytic.amplification_ratio(r)))
     ok = (_monotone_decreasing(current_errors) and _monotone_decreasing(ratio_errors)

@@ -19,6 +19,11 @@ Prager, PRB 53, 15932 (1996)) and is compiled once into generator cells:
    destinations at that rate.  Detector entry has no such counterpart, so
    entry open for both dots dephases without a coherent entry transfer.
 
+The same table is the one source of the collector weights: weight_columns
+(weights at one RateSet) maps the source state of each system collector,
+detector collector and detector backflow channel to its width, and
+observables.currents reads every current through those maps.
+
 Multi-term cells are math.fsum, the correctly rounded sum in any order.
 Sign-of-zero rule: a single-term cell holds its width as is and a loss
 cell is the negated sum, so an all-zero loss reads -0.0; the generalized
@@ -76,24 +81,23 @@ class BlockingConfig:
 
     blocked_when_dot1 / blocked_when_dot2: an electron in that dot lifts
     the detector level above the left detector Fermi level, so nothing can
-    enter the detector.  backflow_when_blocked: a detector electron that
-    is already inside while the configuration is blocked sits above that
-    Fermi level and may also leave back to the left reservoir at gamma_L.
+    enter the detector.  A detector electron that is already inside while
+    the configuration is blocked sits above that Fermi level, so it may
+    also leave back to the left reservoir at gamma_L (the backflow channel).
     """
 
     blocked_when_dot1: bool
     blocked_when_dot2: bool
-    backflow_when_blocked: bool = True
 
     @classmethod
     def blocked_on_second_dot(cls) -> "BlockingConfig":
         """Detector resolves the second dot only (entry open for dot 1)."""
-        return cls(False, True, True)
+        return cls(False, True)
 
     @classmethod
     def blocked_on_either_dot(cls) -> "BlockingConfig":
         """Detector entry shuts for either dot; it cannot tell them apart."""
-        return cls(True, True, True)
+        return cls(True, True)
 
     @classmethod
     def unrestricted(cls) -> "BlockingConfig":
@@ -102,7 +106,7 @@ class BlockingConfig:
         Extrapolated configuration: not validated against any closed-form
         result, kept out of the validation suite.
         """
-        return cls(False, False, True)
+        return cls(False, False)
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,10 @@ class ChannelTable:
     def weight_columns(self, columns: RateColumns) -> dict[str, dict]:
         """Source label -> width, for the system collector, the detector
         collector and the detector backflow channels; a width is a float or
-        a column, as its field is in the rate columns."""
+        a column, as its field is in the rate columns.  detector_return
+        (the backflow) is a diagnostic, the rate at which blocked detector
+        electrons leave back into the left reservoir, not part of any
+        validated current balance."""
         return {name: {label: columns[f] for label, f in fields.items()}
                 for name, fields in self._weight_fields.items()}
 
@@ -290,7 +297,7 @@ def scenario_table(scenario: str, blocking: BlockingConfig | None = None) -> Cha
             if not blocked[dot]:
                 channels.append(Channel(s, s + "'", width("gamma_L", dot), DETECTOR_ENTRY))
             channels.append(Channel(s + "'", s, width("gamma_R", dot), DETECTOR_COLLECTOR))
-            if blocked[dot] and blocking.backflow_when_blocked:
+            if blocked[dot]:
                 channels.append(Channel(s + "'", s, width("gamma_L", dot), DETECTOR_BACKFLOW))
         if coherences:
             # the detector electron shifts the dot levels by U1 and U2

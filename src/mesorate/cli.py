@@ -11,10 +11,12 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import acceptance, builders, observables, output
 from .config import ConfigError, RunConfig, load_config, parse_grid
 from .experiments import SweepSpec, run_fermi_sweep, run_sweep
-from .model import basis_state, validate_state
+from .model import basis_state, fixed_columns, validate_state
 from .solver import DegenerateSteadyState, NoConvergence, StepTooLarge, evolve, steady_state
 
 _USAGE_ERROR, _CONFIG_ERROR, _NUMERICAL_ERROR, _VALIDATION_ERROR = 1, 2, 3, 4
@@ -77,17 +79,12 @@ def _pick(flag_value, config_value, name: str, required: bool = True):
     return value
 
 
-def _generator_for(cfg: RunConfig):
-    blocking = cfg.blocking_config()
-    return builders.build_scenario(cfg.scenario, cfg.rates, blocking), blocking
-
-
 def _cmd_steady(args) -> int:
     cfg = load_config(args.config)
     tol = _default_tol(args)
-    g, blocking = _generator_for(cfg)
-    x = steady_state(g)
-    w = observables.weights_for(cfg.scenario, cfg.rates, blocking)
+    table = builders.scenario_table(cfg.scenario, cfg.blocking_config())
+    x = steady_state(table.generator(cfg.rates))
+    w = table.weights(cfg.rates)
 
     print(f"scenario: {cfg.scenario}")
     print("occupations:")
@@ -98,12 +95,14 @@ def _cmd_steady(args) -> int:
         # + 0.0 folds negative zeros into plain zeros for display
         print(f"  Re[{pair[0]},{pair[1]}] = {c.real + 0.0:.12g}   "
               f"Im[{pair[0]},{pair[1]}] = {c.imag + 0.0:.12g}")
-    i_s = observables.current(x, w.system)
+    row = x.values[np.newaxis]
+    i_s = observables.currents(x.index, w["system"], row)[0]
     print(f"I_S = {i_s:.12g}")
-    if w.detector:
-        i_d = observables.current(x, w.detector)
+    if w["detector"]:
+        i_d = observables.currents(x.index, w["detector"], row)[0]
         print(f"I_D = {i_d:.12g}")
-        print(f"Delta_I_D = {observables.delta_detector_current(cfg.rates, i_d):.12g}")
+        delta = observables.detector_drops(fixed_columns(cfg.rates), [i_d])[0]
+        print(f"Delta_I_D = {delta:.12g}")
     violations = validate_state(x, tol)
     for v in violations:
         print(f"warning: {v}", file=sys.stderr)
@@ -114,11 +113,12 @@ def _cmd_evolve(args) -> int:
     cfg = load_config(args.config)
     if cfg.run.t_final is None:
         raise ConfigError("evolve needs t_final in [run]")
-    g, blocking = _generator_for(cfg)
-    w = observables.weights_for(cfg.scenario, cfg.rates, blocking)
+    table = builders.scenario_table(cfg.scenario, cfg.blocking_config())
+    g = table.generator(cfg.rates)
+    w = table.weights(cfg.rates)
     x0 = basis_state(g.index, g.index.diagonal_labels[0])
     traj = evolve(g, x0, cfg.run.t_final, cfg.run.dt)
-    output.write_timeseries_csv(traj, args.out, w.system, w.detector or None)
+    output.write_timeseries_csv(traj, args.out, w["system"], w["detector"] or None)
     print(f"wrote {len(traj.times)} samples to {args.out}")
     return 0
 

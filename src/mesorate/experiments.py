@@ -7,8 +7,8 @@ column is validated once as an array.  The channel table evaluates the
 quantities as an (N, n_quantities) array, one steady_states call solves
 the stack of generators, and the currents, Delta_I_D and the violation
 magnitude are read from the (N, dim) array of solutions.  Each value has
-the bits the point gives alone through RateSet, quantities,
-steady_state, current and state_violation_magnitude: elementwise IEEE
+the bits the point gives alone through RateSet, quantities, steady_state
+and a one-row currents and violation_magnitudes: elementwise IEEE
 arithmetic where that is exactly the scalar operation, a per-row fsum or
 ** where numpy's add or square would differ in a last bit or in the sign
 of a zero.  The closed-form reference column stays scalar Python per

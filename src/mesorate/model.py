@@ -354,12 +354,6 @@ def validate_state(x: StateVector, tol: float = 1e-9) -> list[str]:
     return violations
 
 
-def state_violation_magnitude(x: StateVector) -> float:
-    """Largest raw invariant violation of a state, 0.0 when clean: the
-    one-row case of violation_magnitudes."""
-    return violation_magnitudes(x.index, x.values[np.newaxis]).tolist()[0]
-
-
 def violation_magnitudes(index: IndexMap, values: np.ndarray) -> np.ndarray:
     """Largest raw invariant violation of every row of values, shape
     (N, dim), 0.0 for a clean row: the largest of |trace - 1|, each

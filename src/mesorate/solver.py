@@ -6,11 +6,12 @@ system is solved by LU with partial pivoting, then polished with
 extended-precision iterative refinement.  That keeps the stiff detector
 limits (collector width four orders above the emitter width) out of the
 integrator entirely.  One engine, steady_states, solves a whole stack of
-generators (N, dim, dim): each LAPACK step (the SVD rank test, the LU
-solve, each refinement solve) is one call on the stack, every check runs
-per generator, and a generator that fails gets its own error without
-failing the others.  steady_state is its one-generator case, so a sweep
-and a single solve share every line and every bit.
+generators (N, dim, dim): the SVD rank test and the LU solve are one
+LAPACK call on the stack, each refinement solve one call per block of
+members, every check runs per generator, and a generator that fails gets
+its own error without failing the others.  steady_state is its
+one-generator case, so a sweep and a single solve share every line and
+every bit.
 
 Time evolution is fixed-step classical RK4 with a guarded default step.
 For a constant generator one RK4 step is exactly the matrix polynomial
@@ -34,6 +35,7 @@ from .model import Generator, IndexMap, StateVector, basis_state
 
 TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
 MAX_STEPS = 1_000_000          # most steps one evolve run may take
+_EXTENDED_BLOCK = 64           # members per extended-precision refinement block
 
 
 class DegenerateSteadyState(RuntimeError):
@@ -98,9 +100,9 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
     matrices has shape (N, dim, dim).  Returns the (N, dim) array of
     solutions and one entry per generator: None where it was solved, else
     the exception steady_state raises for that generator alone, whose row
-    of the array is then NaN.  Every check runs per generator; each LAPACK
-    step is one call on the whole stack: one SVD, then the LU solve and
-    its three refinement solves.
+    of the array is then NaN.  Every check runs per generator; one SVD and
+    the LU solve are one call on the whole stack, and the three refinement
+    solves one call each per block of _EXTENDED_BLOCK members.
     """
     G = np.asarray(matrices, dtype=float)
     n_points, n = len(G), len(index)
@@ -163,9 +165,15 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
 
     # Iterative refinement with the residual accumulated in extended
     # precision: recovers the tiny occupations (collector width >> emitter
-    # width leaves primed states at ~1e-12) to full relative accuracy.
-    for _ in range(3):
-        x = x + np.linalg.solve(A, _extended_residual(A, x, rhs))
+    # width leaves primed states at ~1e-12) to full relative accuracy.  It
+    # runs a block of members at a time, so the longdouble copy of the
+    # stack is made once per block and stays small next to the stack.
+    for lo in range(0, len(A), _EXTENDED_BLOCK):
+        block = slice(lo, lo + _EXTENDED_BLOCK)
+        A_ext, rhs_ext = A[block].astype(np.longdouble), rhs[block].astype(np.longdouble)
+        for _ in range(3):
+            residual = (rhs_ext - A_ext @ x[block].astype(np.longdouble)).astype(float)
+            x[block] = x[block] + np.linalg.solve(A[block], residual)
 
     A[:, 0, :] = row0               # the generators of the ok members again
     defects = np.abs(A @ x).max(axis=(1, 2))
@@ -179,22 +187,6 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
                 f"{1e-12 * norm:.3e}")
             values[k] = np.nan
     return values, errors
-
-
-# members per extended-precision block: the longdouble copy of the stack
-# is made a block at a time, so it stays small next to the stack itself
-_EXTENDED_BLOCK = 64
-
-
-def _extended_residual(A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rhs - A x evaluated in longdouble and rounded to float, member by
-    member exactly as on the whole stack."""
-    out = np.empty_like(x)
-    for lo in range(0, len(A), _EXTENDED_BLOCK):
-        block = slice(lo, lo + _EXTENDED_BLOCK)
-        out[block] = (rhs[block].astype(np.longdouble)
-                      - A[block].astype(np.longdouble) @ x[block].astype(np.longdouble))
-    return out
 
 
 def _each_member(fn, stack, *args, **kwargs) -> list:
@@ -251,13 +243,13 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     """
     if x0.index != g.index:
         raise ValueError("initial state uses a different slot layout than the generator")
-    if t_final <= 0.0:
+    if not t_final > 0.0:           # NaN compares False, so it is refused too
         raise ValueError("t_final must be positive")
     if dt is None:
         dt = default_step(g)
         if not math.isfinite(dt):
             dt = t_final
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
 
     steps = t_final / dt - 1e-9

@@ -11,13 +11,12 @@ from mesorate import (
     build_reduced_double_dot,
     build_scenario,
     build_single_dot_set,
-    current,
-    delta_detector_current,
     double_dot_current_bare,
+    scenario_table,
     steady_state,
-    weights_for,
 )
 from mesorate.acceptance import _hand_coded_double_dot_set
+from test_observables import one_current, one_drop
 
 # exactly representable rates so the transcribed matrices can be compared
 # entry for entry with hand-written literals
@@ -94,20 +93,20 @@ class TestDoubleDotBare:
         x = steady_state(g)
         assert x.occupation("b") == pytest.approx(1.0, abs=1e-14)
         r = RateSet(Gamma_L=1.0, Gamma_R=1.0, epsilon=0.4)
-        w = weights_for("double_dot_bare", r)
-        assert current(x, w.system) == pytest.approx(0.0, abs=1e-14)
+        w = scenario_table("double_dot_bare").weights(r)
+        assert one_current(x, w["system"]) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetric_point_current(self):
         r = RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
         x = steady_state(build_double_dot_bare(r))
-        w = weights_for("double_dot_bare", r)
-        assert current(x, w.system) == pytest.approx(1.0 / 3.25, rel=1e-12)
+        w = scenario_table("double_dot_bare").weights(r)
+        assert one_current(x, w["system"]) == pytest.approx(1.0 / 3.25, rel=1e-12)
 
     def test_matches_closed_form_on_random_sets(self):
         for r in random_rate_sets(40, seed=3):
             x = steady_state(build_double_dot_bare(r))
-            w = weights_for("double_dot_bare", r)
-            assert current(x, w.system) == pytest.approx(
+            w = scenario_table("double_dot_bare").weights(r)
+            assert one_current(x, w["system"]) == pytest.approx(
                 double_dot_current_bare(r), rel=1e-10)
 
 
@@ -152,13 +151,13 @@ class TestDoubleDotSet:
         # correction, so the error must fall monotonically with gamma_R
         base = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1.0,
                        Omega=1.0, U1=1.0, U2=2.0)
-        w = weights_for("double_dot_set", base)
+        w = scenario_table("double_dot_set").weights(base)
         errors = []
         for ratio in (1e2, 1e3, 1e4):
             r = base.replacing("gamma_R", ratio)
-            full = current(steady_state(build_double_dot_set(r)), w.system)
-            reduced = current(steady_state(build_reduced_double_dot(r)),
-                              weights_for("reduced_double_dot", r).system)
+            full = one_current(steady_state(build_double_dot_set(r)), w["system"])
+            reduced = one_current(steady_state(build_reduced_double_dot(r)),
+                                  scenario_table("reduced_double_dot").weights(r)["system"])
             errors.append(abs(full - reduced) / reduced)
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-2
@@ -171,8 +170,8 @@ class TestDoubleDotSet:
         for eps in (0.0, 0.3, -0.5):
             r = RateSet(gamma_L=0.7, gamma_R=5.0, Gamma_L=1.0, Gamma_R=1.0,
                         Omega=1.0, epsilon=eps, U1=2.0, U2=2.0)
-            i_s = current(steady_state(build_double_dot_set(r)),
-                          weights_for("double_dot_set", r).system)
+            i_s = one_current(steady_state(build_double_dot_set(r)),
+                              scenario_table("double_dot_set").weights(r)["system"])
             assert i_s < double_dot_current_bare(r)
 
 
@@ -196,8 +195,8 @@ class TestReducedDoubleDot:
     def test_symmetric_point_current(self):
         r = RateSet(gamma_L=1.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
         x = steady_state(build_reduced_double_dot(r))
-        w = weights_for("reduced_double_dot", r)
-        assert current(x, w.system) == pytest.approx(1.0 / 3.5, rel=1e-12)
+        w = scenario_table("reduced_double_dot").weights(r)
+        assert one_current(x, w["system"]) == pytest.approx(1.0 / 3.5, rel=1e-12)
 
 
 class TestGeneralizedBuilder:
@@ -213,11 +212,11 @@ class TestGeneralizedBuilder:
                     U1=1.0, U2=2.0)
         cfg = BlockingConfig.blocked_on_either_dot()
         x = steady_state(build_generalized_double_dot_set(r, cfg))
-        w = weights_for("generalized_double_dot_set", r, cfg)
-        i_s = current(x, w.system)
+        w = scenario_table("generalized_double_dot_set", cfg).weights(r)
+        i_s = one_current(x, w["system"])
         assert i_s == pytest.approx(0.3076923, rel=1e-2)
-        i_d = current(x, w.detector)
-        assert abs(delta_detector_current(r, i_d)) > 1e-3
+        i_d = one_current(x, w["detector"])
+        assert abs(one_drop(r, i_d)) > 1e-3
 
     def test_blind_coherence_decay_has_no_entry_term(self):
         r = RateSet(gamma_L=0.7, gamma_R=2.0, Gamma_L=1.0, Gamma_R=3.0, Omega=1.0)
@@ -234,11 +233,11 @@ class TestGeneralizedBuilder:
         for gamma_l in (0.0, 0.3, 1.0, 4.0):
             r = RateSet(gamma_L=gamma_l, gamma_R=1e4 * max(gamma_l, 1.0),
                         Gamma_L=1.0, Gamma_R=1.0, Omega=1.0, U1=1.0, U2=2.0)
-            w = weights_for("generalized_double_dot_set", r)
-            i_blind = current(steady_state(build_generalized_double_dot_set(r, blind)),
-                              w.system)
-            i_resolving = current(
-                steady_state(build_generalized_double_dot_set(r, resolving)), w.system)
+            w = scenario_table("generalized_double_dot_set", resolving).weights(r)
+            i_blind = one_current(steady_state(build_generalized_double_dot_set(r, blind)),
+                                  w["system"])
+            i_resolving = one_current(
+                steady_state(build_generalized_double_dot_set(r, resolving)), w["system"])
             if gamma_l == 0.0:
                 assert i_blind == pytest.approx(i_resolving, rel=1e-12)
             else:

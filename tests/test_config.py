@@ -129,7 +129,7 @@ class TestParseConfig:
         # required_rates derives the generalized scenario's keys from one blocking
         read = {frozenset(ch.rate for ch in scenario_table(
                     "generalized_double_dot_set", BlockingConfig(*flags)).channels)
-                for flags in itertools.product((False, True), repeat=3)}
+                for flags in itertools.product((False, True), repeat=2)}
         assert read == {frozenset(("Gamma_L", "Gamma_R", "gamma_L", "gamma_R"))}
 
     def test_unknown_scenario_named_with_line(self):

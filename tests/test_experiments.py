@@ -404,10 +404,10 @@ def _reference_rows(scenario, points, stacks, failure=None):
         if err is not None:
             raise err
         x = StateVector(v, index)
-        w = observables.weights_for(scenario, r, blocking)
-        i_s = reference_current(x, w.system)
-        if w.detector:
-            i_d = reference_current(x, w.detector)
+        w = builders.scenario_table(scenario, blocking).weights(r)
+        i_s = reference_current(x, w["system"])
+        if w["detector"]:
+            i_d = reference_current(x, w["detector"])
             delta = reference_delta_detector_current(r, i_d)
         else:
             i_d = delta = math.nan

@@ -15,7 +15,6 @@ from mesorate import (
     index_double_dot_set,
     index_single_dot_set,
     pack,
-    state_violation_magnitude,
     validate_state,
 )
 from mesorate.model import RATE_FIELDS, row_rates, sweep_columns, violation_magnitudes
@@ -147,7 +146,8 @@ class TestViolationMagnitudes:
 
     def test_one_state_is_the_one_row_case(self):
         x = pack(index_double_dot(), {"b": 0.5, "c": 0.5}, {("b", "c"): 0.75j})
-        assert state_violation_magnitude(x) == reference_violation_magnitude(x) == 0.3125
+        assert violation_magnitudes(x.index, x.values[np.newaxis]).tolist() == [
+            reference_violation_magnitude(x)] == [0.3125]
 
 
 class TestEnergyConfig:
@@ -239,11 +239,12 @@ class TestValidateState:
 
     def test_magnitude_zero_for_clean_state(self):
         x = pack(index_double_dot(), {"b": 0.5, "c": 0.5}, {("b", "c"): 0.5j})
-        assert state_violation_magnitude(x) == 0.0
+        assert violation_magnitudes(x.index, x.values[np.newaxis]).tolist() == [0.0]
 
     def test_magnitude_tracks_worst_violation(self):
         x = StateVector(np.array([0.5, 0.6, -0.1, 0.0, 0.0]), index_double_dot())
-        assert state_violation_magnitude(x) == pytest.approx(0.1)
+        assert violation_magnitudes(x.index, x.values[np.newaxis]).tolist() == [
+            pytest.approx(0.1)]
 
 
 class TestImmutability:

@@ -7,20 +7,19 @@ import pytest
 
 from mesorate import (
     BlockingConfig,
-    CurrentWeights,
     RateSet,
     StateVector,
     build_double_dot_set,
     build_scenario,
     build_single_dot_set,
-    current,
-    delta_detector_current,
     index_single_dot_set,
+    scenario_table,
     steady_state,
-    weights_for,
 )
 from mesorate.analytic import single_dot_current
 from mesorate.builders import index_double_dot_set
+from mesorate.model import fixed_columns
+from mesorate.observables import currents, detector_drops
 
 # --- per-state reference: the weighted occupation sum as one fsum over the
 # state's Python floats, with the weight labels resolved to slots first ---
@@ -41,67 +40,72 @@ def reference_delta_detector_current(r, detector_current):
     return single_dot_current(r.gamma_L, r.gamma_R) - detector_current
 
 
+# --- the package's columnar readers on one state and one RateSet ---
+
+def one_current(x, weights):
+    return currents(x.index, weights, x.values[np.newaxis])[0]
+
+
+def one_drop(r, detector_current):
+    return detector_drops(fixed_columns(r), [detector_current])[0]
+
+
 ALL_ONES = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
 STEADY_ALL_ONES = StateVector(np.array([5, 7, 3, 1]) / 16, index_single_dot_set())
 
 
-class TestWeightsFor:
+class TestTableWeights:
     def test_single_dot_detector_weights(self):
-        w = weights_for("single_dot_set", ALL_ONES)
-        assert w.detector == {"a'": 1.0, "b'": 1.0}
-        assert w.system == {"b": 1.0, "b'": 1.0}
+        w = scenario_table("single_dot_set").weights(ALL_ONES)
+        assert w["detector"] == {"a'": 1.0, "b'": 1.0}
+        assert w["system"] == {"b": 1.0, "b'": 1.0}
 
     def test_single_dot_primed_widths_used(self):
         r = RateSet(gamma_L=1, gamma_R=2, gamma_R_p=0.5, Gamma_L=1, Gamma_R=3,
                     Gamma_R_p=4)
-        w = weights_for("single_dot_set", r)
-        assert w.detector == {"a'": 2.0, "b'": 0.5}
-        assert w.system == {"b": 3.0, "b'": 4.0}
+        w = scenario_table("single_dot_set").weights(r)
+        assert w["detector"] == {"a'": 2.0, "b'": 0.5}
+        assert w["system"] == {"b": 3.0, "b'": 4.0}
 
     def test_bare_double_dot_single_collector_state(self):
         r = RateSet(Gamma_L=1, Gamma_R=2.5, Omega=1)
-        w = weights_for("double_dot_bare", r)
-        assert w.system == {"c": 2.5}
-        assert w.detector == {}
+        w = scenario_table("double_dot_bare").weights(r)
+        assert w["system"] == {"c": 2.5}
+        assert w["detector"] == {}
 
     def test_monitored_double_dot_weights(self):
         r = RateSet(gamma_L=1, gamma_R=7, Gamma_L=1, Gamma_R=2, Omega=1)
-        w = weights_for("double_dot_set", r)
-        assert w.detector == {"a'": 7.0, "b'": 7.0, "c'": 7.0}
-        assert w.system == {"c": 2.0, "c'": 2.0}
-        assert w.detector_return == {"c'": 1.0}
+        w = scenario_table("double_dot_set").weights(r)
+        assert w["detector"] == {"a'": 7.0, "b'": 7.0, "c'": 7.0}
+        assert w["system"] == {"c": 2.0, "c'": 2.0}
+        assert w["detector_return"] == {"c'": 1.0}
 
     def test_generalized_backflow_diagnostic_follows_blocking(self):
-        from mesorate import BlockingConfig
         r = RateSet(gamma_L=0.5, gamma_R=7, Gamma_L=1, Gamma_R=2, Omega=1)
-        w = weights_for("generalized_double_dot_set", r,
-                        BlockingConfig.blocked_on_either_dot())
-        assert w.detector_return == {"b'": 0.5, "c'": 0.5}
+        w = scenario_table("generalized_double_dot_set",
+                           BlockingConfig.blocked_on_either_dot()).weights(r)
+        assert w["detector_return"] == {"b'": 0.5, "c'": 0.5}
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            weights_for("triple_dot", ALL_ONES)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            CurrentWeights(detector={"a'": -1.0}, system={})
+            scenario_table("triple_dot").weights(ALL_ONES)
 
 
 class TestCurrent:
     def test_system_current_of_all_ones_steady(self):
-        w = weights_for("single_dot_set", ALL_ONES)
-        assert current(STEADY_ALL_ONES, w.system) == 0.5
+        w = scenario_table("single_dot_set").weights(ALL_ONES)
+        assert one_current(STEADY_ALL_ONES, w["system"]) == 0.5
 
     def test_detector_current_of_all_ones_steady(self):
-        w = weights_for("single_dot_set", ALL_ONES)
-        assert current(STEADY_ALL_ONES, w.detector) == 0.25
+        w = scenario_table("single_dot_set").weights(ALL_ONES)
+        assert one_current(STEADY_ALL_ONES, w["detector"]) == 0.25
 
     def test_zero_weights_give_zero(self):
-        assert current(STEADY_ALL_ONES, {}) == 0.0
+        assert one_current(STEADY_ALL_ONES, {}) == 0.0
 
     def test_slot_mismatch(self):
         with pytest.raises(ValueError, match="missing"):
-            current(STEADY_ALL_ONES, {"c'": 1.0})
+            one_current(STEADY_ALL_ONES, {"c'": 1.0})
 
 
 def _outcome(fn, *args):
@@ -119,8 +123,8 @@ SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0 / 3.
 
 
 class TestCurrentMatchesReference:
-    """current and delta_detector_current are the one-row cases of currents
-    and detector_drops, bit for bit the per-state reference above."""
+    """currents and detector_drops, bit for bit the per-state reference
+    above, on one row and on a stack of rows."""
 
     INDEX = index_double_dot_set()
 
@@ -141,7 +145,19 @@ class TestCurrentMatchesReference:
         rng = np.random.default_rng(7)
         for x in self.random_states(rng, 2000):
             w = self.random_weights(rng)
-            assert _outcome(current, x, w) == _outcome(reference_current, x, w), (x.values, w)
+            assert _outcome(one_current, x, w) == _outcome(reference_current, x, w), (x.values, w)
+
+    def test_stack_rows_match_reference(self):
+        # the rows whose reference sum is a float, read as one (N, dim) stack
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            w = self.random_weights(rng)
+            states = [x for x in self.random_states(rng, 40)
+                      if isinstance(_outcome(reference_current, x, w), int)]
+            values = np.array([x.values for x in states]).reshape(-1, len(self.INDEX))
+            got = currents(self.INDEX, w, values)
+            assert [_outcome(float, v) for v in got] == [
+                _outcome(reference_current, x, w) for x in states], w
 
     def test_overflowing_and_empty_weights(self):
         # products that overflow to inf, a finite sum past the float range
@@ -153,7 +169,7 @@ class TestCurrentMatchesReference:
         outcomes = []
         for w in ({}, {"a": 1e308}, {"a": 1e308, "a'": 1e308}, {"a": 1e10, "c'": 1e10},
                   {"b": 1.0, "c": 1.0}, {"b'": 1.0, "c'": -0.0}, {"c": 5e-324}):
-            outcomes.append(_outcome(current, x, w))
+            outcomes.append(_outcome(one_current, x, w))
             assert outcomes[-1] == _outcome(reference_current, x, w), w
         assert outcomes[0] == outcomes[5] == 0     # the bits of +0.0
         assert outcomes[2] == (ValueError, "-inf + inf in fsum")
@@ -162,8 +178,8 @@ class TestCurrentMatchesReference:
     def test_missing_slot_message(self):
         x = StateVector(np.zeros(len(self.INDEX)), self.INDEX)
         for w in ({"d": 1.0}, {"a": 1.0, "z'": 0.0}):
-            assert _outcome(current, x, w) == _outcome(reference_current, x, w)
-        assert _outcome(current, x, {"d": 1.0}) == (
+            assert _outcome(one_current, x, w) == _outcome(reference_current, x, w)
+        assert _outcome(one_current, x, {"d": 1.0}) == (
             ValueError, "weight refers to a slot missing from the state: "
                         "\"no diagonal slot for state 'd'\"")
 
@@ -173,43 +189,42 @@ class TestCurrentMatchesReference:
         for _ in range(2000):
             r = RateSet(gamma_L=float(rng.choice(widths)), gamma_R=float(rng.choice(widths)))
             i_d = float(rng.choice(SPECIAL) if rng.random() < 0.5 else rng.normal())
-            assert (_outcome(delta_detector_current, r, i_d)
+            assert (_outcome(one_drop, r, i_d)
                     == _outcome(reference_delta_detector_current, r, i_d)), (r, i_d)
 
 
 class TestDeltaDetectorCurrent:
     def test_all_ones_value(self):
-        assert delta_detector_current(ALL_ONES, 0.25) == 0.25
+        assert one_drop(ALL_ONES, 0.25) == 0.25
 
     def test_undisturbed_detector(self):
-        assert delta_detector_current(ALL_ONES, 0.5) == 0.0
+        assert one_drop(ALL_ONES, 0.5) == 0.0
 
     def test_undefined_without_detector_widths(self):
         with pytest.raises(ValueError):
-            delta_detector_current(RateSet(Gamma_L=1, Gamma_R=1), 0.1)
+            one_drop(RateSet(Gamma_L=1, Gamma_R=1), 0.1)
 
     def test_amplification_ratio_in_fast_detector_limit(self):
         r = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                     U1=1.0, U2=2.0)
         x = steady_state(build_double_dot_set(r))
-        w = weights_for("double_dot_set", r)
-        i_s = current(x, w.system)
-        i_d = current(x, w.detector)
-        ratio = delta_detector_current(r, i_d) / i_s
+        w = scenario_table("double_dot_set").weights(r)
+        i_s = one_current(x, w["system"])
+        i_d = one_current(x, w["detector"])
+        ratio = one_drop(r, i_d) / i_s
         assert ratio == pytest.approx(r.gamma_L / r.Gamma_R, rel=1e-2)
 
 
 FLUX_CONFIGS = [("single_dot_set", None), ("double_dot_bare", None),
                 ("reduced_double_dot", None), ("double_dot_set", None)] + [
     ("generalized_double_dot_set", BlockingConfig(*flags))
-    for flags in itertools.product((False, True), repeat=3)]
+    for flags in itertools.product((False, True), repeat=2)]
 
 
 def flux_id(scenario, blocking):
     if blocking is None:
         return scenario
-    flags = (blocking.blocked_when_dot1, blocking.blocked_when_dot2,
-             blocking.backflow_when_blocked)
+    flags = (blocking.blocked_when_dot1, blocking.blocked_when_dot2)
     return f"{scenario}:{''.join(str(int(f)) for f in flags)}"
 
 
@@ -229,7 +244,7 @@ class TestFluxBalance:
                         Omega=0.7, epsilon=0.3, U1=1.0, U2=2.0)
         x = steady_state(build_scenario(scenario, r, blocking))
         p = {label: x.occupation(label) for label in x.index.diagonal_labels}
-        w = weights_for(scenario, r, blocking)
+        w = scenario_table(scenario, blocking).weights(r)
         if scenario == "single_dot_set":
             system_entry = r.Gamma_L * p["a"] + r.Gamma_L_p * p["a'"]
             detector_entry = r.gamma_L * p["a"] - r.gamma_L_p * p["b'"]
@@ -241,10 +256,9 @@ class TestFluxBalance:
             blocked = {"a": False, "b": cfg.blocked_when_dot1, "c": cfg.blocked_when_dot2}
             system_entry = r.Gamma_L * (p["a"] + p["a'"])
             detector_entry = r.gamma_L * math.fsum(
-                p[s] if not blocked[s] else -p[s + "'"] * cfg.backflow_when_blocked
-                for s in "abc")
-        assert abs(system_entry - current(x, w.system)) < 1e-10
-        assert abs(detector_entry - current(x, w.detector)) < 1e-10
+                p[s] if not blocked[s] else -p[s + "'"] for s in "abc")
+        assert abs(system_entry - one_current(x, w["system"])) < 1e-10
+        assert abs(detector_entry - one_current(x, w["detector"])) < 1e-10
 
 
 class TestScaleInvariance:
@@ -257,14 +271,14 @@ class TestScaleInvariance:
                              "Gamma_L", "Gamma_R", "Gamma_L_p", "Gamma_R_p")})
         x1 = steady_state(build_single_dot_set(r))
         x2 = steady_state(build_single_dot_set(scaled))
-        w1 = weights_for("single_dot_set", r)
-        w2 = weights_for("single_dot_set", scaled)
-        i_s1, i_s2 = current(x1, w1.system), current(x2, w2.system)
-        i_d1, i_d2 = current(x1, w1.detector), current(x2, w2.detector)
+        w1 = scenario_table("single_dot_set").weights(r)
+        w2 = scenario_table("single_dot_set").weights(scaled)
+        i_s1, i_s2 = one_current(x1, w1["system"]), one_current(x2, w2["system"])
+        i_d1, i_d2 = one_current(x1, w1["detector"]), one_current(x2, w2["detector"])
         assert i_s2 == pytest.approx(kappa * i_s1, rel=1e-13)
         assert i_d2 == pytest.approx(kappa * i_d1, rel=1e-13)
-        ratio1 = delta_detector_current(r, i_d1) / i_s1
-        ratio2 = delta_detector_current(scaled, i_d2) / i_s2
+        ratio1 = one_drop(r, i_d1) / i_s1
+        ratio2 = one_drop(scaled, i_d2) / i_s2
         assert ratio2 == pytest.approx(ratio1, rel=1e-12)
 
     def test_occupations_invariant_under_scaling(self):
@@ -277,9 +291,9 @@ class TestScaleInvariance:
 
 class TestTimeResolvedCurrent:
     def test_transient_current_starts_at_zero_and_reaches_dc(self):
-        from mesorate import StateVector, basis_state, evolve
+        from mesorate import basis_state, evolve
         g = build_single_dot_set(ALL_ONES)
-        w = weights_for("single_dot_set", ALL_ONES)
+        w = scenario_table("single_dot_set").weights(ALL_ONES)
         traj = evolve(g, basis_state(g.index, "a"), 30.0)
-        assert current(StateVector(traj.values[0], traj.index), w.system) == 0.0
-        assert current(traj.final, w.system) == pytest.approx(0.5, abs=1e-8)
+        assert currents(traj.index, w["system"], traj.values[[0, -1]]) == [
+            0.0, pytest.approx(0.5, abs=1e-8)]

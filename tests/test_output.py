@@ -16,7 +16,7 @@ from mesorate import (
     evolve,
     run_fermi_sweep,
     run_sweep,
-    weights_for,
+    scenario_table,
     write_csv,
     write_svg,
 )
@@ -74,8 +74,8 @@ class TestTimeseriesCsv:
         r = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
         g = build_single_dot_set(r)
         traj = evolve(g, basis_state(g.index, "a"), 1.0, dt=0.5)
-        w = weights_for("single_dot_set", r)
-        text = timeseries_csv_text(traj, w.system, w.detector)
+        w = scenario_table("single_dot_set").weights(r)
+        text = timeseries_csv_text(traj, w["system"], w["detector"])
         assert text.split("\n")[0] == "t,a,b,ap,bp,I_S,I_D"
         assert len(text.strip().split("\n")) == 1 + len(traj.times)
 
@@ -86,7 +86,8 @@ class TestTimeseriesCsv:
         with pytest.raises(ValueError, match="missing"):
             timeseries_csv_text(traj, {"c": 1.0})
         path = tmp_path / "ts.csv"
-        for weights in (({"c": 1.0},), (weights_for("single_dot_set", r).system, {"c": 1.0})):
+        system = scenario_table("single_dot_set").weights(r)["system"]
+        for weights in (({"c": 1.0},), (system, {"c": 1.0})):
             with pytest.raises(ValueError, match="missing"):
                 write_timeseries_csv(traj, str(path), *weights)
             assert not path.exists()
@@ -116,14 +117,14 @@ class TestTimeseriesBytes:
         return Trajectory(np.array(HAND_TIMES), np.array(HAND_VALUES), g.index)
 
     def test_hand_built_trajectory_bytes(self):
-        w = weights_for("double_dot_set", HAND_RATES)
-        text = timeseries_csv_text(self.hand_trajectory(), w.system, w.detector)
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        text = timeseries_csv_text(self.hand_trajectory(), w["system"], w["detector"])
         assert hashlib.sha256(text.encode()).hexdigest() == HAND_SHA256
 
     def test_file_bytes_equal_text(self, tmp_path):
         traj = self.hand_trajectory()
-        w = weights_for("double_dot_set", HAND_RATES)
-        for weights in ((), (w.system,), (w.system, w.detector)):
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        for weights in ((), (w["system"],), (w["system"], w["detector"])):
             path = tmp_path / "ts.csv"
             write_timeseries_csv(traj, str(path), *weights)
             assert path.read_bytes() == timeseries_csv_text(traj, *weights).encode()
@@ -163,8 +164,8 @@ class TestTimeseriesBlocks:
     @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
     def test_bytes_at_block_edges(self, tmp_path, n):
         traj = self.random_trajectory(n)
-        w = weights_for("double_dot_set", HAND_RATES)
-        for weights in ((), (w.system,), (w.system, w.detector)):
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        for weights in ((), (w["system"],), (w["system"], w["detector"])):
             expected = reference_timeseries_text(traj, *weights)
             assert expected.count("\n") == n + 1
             assert timeseries_csv_text(traj, *weights) == expected

@@ -215,6 +215,14 @@ class TestStackedEngine:
         if group == "golden_and_random":
             assert len(gens) - failed >= 20     # solved points share the stack
 
+    def test_stack_across_refinement_blocks(self):
+        # refinement runs solver._EXTENDED_BLOCK members at a time; a stack
+        # past two block edges is solved as if each member were alone
+        n = 2 * solver._EXTENDED_BLOCK + 1
+        gens = [build_double_dot_set(README_SLOW.replacing("gamma_R", v))
+                for v in np.geomspace(1.0, 1e6, n).tolist()]
+        assert assert_stack_matches_reference(gens) == 0
+
     def test_failing_members_fail_alone(self):
         # a singular constrained system (null vector with zero trace), no
         # stationary direction, a residual beyond the bound and the zero
@@ -330,6 +338,16 @@ class TestEvolve:
             evolve(g, x0, -1.0)
         with pytest.raises(ValueError):
             evolve(g, x0, 1.0, dt=0.0)
+
+    def test_nan_t_final_is_not_positive(self):
+        g = build_single_dot_set(ALL_ONES_SINGLE)
+        with pytest.raises(ValueError, match="^t_final must be positive$"):
+            evolve(g, basis_state(g.index, "a"), math.nan)
+
+    def test_nan_dt_is_not_positive(self):
+        g = build_single_dot_set(ALL_ONES_SINGLE)
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            evolve(g, basis_state(g.index, "a"), 1.0, dt=math.nan)
 
     def test_step_cap_fails_fast_on_stiff_runs(self, monkeypatch):
         # widely spread rates push the guard step into millions of steps;
