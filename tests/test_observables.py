@@ -17,8 +17,8 @@ from mesorate import (
     steady_state,
 )
 from mesorate.analytic import single_dot_current
-from mesorate.builders import index_double_dot_set
-from mesorate.model import fixed_columns
+from mesorate.builders import DETECTOR_ENTRY, index_double_dot_set
+from mesorate.model import fixed_columns, invalid_rows, sweep_columns
 from mesorate.observables import currents, detector_drops
 
 # --- per-state reference: the weighted occupation sum as one fsum over the
@@ -54,7 +54,7 @@ ALL_ONES = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
 STEADY_ALL_ONES = StateVector(np.array([5, 7, 3, 1]) / 16, index_single_dot_set())
 
 
-class TestTableWeights:
+class TestWeightsFor:
     def test_single_dot_detector_weights(self):
         w = scenario_table("single_dot_set").weights(ALL_ONES)
         assert w["detector"] == {"a'": 1.0, "b'": 1.0}
@@ -89,6 +89,14 @@ class TestTableWeights:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             scenario_table("triple_dot").weights(ALL_ONES)
+
+    def test_negative_weight_rejected(self):
+        # every weight is a width of a validated RateSet or rate column, so
+        # a negative width is refused before it can become a weight
+        with pytest.raises(ValueError, match=">= 0"):
+            scenario_table("single_dot_set").weights(RateSet(gamma_L=1, gamma_R=-1.0))
+        columns = sweep_columns(ALL_ONES, "gamma_R", np.array([1.0, -1.0]))
+        assert invalid_rows(columns, 2).tolist() == [False, True]
 
 
 class TestCurrent:
@@ -259,6 +267,66 @@ class TestFluxBalance:
                 p[s] if not blocked[s] else -p[s + "'"] for s in "abc")
         assert abs(system_entry - one_current(x, w["system"])) < 1e-10
         assert abs(detector_entry - one_current(x, w["detector"])) < 1e-10
+
+
+SWEEP_BASE = RateSet(gamma_L=0.8, gamma_R=2.0, Gamma_L=1.1, Gamma_R=0.9,
+                     Omega=0.7, epsilon=0.3, U1=1.0, U2=2.0)
+SWEEP_GRID = np.array([0.0, 0.5, 3.0, 1e4])
+
+
+def row_weights(weight_columns, k):
+    """Row k of weight_columns, every width a float."""
+    return {name: {label: float(w[k]) if isinstance(w, np.ndarray) else w
+                   for label, w in widths.items()}
+            for name, widths in weight_columns.items()}
+
+
+class TestWeightColumns:
+    @pytest.mark.parametrize("scenario,blocking", FLUX_CONFIGS,
+                             ids=[flux_id(*c) for c in FLUX_CONFIGS])
+    def test_rows_are_the_weights_at_each_rate_set(self, scenario, blocking):
+        # a swept detector width and a swept system width: row k of the
+        # columns is the weights at the k-th rate set of the sweep
+        table = scenario_table(scenario, blocking)
+        for name in ("gamma_R", "Gamma_R"):
+            columns = table.weight_columns(sweep_columns(SWEEP_BASE, name, SWEEP_GRID))
+            for k, v in enumerate(SWEEP_GRID.tolist()):
+                assert row_weights(columns, k) == table.weights(
+                    SWEEP_BASE.replacing(name, v)), (name, v)
+
+    @pytest.mark.parametrize("scenario,blocking", FLUX_CONFIGS,
+                             ids=[flux_id(*c) for c in FLUX_CONFIGS])
+    def test_stack_currents_match_each_point(self, scenario, blocking):
+        # the stationary states of a gamma_L sweep read as one stack with
+        # the weight columns: each row has the bits of the per-point
+        # reference at that point's own weights
+        table = scenario_table(scenario, blocking)
+        grid = np.array([0.1, 0.8, 5.0])
+        points = [SWEEP_BASE.replacing("gamma_L", v) for v in grid.tolist()]
+        states = [steady_state(table.generator(r)) for r in points]
+        values = np.array([x.values for x in states])
+        columns = table.weight_columns(sweep_columns(SWEEP_BASE, "gamma_L", grid))
+        for name in ("system", "detector", "detector_return"):
+            got = currents(table.index, columns[name], values)
+            want = [reference_current(x, table.weights(r)[name])
+                    for x, r in zip(states, points)]
+            assert [_outcome(float, v) for v in got] == [
+                _outcome(float, v) for v in want], name
+
+    @pytest.mark.parametrize("scenario,blocking", FLUX_CONFIGS[4:],
+                             ids=[flux_id(*c) for c in FLUX_CONFIGS[4:]])
+    def test_backflow_channel_iff_blocked(self, scenario, blocking):
+        # a blocked configuration has no entry channel and always its
+        # backflow channel; an open one has its entry and no backflow
+        r = RateSet(gamma_L=0.5, gamma_R=7, Gamma_L=1, Gamma_R=2, Omega=1)
+        table = scenario_table(scenario, blocking)
+        blocked = {"a": False, "b": blocking.blocked_when_dot1,
+                   "c": blocking.blocked_when_dot2}
+        assert table.weights(r)["detector_return"] == {
+            s + "'": 0.5 for s in "abc" if blocked[s]}
+        assert {ch.source for ch in table.channels if ch.kind == DETECTOR_ENTRY} == {
+            s for s in "abc" if not blocked[s]}
+        assert table.weights(r)["detector"] == {"a'": 7.0, "b'": 7.0, "c'": 7.0}
 
 
 class TestScaleInvariance:
