@@ -15,7 +15,7 @@ from math import fsum
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import RATE_FIELDS, EnergyConfig, Generator, RateSet, basis_state, fixed_columns, pack
+from .model import RATE_FIELDS, EnergyConfig, Generator, RateSet, basis_state, pack
 from .solver import evolve, steady_states
 from .experiments import REGIME_BLIND, run_fermi_sweep
 
@@ -45,9 +45,9 @@ def _solve_all(scenario: str, rates: list[RateSet]):
     Returns the table, the generators, the states and the columns."""
     table = builders.scenario_table(scenario)
     columns = {name: np.array([getattr(r, name) for r in rates]) for name in RATE_FIELDS}
-    quantities, refused = table.quantity_columns(columns, len(rates))
-    if refused.any():
-        table.quantities(rates[int(refused.argmax())])      # raises that point's error
+    quantities, _, error = table.quantity_columns(columns, len(rates))
+    if error is not None:
+        raise error
     matrices = table.stack(quantities)
     values, errors = steady_states(matrices, table.index)
     for err in errors:
@@ -56,13 +56,11 @@ def _solve_all(scenario: str, rates: list[RateSet]):
     return table, matrices, values, columns
 
 
-def _currents(scenario: str, rates: list[RateSet]) -> list[tuple[float, float]]:
-    """(system, detector) current of one scenario at each rate set, read
-    from the solved rows by the sweeps' columnar currents."""
+def _currents(scenario: str, rates: list[RateSet]) -> dict[str, list[float]]:
+    """The stationary outputs of one scenario at each rate set, read from
+    the solved rows by the sweeps' reader, observables.stationary_outputs."""
     table, _, values, columns = _solve_all(scenario, rates)
-    weights = table.weight_columns(columns)
-    return list(zip(observables.currents(table.index, weights["system"], values),
-                    observables.currents(table.index, weights["detector"], values)))
+    return observables.stationary_outputs(table, columns, values)
 
 
 def _monotone_decreasing(errors, floor=MONOTONE_FLOOR) -> bool:
@@ -89,7 +87,7 @@ def criterion_1() -> CriterionResult:
     rng = np.random.default_rng(SEED)
     rates = [_draw_bare(rng) for _ in range(N_RANDOM_SETS)]
     worst = 0.0
-    for r, (numeric, _) in zip(rates, _currents(builders.DOUBLE_DOT_BARE, rates)):
+    for r, numeric in zip(rates, _currents(builders.DOUBLE_DOT_BARE, rates)["I_S"]):
         reference = analytic.double_dot_current_bare(r)
         worst = max(worst, abs(numeric - reference) / abs(reference))
     return CriterionResult(
@@ -105,7 +103,7 @@ def criterion_2() -> CriterionResult:
     rates = [_draw_bare(rng).replacing("gamma_L", float(10.0 ** rng.uniform(lo, hi)))
              for _ in range(N_RANDOM_SETS)]
     worst = 0.0
-    for r, (numeric, _) in zip(rates, _currents(builders.REDUCED_DOUBLE_DOT, rates)):
+    for r, numeric in zip(rates, _currents(builders.REDUCED_DOUBLE_DOT, rates)["I_S"]):
         reference = analytic.double_dot_current_measured(r)
         worst = max(worst, abs(numeric - reference) / abs(reference))
     return CriterionResult(
@@ -120,9 +118,9 @@ def criterion_3() -> CriterionResult:
     ratio_errors = []
     for ratio in LIMIT_RATIOS:
         r = RateSet(gamma_L=1.0, gamma_R=ratio, Gamma_L=1.0, Gamma_R=1.0)
-        i_s, i_d = _currents(builders.SINGLE_DOT_SET, [r])[0]
+        outputs = _currents(builders.SINGLE_DOT_SET, [r])
+        i_s, delta = outputs["I_S"][0], outputs["Delta_I_D"][0]
         undistorted = analytic.single_dot_current(r.Gamma_L, r.Gamma_R)
-        delta = observables.detector_drops(fixed_columns(r), [i_d])[0]
         current_errors.append(abs(i_s - undistorted) / i_s)
         ratio_errors.append(abs(delta / i_s - analytic.amplification_ratio(r)))
     ok = (_monotone_decreasing(current_errors) and _monotone_decreasing(ratio_errors)
@@ -149,7 +147,7 @@ def criterion_4() -> CriterionResult:
                     U1=1.0, U2=2.0)
         if target is None:
             target = analytic.double_dot_current_measured(r)  # gamma_R-independent
-        numeric = _currents(builders.DOUBLE_DOT_SET, [r])[0][0]
+        numeric = _currents(builders.DOUBLE_DOT_SET, [r])["I_S"][0]
         errors.append(abs(numeric - target) / target)
     ok = _monotone_decreasing(errors) and errors[-1] < LIMIT_TOL
     return CriterionResult(
@@ -168,8 +166,8 @@ def criterion_5() -> CriterionResult:
     for gamma_l in (10.0, 100.0):
         r = RateSet(gamma_L=gamma_l, gamma_R=1e4 * gamma_l,
                     Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
-        measured = _currents(builders.DOUBLE_DOT_SET, [r])[0][0]
-        bare = _currents(builders.DOUBLE_DOT_BARE, [r])[0][0]
+        measured = _currents(builders.DOUBLE_DOT_SET, [r])["I_S"][0]
+        bare = _currents(builders.DOUBLE_DOT_BARE, [r])["I_S"][0]
         eta = analytic.EtaFactor.from_rates(r).eta
         ratio = measured / bare
         rel = abs(ratio - 1.0 / eta) / (1.0 / eta)

@@ -171,21 +171,23 @@ class ChannelTable:
         return (quantities, np.array([row * len(self.index) + col for row, col in cells]),
                 np.array([coef for coef, _, _ in cells.values()]), np.array(of), gains)
 
-    def quantity_columns(self, columns: RateColumns, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def quantity_columns(self, columns: RateColumns,
+                         n: int) -> tuple[np.ndarray, int, ValueError | None]:
         """The compiled cells' quantities at each of n rows of rate columns,
         shape (n, n_quantities): the single term of a quantity as is, else
-        the fsum of its terms.  Also the mask of the rows quantities refuses
-        (unequal amplitudes, or an entry leaving the float range), whose
-        quantities mean nothing.
+        the fsum of its terms.  Also the first row refused (n if none), whose
+        quantities mean nothing, and its ValueError (else None): unequal
+        amplitudes where the scenario assumes them equal, else a quantity
+        whose cells would leave the float range, naming its fields.
 
         A quantity that reads no array column is evaluated once, a one-term
         one is a column product and a summed one that reads an array column
         keeps its per-row fsum, so every row has the bits of its point alone.
         """
         keys, gains = self._cells[0], self._cells[4]
-        refused = np.zeros(n, dtype=bool)
+        unequal = np.zeros(n, dtype=bool)
         if self.equal_amplitudes:
-            refused |= ~np.asarray(equal_amplitude_rows(columns))
+            unequal |= ~np.asarray(equal_amplitude_rows(columns))
         q = np.empty((n, len(keys)))
         for k, (terms, force) in enumerate(keys):
             values = [s * columns[f] for f, s in terms]
@@ -201,26 +203,25 @@ class ChannelTable:
                 except OverflowError:   # a row whose exact sum leaves the float range
                     q[:, k] = list(map(_fsum_or_nan, rows))
         with np.errstate(over="ignore", invalid="ignore"):
-            refused |= ~np.isfinite(q * gains).all(axis=1)
-        return q, refused
+            finite = np.isfinite(q * gains)
+        refused = unequal | ~finite.all(axis=1)
+        if not refused.any():
+            return q, n, None
+        first = int(refused.argmax())
+        if unequal[first]:
+            return q, first, ValueError(f"{self.label} assumes equal tunneling amplitudes; "
+                                        "primed widths must equal unprimed ones")
+        fields = [f for (terms, _), ok in zip(keys, finite[first].tolist()) if not ok
+                  for f, _ in terms]
+        return q, first, ValueError(f"rates too large for {self.label}: a generator entry from "
+                                    f"{', '.join(dict.fromkeys(fields))} overflows the float range")
 
     def quantities(self, r: RateSet) -> np.ndarray:
-        """The one-row case of quantity_columns.  A point it refuses raises
-        a ValueError: unequal amplitudes where the scenario assumes them
-        equal, or a quantity whose cells would leave the float range,
-        naming its fields."""
-        if self.equal_amplitudes and not r.is_equal_amplitudes:
-            raise ValueError(f"{self.label} assumes equal tunneling amplitudes; "
-                             "primed widths must equal unprimed ones")
-        q, refused = self.quantity_columns(fixed_columns(r), 1)
-        if not refused[0]:
-            return q[0]
-        keys, gains = self._cells[0], self._cells[4]
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(q[0] * gains).tolist()
-        fields = [f for (terms, _), ok in zip(keys, finite) if not ok for f, _ in terms]
-        raise ValueError(f"rates too large for {self.label}: a generator entry from "
-                         f"{', '.join(dict.fromkeys(fields))} overflows the float range")
+        """The one-row case of quantity_columns; a refused point raises its error."""
+        q, _, error = self.quantity_columns(fixed_columns(r), 1)
+        if error is not None:
+            raise error
+        return q[0]
 
     def stack(self, quantities) -> np.ndarray:
         """Generator matrices, shape (N, dim, dim), from N rows of

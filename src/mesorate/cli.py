@@ -84,7 +84,6 @@ def _cmd_steady(args) -> int:
     tol = _default_tol(args)
     table = builders.scenario_table(cfg.scenario, cfg.blocking_config())
     x = steady_state(table.generator(cfg.rates))
-    w = table.weights(cfg.rates)
 
     print(f"scenario: {cfg.scenario}")
     print("occupations:")
@@ -95,14 +94,9 @@ def _cmd_steady(args) -> int:
         # + 0.0 folds negative zeros into plain zeros for display
         print(f"  Re[{pair[0]},{pair[1]}] = {c.real + 0.0:.12g}   "
               f"Im[{pair[0]},{pair[1]}] = {c.imag + 0.0:.12g}")
-    row = x.values[np.newaxis]
-    i_s = observables.currents(x.index, w["system"], row)[0]
-    print(f"I_S = {i_s:.12g}")
-    if w["detector"]:
-        i_d = observables.currents(x.index, w["detector"], row)[0]
-        print(f"I_D = {i_d:.12g}")
-        delta = observables.detector_drops(fixed_columns(cfg.rates), [i_d])[0]
-        print(f"Delta_I_D = {delta:.12g}")
+    outputs = observables.stationary_outputs(table, fixed_columns(cfg.rates), x.values[np.newaxis])
+    for name, column in outputs.items():
+        print(f"{name} = {column[0]:.12g}")
     violations = validate_state(x, tol)
     for v in violations:
         print(f"warning: {v}", file=sys.stderr)

@@ -161,6 +161,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"format must be csv or svg, got {run.format!r}")
     if run.blocking is not None and run.blocking not in BLOCKING_NAMES:
         raise ConfigError(f"blocking must be one of {sorted(BLOCKING_NAMES)}, got {run.blocking!r}")
+    if run.blocking is not None and scenario != builders.GENERALIZED_DOUBLE_DOT_SET:
+        raise ConfigError(f"blocking applies to {builders.GENERALIZED_DOUBLE_DOT_SET} only, "
+                          f"not to {scenario}, which fixes its own")
     if run.dt is not None and run.dt <= 0.0:
         raise ConfigError("dt must be positive")
     if run.t_final is not None and run.t_final <= 0.0:
@@ -226,4 +229,6 @@ def parse_grid(spec: str) -> list[float]:
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("log grids need positive endpoints")
         return [float(v) for v in np.geomspace(start, stop, count)]
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"grid span {stop!r} - {start!r} overflows the float range")
     return [float(v) for v in np.linspace(start, stop, count)]

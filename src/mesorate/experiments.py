@@ -8,14 +8,14 @@ quantities as an (N, n_quantities) array, one steady_states call solves
 the stack of generators, and the currents, Delta_I_D and the violation
 magnitude are read from the (N, dim) array of solutions.  Each value has
 the bits the point gives alone through RateSet, quantities, steady_state
-and a one-row currents and violation_magnitudes: elementwise IEEE
-arithmetic where that is exactly the scalar operation, a per-row fsum or
-** where numpy's add or square would differ in a last bit or in the sign
-of a zero.  The closed-form reference column stays scalar Python per
-row, fed the row's field values; it is NaN where the form is undefined
-or its arithmetic fails (an overflow, a division by an underflowed
-zero).  Every quantity is a pure function of the sweep specification, so
-repeated runs serialize to identical bytes.
+and a one-row stationary_outputs and violation_magnitudes: elementwise
+IEEE arithmetic where that is exactly the scalar operation, a per-row
+fsum or ** where numpy's add or square would differ in a last bit or in
+the sign of a zero.  The closed-form reference column stays scalar
+Python per row, fed the row's field values; it is NaN where the form is
+undefined or its arithmetic fails (an overflow, a division by an
+underflowed zero).  Every quantity is a pure function of the sweep
+specification, so repeated runs serialize to identical bytes.
 
 The points of a Fermi-level sweep differ only in their regime, so each
 regime is one generator: it is solved once and its row copied to every
@@ -24,8 +24,9 @@ point of the regime.
 A grid point whose model is disconnected is reported as a row of NaNs
 with the error message attached instead of aborting the sweep; any other
 error is raised, the one the first failing point in grid order raises
-alone.  The columnar checks only locate that point; its error, type and
-message, comes from running the point's own checks on it.
+alone.  The channel table reports the first row it refuses together with
+that row's error.  The RateSet checks only locate the first invalid row;
+its error, type and message, comes from building that row's RateSet.
 """
 
 from __future__ import annotations
@@ -118,31 +119,13 @@ def _analytic_reference(scenario: str | None, columns: RateColumns, n: int) -> l
 
 
 def _raised(fn, *args) -> Exception:
-    """The error fn(*args) raises: a check run on the one point the
-    columnar checks refused, for its exact type and message."""
+    """The error fn(*args) raises: the RateSet check run on the one row
+    the columnar checks found invalid, for its exact type and message."""
     try:
         fn(*args)
     except (ValueError, ArithmeticError) as exc:
         return exc
     raise AssertionError(f"{fn.__qualname__} accepts a point the columnar checks refused")
-
-
-def _first(mask: np.ndarray) -> int:
-    """Index of the first True in mask, len(mask) if there is none."""
-    return int(mask.argmax()) if mask.any() else len(mask)
-
-
-def _outputs(table: builders.ChannelTable, columns: RateColumns, values: np.ndarray):
-    """I_S, I_D, Delta_I_D and max_violation of the stationary rows values,
-    computed in the order a point alone computes them, so that a call on
-    one row raises that point's first error."""
-    weights = table.weight_columns(columns)
-    i_s = observables.currents(table.index, weights["system"], values)
-    i_d = delta = [math.nan] * len(values)
-    if weights["detector"]:
-        i_d = observables.currents(table.index, weights["detector"], values)
-        delta = observables.detector_drops(columns, i_d)
-    return i_s, i_d, delta, violation_magnitudes(table.index, values)
 
 
 def _solved_rows(table: builders.ChannelTable, columns: RateColumns, quantities: np.ndarray,
@@ -160,15 +143,21 @@ def _solved_rows(table: builders.ChannelTable, columns: RateColumns, quantities:
     raised = next((k for k, err in enumerate(errors)
                    if err is not None and not isinstance(err, DegenerateSteadyState)), n)
 
-    outputs = np.full((4, n), math.nan)
+    outputs = np.full((4, n), math.nan)     # I_S, I_D, Delta_I_D, max_violation
+
+    def read(rows: list[int]) -> None:     # in the order a point alone reads them
+        stationary = observables.stationary_outputs(table, take_rows(columns, rows), values[rows])
+        outputs[:len(stationary), rows] = list(stationary.values())
+        outputs[3, rows] = violation_magnitudes(table.index, values[rows])
+
     ok = [k for k, err in enumerate(errors[:raised]) if err is None]
     try:
         if ok:
-            outputs[:, ok] = _outputs(table, take_rows(columns, ok), values[ok])
+            read(ok)
     except (ValueError, ArithmeticError):
         # raise the error of the first point in grid order, on its own
         for k in ok:
-            _outputs(table, take_rows(columns, [k]), values[[k]])
+            read([k])
         raise
     if raised < n:
         raise errors[raised]
@@ -192,22 +181,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     n = len(spec.grid)
     columns = sweep_columns(spec.base, spec.parameter, np.array(spec.grid))
-    valid = _first(invalid_rows(columns, n))
+    invalid = invalid_rows(columns, n)
+    valid = int(invalid.argmax()) if invalid.any() else n
     references = _analytic_reference(spec.scenario, take_rows(columns, slice(valid)), valid)
     try:
         table = builders.scenario_table(spec.scenario, spec.blocking)
     except ValueError as exc:
         table, assembled, assembly_error = None, 0, exc
     else:
-        quantities, refused = table.quantity_columns(columns, n)
-        assembled, assembly_error = _first(refused), None
+        quantities, assembled, assembly_error = table.quantity_columns(columns, n)
     # a point alone is checked in this order: RateSet, then assembly
     stop = min(valid, assembled)
-    failure = None
-    if stop == valid < n:
-        failure = _raised(row_rates, columns, stop)
-    elif stop < n:
-        failure = assembly_error or _raised(table.quantities, row_rates(columns, stop))
+    failure = _raised(row_rates, columns, stop) if stop == valid < n else assembly_error
     if not stop:
         raise failure
     return _solved_rows(table, take_rows(columns, slice(stop)), quantities[:stop],

@@ -320,16 +320,27 @@ def basis_state(index: IndexMap, label: str) -> StateVector:
     return pack(index, {label: 1.0})
 
 
-def _invariants(x: StateVector):
-    """Raw invariant quantities: the trace, each (label, occupation) and
-    each coherence block (pair, |sigma|^2, p*q), its occupations clamped
-    to zero so a reported negative occupation does not double-report."""
-    occupations = [(label, x.occupation(label)) for label in x.index.diagonal_labels]
-    blocks = []
-    for pair in x.index.coherence_pairs:
-        bound = max(x.occupation(pair[0]), 0.0) * max(x.occupation(pair[1]), 0.0)
-        blocks.append((pair, abs(x.coherence(pair)) ** 2, bound))
-    return x.trace(), occupations, blocks
+def _invariant_columns(index: IndexMap, values: np.ndarray):
+    """The trace (N,), occupations (N, n_diagonal), and per coherence pair
+    |sigma|^2 and its bound p*q (N, n_pairs) of every row of values, with
+    the bits Python gives one row: a per-row fsum trace; |sigma| is libm
+    hypot as in abs(complex(re, im)), raising as abs does on overflow, and
+    is squared by Python's ** (libm pow, which can differ in the last bit
+    from x*x and raises on overflow); p and q clamp to >= 0 as max(p, 0.0)
+    does, keeping -0.0 and NaN.  A row raises its first pair's error."""
+    occupations = values[:, list(index.diagonal_positions)]
+    trace = np.array(list(map(math.fsum, occupations.tolist())))
+    sigma2, bound = np.empty((2, len(values), len(index.coherence_pairs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        clamped = np.where(occupations < 0.0, 0.0, occupations)     # diagonal slots come first
+        for j, pair in enumerate(index.coherence_pairs):
+            re, im = values[:, index.coherence(pair)].T
+            size = np.hypot(re, im)
+            if not np.all(np.isfinite(size) | ~np.isfinite(re) | ~np.isfinite(im)):
+                raise OverflowError("absolute value too large")
+            sigma2[:, j] = [h ** 2 for h in size.tolist()]
+            bound[:, j] = clamped[:, index.diagonal(pair[0])] * clamped[:, index.diagonal(pair[1])]
+    return trace, occupations, sigma2, bound
 
 
 def validate_state(x: StateVector, tol: float = 1e-9) -> list[str]:
@@ -338,19 +349,20 @@ def validate_state(x: StateVector, tol: float = 1e-9) -> list[str]:
     Checks probability normalization, diagonal bounds [0, 1] and the
     positivity of each 2x2 coherence block, |sigma_pq|^2 <= p*q.
     """
-    total, occupations, blocks = _invariants(x)
+    trace, occupations, sigma2, bound = _invariant_columns(x.index, x.values[np.newaxis])
+    total = trace.tolist()[0]
     violations = []
     if abs(total - 1.0) > tol:
         violations.append(f"normalization: diagonal sum {total!r} differs from 1 by {abs(total - 1.0):.3e}")
-    for label, p in occupations:
+    for label, p in zip(x.index.diagonal_labels, occupations[0].tolist()):
         if p < -tol:
             violations.append(f"negativity: occupation of {label} is {p:.3e}")
         if p > 1.0 + tol:
             violations.append(f"overflow: occupation of {label} is {p:.3e} > 1")
-    for pair, sigma2, bound in blocks:
-        if sigma2 > bound + tol:
+    for pair, s2, b in zip(x.index.coherence_pairs, sigma2[0].tolist(), bound[0].tolist()):
+        if s2 > b + tol:
             violations.append(
-                f"coherence block {pair[0]},{pair[1]}: |sigma|^2 = {sigma2:.3e} exceeds {bound:.3e}")
+                f"coherence block {pair[0]},{pair[1]}: |sigma|^2 = {s2:.3e} exceeds {b:.3e}")
     return violations
 
 
@@ -360,28 +372,16 @@ def violation_magnitudes(index: IndexMap, values: np.ndarray) -> np.ndarray:
     occupation's distance below 0 or above 1, and each coherence block's
     |sigma|^2 - p*q, with p and q clamped to >= 0.
 
-    Each row has the bits of a Python fold over that row with max: the
-    trace is a per-row fsum, and |sigma|^2 squares with Python's **,
-    which calls libm pow and can differ in the last bit from numpy's x*x.
-    The rest is elementwise IEEE arithmetic, exact as in Python.  max
+    Each row has the bits of a Python fold over that row with max, which
     keeps its first argument, abs(trace - 1) >= +0.0, unless a later one
     is strictly greater: so a NaN trace gives NaN, any other NaN is
     skipped (fmax) and a zero result is +0.0 (the final + 0.0).
     """
-    diag = list(index.diagonal_positions)
-    trace = np.array(list(map(math.fsum, values[:, diag].tolist())))
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = values[:, diag]
+    trace, p, sigma2, bound = _invariant_columns(index, values)
+    with np.errstate(invalid="ignore"):
         worst = np.fmax(np.abs(trace - 1.0), np.fmax(-p, p - 1.0).max(axis=1, initial=-math.inf))
-        for pair in index.coherence_pairs:
-            re, im = values[:, index.coherence(pair)].T
-            size = np.hypot(re, im)         # abs(complex(re, im)) is libm hypot too
-            if not np.all(np.isfinite(size) | ~np.isfinite(re) | ~np.isfinite(im)):
-                raise OverflowError("absolute value too large")
-            sigma2 = np.array([h ** 2 for h in size.tolist()])
-            bound = (np.maximum(values[:, index.diagonal(pair[0])], 0.0)
-                     * np.maximum(values[:, index.diagonal(pair[1])], 0.0))
-            worst = np.fmax(worst, sigma2 - bound)
+        for excess in (sigma2 - bound).T:
+            worst = np.fmax(worst, excess)
     worst = worst + 0.0
     worst[np.isnan(trace)] = math.nan
     return worst

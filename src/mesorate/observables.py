@@ -3,7 +3,9 @@ the sum of the occupations of the states whose adjacent dot is filled,
 weighted by the partial width into that collector, as the scenario's
 channel table gives it (ChannelTable.weight_columns, or weights at one
 RateSet).  currents and detector_drops read every row of an (N, dim)
-array of states at once; one state is the one-row case."""
+array of states at once; one state is the one-row case.  The sweeps,
+the steady command and the validation suite read the stationary outputs
+through stationary_outputs alone."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .analytic import single_dot_current
+from .builders import ChannelTable
 from .model import IndexMap, RateColumns
 
 
@@ -48,3 +51,16 @@ def detector_drops(columns: RateColumns, detector_currents: list[float]) -> list
     else:
         bare = [single_dot_current(gamma_l, gamma_r)] * n
     return [b - i for b, i in zip(bare, detector_currents)]
+
+
+def stationary_outputs(table: ChannelTable, columns: RateColumns, values: np.ndarray) -> dict:
+    """Name -> column of the stationary outputs of every row of values,
+    shape (N, dim), at its row of the rate columns: I_S, then, only when
+    the table has a detector collector, I_D and Delta_I_D.  They are read
+    in that order, so a call on one row raises that point's first error."""
+    weights = table.weight_columns(columns)
+    outputs = {"I_S": currents(table.index, weights["system"], values)}
+    if weights["detector"]:
+        outputs["I_D"] = currents(table.index, weights["detector"], values)
+        outputs["Delta_I_D"] = detector_drops(columns, outputs["I_D"])
+    return outputs

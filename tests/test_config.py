@@ -149,6 +149,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="blocking"):
             parse_config(FULL + "blocking = sideways\n")
 
+    @pytest.mark.parametrize("scenario", sorted(REQUIRED_RATES))
+    def test_blocking_only_for_the_generalized_scenario(self, scenario):
+        # every other scenario fixes its own blocking, which the key would
+        # not change
+        text = rates_config(scenario, REQUIRED_RATES[scenario]) + "[run]\nblocking = blind\n"
+        if scenario == "generalized_double_dot_set":
+            assert parse_config(text).run.blocking == "blind"
+            return
+        with pytest.raises(ConfigError, match=f"blocking applies to generalized_double_dot_set "
+                                              f"only, not to {scenario},"):
+            parse_config(text)
+
     def test_nonpositive_dt(self):
         with pytest.raises(ConfigError, match="dt"):
             parse_config(FULL.replace("dt = 0.01", "dt = 0"))
@@ -159,7 +171,7 @@ class TestRoundTrip:
         yield parse_config(FULL)
         yield parse_config(FULL + "\n[energies]\nE0 = 0.25\n")
         yield RunConfig(
-            scenario="single_dot_set",
+            scenario="generalized_double_dot_set",
             rates=RateSet(gamma_L=0.1, gamma_R=1e4, gamma_L_p=0.05,
                           Gamma_L=1 / 3, Gamma_R=2.0),
             energy=None,
@@ -196,6 +208,13 @@ class TestParseGrid:
         for bad in ("1:2", "1:2:3:4", "a:2:3", "1:2:xlog", "1:2:0"):
             with pytest.raises(ConfigError):
                 parse_grid(bad)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_overflowing_linear_span_refused(self, count):
+        # numpy would warn on the overflow, then return a NaN first point
+        with pytest.raises(ConfigError, match=r"grid span 1e\+308 - -1e\+308 overflows"):
+            parse_grid(f"-1e308:1e308:{count}")
+        assert parse_grid(f"-8e307:8e307:{count}")[-1] == (8e307 if count > 1 else -8e307)
 
     def test_log_needs_positive_endpoints(self):
         with pytest.raises(ConfigError, match="positive"):

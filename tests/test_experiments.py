@@ -220,6 +220,21 @@ class TestSweepErrors:
         # the largest widths whose entries stay finite still assemble
         build_generalized_double_dot_set(SET_BASE.replacing("Omega", 5e307), blocking)
 
+    @pytest.mark.parametrize("grid,expected", [
+        ((1.0, 2.0), "assumes equal tunneling amplitudes"),
+        ((2.0, 1.0), "a generator entry from Omega overflows"),
+    ])
+    def test_unequal_amplitudes_win_over_overflow(self, grid, expected):
+        # 2 * Omega overflows at every point and gamma_R_p = 2.0 is unequal
+        # to gamma_R except at gamma_R = 2.0: the first refused row raises
+        # what its point alone raises, the unequal amplitudes first
+        base = SET_BASE.replacing("Omega", 1e308).replacing("gamma_R_p", 2.0)
+        with pytest.raises(ValueError, match=expected) as alone:
+            build_scenario("double_dot_set", base.replacing("gamma_R", grid[0]))
+        with pytest.raises(ValueError) as swept:
+            run_sweep(SweepSpec("double_dot_set", base, "gamma_R", grid))
+        assert str(swept.value) == str(alone.value)
+
     def test_fermi_sweep_solves_each_regime(self):
         base = TestFermiSweep.BASE
         grid = [1.5, 0.5, 1.2, 0.2]

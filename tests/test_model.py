@@ -247,6 +247,78 @@ class TestValidateState:
             pytest.approx(0.1)]
 
 
+def reference_validate_state(x, tol):
+    """The per-state Python walk that validate_state replaces: the
+    reference for its messages, the bits of every number they print
+    included."""
+    occupations = [(label, x.occupation(label)) for label in x.index.diagonal_labels]
+    blocks = []
+    for pair in x.index.coherence_pairs:
+        bound = max(x.occupation(pair[0]), 0.0) * max(x.occupation(pair[1]), 0.0)
+        blocks.append((pair, abs(x.coherence(pair)) ** 2, bound))
+    total = x.trace()
+    violations = []
+    if abs(total - 1.0) > tol:
+        violations.append(f"normalization: diagonal sum {total!r} differs from 1 by {abs(total - 1.0):.3e}")
+    for label, p in occupations:
+        if p < -tol:
+            violations.append(f"negativity: occupation of {label} is {p:.3e}")
+        if p > 1.0 + tol:
+            violations.append(f"overflow: occupation of {label} is {p:.3e} > 1")
+    for pair, sigma2, bound in blocks:
+        if sigma2 > bound + tol:
+            violations.append(
+                f"coherence block {pair[0]},{pair[1]}: |sigma|^2 = {sigma2:.3e} exceeds {bound:.3e}")
+    return violations
+
+
+class TestValidateStateMatchesPerState:
+    """validate_state reads the columnar invariant walk; its messages are
+    those of the per-state walk, or it raises the same error."""
+
+    @staticmethod
+    def _outcome(check, x, tol):
+        # CPython's abs(complex) returns NaN for a NaN part without clearing
+        # errno, so an ERANGE left by an earlier overflowing ** makes the
+        # per-state walk raise "absolute value too large"; math.sqrt clears it
+        math.sqrt(4.0)
+        try:
+            return check(x, tol)
+        except ArithmeticError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_random_states(self, tol):
+        rng = np.random.default_rng(23)
+        index = index_double_dot_set()
+        values = rng.uniform(-0.2, 1.2, size=(2_000, 10))
+        values[:, 6:] *= 10.0 ** rng.uniform(-3, 1, size=(2_000, 4))
+        values[::5, :6] = np.abs(values[::5, :6]) / np.abs(values[::5, :6]).sum(axis=1)[:, None]
+        values[1::7, 2] = -0.0          # max(-0.0, 0.0) is -0.0, so the bound prints -0
+        values[2::7, 6:] = -0.0
+        values[3::11, 1] = np.nan
+        values[4::11, 7] = np.nan
+        values[5::11, 8] = np.inf
+        values[6::13, 6] = 1e200        # |sigma|^2 overflows pow
+        values[7::13, 8:] = 1.5e308     # |sigma| overflows hypot
+        outcomes = []
+        for v in values:
+            x = StateVector(v, index)
+            outcomes.append(self._outcome(validate_state, x, tol))
+            assert outcomes[-1] == self._outcome(reference_validate_state, x, tol)
+        messages = [m for o in outcomes if isinstance(o, list) for m in o]
+        assert any("exceeds -0.000e+00" in m for m in messages)
+        assert any(m.startswith("normalization: diagonal sum ") for m in messages)
+        assert {o[1] for o in outcomes if isinstance(o, tuple)} == {
+            "absolute value too large", "(34, 'Numerical result out of range')"}
+
+    def test_states_without_coherences(self):
+        index = index_single_dot_set()
+        for v in ([0.25, 0.25, 0.25, 0.25], [-0.0, 1.5, -0.5, 0.0], [np.nan, 0.0, 1.0, 0.0]):
+            x = StateVector(np.array(v), index)
+            assert validate_state(x, 1e-9) == reference_validate_state(x, 1e-9)
+
+
 class TestImmutability:
     def test_state_vector_read_only(self):
         x = basis_state(index_single_dot_set(), "a")
