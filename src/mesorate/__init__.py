@@ -37,12 +37,10 @@ from .builders import (
 )
 from .solver import (
     DegenerateSteadyState,
-    NoConvergence,
     StepTooLarge,
     Trajectory,
     default_step,
     evolve,
-    relaxation_check,
     steady_state,
     steady_states,
 )
@@ -63,7 +61,7 @@ from .experiments import (
     run_fermi_sweep,
     run_sweep,
 )
-from .config import ConfigError, RunConfig, RunOptions, load_config, parse_config, parse_grid, render_config
+from .config import ConfigError, RunConfig, RunOptions, load_config, parse_config, parse_grid
 from .output import write_csv, write_svg, write_timeseries_csv
 from .cli import cli_main
 

@@ -17,7 +17,7 @@ from . import acceptance, builders, observables, output
 from .config import ConfigError, RunConfig, load_config, parse_grid
 from .experiments import SweepSpec, run_fermi_sweep, run_sweep
 from .model import basis_state, fixed_columns, validate_state
-from .solver import DegenerateSteadyState, NoConvergence, StepTooLarge, evolve, steady_state
+from .solver import DegenerateSteadyState, StepTooLarge, evolve, steady_state
 
 _USAGE_ERROR, _CONFIG_ERROR, _NUMERICAL_ERROR, _VALIDATION_ERROR = 1, 2, 3, 4
 
@@ -204,7 +204,7 @@ def cli_main(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
-    except (DegenerateSteadyState, NoConvergence, StepTooLarge) as exc:
+    except (DegenerateSteadyState, StepTooLarge) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR
     except (ValueError, ArithmeticError) as exc:

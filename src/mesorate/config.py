@@ -5,8 +5,7 @@ parameters, [energies] the detector level E0 (read by fig3 only) and
 [run] the command options dt, t_final, param, grid, format and blocking;
 an unknown key is rejected.  The RK4 step cap and trace budget are
 constants of the solver, not settings.  The format is deliberately flat
-so golden configs diff cleanly; render_config writes a canonical form
-that parse_config reads back unchanged.
+so golden configs diff cleanly.
 """
 
 from __future__ import annotations
@@ -179,26 +178,6 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(render_config(c)) == c."""
-    lines = ["[scenario]", f"name = {cfg.scenario}", "", "[rates]"]
-    for key in RATE_FIELDS:
-        lines.append(f"{key} = {getattr(cfg.rates, key)!r}")
-    if cfg.energy is not None:
-        lines.append("")
-        lines.append("[energies]")
-        for key in _ENERGY_KEYS:
-            lines.append(f"{key} = {getattr(cfg.energy, key)!r}")
-    run_items = [(k, getattr(cfg.run, k)) for k in _RUN_FLOAT_KEYS + _RUN_STR_KEYS]
-    run_items = [(k, v) for k, v in run_items if v is not None]
-    if run_items:
-        lines.append("")
-        lines.append("[run]")
-        for key, value in run_items:
-            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_grid(spec: str) -> list[float]:

@@ -236,10 +236,6 @@ class RegimeSelector:
             return REGIME_RESOLVING
         return REGIME_BLIND
 
-    def classify(self, fermi_level: float) -> tuple[str, builders.BlockingConfig]:
-        regime = self.regime(fermi_level)
-        return regime, _BLOCKING[regime]()
-
 
 _BLOCKING = {
     REGIME_BLIND: builders.BlockingConfig.blocked_on_either_dot,

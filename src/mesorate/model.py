@@ -290,9 +290,6 @@ class Generator:
     def dim(self) -> int:
         return len(self.index)
 
-    def norm_inf(self) -> float:
-        return float(np.abs(self.matrix).sum(axis=1).max()) if self.dim else 0.0
-
 
 def pack(index: IndexMap, occupations: Mapping[str, float],
          coherences: Mapping[tuple, complex] | None = None) -> StateVector:

@@ -3,15 +3,19 @@
 Floats are written with 17 significant digits so every value survives a
 round trip through text, and rows keep grid order, making repeated runs
 byte-identical.  The SVG writer is self-contained (no plotting library)
-for the same reason.
+for the same reason.  A time series that has settled repeats its samples
+bit for bit, and a row with the bytes of another has its text too, so
+the time-series writer formats the columns after t once per distinct row
+of a block and reuses that text.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from operator import attrgetter
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .experiments import SweepRow
 from .model import DIAGONAL, RE_COHERENCE
@@ -19,22 +23,18 @@ from .observables import currents
 from .solver import Trajectory
 
 # samples per block of the time-series writer: the current columns of a
-# block are read at once, so the writer holds one block, not the run
+# block are read at once, so the writer holds one block (and the text of
+# the block before, if that block repeated a row), not the run
 _BLOCK = 1024
 
 # the SweepRow fields written, in column order
 SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max_violation")
 
 
-def _row_format(n_columns: int) -> str:
-    """printf format of one CSV row of floats at 17 significant digits."""
-    return ",".join(["%.17g"] * n_columns) + "\n"
-
-
 def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
     if not rows:
         raise ValueError("refusing to write an empty table")
-    row_format = _row_format(len(SWEEP_HEADER))
+    row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
     fields = attrgetter(*SWEEP_HEADER)
     lines = [",".join(SWEEP_HEADER) + "\n"]
     lines += [row_format % fields(row) for row in rows]
@@ -60,10 +60,22 @@ def column_token(entry) -> str:
     return f"{prefix}_{tag}"
 
 
+def _row_keys(values: np.ndarray) -> list[bytes]:
+    """The bytes of each row of an (N, dim) float array."""
+    if not values.shape[1]:
+        return [b""] * len(values)
+    values = np.ascontiguousarray(values)
+    row = np.dtype((np.void, values.itemsize * values.shape[1]))
+    return values.view(row).ravel().tolist()
+
+
 def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[str]:
-    """The header line, then one line per sample.  The current columns are
-    read _BLOCK samples at a time; the first block is read before the first
-    line is asked for, so a bad weight map raises here."""
+    """The header line, then one line per sample, read _BLOCK samples at a
+    time.  Rows with the same bytes have the same slot and current text,
+    so the columns after t are summed and formatted once per distinct row
+    of a block, and a block that repeated a row hands its text on to the
+    next.  A bad weight map raises here, before the first line is asked
+    for."""
     header = ["t"] + [column_token(e) for e in traj.index.entries]
     weights = []
     if system_weights is not None:
@@ -72,21 +84,33 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
     if detector_weights:
         header.append("I_D")
         weights.append(detector_weights)
-    row_format = _row_format(len(header))
+    for w in weights:      # a weight on a missing slot raises on zero rows too
+        currents(traj.index, w, traj.values[:0])
+    tail_format = ",%.17g" * (len(header) - 1) + "\n"    # the columns after t
 
-    def block(lo: int):
+    def block(lo: int, known: dict):
+        """Yield the lines of the block at lo, given known, the text after
+        t of rows of the block before by their bytes; return that of its
+        own rows.  A block without a repeated row has not settled, so its
+        text is not kept."""
         rows = slice(lo, lo + _BLOCK)
-        values = traj.values[rows]
-        return zip(traj.times[rows].tolist(), values.tolist(),
-                   *[currents(traj.index, w, values) for w in weights])
-
-    first = block(0)
+        keys = _row_keys(traj.values[rows])
+        distinct = dict.fromkeys(keys)
+        tails = {key: known[key] for key in distinct if key in known}
+        fresh = [key for key in distinct if key not in tails]
+        values = np.frombuffer(b"".join(fresh), dtype=float).reshape(len(fresh), len(traj.index))
+        sums = [currents(traj.index, w, values) for w in weights]
+        tails.update(zip(fresh, [tail_format % (*sample, *row_sums)
+                                 for sample, *row_sums in zip(values.tolist(), *sums)]))
+        times = map("%.17g".__mod__, traj.times[rows].tolist())
+        yield from map(str.__add__, times, map(tails.__getitem__, keys))
+        return tails if len(tails) < len(keys) else {}
 
     def lines():
         yield ",".join(header) + "\n"
-        rest = map(block, range(_BLOCK, len(traj.times), _BLOCK))
-        for t, sample, *sums in chain(first, chain.from_iterable(rest)):
-            yield row_format % (t, *sample, *sums)
+        known = {}
+        for lo in range(0, len(traj.times), _BLOCK):
+            known = yield from block(lo, known)
 
     return lines()
 

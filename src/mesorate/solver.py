@@ -17,10 +17,13 @@ Time evolution is fixed-step classical RK4 with a guarded default step.
 For a constant generator one RK4 step is exactly the matrix polynomial
 P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, so P is built once per run
 and each step is one product P x written into a row of one
-(n_samples, dim) array; the trace is still checked after every step.  The
-trace budget and the step cap are the constants TRACE_BUDGET_PER_STEP and
-MAX_STEPS.  No adaptivity, no matrix exponentials, so reruns are
-bit-identical.
+(n_samples, dim) array; the trace is still checked after every step.  A
+run normally outlasts its relaxation: once a step returns its input bit
+for bit, a floating-point fixed point of P, every later step would
+repeat it, so the remaining rows are filled with it instead of stepping.
+The trace budget and the step cap are the constants
+TRACE_BUDGET_PER_STEP and MAX_STEPS.  No adaptivity, no matrix
+exponentials, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Generator, IndexMap, StateVector, basis_state
+from .model import Generator, IndexMap, StateVector
 
 
 TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
@@ -40,10 +43,6 @@ _EXTENDED_BLOCK = 64           # members per extended-precision refinement block
 
 class DegenerateSteadyState(RuntimeError):
     """The generator's null space has more than one direction."""
-
-
-class NoConvergence(RuntimeError):
-    """Relaxation toward the stationary state was not observed in time."""
 
 
 class StepTooLarge(RuntimeError):
@@ -237,6 +236,16 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     a run whose step is unstable stops where it blows up.  A well-formed
     generator keeps the drift at rounding level.
 
+    A step that returns its input bit for bit (its trace checked) found a
+    fixed point of P in floating point: every later step would compute
+    the same product from the same bits, with a trace drift of exactly 0,
+    so the remaining rows are filled with it and the loop stops.  The
+    samples are those of stepping to the end.  The steps run in chunks,
+    each half as long as the run before it, and the last two samples of a
+    chunk are compared after it: a fixed point persists, so it is found at
+    the end of its chunk, after at most half again the steps that reached
+    it, at the cost of one compare per chunk rather than per step.
+
     MAX_STEPS bounds runaway runs: a widely spread rate set drives the
     guard step to t_final/dt in the millions, and the stationary question
     behind such runs belongs to steady_state, not the integrator.
@@ -267,47 +276,22 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     values = np.empty((n_steps + 1, g.dim))
     x = values[0] = x0.values
     trace = math.fsum(x[:n_diag].tolist())
-    for k in range(1, n_steps + 1):
-        x = values[k] = P @ x
-        trace_next = math.fsum(x[:n_diag].tolist())
-        drift = abs(trace_next - trace)
-        if not drift <= TRACE_BUDGET_PER_STEP:
-            raise StepTooLarge(
-                f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
-        trace = trace_next
+    lo = 0
+    while lo < n_steps:             # in chunks of half the steps taken so far
+        hi = min(lo + lo // 2 + 1, n_steps)
+        for k in range(lo + 1, hi + 1):
+            x = values[k] = P @ x
+            trace_next = math.fsum(x[:n_diag].tolist())
+            drift = abs(trace_next - trace)
+            if not drift <= TRACE_BUDGET_PER_STEP:
+                raise StepTooLarge(
+                    f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
+            trace = trace_next
+        if values[hi].tobytes() == values[hi - 1].tobytes():
+            values[hi + 1:] = values[hi]
+            break
+        lo = hi
     times = np.arange(n_steps + 1) * h
     times.setflags(write=False)
     values.setflags(write=False)
     return Trajectory(times, values, g.index)
-
-
-def relaxation_check(g: Generator, tol: float, horizon_cap: float | None = None) -> float:
-    """Earliest sampled time at which the evolution is within tol of the
-    stationary state (sup norm), starting from a point mass on the first
-    diagonal slot.
-
-    The search doubles its horizon until the tolerance is met; beyond
-    horizon_cap (default 1e4 over the largest matrix entry) it raises
-    NoConvergence.  Degenerate generators have nothing to relax to and
-    also raise NoConvergence.
-    """
-    try:
-        target = steady_state(g)
-    except DegenerateSteadyState as exc:
-        raise NoConvergence(f"no unique stationary state: {exc}") from exc
-
-    x0 = basis_state(g.index, g.index.diagonal_labels[0])
-    scale = float(np.abs(g.matrix).max(initial=0.0))
-    horizon = 1.0 / scale
-    if horizon_cap is None:
-        horizon_cap = 1e4 / scale
-
-    while horizon <= horizon_cap:
-        traj = evolve(g, x0, horizon)
-        gaps = np.abs(traj.values - target.values).max(axis=1)
-        hits = np.nonzero(gaps < tol)[0]
-        if hits.size:
-            return float(traj.times[hits[0]])
-        horizon *= 2.0
-    raise NoConvergence(
-        f"not within {tol:g} of the stationary state by t = {horizon_cap:g}")

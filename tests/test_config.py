@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from mesorate import BlockingConfig, ConfigError, RateSet, parse_config, parse_grid, render_config
+from mesorate import (BlockingConfig, ConfigError, EnergyConfig, RateSet, parse_config,
+                      parse_grid)
 from mesorate.builders import scenario_table
 from mesorate.config import RunConfig, RunOptions, required_rates
 
@@ -166,25 +168,35 @@ class TestParseConfig:
             parse_config(FULL.replace("dt = 0.01", "dt = 0"))
 
 
-class TestRoundTrip:
-    def cases(self):
-        yield parse_config(FULL)
-        yield parse_config(FULL + "\n[energies]\nE0 = 0.25\n")
-        yield RunConfig(
+class TestParsedConfig:
+    """parse_config reads a file into exactly the RunConfig it spells out."""
+
+    def test_full_file_exactly(self):
+        assert parse_config(FULL) == RunConfig(
+            scenario="double_dot_set",
+            rates=RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
+                          epsilon=0.0, U1=1.0, U2=2.0),
+            energy=None,
+            run=RunOptions(t_final=40.0, dt=0.01),
+        )
+
+    def test_energies_section_sets_only_the_energy(self):
+        cfg = parse_config(FULL + "\n[energies]\nE0 = 0.25\n")
+        assert cfg == dataclasses.replace(parse_config(FULL), energy=EnergyConfig(E0=0.25))
+
+    def test_string_run_keys_and_a_primed_width(self):
+        text = (
+            "[scenario]\nname = generalized_double_dot_set\n\n[rates]\n"
+            "gamma_L = 0.1\ngamma_R = 1e4\ngamma_L_p = 0.05\nGamma_L = 0.3333333333333333\n"
+            "Gamma_R = 2.0\nOmega = 0.0\n\n[run]\n"
+            "param = gamma_R\ngrid = 1:1e4:5log\nformat = csv\nblocking = blind\n")
+        assert parse_config(text) == RunConfig(
             scenario="generalized_double_dot_set",
             rates=RateSet(gamma_L=0.1, gamma_R=1e4, gamma_L_p=0.05,
                           Gamma_L=1 / 3, Gamma_R=2.0),
             energy=None,
             run=RunOptions(param="gamma_R", grid="1:1e4:5log", format="csv", blocking="blind"),
         )
-
-    def test_parse_of_render_is_identity(self):
-        for cfg in self.cases():
-            assert parse_config(render_config(cfg)) == cfg
-
-    def test_render_is_stable(self):
-        for cfg in self.cases():
-            assert render_config(parse_config(render_config(cfg))) == render_config(cfg)
 
 
 class TestParseGrid:

@@ -244,22 +244,27 @@ class TestSweepErrors:
             assert repr(row) == repr(alone[0])
 
 
+# the blocking configuration of each regime, by its constructor
+REGIME_BLOCKING = {REGIME_BLIND: BlockingConfig.blocked_on_either_dot(),
+                   REGIME_RESOLVING: BlockingConfig.blocked_on_second_dot(),
+                   REGIME_EXTRAPOLATED: BlockingConfig.unrestricted()}
+
+
 class TestRegimeSelector:
     def test_thresholds(self):
         sel = RegimeSelector(E0=0.0, U1=1.0, U2=2.0)
-        assert sel.classify(0.5)[0] == REGIME_BLIND
-        assert sel.classify(1.5)[0] == REGIME_RESOLVING
-        assert sel.classify(2.5)[0] == REGIME_EXTRAPOLATED
+        assert sel.regime(0.5) == REGIME_BLIND
+        assert sel.regime(1.5) == REGIME_RESOLVING
+        assert sel.regime(2.5) == REGIME_EXTRAPOLATED
 
     def test_boundaries_half_open_upward(self):
         sel = RegimeSelector(E0=0.0, U1=1.0, U2=2.0)
-        assert sel.classify(1.0)[0] == REGIME_RESOLVING
-        assert sel.classify(2.0)[0] == REGIME_EXTRAPOLATED
+        assert sel.regime(1.0) == REGIME_RESOLVING
+        assert sel.regime(2.0) == REGIME_EXTRAPOLATED
 
     def test_blocking_configs(self):
-        sel = RegimeSelector(E0=0.0, U1=1.0, U2=2.0)
-        assert sel.classify(0.5)[1] == BlockingConfig.blocked_on_either_dot()
-        assert sel.classify(1.5)[1] == BlockingConfig.blocked_on_second_dot()
+        for regime, blocking in REGIME_BLOCKING.items():
+            assert experiments._BLOCKING[regime]() == blocking
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError, match="U2"):
@@ -462,7 +467,8 @@ def _reference_fermi_sweep(base, energy, grid, allow_extrapolation, stacks):
     scenario = builders.GENERALIZED_DOUBLE_DOT_SET
     points = []
     for v in grid:
-        regime, blocking = selector.classify(v)
+        regime = selector.regime(v)
+        blocking = REGIME_BLOCKING[regime]
         try:
             if regime == REGIME_BLIND:
                 reference = _reference_closed_form(builders.DOUBLE_DOT_BARE, base)

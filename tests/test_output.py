@@ -174,6 +174,77 @@ class TestTimeseriesBlocks:
             assert path.read_bytes() == expected.encode()
 
 
+
+def repeating_trajectory(n, copies, seed=0):
+    """n random rows; (dst, src) in copies makes row dst a copy of row src."""
+    rng = np.random.default_rng(seed)
+    g = build_scenario("double_dot_set", HAND_RATES)
+    values = rng.normal(size=(n, g.dim)) * 10.0 ** rng.integers(-300, 300, size=(n, g.dim))
+    for dst, src in copies:
+        values[dst] = values[src]
+    return Trajectory(np.cumsum(rng.exponential(size=n)), values, g.index)
+
+
+def runs(start, stop):
+    """Rows start..stop-1 repeat row start - 1."""
+    return [(k, start - 1) for k in range(start, stop)]
+
+
+def cycle(start, stop, period):
+    """From row start on, each row repeats the row period before it."""
+    return [(k, k - period) for k in range(start, stop)]
+
+
+REPEAT_CASES = {
+    "run_straddles_block_edge": (3 * _BLOCK, runs(_BLOCK - 3, _BLOCK + 4)),
+    "run_starts_at_block_edge": (2 * _BLOCK, runs(_BLOCK, _BLOCK + 2)),
+    "run_ends_at_block_edge": (2 * _BLOCK, runs(_BLOCK - 5, _BLOCK)),
+    "short_final_block": (2 * _BLOCK + 7, runs(2 * _BLOCK - 2, 2 * _BLOCK + 7)),
+    "repeat_at_rows_0_1": (10, runs(1, 2)),
+    "every_row_repeats_the_first": (_BLOCK + 2, runs(1, _BLOCK + 2)),
+    "cycle_across_block_edges": (3 * _BLOCK + 5, cycle(300, 3 * _BLOCK + 5, 226)),
+    "cycle_longer_than_a_block": (4 * _BLOCK, cycle(_BLOCK + 10, 4 * _BLOCK, _BLOCK + 3)),
+    "no_rows": (0, []),
+}
+
+
+class TestTimeseriesRepeats:
+    """Rows with the bytes of another row in their block, or in the block
+    before when that block repeated a row, reuse its text after t; the
+    bytes are those of the per-row reference."""
+
+    @pytest.mark.parametrize("case", sorted(REPEAT_CASES))
+    def test_bytes_equal_the_per_row_reference(self, case):
+        traj = repeating_trajectory(*REPEAT_CASES[case])
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        for weights in ((), (w["system"],), (w["system"], w["detector"])):
+            assert timeseries_csv_text(traj, *weights) == reference_timeseries_text(traj, *weights)
+
+    def test_signed_zeros_do_not_share_text(self):
+        # rows equal under == but not in their bits: 0.0 and -0.0 in a
+        # slot, and in the current it weighs into
+        traj = repeating_trajectory(4, runs(1, 4))
+        values = np.array(traj.values)
+        a = traj.index.diagonal("a")
+        values[:, a] = [0.0, -0.0, 0.0, -0.0]
+        values[:, [k for k in range(len(traj.index)) if k != a]] = 0.0
+        traj = Trajectory(traj.times, values, traj.index)
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        text = timeseries_csv_text(traj, {"a": 1.0}, w["detector"])
+        assert text == reference_timeseries_text(traj, {"a": 1.0}, w["detector"])
+        assert [line.split(",")[1] for line in text.splitlines()[1:]] == ["0", "-0", "0", "-0"]
+
+    def test_nan_rows_of_either_sign(self):
+        traj = repeating_trajectory(6, runs(1, 6))
+        values = np.array(traj.values)
+        values[::2, 0] = np.nan
+        values[1::2, 0] = -np.nan
+        traj = Trajectory(traj.times, values, traj.index)
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        text = timeseries_csv_text(traj, w["system"], w["detector"])
+        assert text == reference_timeseries_text(traj, w["system"], w["detector"])
+
+
 class TestSvg:
     def fig3_rows(self):
         base = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0,
