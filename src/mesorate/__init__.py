@@ -21,18 +21,10 @@ from .builders import (
     DOUBLE_DOT_SET,
     GENERALIZED_DOUBLE_DOT_SET,
     REDUCED_DOUBLE_DOT,
+    REGIMES,
     SCENARIOS,
     SINGLE_DOT_SET,
     BlockingConfig,
-    build_double_dot_bare,
-    build_double_dot_set,
-    build_generalized_double_dot_set,
-    build_reduced_double_dot,
-    build_scenario,
-    build_single_dot_set,
-    index_double_dot,
-    index_double_dot_set,
-    index_single_dot_set,
     scenario_table,
 )
 from .solver import (
@@ -51,16 +43,7 @@ from .analytic import (
     double_dot_current_measured,
     single_dot_current,
 )
-from .experiments import (
-    REGIME_BLIND,
-    REGIME_EXTRAPOLATED,
-    REGIME_RESOLVING,
-    RegimeSelector,
-    SweepRow,
-    SweepSpec,
-    run_fermi_sweep,
-    run_sweep,
-)
+from .experiments import SweepRow, SweepSpec, run_fermi_sweep, run_sweep
 from .config import ConfigError, RunConfig, RunOptions, load_config, parse_config, parse_grid
 from .output import write_csv, write_svg, write_timeseries_csv
 from .cli import cli_main

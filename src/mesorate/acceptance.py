@@ -15,9 +15,9 @@ from math import fsum
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import RATE_FIELDS, EnergyConfig, Generator, RateSet, basis_state, pack
+from .model import RATE_FIELDS, EnergyConfig, Generator, IndexMap, RateSet, basis_state, pack
 from .solver import evolve, steady_states
-from .experiments import REGIME_BLIND, run_fermi_sweep
+from .experiments import run_fermi_sweep
 
 SEED = 20260810
 N_RANDOM_SETS = 200
@@ -192,7 +192,7 @@ def criterion_6() -> CriterionResult:
     min_delta = math.inf
     for row in rows:
         min_delta = min(min_delta, abs(row.Delta_I_D))
-        if row.regime == REGIME_BLIND:
+        if row.regime == "blind":
             worst_low = max(worst_low, abs(row.I_S_numeric - bare_value) / bare_value)
         else:
             worst_high = max(worst_high, abs(row.I_S_numeric - dephased_value) / dephased_value)
@@ -232,7 +232,7 @@ def _hand_coded_double_dot_set(r: RateSet) -> Generator:
     """
     if not r.is_equal_amplitudes:
         raise ValueError("the oracle assumes equal tunneling amplitudes")
-    idx = builders.index_double_dot_set()
+    idx = IndexMap(("a", "a'", "b", "b'", "c", "c'"), (("b", "c"), ("b'", "c'")))
     a, ap, b, bp, c, cp, u, v, up, vp = range(10)
     g = np.zeros((10, 10))
 
@@ -287,16 +287,18 @@ def _hand_coded_double_dot_set(r: RateSet) -> Generator:
 
 def criterion_7() -> CriterionResult:
     """Table-built generators equal the hand-coded one, entry for entry."""
-    resolving = builders.BlockingConfig.blocked_on_second_dot()
+    tables = (builders.scenario_table(builders.DOUBLE_DOT_SET),
+              builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET,
+                                      builders.REGIMES["resolving"]))
     for r in _GOLDEN_SETS:
         hand_coded = _hand_coded_double_dot_set(r)
-        for rule_built in (builders.build_double_dot_set(r),
-                           builders.build_generalized_double_dot_set(r, resolving)):
+        for rule_built in (table.generator(r) for table in tables):
             if not np.array_equal(rule_built.matrix, hand_coded.matrix):
                 return CriterionResult(7, "generator golden equalities", False,
                                        f"{rule_built.label} matrix differs for {r}")
-        bare = builders.build_double_dot_bare(r)
-        undephased = builders.build_reduced_double_dot(r.replacing("gamma_L", 0.0))
+        bare = builders.scenario_table(builders.DOUBLE_DOT_BARE).generator(r)
+        undephased = builders.scenario_table(builders.REDUCED_DOUBLE_DOT).generator(
+            r.replacing("gamma_L", 0.0))
         if not np.array_equal(bare.matrix, undephased.matrix):
             return CriterionResult(7, "generator golden equalities", False,
                                    f"dephasing-free reduced matrix differs for {r}")
@@ -310,20 +312,20 @@ def _suite_evolve_runs():
     """The evolve workload whose conservation bounds criterion 8 asserts."""
     runs = []
     r = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1.0)
-    g = builders.build_single_dot_set(r)
+    g = builders.scenario_table(builders.SINGLE_DOT_SET).generator(r)
     runs.append(("single dot, unit rates", g, basis_state(g.index, "a"), 25.0, None))
 
     r = RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1.0, epsilon=0.5)
-    g = builders.build_double_dot_bare(r)
+    g = builders.scenario_table(builders.DOUBLE_DOT_BARE).generator(r)
     runs.append(("bare coupled dots", g, basis_state(g.index, "a"), 40.0, None))
 
     r = RateSet(gamma_L=1.0, gamma_R=3.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                 U1=1.0, U2=2.0)
-    g = builders.build_double_dot_set(r)
+    g = builders.scenario_table(builders.DOUBLE_DOT_SET).generator(r)
     runs.append(("monitored coupled dots", g, basis_state(g.index, "a"), 40.0, None))
 
     rabi = RateSet(Omega=1.0)
-    g = builders.build_double_dot_bare(rabi)
+    g = builders.scenario_table(builders.DOUBLE_DOT_BARE).generator(rabi)
     x0 = pack(g.index, {"b": 1.0})
     runs.append(("undamped hopping, coarse", g, x0, 2.0, 0.02))
     runs.append(("undamped hopping, fine", g, x0, 2.0, 0.01))
@@ -363,7 +365,7 @@ def criterion_9() -> CriterionResult:
     """Fourth-order convergence of the integrator on the undamped
     hopping oscillation, where the occupation is cos(Omega t)^2."""
     rabi = RateSet(Omega=1.0)
-    g = builders.build_double_dot_bare(rabi)
+    g = builders.scenario_table(builders.DOUBLE_DOT_BARE).generator(rabi)
     x0 = pack(g.index, {"b": 1.0})
     t_final = 2.0
     exact = math.cos(t_final) ** 2

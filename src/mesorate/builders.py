@@ -63,18 +63,6 @@ DETECTOR_COLLECTOR = "detector collector"
 DETECTOR_BACKFLOW = "detector backflow"
 
 
-def index_single_dot_set() -> IndexMap:
-    return IndexMap(("a", "b", "a'", "b'"))
-
-
-def index_double_dot() -> IndexMap:
-    return IndexMap(("a", "b", "c"), (("b", "c"),))
-
-
-def index_double_dot_set() -> IndexMap:
-    return IndexMap(("a", "a'", "b", "b'", "c", "c'"), (("b", "c"), ("b'", "c'")))
-
-
 @dataclass(frozen=True)
 class BlockingConfig:
     """Which system configurations block the detector entry channel.
@@ -91,22 +79,21 @@ class BlockingConfig:
 
     @classmethod
     def blocked_on_second_dot(cls) -> "BlockingConfig":
-        """Detector resolves the second dot only (entry open for dot 1)."""
-        return cls(False, True)
+        """REGIMES["resolving"]; kept for the benchmark oracle
+        (perfbench/oracle.py), its one caller."""
+        return REGIMES["resolving"]
 
-    @classmethod
-    def blocked_on_either_dot(cls) -> "BlockingConfig":
-        """Detector entry shuts for either dot; it cannot tell them apart."""
-        return cls(True, True)
 
-    @classmethod
-    def unrestricted(cls) -> "BlockingConfig":
-        """Entry open regardless of the system state.
-
-        Extrapolated configuration: not validated against any closed-form
-        result, kept out of the validation suite.
-        """
-        return cls(False, False)
+# The detector regimes, each the blocking that a detector Fermi level sets
+# (run_fermi_sweep) and the [run] blocking of the generalized scenario:
+# blind to which dot is occupied (the entry shuts for either), resolving
+# the second dot only, or open for both (extrapolated: validated against no
+# closed form and kept out of the validation suite).
+REGIMES = {
+    "blind": BlockingConfig(True, True),
+    "resolving": BlockingConfig(False, True),
+    "open": BlockingConfig(False, False),
+}
 
 
 @dataclass(frozen=True)
@@ -270,17 +257,20 @@ def _fsum_or_nan(terms) -> float:
 def scenario_table(scenario: str, blocking: BlockingConfig | None = None) -> ChannelTable:
     """The table of a scenario: one or two dots in series, the emitter
     filling the first from a and the collector emptying the last into a,
-    plus a detector joining each s to s' under the scenario's blocking
-    (the generalized scenario takes it as an argument).  A width is primed
+    plus a detector joining each s to s' under the scenario's blocking.
+    single_dot_set and double_dot_set fix theirs (REGIMES "blind" and
+    "resolving"), the generalized scenario takes it as an argument, and a
+    scenario given a blocking it does not take is refused.  A width is primed
     when the other subsystem is occupied while it tunnels; the monitored
     coupled dots require equal amplitudes and use unprimed widths."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario == GENERALIZED_DOUBLE_DOT_SET and blocking is None:
         raise ValueError("the generalized scenario needs a BlockingConfig")
-    blocking = {SINGLE_DOT_SET: BlockingConfig.blocked_on_either_dot(),  # the one dot blocks
-                DOUBLE_DOT_SET: BlockingConfig.blocked_on_second_dot(),
-                GENERALIZED_DOUBLE_DOT_SET: blocking}.get(scenario)
+    if scenario != GENERALIZED_DOUBLE_DOT_SET and blocking is not None:
+        raise ValueError(f"{scenario} fixes its own blocking and takes no BlockingConfig")
+    blocking = {SINGLE_DOT_SET: REGIMES["blind"],     # the one dot blocks
+                DOUBLE_DOT_SET: REGIMES["resolving"]}.get(scenario, blocking)
     states = ("a", "b") if scenario == SINGLE_DOT_SET else ("a", "b", "c")
     equal_amplitudes = len(states) == 3 and blocking is not None
 
@@ -303,39 +293,15 @@ def scenario_table(scenario: str, blocking: BlockingConfig | None = None) -> Cha
         if coherences:
             # the detector electron shifts the dot levels by U1 and U2
             coherences.append((("b'", "c'"), (("epsilon", 1.0), ("U1", -1.0), ("U2", 1.0))))
-    index = (index_single_dot_set() if scenario == SINGLE_DOT_SET
-             else index_double_dot_set() if blocking is not None else index_double_dot())
+    index = (IndexMap(("a", "b", "a'", "b'")) if scenario == SINGLE_DOT_SET
+             else IndexMap(("a", "b", "c"), (("b", "c"),)) if blocking is None
+             else IndexMap(("a", "a'", "b", "b'", "c", "c'"), (("b", "c"), ("b'", "c'"))))
     return ChannelTable(scenario, index, tuple(channels), tuple(coherences),
                         ("gamma_L",) if scenario == REDUCED_DOUBLE_DOT else (),
                         equal_amplitudes, scenario == GENERALIZED_DOUBLE_DOT_SET)
 
 
-def build_single_dot_set(r: RateSet) -> Generator:
-    """Single-level dot plus detector: four occupations, no coherences."""
-    return scenario_table(SINGLE_DOT_SET).generator(r)
-
-
-def build_double_dot_bare(r: RateSet) -> Generator:
-    """Coupled dots without a detector, layout [a, b, c, Re, Im]."""
-    return scenario_table(DOUBLE_DOT_BARE).generator(r)
-
-
-def build_reduced_double_dot(r: RateSet) -> Generator:
-    """Coupled dots with the fast detector folded into pure dephasing."""
-    return scenario_table(REDUCED_DOUBLE_DOT).generator(r)
-
-
-def build_double_dot_set(r: RateSet) -> Generator:
-    """Coupled dots plus detector, entry blocked by the second dot only."""
-    return scenario_table(DOUBLE_DOT_SET).generator(r)
-
-
 def build_generalized_double_dot_set(r: RateSet, cfg: BlockingConfig) -> Generator:
-    """Coupled dots plus detector with configurable entry blocking."""
+    """scenario_table(GENERALIZED_DOUBLE_DOT_SET, cfg).generator(r); kept
+    for the benchmark oracle (perfbench/oracle.py), its one caller."""
     return scenario_table(GENERALIZED_DOUBLE_DOT_SET, cfg).generator(r)
-
-
-def build_scenario(scenario: str, r: RateSet,
-                   blocking: BlockingConfig | None = None) -> Generator:
-    """Build the generator of a scenario label."""
-    return scenario_table(scenario, blocking).generator(r)

@@ -33,12 +33,6 @@ _RUN_FLOAT_KEYS = ("dt", "t_final")
 _RUN_STR_KEYS = ("param", "grid", "format", "blocking")
 _SECTIONS = ("scenario", "rates", "energies", "run")
 
-BLOCKING_NAMES = {
-    "blind": builders.BlockingConfig.blocked_on_either_dot,
-    "resolving": builders.BlockingConfig.blocked_on_second_dot,
-    "open": builders.BlockingConfig.unrestricted,
-}
-
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -59,15 +53,20 @@ class RunConfig:
     energy: EnergyConfig | None
     run: RunOptions
 
-    def blocking_config(self) -> builders.BlockingConfig:
-        name = self.run.blocking or "resolving"
-        return BLOCKING_NAMES[name]()
+    def blocking_config(self) -> builders.BlockingConfig | None:
+        """The [run] blocking regime, resolving when unset; None for a
+        scenario that fixes its own."""
+        if self.scenario != builders.GENERALIZED_DOUBLE_DOT_SET:
+            return None
+        return builders.REGIMES[self.run.blocking or "resolving"]
 
 
 def required_rates(scenario: str) -> tuple[str, ...]:
     """[rates] keys a scenario needs: each width its channel table reads
     (unprimed; alike under every blocking), dephasing, Omega if coherent."""
-    table = builders.scenario_table(scenario, BLOCKING_NAMES["resolving"]())
+    generalized = scenario == builders.GENERALIZED_DOUBLE_DOT_SET
+    table = builders.scenario_table(scenario,
+                                    builders.REGIMES["resolving"] if generalized else None)
     needed = {ch.rate.removesuffix("_p") for ch in table.channels} | set(table.dephasing)
     if table.coherences:
         needed.add("Omega")
@@ -158,8 +157,9 @@ def parse_config(text: str) -> RunConfig:
     run = RunOptions(**run_kwargs)
     if run.format is not None and run.format not in ("csv", "svg"):
         raise ConfigError(f"format must be csv or svg, got {run.format!r}")
-    if run.blocking is not None and run.blocking not in BLOCKING_NAMES:
-        raise ConfigError(f"blocking must be one of {sorted(BLOCKING_NAMES)}, got {run.blocking!r}")
+    if run.blocking is not None and run.blocking not in builders.REGIMES:
+        raise ConfigError(f"blocking must be one of {sorted(builders.REGIMES)}, "
+                          f"got {run.blocking!r}")
     if run.blocking is not None and scenario != builders.GENERALIZED_DOUBLE_DOT_SET:
         raise ConfigError(f"blocking applies to {builders.GENERALIZED_DOUBLE_DOT_SET} only, "
                           f"not to {scenario}, which fixes its own")

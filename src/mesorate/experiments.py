@@ -43,10 +43,6 @@ from .model import (RATE_FIELDS, EnergyConfig, RateColumns, RateSet, fixed_colum
                     row_rates, sweep_columns, take_rows, violation_magnitudes)
 from .solver import DegenerateSteadyState, steady_states
 
-REGIME_BLIND = "blind"            # entry shut for either dot: no which-dot information
-REGIME_RESOLVING = "resolving"    # entry shut only for the second dot
-REGIME_EXTRAPOLATED = "extrapolated"  # entry open for both dots; untested territory
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -199,88 +195,49 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                         list(spec.grid[:stop]), references[:stop], failure=failure)
 
 
-@dataclass(frozen=True)
-class RegimeSelector:
-    """Maps the left detector Fermi level to a blocking configuration.
-
-    Below E0 + U1 the detector entry is shut no matter which dot is
-    occupied; between E0 + U1 and E0 + U2 only the second dot shuts it.
-    Boundaries are half-open upward: a Fermi level exactly at a threshold
-    belongs to the regime above it.
-    """
-
-    E0: float
-    U1: float
-    U2: float
-
-    def __post_init__(self):
-        if self.U2 < self.U1:
-            raise ValueError("U2 must be >= U1 (second dot closer to the detector)")
-
-    @classmethod
-    def from_parts(cls, energy: EnergyConfig, rates: RateSet) -> "RegimeSelector":
-        return cls(energy.E0, rates.U1, rates.U2)
-
-    @property
-    def threshold_resolving(self) -> float:
-        return self.E0 + self.U1
-
-    @property
-    def threshold_extrapolated(self) -> float:
-        return self.E0 + self.U2
-
-    def regime(self, fermi_level: float) -> str:
-        if fermi_level >= self.threshold_extrapolated:
-            return REGIME_EXTRAPOLATED
-        if fermi_level >= self.threshold_resolving:
-            return REGIME_RESOLVING
-        return REGIME_BLIND
-
-
-_BLOCKING = {
-    REGIME_BLIND: builders.BlockingConfig.blocked_on_either_dot,
-    REGIME_RESOLVING: builders.BlockingConfig.blocked_on_second_dot,
-    REGIME_EXTRAPOLATED: builders.BlockingConfig.unrestricted,
-}
 # the scenario whose closed form is the fast-detector plateau of a regime
-_PLATEAU = {REGIME_BLIND: builders.DOUBLE_DOT_BARE, REGIME_RESOLVING: builders.REDUCED_DOUBLE_DOT}
+_PLATEAU = {"blind": builders.DOUBLE_DOT_BARE, "resolving": builders.REDUCED_DOUBLE_DOT}
 
 
-def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float],
-                    allow_extrapolation: bool = False) -> list[SweepRow]:
+def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float]) -> list[SweepRow]:
     """Stationary current of the monitored coupled dots versus the left
     detector Fermi level.
 
-    Each grid point selects its blocking configuration through the
-    RegimeSelector and runs the generalized builder.  The reference column
-    holds the fast-detector plateau value of the regime: the bare current
-    below E0 + U1, the dephased one above.  Points outside the resonance
-    window (at or below E0) are rejected; points at or above E0 + U2 are
-    rejected unless extrapolation is explicitly allowed.
+    Each grid point selects its regime of builders.REGIMES and runs the
+    generalized scenario under it: blind below E0 + U1, resolving from
+    there, a threshold belonging to the regime above it.  U2 < U1 is
+    refused, as are points at or below E0 and points at or above E0 + U2:
+    the open regime there is extrapolated, reachable only as a sweep with
+    [run] blocking = open.  The reference column holds the fast-detector
+    plateau value of the regime: the bare current when blind, the
+    dephased one when resolving.
 
     Every point of a regime shares its rates, so each regime present is
     solved once, a one-member stack, in the order of its first point, and
     its row is copied to each of its points; the first error in grid order
     is that of the first failing regime.
     """
-    selector = RegimeSelector.from_parts(energy, base)
+    if base.U2 < base.U1:
+        raise ValueError("U2 must be >= U1 (second dot closer to the detector)")
+    threshold_resolving, threshold_open = energy.E0 + base.U1, energy.E0 + base.U2
     grid = [float(v) for v in grid]
     if not grid:
         raise ValueError("grid must not be empty")
     for v in grid:
         if not v > energy.E0:
             raise ValueError(f"Fermi level {v!r} is not above the detector level E0 = {energy.E0!r}")
-        if v >= selector.threshold_extrapolated and not allow_extrapolation:
+        if v >= threshold_open:
             raise ValueError(
-                f"Fermi level {v!r} reaches E0 + U2 = {selector.threshold_extrapolated!r}; "
-                "that territory is extrapolated and must be enabled explicitly")
+                f"Fermi level {v!r} reaches E0 + U2 = {threshold_open!r}; that territory is "
+                "extrapolated, reachable only as a sweep with [run] blocking = open")
 
-    regimes = [selector.regime(v) for v in grid]
+    regimes = ["resolving" if v >= threshold_resolving else "blind" for v in grid]
     columns = fixed_columns(base)
     solved = {}
     for regime in dict.fromkeys(regimes):     # in the order of first appearance
-        table = builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET, _BLOCKING[regime]())
-        reference = _analytic_reference(_PLATEAU.get(regime), columns, 1)
+        table = builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET,
+                                        builders.REGIMES[regime])
+        reference = _analytic_reference(_PLATEAU[regime], columns, 1)
         solved[regime] = _solved_rows(table, columns, table.quantities(base)[np.newaxis],
                                       [grid[regimes.index(regime)]], reference, regime)[0]
     return [replace(solved[regime], param=v) for v, regime in zip(grid, regimes)]

@@ -19,8 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mesorate import (BlockingConfig, RateSet, basis_state, build_scenario, cli_main, evolve,
-                      scenario_table)
+from mesorate import BlockingConfig, RateSet, basis_state, cli_main, evolve, scenario_table
 from mesorate.acceptance import _GOLDEN_SETS, _hand_coded_double_dot_set
 from mesorate.output import timeseries_csv_text
 
@@ -134,7 +133,7 @@ WEIGHTS_SHA256 = {
                          ids=[config_id(*c) for c in CONFIGS])
 def test_generator_bytes(scenario, blocking, group):
     key = f"{config_id(scenario, blocking)}/{group}"
-    digest = generator_digest(lambda r: build_scenario(scenario, r, blocking), SETS[group])
+    digest = generator_digest(scenario_table(scenario, blocking).generator, SETS[group])
     assert digest == GENERATOR_SHA256[key]
 
 
@@ -263,7 +262,7 @@ TIMESERIES_SHA256 = {
 @pytest.mark.parametrize("scenario", sorted(TIMESERIES_SHA256))
 def test_timeseries_without_weights_bytes(scenario):
     r = RateSet(gamma_L=1.0, gamma_R=3.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0, U1=1.0, U2=2.0)
-    g = build_scenario(scenario, r)
+    g = scenario_table(scenario).generator(r)
     traj = evolve(g, basis_state(g.index, "a"), 10.0)
     digest = hashlib.sha256(timeseries_csv_text(traj).encode()).hexdigest()
     assert digest == TIMESERIES_SHA256[scenario]

@@ -3,19 +3,15 @@ import pytest
 
 from mesorate import (
     DIAGONAL,
+    REGIMES,
     BlockingConfig,
     RateSet,
-    build_double_dot_bare,
-    build_double_dot_set,
-    build_generalized_double_dot_set,
-    build_reduced_double_dot,
-    build_scenario,
-    build_single_dot_set,
     double_dot_current_bare,
     scenario_table,
     steady_state,
 )
 from mesorate.acceptance import _hand_coded_double_dot_set
+from mesorate.builders import build_generalized_double_dot_set
 from test_observables import one_current, one_drop
 
 # exactly representable rates so the transcribed matrices can be compared
@@ -46,7 +42,7 @@ def random_rate_sets(n, seed=11, equal_amplitudes=True):
 
 class TestSingleDotSet:
     def test_matrix_transcription(self):
-        g = build_single_dot_set(POW2_SINGLE)
+        g = scenario_table("single_dot_set").generator(POW2_SINGLE)
         expected = np.array([
             [-2.125, 4.0, 0.25, 0.0],
             [2.0, -4.0, 0.0, 1.5],
@@ -56,19 +52,20 @@ class TestSingleDotSet:
         assert np.array_equal(g.matrix, expected)
 
     def test_layout_has_no_coherence_slots(self):
-        g = build_single_dot_set(POW2_SINGLE)
+        g = scenario_table("single_dot_set").generator(POW2_SINGLE)
         assert all(e.kind == DIAGONAL for e in g.index.entries)
         assert g.index.diagonal_labels == ("a", "b", "a'", "b'")
 
     def test_all_ones_steady_state(self):
-        g = build_single_dot_set(RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1))
+        r = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
+        g = scenario_table("single_dot_set").generator(r)
         x = steady_state(g)
         assert np.allclose(x.values, np.array([5.0, 7.0, 3.0, 1.0]) / 16.0,
                            rtol=0, atol=1e-14)
 
     def test_detector_decoupled_when_gamma_L_zero(self):
         r = RateSet(gamma_L=0.0, gamma_R=2.0, Gamma_L=1.0, Gamma_R=3.0)
-        x = steady_state(build_single_dot_set(r))
+        x = steady_state(scenario_table("single_dot_set").generator(r))
         assert x.occupation("a'") == pytest.approx(0.0, abs=1e-15)
         assert x.occupation("b'") == pytest.approx(0.0, abs=1e-15)
         # the unprimed block is the bare single dot
@@ -78,7 +75,7 @@ class TestSingleDotSet:
 
 class TestDoubleDotBare:
     def test_matrix_transcription(self):
-        g = build_double_dot_bare(POW2_DOUBLE)
+        g = scenario_table("double_dot_bare").generator(POW2_DOUBLE)
         expected = np.array([
             [-2.0, 0.0, 4.0, 0.0, 0.0],
             [2.0, 0.0, 0.0, 0.0, -2.0],
@@ -89,22 +86,21 @@ class TestDoubleDotBare:
         assert np.array_equal(g.matrix, expected)
 
     def test_zero_hopping_is_absorbing(self):
-        g = build_double_dot_bare(RateSet(Gamma_L=1.0, Gamma_R=1.0, epsilon=0.4))
-        x = steady_state(g)
-        assert x.occupation("b") == pytest.approx(1.0, abs=1e-14)
         r = RateSet(Gamma_L=1.0, Gamma_R=1.0, epsilon=0.4)
+        x = steady_state(scenario_table("double_dot_bare").generator(r))
+        assert x.occupation("b") == pytest.approx(1.0, abs=1e-14)
         w = scenario_table("double_dot_bare").weights(r)
         assert one_current(x, w["system"]) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetric_point_current(self):
         r = RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
-        x = steady_state(build_double_dot_bare(r))
+        x = steady_state(scenario_table("double_dot_bare").generator(r))
         w = scenario_table("double_dot_bare").weights(r)
         assert one_current(x, w["system"]) == pytest.approx(1.0 / 3.25, rel=1e-12)
 
     def test_matches_closed_form_on_random_sets(self):
         for r in random_rate_sets(40, seed=3):
-            x = steady_state(build_double_dot_bare(r))
+            x = steady_state(scenario_table("double_dot_bare").generator(r))
             w = scenario_table("double_dot_bare").weights(r)
             assert one_current(x, w["system"]) == pytest.approx(
                 double_dot_current_bare(r), rel=1e-10)
@@ -112,7 +108,7 @@ class TestDoubleDotBare:
 
 class TestDoubleDotSet:
     def test_matrix_transcription(self):
-        g = build_double_dot_set(POW2_DOUBLE)
+        g = scenario_table("double_dot_set").generator(POW2_DOUBLE)
         expected = np.array([
             [-2.25, 0.5, 0, 0, 4, 0, 0, 0, 0, 0],
             [0.25, -2.5, 0, 0, 0, 4, 0, 0, 0, 0],
@@ -131,17 +127,17 @@ class TestDoubleDotSet:
         r = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1.0, Gamma_R_p=0.5,
                     Omega=1.0)
         with pytest.raises(ValueError, match="equal tunneling amplitudes"):
-            build_double_dot_set(r)
+            scenario_table("double_dot_set").generator(r)
         with pytest.raises(ValueError, match="equal tunneling amplitudes"):
-            build_generalized_double_dot_set(r, BlockingConfig.blocked_on_second_dot())
+            scenario_table("generalized_double_dot_set", REGIMES["resolving"]).generator(r)
 
     def test_detector_decoupled_when_gamma_L_zero(self):
         r = RateSet(gamma_L=0.0, gamma_R=2.0, Gamma_L=1.0, Gamma_R=1.0,
                     Omega=0.8, epsilon=0.3, U1=1.0, U2=2.0)
-        x = steady_state(build_double_dot_set(r))
+        x = steady_state(scenario_table("double_dot_set").generator(r))
         for label in ("a'", "b'", "c'"):
             assert abs(x.occupation(label)) < 1e-14
-        bare = steady_state(build_double_dot_bare(r))
+        bare = steady_state(scenario_table("double_dot_bare").generator(r))
         for label in ("a", "b", "c"):
             assert x.occupation(label) == pytest.approx(bare.occupation(label), rel=1e-12)
         assert x.coherence(("b", "c")) == pytest.approx(bare.coherence(("b", "c")), rel=1e-12)
@@ -155,8 +151,9 @@ class TestDoubleDotSet:
         errors = []
         for ratio in (1e2, 1e3, 1e4):
             r = base.replacing("gamma_R", ratio)
-            full = one_current(steady_state(build_double_dot_set(r)), w["system"])
-            reduced = one_current(steady_state(build_reduced_double_dot(r)),
+            full = one_current(steady_state(scenario_table("double_dot_set").generator(r)),
+                               w["system"])
+            reduced = one_current(steady_state(scenario_table("reduced_double_dot").generator(r)),
                                   scenario_table("reduced_double_dot").weights(r)["system"])
             errors.append(abs(full - reduced) / reduced)
         assert errors[0] > errors[1] > errors[2]
@@ -170,7 +167,7 @@ class TestDoubleDotSet:
         for eps in (0.0, 0.3, -0.5):
             r = RateSet(gamma_L=0.7, gamma_R=5.0, Gamma_L=1.0, Gamma_R=1.0,
                         Omega=1.0, epsilon=eps, U1=2.0, U2=2.0)
-            i_s = one_current(steady_state(build_double_dot_set(r)),
+            i_s = one_current(steady_state(scenario_table("double_dot_set").generator(r)),
                               scenario_table("double_dot_set").weights(r)["system"])
             assert i_s < double_dot_current_bare(r)
 
@@ -179,13 +176,13 @@ class TestReducedDoubleDot:
     def test_no_detector_reduces_to_bare_exactly(self):
         for r in random_rate_sets(20, seed=5):
             r0 = r.replacing("gamma_L", 0.0)
-            assert np.array_equal(build_reduced_double_dot(r0).matrix,
-                                  build_double_dot_bare(r0).matrix)
+            assert np.array_equal(scenario_table("reduced_double_dot").generator(r0).matrix,
+                                  scenario_table("double_dot_bare").generator(r0).matrix)
 
     def test_only_coherence_decay_differs(self):
         r = RateSet(gamma_L=0.6, Gamma_L=1.0, Gamma_R=2.0, Omega=0.7, epsilon=0.2)
-        bare = build_double_dot_bare(r).matrix
-        reduced = build_reduced_double_dot(r).matrix
+        bare = scenario_table("double_dot_bare").generator(r).matrix
+        reduced = scenario_table("reduced_double_dot").generator(r).matrix
         diff = reduced - bare
         expected = np.zeros((5, 5))
         expected[3, 3] = -0.3
@@ -194,24 +191,24 @@ class TestReducedDoubleDot:
 
     def test_symmetric_point_current(self):
         r = RateSet(gamma_L=1.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
-        x = steady_state(build_reduced_double_dot(r))
+        x = steady_state(scenario_table("reduced_double_dot").generator(r))
         w = scenario_table("reduced_double_dot").weights(r)
         assert one_current(x, w["system"]) == pytest.approx(1.0 / 3.5, rel=1e-12)
 
 
 class TestGeneralizedBuilder:
     def test_golden_equality_with_hand_coded(self):
-        cfg = BlockingConfig.blocked_on_second_dot()
+        generalized = scenario_table("generalized_double_dot_set", REGIMES["resolving"])
         for r in random_rate_sets(40, seed=13) + [POW2_DOUBLE, RateSet()]:
             hand_coded = _hand_coded_double_dot_set(r).matrix
-            assert np.array_equal(build_generalized_double_dot_set(r, cfg).matrix, hand_coded)
-            assert np.array_equal(build_double_dot_set(r).matrix, hand_coded)
+            assert np.array_equal(generalized.generator(r).matrix, hand_coded)
+            assert np.array_equal(scenario_table("double_dot_set").generator(r).matrix, hand_coded)
 
     def test_blind_detector_leaves_current_undistorted(self):
         r = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                     U1=1.0, U2=2.0)
-        cfg = BlockingConfig.blocked_on_either_dot()
-        x = steady_state(build_generalized_double_dot_set(r, cfg))
+        cfg = REGIMES["blind"]
+        x = steady_state(scenario_table("generalized_double_dot_set", cfg).generator(r))
         w = scenario_table("generalized_double_dot_set", cfg).weights(r)
         i_s = one_current(x, w["system"])
         assert i_s == pytest.approx(0.3076923, rel=1e-2)
@@ -220,7 +217,7 @@ class TestGeneralizedBuilder:
 
     def test_blind_coherence_decay_has_no_entry_term(self):
         r = RateSet(gamma_L=0.7, gamma_R=2.0, Gamma_L=1.0, Gamma_R=3.0, Omega=1.0)
-        g = build_generalized_double_dot_set(r, BlockingConfig.blocked_on_either_dot())
+        g = scenario_table("generalized_double_dot_set", REGIMES["blind"]).generator(r)
         u, v = g.index.coherence(("b", "c"))
         assert g.matrix[u, u] == -r.Gamma_R / 2.0   # no gamma_L/2 here
         up, vp = g.index.coherence(("b'", "c'"))
@@ -228,16 +225,14 @@ class TestGeneralizedBuilder:
         assert g.matrix[u, up] == r.gamma_R + r.gamma_L
 
     def test_step_monotonicity_in_gamma_L(self):
-        blind = BlockingConfig.blocked_on_either_dot()
-        resolving = BlockingConfig.blocked_on_second_dot()
+        blind = scenario_table("generalized_double_dot_set", REGIMES["blind"])
+        resolving = scenario_table("generalized_double_dot_set", REGIMES["resolving"])
         for gamma_l in (0.0, 0.3, 1.0, 4.0):
             r = RateSet(gamma_L=gamma_l, gamma_R=1e4 * max(gamma_l, 1.0),
                         Gamma_L=1.0, Gamma_R=1.0, Omega=1.0, U1=1.0, U2=2.0)
-            w = scenario_table("generalized_double_dot_set", resolving).weights(r)
-            i_blind = one_current(steady_state(build_generalized_double_dot_set(r, blind)),
-                                  w["system"])
-            i_resolving = one_current(
-                steady_state(build_generalized_double_dot_set(r, resolving)), w["system"])
+            w = resolving.weights(r)
+            i_blind = one_current(steady_state(blind.generator(r)), w["system"])
+            i_resolving = one_current(steady_state(resolving.generator(r)), w["system"])
             if gamma_l == 0.0:
                 assert i_blind == pytest.approx(i_resolving, rel=1e-12)
             else:
@@ -249,14 +244,12 @@ class TestTraceConservation:
         sets = random_rate_sets(25, seed=17) + random_rate_sets(
             10, seed=19, equal_amplitudes=False) + [RateSet()]
         for r in sets:
-            gens = [build_single_dot_set(r), build_double_dot_bare(r),
-                    build_reduced_double_dot(r)]
+            gens = [scenario_table(s).generator(r)
+                    for s in ("single_dot_set", "double_dot_bare", "reduced_double_dot")]
             if r.is_equal_amplitudes:
-                gens.append(build_double_dot_set(r))
-                for cfg in (BlockingConfig.blocked_on_second_dot(),
-                            BlockingConfig.blocked_on_either_dot(),
-                            BlockingConfig.unrestricted()):
-                    gens.append(build_generalized_double_dot_set(r, cfg))
+                gens.append(scenario_table("double_dot_set").generator(r))
+                for cfg in REGIMES.values():
+                    gens.append(scenario_table("generalized_double_dot_set", cfg).generator(r))
             for g in gens:
                 # the column sums over the diagonal slots: the all-ones row
                 # over them is a left null vector of a trace-conserving G
@@ -265,24 +258,50 @@ class TestTraceConservation:
                 assert np.abs(g.matrix[diag].sum(axis=0)).max() <= 1e-12 * scale
 
     def test_zero_rates_give_zero_generator(self):
-        assert not build_double_dot_set(RateSet()).matrix.any()
+        assert not scenario_table("double_dot_set").generator(RateSet()).matrix.any()
 
     def test_reproducible_construction(self):
         r = random_rate_sets(1, seed=23)[0]
-        assert np.array_equal(build_double_dot_set(r).matrix,
-                              build_double_dot_set(r).matrix)
+        assert np.array_equal(scenario_table("double_dot_set").generator(r).matrix,
+                              scenario_table("double_dot_set").generator(r).matrix)
 
 
 class TestDispatch:
-    def test_build_scenario_labels(self):
+    def test_generator_labels(self):
         r = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1, Omega=1)
-        assert build_scenario("single_dot_set", r).label == "single_dot_set"
-        assert build_scenario("double_dot_bare", r).label == "double_dot_bare"
+        assert scenario_table("single_dot_set").generator(r).label == "single_dot_set"
+        assert scenario_table("double_dot_bare").generator(r).label == "double_dot_bare"
 
     def test_generalized_needs_blocking(self):
         with pytest.raises(ValueError, match="BlockingConfig"):
-            build_scenario("generalized_double_dot_set", RateSet())
+            scenario_table("generalized_double_dot_set").generator(RateSet())
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            build_scenario("nope", RateSet())
+            scenario_table("nope").generator(RateSet())
+
+    @pytest.mark.parametrize("scenario", ["single_dot_set", "double_dot_bare",
+                                          "reduced_double_dot", "double_dot_set"])
+    def test_fixed_scenario_refuses_a_blocking(self, scenario):
+        # a scenario that fixes its own blocking (or has no detector) is
+        # refused a BlockingConfig instead of silently ignoring it
+        for blocking in REGIMES.values():
+            with pytest.raises(ValueError, match=f"{scenario} fixes its own blocking"):
+                scenario_table(scenario, blocking)
+
+
+class TestRegimes:
+    def test_each_regime_names_its_blocking(self):
+        assert REGIMES == {"blind": BlockingConfig(True, True),
+                           "resolving": BlockingConfig(False, True),
+                           "open": BlockingConfig(False, False)}
+
+    def test_benchmark_oracle_helpers(self):
+        # build_generalized_double_dot_set and blocked_on_second_dot stay for
+        # perfbench/oracle.py only; they are the table and the regime
+        assert BlockingConfig.blocked_on_second_dot() is REGIMES["resolving"]
+        for r in random_rate_sets(5, seed=29):
+            for cfg in REGIMES.values():
+                assert np.array_equal(build_generalized_double_dot_set(r, cfg).matrix,
+                                      scenario_table("generalized_double_dot_set", cfg)
+                                      .generator(r).matrix)

@@ -3,8 +3,8 @@ import itertools
 
 import pytest
 
-from mesorate import (BlockingConfig, ConfigError, EnergyConfig, RateSet, parse_config,
-                      parse_grid)
+from mesorate import (BlockingConfig, ConfigError, EnergyConfig, RateSet, experiments,
+                      parse_config, parse_grid, run_fermi_sweep)
 from mesorate.builders import scenario_table
 from mesorate.config import RunConfig, RunOptions, required_rates
 
@@ -162,6 +162,40 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"blocking applies to generalized_double_dot_set "
                                               f"only, not to {scenario},"):
             parse_config(text)
+
+    @pytest.mark.parametrize("scenario", sorted(REQUIRED_RATES))
+    def test_blocking_config_of_each_scenario(self, scenario):
+        # resolving when unset on the generalized scenario, None on every
+        # scenario that fixes its own, so none compiles a table under a
+        # blocking it would not read
+        cfg = parse_config(rates_config(scenario, REQUIRED_RATES[scenario]))
+        if scenario == "generalized_double_dot_set":
+            assert cfg.blocking_config() == BlockingConfig(False, True)
+            for name, flags in (("blind", (True, True)), ("open", (False, False))):
+                named = dataclasses.replace(cfg, run=RunOptions(blocking=name))
+                assert named.blocking_config() == BlockingConfig(*flags)
+        else:
+            assert cfg.blocking_config() is None
+            assert scenario_table(scenario, cfg.blocking_config()).label == scenario
+
+    def test_resolving_blocking_and_fig3_share_one_table(self, monkeypatch):
+        # [run] blocking = resolving and the resolving points of a Fermi
+        # sweep reach the same cached table object
+        text = (rates_config("generalized_double_dot_set",
+                             REQUIRED_RATES["generalized_double_dot_set"])
+                + "U1 = 1\nU2 = 2\n[run]\nblocking = resolving\n")
+        cfg = parse_config(text)
+        solved = []
+        solve = experiments._solved_rows
+
+        def recorded(table, *args, **kwargs):
+            solved.append(table)
+            return solve(table, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_solved_rows", recorded)
+        rows = run_fermi_sweep(cfg.rates, EnergyConfig(E0=0.0), [0.5, 1.5])
+        assert [row.regime for row in rows] == ["blind", "resolving"]
+        assert solved[1] is scenario_table(cfg.scenario, cfg.blocking_config())
 
     def test_nonpositive_dt(self):
         with pytest.raises(ConfigError, match="dt"):

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from mesorate import (
-    REGIME_BLIND,
-    REGIME_EXTRAPOLATED,
-    REGIME_RESOLVING,
+    REGIMES,
     BlockingConfig,
     DegenerateSteadyState,
     EnergyConfig,
     RateSet,
-    RegimeSelector,
     SweepSpec,
-    build_generalized_double_dot_set,
-    build_scenario,
     double_dot_current_bare,
     double_dot_current_measured,
     run_fermi_sweep,
     run_sweep,
+    scenario_table,
     steady_state,
     steady_states,
 )
@@ -151,10 +147,10 @@ class TestSweepErrors:
                        U1=1.0, U2=2.0)
         energy, grid = EnergyConfig(E0=0.0), (0.5, 1.5)
         rows = run_fermi_sweep(base, energy, grid)
-        assert [row.regime for row in rows] == [REGIME_BLIND, REGIME_RESOLVING]
+        assert [row.regime for row in rows] == ["blind", "resolving"]
         assert all(math.isnan(row.I_S_analytic) for row in rows)
         assert (_outcome(lambda: run_fermi_sweep(base, energy, grid))
-                == _outcome(lambda: _reference_fermi_sweep(base, energy, grid, False, [])))
+                == _outcome(lambda: _reference_fermi_sweep(base, energy, grid, [])))
 
     def test_solver_error_of_one_member_is_raised(self, monkeypatch):
         # an engine error other than DegenerateSteadyState is raised, not
@@ -167,7 +163,7 @@ class TestSweepErrors:
             return values, errors
 
         monkeypatch.setattr(experiments, "steady_states", second_member_fails)
-        blocking = BlockingConfig.blocked_on_second_dot()
+        blocking = REGIMES["resolving"]
         for grid in ((1.0, 2.0, 3.0), (1.0, 2.0, 1e308)):
             with pytest.raises(ArithmeticError, match="stationary residual") as caught:
                 run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "Omega", grid,
@@ -207,10 +203,10 @@ class TestSweepErrors:
         # 2 * Omega overflows at Omega = 1e308 and a sum of widths past the
         # float range overflows fsum: both are refused in assembly, before
         # any point after them and before LAPACK could see an inf
-        blocking = BlockingConfig.blocked_on_second_dot()
+        blocking = REGIMES["resolving"]
         alone = SET_BASE.replacing("Omega", 1e308)
         with pytest.raises(ValueError, match="a generator entry from Omega overflows"):
-            build_generalized_double_dot_set(alone, blocking)
+            scenario_table("generalized_double_dot_set", blocking).generator(alone)
         with pytest.raises(ValueError, match="a generator entry from Omega overflows"):
             run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "Omega",
                                 (1.0, 1e308, -1.0), blocking))
@@ -218,7 +214,8 @@ class TestSweepErrors:
             run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "gamma_R",
                                 (1.0, 1e308), blocking))
         # the largest widths whose entries stay finite still assemble
-        build_generalized_double_dot_set(SET_BASE.replacing("Omega", 5e307), blocking)
+        scenario_table("generalized_double_dot_set", blocking).generator(
+            SET_BASE.replacing("Omega", 5e307))
 
     @pytest.mark.parametrize("grid,expected", [
         ((1.0, 2.0), "assumes equal tunneling amplitudes"),
@@ -230,7 +227,7 @@ class TestSweepErrors:
         # what its point alone raises, the unequal amplitudes first
         base = SET_BASE.replacing("Omega", 1e308).replacing("gamma_R_p", 2.0)
         with pytest.raises(ValueError, match=expected) as alone:
-            build_scenario("double_dot_set", base.replacing("gamma_R", grid[0]))
+            scenario_table("double_dot_set").generator(base.replacing("gamma_R", grid[0]))
         with pytest.raises(ValueError) as swept:
             run_sweep(SweepSpec("double_dot_set", base, "gamma_R", grid))
         assert str(swept.value) == str(alone.value)
@@ -244,36 +241,25 @@ class TestSweepErrors:
             assert repr(row) == repr(alone[0])
 
 
-# the blocking configuration of each regime, by its constructor
-REGIME_BLOCKING = {REGIME_BLIND: BlockingConfig.blocked_on_either_dot(),
-                   REGIME_RESOLVING: BlockingConfig.blocked_on_second_dot(),
-                   REGIME_EXTRAPOLATED: BlockingConfig.unrestricted()}
+class TestFermiRegimes:
+    """The regime of a Fermi level: blind below E0 + U1, resolving from
+    there up to E0 + U2, each threshold belonging to the regime above it."""
 
+    ENERGY = EnergyConfig(E0=0.5)
 
-class TestRegimeSelector:
-    def test_thresholds(self):
-        sel = RegimeSelector(E0=0.0, U1=1.0, U2=2.0)
-        assert sel.regime(0.5) == REGIME_BLIND
-        assert sel.regime(1.5) == REGIME_RESOLVING
-        assert sel.regime(2.5) == REGIME_EXTRAPOLATED
+    def test_level_at_e0_plus_u1_is_resolving(self):
+        rows = run_fermi_sweep(SET_BASE, self.ENERGY, [1.0, 1.5, 2.0])
+        assert [row.regime for row in rows] == ["blind", "resolving", "resolving"]
 
-    def test_boundaries_half_open_upward(self):
-        sel = RegimeSelector(E0=0.0, U1=1.0, U2=2.0)
-        assert sel.regime(1.0) == REGIME_RESOLVING
-        assert sel.regime(2.0) == REGIME_EXTRAPOLATED
+    def test_level_at_e0_plus_u2_is_refused(self):
+        with pytest.raises(ValueError, match=r"reaches E0 \+ U2 = 2.5"):
+            run_fermi_sweep(SET_BASE, self.ENERGY, [1.0, 2.5])
 
-    def test_blocking_configs(self):
-        for regime, blocking in REGIME_BLOCKING.items():
-            assert experiments._BLOCKING[regime]() == blocking
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError, match="U2"):
-            RegimeSelector(E0=0.0, U1=2.0, U2=1.0)
-
-    def test_from_parts(self):
-        sel = RegimeSelector.from_parts(EnergyConfig(E0=0.5), SET_BASE)
-        assert sel.threshold_resolving == 1.5
-        assert sel.threshold_extrapolated == 2.5
+    def test_u2_below_u1_is_refused_before_the_grid_checks(self):
+        base = SET_BASE.replacing("U1", 2.0).replacing("U2", 1.0)
+        for grid in ([], [-1.0], [0.75]):
+            with pytest.raises(ValueError, match="U2 must be >= U1"):
+                run_fermi_sweep(base, self.ENERGY, grid)
 
 
 class TestFermiSweep:
@@ -288,11 +274,11 @@ class TestFermiSweep:
         dephased = double_dot_current_measured(self.BASE)
         for row in rows:
             if row.param < 1.0:
-                assert row.regime == REGIME_BLIND
+                assert row.regime == "blind"
                 assert row.I_S_numeric == pytest.approx(bare, rel=1e-2)
                 assert row.I_S_analytic == pytest.approx(bare, rel=1e-15)
             else:
-                assert row.regime == REGIME_RESOLVING
+                assert row.regime == "resolving"
                 assert row.I_S_numeric == pytest.approx(dephased, rel=1e-2)
             assert abs(row.Delta_I_D) > 1e-6  # the detector interacts on both sides
 
@@ -311,13 +297,11 @@ class TestFermiSweep:
         with pytest.raises(ValueError, match="not above"):
             run_fermi_sweep(self.BASE, self.ENERGY, [-0.5, 0.5])
 
-    def test_extrapolated_grid_needs_flag(self):
-        with pytest.raises(ValueError, match="extrapolated"):
+    def test_extrapolated_grid_rejected(self):
+        # the open regime is reachable only as a sweep with [run] blocking = open
+        with pytest.raises(ValueError, match=r"extrapolated, reachable only as a sweep with "
+                                             r"\[run\] blocking = open"):
             run_fermi_sweep(self.BASE, self.ENERGY, [0.5, 2.5])
-        rows = run_fermi_sweep(self.BASE, self.ENERGY, [0.5, 2.5],
-                               allow_extrapolation=True)
-        assert rows[1].regime == REGIME_EXTRAPOLATED
-        assert math.isnan(rows[1].I_S_analytic)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -357,7 +341,7 @@ class TestStiffRegime:
         # lost answer: solved alone it raises that same degeneracy
         for row in rows:
             if math.isnan(row.I_S_numeric):
-                g = build_scenario(scenario, self.BASE.replacing(param, row.param))
+                g = scenario_table(scenario).generator(self.BASE.replacing(param, row.param))
                 with pytest.raises(DegenerateSteadyState) as caught:
                     steady_state(g)
                 assert str(caught.value) == row.error
@@ -452,30 +436,29 @@ def _reference_sweep(spec, stacks):
     return _reference_rows(spec.scenario, points, stacks)
 
 
-def _reference_fermi_sweep(base, energy, grid, allow_extrapolation, stacks):
-    selector = RegimeSelector.from_parts(energy, base)
+def _reference_fermi_sweep(base, energy, grid, stacks):
+    if base.U2 < base.U1:
+        raise ValueError("U2 must be >= U1 (second dot closer to the detector)")
     grid = [float(v) for v in grid]
     if not grid:
         raise ValueError("grid must not be empty")
     for v in grid:
         if not v > energy.E0:
-            raise ValueError(f"Fermi level {v!r} is not above the detector level E0 = {energy.E0!r}")
-        if v >= selector.threshold_extrapolated and not allow_extrapolation:
+            raise ValueError(f"Fermi level {v!r} is not above the detector level "
+                             f"E0 = {energy.E0!r}")
+        if v >= energy.E0 + base.U2:
             raise ValueError(
-                f"Fermi level {v!r} reaches E0 + U2 = {selector.threshold_extrapolated!r}; "
-                "that territory is extrapolated and must be enabled explicitly")
+                f"Fermi level {v!r} reaches E0 + U2 = {energy.E0 + base.U2!r}; that territory is "
+                "extrapolated, reachable only as a sweep with [run] blocking = open")
     scenario = builders.GENERALIZED_DOUBLE_DOT_SET
     points = []
     for v in grid:
-        regime = selector.regime(v)
-        blocking = REGIME_BLOCKING[regime]
+        resolving = v >= energy.E0 + base.U1
+        regime = "resolving" if resolving else "blind"
+        blocking = BlockingConfig(not resolving, True)
+        plateau = builders.REDUCED_DOUBLE_DOT if resolving else builders.DOUBLE_DOT_BARE
         try:
-            if regime == REGIME_BLIND:
-                reference = _reference_closed_form(builders.DOUBLE_DOT_BARE, base)
-            elif regime == REGIME_RESOLVING:
-                reference = _reference_closed_form(builders.REDUCED_DOUBLE_DOT, base)
-            else:
-                reference = math.nan
+            reference = _reference_closed_form(plateau, base)
             table = builders.scenario_table(scenario, blocking)
             points.append((v, base, blocking, reference, regime,
                            _reference_quantities(table, base)))
@@ -509,10 +492,8 @@ def _regime_bits(stacks, other):
         for a, b in zip(stacks, other))
 
 
-_BLOCKINGS = (BlockingConfig.blocked_on_either_dot(), BlockingConfig.blocked_on_second_dot(),
-              BlockingConfig.unrestricted())
-_DIFF_CONFIGS = [(s, _BLOCKINGS[1]) for s in builders.SCENARIOS if s != "generalized_double_dot_set"]
-_DIFF_CONFIGS += [("generalized_double_dot_set", b) for b in (*_BLOCKINGS, None)]
+_DIFF_CONFIGS = [(s, None) for s in builders.SCENARIOS if s != "generalized_double_dot_set"]
+_DIFF_CONFIGS += [("generalized_double_dot_set", b) for b in (*REGIMES.values(), None)]
 _DIFF_BASES = (
     RateSet(gamma_L=1.0, gamma_R=2.0, Gamma_L=0.5, Gamma_R=1.5, Omega=0.75, epsilon=0.25,
             U1=1.0, U2=2.0),
@@ -566,14 +547,13 @@ class TestColumnarMatchesPerPoint:
         RateSet(U1=1.0, U2=2.0),                                        # degenerate
         RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Omega=1.0, U1=1.0, U2=2.0),
     ], ids=["monitored", "uncoupled", "unequal", "overflow", "zero", "no-collector"])
-    @pytest.mark.parametrize("grid,extrapolate", [
-        ((0.2, 0.6, 1.0, 1.4, 1.8), False),
-        ((1.5, 0.5, 2.5, 1.2, 3.0, 0.2), True),     # all three regimes, interleaved
-        ((2.0, 2.5), True),
-        ((0.5, 2.5), False),                        # extrapolated without the flag
-        ((0.5, -0.5), False),                       # below E0
-    ])
-    def test_fermi_sweep(self, monkeypatch, base, grid, extrapolate):
+    @pytest.mark.parametrize("grid", [
+        (0.2, 0.6, 1.0, 1.4, 1.8),
+        (1.5, 0.5, 1.2, 0.2),       # both regimes, interleaved
+        (0.5, 2.5),                 # extrapolated
+        (0.5, -0.5),                # below E0
+    ], ids=["step", "interleaved", "extrapolated", "below-E0"])
+    def test_fermi_sweep(self, monkeypatch, base, grid):
         stacks, expected_stacks = [], []
 
         def recorded(matrices, index):
@@ -582,7 +562,6 @@ class TestColumnarMatchesPerPoint:
 
         monkeypatch.setattr(experiments, "steady_states", recorded)
         energy = EnergyConfig(E0=0.0)
-        expected = _outcome(lambda: _reference_fermi_sweep(base, energy, grid, extrapolate,
-                                                           expected_stacks))
-        assert _outcome(lambda: run_fermi_sweep(base, energy, grid, extrapolate)) == expected
+        expected = _outcome(lambda: _reference_fermi_sweep(base, energy, grid, expected_stacks))
+        assert _outcome(lambda: run_fermi_sweep(base, energy, grid)) == expected
         assert _regime_bits(stacks, expected_stacks)

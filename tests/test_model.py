@@ -11,13 +11,16 @@ from mesorate import (
     RateSet,
     StateVector,
     basis_state,
-    index_double_dot,
-    index_double_dot_set,
-    index_single_dot_set,
     pack,
+    scenario_table,
     validate_state,
 )
 from mesorate.model import RATE_FIELDS, row_rates, sweep_columns, violation_magnitudes
+
+# the slot layouts of three scenarios
+SINGLE_DOT_SET_INDEX = scenario_table("single_dot_set").index
+DOUBLE_DOT_INDEX = scenario_table("double_dot_bare").index
+DOUBLE_DOT_SET_INDEX = scenario_table("double_dot_set").index
 
 
 class TestRateSet:
@@ -114,7 +117,7 @@ class TestViolationMagnitudes:
         # sigma^2 squares with libm pow, which differs from x*x in the last
         # bit on roughly 1 draw in 1000; 20,000 coherences meet such draws
         rng = np.random.default_rng(11)
-        index = index_double_dot_set()
+        index = DOUBLE_DOT_SET_INDEX
         values = rng.uniform(-0.2, 1.2, size=(10_000, 10))
         values[:, 6:] *= 10.0 ** rng.uniform(-3, 3, size=(10_000, 4))
         values[::5, :6] = np.abs(values[::5, :6]) / np.abs(values[::5, :6]).sum(axis=1)[:, None]
@@ -126,7 +129,7 @@ class TestViolationMagnitudes:
         assert self._same(violation_magnitudes(index, values), self._scalar(index, values))
 
     def test_clean_and_signed_zero_states(self):
-        index = index_double_dot()
+        index = DOUBLE_DOT_INDEX
         values = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [-0.0, 1.0, -0.0, -0.0, -0.0],
                            [0.5, 0.25, 0.25, 0.0, -0.0]])
         got = violation_magnitudes(index, values)
@@ -136,7 +139,7 @@ class TestViolationMagnitudes:
 
     @pytest.mark.parametrize("coherence", [(1e200, 0.0), (1e308, 1e308)])
     def test_overflow_raises_as_the_scalar_path(self, coherence):
-        index = index_double_dot()
+        index = DOUBLE_DOT_INDEX
         values = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, *coherence]])
         with pytest.raises(OverflowError) as scalar:
             self._scalar(index, values)
@@ -145,7 +148,7 @@ class TestViolationMagnitudes:
         assert str(columnar.value) == str(scalar.value)
 
     def test_one_state_is_the_one_row_case(self):
-        x = pack(index_double_dot(), {"b": 0.5, "c": 0.5}, {("b", "c"): 0.75j})
+        x = pack(DOUBLE_DOT_INDEX, {"b": 0.5, "c": 0.5}, {("b", "c"): 0.75j})
         assert violation_magnitudes(x.index, x.values[np.newaxis]).tolist() == [
             reference_violation_magnitude(x)] == [0.3125]
 
@@ -165,12 +168,12 @@ class TestEnergyConfig:
 
 class TestIndexMap:
     def test_diagonals_precede_coherences(self):
-        idx = index_double_dot()
+        idx = DOUBLE_DOT_INDEX
         kinds = [e.kind for e in idx.entries]
         assert kinds == [DIAGONAL, DIAGONAL, DIAGONAL, "re", "im"]
 
     def test_lookups(self):
-        idx = index_double_dot()
+        idx = DOUBLE_DOT_INDEX
         assert idx.diagonal("c") == 2
         assert idx.coherence(("b", "c")) == (3, 4)
         with pytest.raises(KeyError):
@@ -185,23 +188,23 @@ class TestIndexMap:
 
 class TestPackUnpack:
     def test_point_mass_single_dot(self):
-        x = pack(index_single_dot_set(), {"a": 1.0})
+        x = pack(SINGLE_DOT_SET_INDEX, {"a": 1.0})
         assert np.array_equal(x.values, [1.0, 0.0, 0.0, 0.0])
 
     def test_symmetric_superposition_double_dot(self):
-        x = pack(index_double_dot(), {"b": 0.5, "c": 0.5}, {("b", "c"): 0.5 + 0.0j})
+        x = pack(DOUBLE_DOT_INDEX, {"b": 0.5, "c": 0.5}, {("b", "c"): 0.5 + 0.0j})
         assert np.array_equal(x.values, [0.0, 0.5, 0.5, 0.5, 0.0])
 
     def test_normalization_violation_rejected(self):
         with pytest.raises(ValueError, match="sum to"):
-            pack(index_single_dot_set(), {"a": 0.9, "b": 0.2})
+            pack(SINGLE_DOT_SET_INDEX, {"a": 0.9, "b": 0.2})
 
     def test_unknown_label_rejected(self):
         with pytest.raises(KeyError):
-            pack(index_single_dot_set(), {"q": 1.0})
+            pack(SINGLE_DOT_SET_INDEX, {"q": 1.0})
 
     def test_round_trip_exact(self):
-        idx = index_double_dot()
+        idx = DOUBLE_DOT_INDEX
         rng = np.random.default_rng(7)
         for _ in range(25):
             probs = rng.dirichlet(np.ones(3))
@@ -217,32 +220,32 @@ class TestPackUnpack:
 
 class TestValidateState:
     def test_clean_point_mass(self):
-        x = basis_state(index_single_dot_set(), "a")
+        x = basis_state(SINGLE_DOT_SET_INDEX, "a")
         assert validate_state(x, 1e-9) == []
 
     def test_negative_occupation_is_the_only_violation(self):
         # sums to one, so only the negative slot is reported
-        x = StateVector(np.array([0.5, 0.6, -0.1, 0.0, 0.0]), index_double_dot())
+        x = StateVector(np.array([0.5, 0.6, -0.1, 0.0, 0.0]), DOUBLE_DOT_INDEX)
         violations = validate_state(x, 1e-9)
         assert len(violations) == 1
         assert "negativity" in violations[0]
         assert "c" in violations[0]
 
     def test_normalization_reported(self):
-        x = StateVector(np.array([0.4, 0.4, 0.0, 0.0, 0.0]), index_double_dot())
+        x = StateVector(np.array([0.4, 0.4, 0.0, 0.0, 0.0]), DOUBLE_DOT_INDEX)
         assert any("normalization" in v for v in validate_state(x, 1e-9))
 
     def test_coherence_block_positivity(self):
         # |sigma_bc| too large for the populations it connects
-        x = StateVector(np.array([0.0, 0.5, 0.5, 0.7, 0.0]), index_double_dot())
+        x = StateVector(np.array([0.0, 0.5, 0.5, 0.7, 0.0]), DOUBLE_DOT_INDEX)
         assert any("coherence block" in v for v in validate_state(x, 1e-9))
 
     def test_magnitude_zero_for_clean_state(self):
-        x = pack(index_double_dot(), {"b": 0.5, "c": 0.5}, {("b", "c"): 0.5j})
+        x = pack(DOUBLE_DOT_INDEX, {"b": 0.5, "c": 0.5}, {("b", "c"): 0.5j})
         assert violation_magnitudes(x.index, x.values[np.newaxis]).tolist() == [0.0]
 
     def test_magnitude_tracks_worst_violation(self):
-        x = StateVector(np.array([0.5, 0.6, -0.1, 0.0, 0.0]), index_double_dot())
+        x = StateVector(np.array([0.5, 0.6, -0.1, 0.0, 0.0]), DOUBLE_DOT_INDEX)
         assert violation_magnitudes(x.index, x.values[np.newaxis]).tolist() == [
             pytest.approx(0.1)]
 
@@ -290,7 +293,7 @@ class TestValidateStateMatchesPerState:
     @pytest.mark.parametrize("tol", [1e-9, 0.0])
     def test_random_states(self, tol):
         rng = np.random.default_rng(23)
-        index = index_double_dot_set()
+        index = DOUBLE_DOT_SET_INDEX
         values = rng.uniform(-0.2, 1.2, size=(2_000, 10))
         values[:, 6:] *= 10.0 ** rng.uniform(-3, 1, size=(2_000, 4))
         values[::5, :6] = np.abs(values[::5, :6]) / np.abs(values[::5, :6]).sum(axis=1)[:, None]
@@ -313,7 +316,7 @@ class TestValidateStateMatchesPerState:
             "absolute value too large", "(34, 'Numerical result out of range')"}
 
     def test_states_without_coherences(self):
-        index = index_single_dot_set()
+        index = SINGLE_DOT_SET_INDEX
         for v in ([0.25, 0.25, 0.25, 0.25], [-0.0, 1.5, -0.5, 0.0], [np.nan, 0.0, 1.0, 0.0]):
             x = StateVector(np.array(v), index)
             assert validate_state(x, 1e-9) == reference_validate_state(x, 1e-9)
@@ -321,15 +324,15 @@ class TestValidateStateMatchesPerState:
 
 class TestImmutability:
     def test_state_vector_read_only(self):
-        x = basis_state(index_single_dot_set(), "a")
+        x = basis_state(SINGLE_DOT_SET_INDEX, "a")
         with pytest.raises(ValueError):
             x.values[0] = 0.5
 
     def test_generator_read_only(self):
-        g = Generator(np.zeros((4, 4)), index_single_dot_set(), "zero")
+        g = Generator(np.zeros((4, 4)), SINGLE_DOT_SET_INDEX, "zero")
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 1.0
 
     def test_generator_shape_checked(self):
         with pytest.raises(ValueError, match="4x4"):
-            Generator(np.zeros((3, 3)), index_single_dot_set(), "bad")
+            Generator(np.zeros((3, 3)), SINGLE_DOT_SET_INDEX, "bad")

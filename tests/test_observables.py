@@ -9,15 +9,11 @@ from mesorate import (
     BlockingConfig,
     RateSet,
     StateVector,
-    build_double_dot_set,
-    build_scenario,
-    build_single_dot_set,
-    index_single_dot_set,
     scenario_table,
     steady_state,
 )
 from mesorate.analytic import single_dot_current
-from mesorate.builders import DETECTOR_ENTRY, index_double_dot_set
+from mesorate.builders import DETECTOR_ENTRY
 from mesorate.model import fixed_columns, invalid_rows, sweep_columns
 from mesorate.observables import currents, detector_drops
 
@@ -51,7 +47,7 @@ def one_drop(r, detector_current):
 
 
 ALL_ONES = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
-STEADY_ALL_ONES = StateVector(np.array([5, 7, 3, 1]) / 16, index_single_dot_set())
+STEADY_ALL_ONES = StateVector(np.array([5, 7, 3, 1]) / 16, scenario_table("single_dot_set").index)
 
 
 class TestWeightsFor:
@@ -82,8 +78,7 @@ class TestWeightsFor:
 
     def test_generalized_backflow_diagnostic_follows_blocking(self):
         r = RateSet(gamma_L=0.5, gamma_R=7, Gamma_L=1, Gamma_R=2, Omega=1)
-        w = scenario_table("generalized_double_dot_set",
-                           BlockingConfig.blocked_on_either_dot()).weights(r)
+        w = scenario_table("generalized_double_dot_set", BlockingConfig(True, True)).weights(r)
         assert w["detector_return"] == {"b'": 0.5, "c'": 0.5}
 
     def test_unknown_scenario(self):
@@ -134,7 +129,7 @@ class TestCurrentMatchesReference:
     """currents and detector_drops, bit for bit the per-state reference
     above, on one row and on a stack of rows."""
 
-    INDEX = index_double_dot_set()
+    INDEX = scenario_table("double_dot_set").index
 
     def random_states(self, rng, n):
         for _ in range(n):
@@ -215,7 +210,7 @@ class TestDeltaDetectorCurrent:
     def test_amplification_ratio_in_fast_detector_limit(self):
         r = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                     U1=1.0, U2=2.0)
-        x = steady_state(build_double_dot_set(r))
+        x = steady_state(scenario_table("double_dot_set").generator(r))
         w = scenario_table("double_dot_set").weights(r)
         i_s = one_current(x, w["system"])
         i_d = one_current(x, w["detector"])
@@ -250,7 +245,7 @@ class TestFluxBalance:
         else:
             r = RateSet(gamma_L=0.8, gamma_R=2.0, Gamma_L=1.1, Gamma_R=0.9,
                         Omega=0.7, epsilon=0.3, U1=1.0, U2=2.0)
-        x = steady_state(build_scenario(scenario, r, blocking))
+        x = steady_state(scenario_table(scenario, blocking).generator(r))
         p = {label: x.occupation(label) for label in x.index.diagonal_labels}
         w = scenario_table(scenario, blocking).weights(r)
         if scenario == "single_dot_set":
@@ -260,7 +255,7 @@ class TestFluxBalance:
             system_entry = r.Gamma_L * p["a"]
             detector_entry = 0.0
         else:
-            cfg = blocking or BlockingConfig.blocked_on_second_dot()
+            cfg = blocking or BlockingConfig(False, True)   # double_dot_set: resolving
             blocked = {"a": False, "b": cfg.blocked_when_dot1, "c": cfg.blocked_when_dot2}
             system_entry = r.Gamma_L * (p["a"] + p["a'"])
             detector_entry = r.gamma_L * math.fsum(
@@ -337,8 +332,8 @@ class TestScaleInvariance:
         scaled = RateSet(**{k: kappa * getattr(r, k) for k in
                             ("gamma_L", "gamma_R", "gamma_L_p", "gamma_R_p",
                              "Gamma_L", "Gamma_R", "Gamma_L_p", "Gamma_R_p")})
-        x1 = steady_state(build_single_dot_set(r))
-        x2 = steady_state(build_single_dot_set(scaled))
+        x1 = steady_state(scenario_table("single_dot_set").generator(r))
+        x2 = steady_state(scenario_table("single_dot_set").generator(scaled))
         w1 = scenario_table("single_dot_set").weights(r)
         w2 = scenario_table("single_dot_set").weights(scaled)
         i_s1, i_s2 = one_current(x1, w1["system"]), one_current(x2, w2["system"])
@@ -352,15 +347,15 @@ class TestScaleInvariance:
     def test_occupations_invariant_under_scaling(self):
         r = RateSet(gamma_L=0.5, gamma_R=2.0, Gamma_L=1.0, Gamma_R=0.75)
         scaled = RateSet(gamma_L=2.0, gamma_R=8.0, Gamma_L=4.0, Gamma_R=3.0)
-        x1 = steady_state(build_single_dot_set(r))
-        x2 = steady_state(build_single_dot_set(scaled))
+        x1 = steady_state(scenario_table("single_dot_set").generator(r))
+        x2 = steady_state(scenario_table("single_dot_set").generator(scaled))
         assert np.allclose(x1.values, x2.values, rtol=1e-13, atol=0)
 
 
 class TestTimeResolvedCurrent:
     def test_transient_current_starts_at_zero_and_reaches_dc(self):
         from mesorate import basis_state, evolve
-        g = build_single_dot_set(ALL_ONES)
+        g = scenario_table("single_dot_set").generator(ALL_ONES)
         w = scenario_table("single_dot_set").weights(ALL_ONES)
         traj = evolve(g, basis_state(g.index, "a"), 30.0)
         assert currents(traj.index, w["system"], traj.values[[0, -1]]) == [

@@ -11,8 +11,6 @@ from mesorate import (
     SweepSpec,
     Trajectory,
     basis_state,
-    build_scenario,
-    build_single_dot_set,
     evolve,
     run_fermi_sweep,
     run_sweep,
@@ -72,7 +70,7 @@ class TestSweepCsv:
 class TestTimeseriesCsv:
     def test_header_tokens(self):
         r = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
-        g = build_single_dot_set(r)
+        g = scenario_table("single_dot_set").generator(r)
         traj = evolve(g, basis_state(g.index, "a"), 1.0, dt=0.5)
         w = scenario_table("single_dot_set").weights(r)
         text = timeseries_csv_text(traj, w["system"], w["detector"])
@@ -81,7 +79,7 @@ class TestTimeseriesCsv:
 
     def test_weight_on_missing_slot_rejected(self, tmp_path):
         r = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
-        g = build_single_dot_set(r)
+        g = scenario_table("single_dot_set").generator(r)
         traj = evolve(g, basis_state(g.index, "a"), 1.0, dt=0.5)
         with pytest.raises(ValueError, match="missing"):
             timeseries_csv_text(traj, {"c": 1.0})
@@ -113,7 +111,7 @@ HAND_SHA256 = "eeb7f5e8eef360a3ddccd1090b2e632e557078eb667c813e535d39b88e186efc"
 
 class TestTimeseriesBytes:
     def hand_trajectory(self):
-        g = build_scenario("double_dot_set", HAND_RATES)
+        g = scenario_table("double_dot_set").generator(HAND_RATES)
         return Trajectory(np.array(HAND_TIMES), np.array(HAND_VALUES), g.index)
 
     def test_hand_built_trajectory_bytes(self):
@@ -154,7 +152,7 @@ class TestTimeseriesBlocks:
 
     def random_trajectory(self, n):
         rng = np.random.default_rng(n)
-        g = build_scenario("double_dot_set", HAND_RATES)
+        g = scenario_table("double_dot_set").generator(HAND_RATES)
         values = rng.normal(size=(n, g.dim)) * 10.0 ** rng.integers(-300, 300, size=(n, g.dim))
         values[rng.random(values.shape) < 0.05] = -0.0
         values[rng.random(values.shape) < 0.01] = math.nan
@@ -178,7 +176,7 @@ class TestTimeseriesBlocks:
 def repeating_trajectory(n, copies, seed=0):
     """n random rows; (dst, src) in copies makes row dst a copy of row src."""
     rng = np.random.default_rng(seed)
-    g = build_scenario("double_dot_set", HAND_RATES)
+    g = scenario_table("double_dot_set").generator(HAND_RATES)
     values = rng.normal(size=(n, g.dim)) * 10.0 ** rng.integers(-300, 300, size=(n, g.dim))
     for dst, src in copies:
         values[dst] = values[src]

@@ -12,13 +12,10 @@ from mesorate import (
     StepTooLarge,
     Trajectory,
     basis_state,
-    build_double_dot_bare,
-    build_double_dot_set,
-    build_scenario,
-    build_single_dot_set,
     default_step,
     evolve,
     pack,
+    scenario_table,
     steady_state,
     steady_states,
     validate_state,
@@ -127,7 +124,7 @@ def rational_steady_state(matrix_rows):
 
 class TestSteadyState:
     def test_all_ones_single_dot(self):
-        x = steady_state(build_single_dot_set(ALL_ONES_SINGLE))
+        x = steady_state(scenario_table("single_dot_set").generator(ALL_ONES_SINGLE))
         assert np.allclose(x.values, np.array([5, 7, 3, 1]) / 16, rtol=0, atol=1e-14)
 
     def test_against_exact_rational_elimination(self):
@@ -143,18 +140,19 @@ class TestSteadyState:
             RateSet(gamma_L=2, gamma_R=16, Gamma_L=F(1, 4), Gamma_R=F(1, 2)),
         ]
         for r in cases:
-            g = build_single_dot_set(r)
+            g = scenario_table("single_dot_set").generator(r)
             expected = rational_steady_state([[F(v) for v in row] for row in g.matrix])
             x = steady_state(g)
             for got, want in zip(x.values, expected):
                 assert got == pytest.approx(float(want), rel=1e-13, abs=1e-15)
         # the frozen all-ones value comes out of the oracle too
-        oracle = rational_steady_state(
-            [[F(v) for v in row] for row in build_single_dot_set(ALL_ONES_SINGLE).matrix])
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
+        oracle = rational_steady_state([[F(v) for v in row] for row in g.matrix])
         assert oracle == [F(5, 16), F(7, 16), F(3, 16), F(1, 16)]
 
     def test_absorbing_state_without_hopping(self):
-        g = build_double_dot_bare(RateSet(Gamma_L=1, Gamma_R=1, epsilon=0.7))
+        g = scenario_table("double_dot_bare").generator(
+            RateSet(Gamma_L=1, Gamma_R=1, epsilon=0.7))
         x = steady_state(g)
         expected = np.zeros(5)
         expected[1] = 1.0
@@ -162,11 +160,11 @@ class TestSteadyState:
 
     def test_zero_generator_degenerate(self):
         with pytest.raises(DegenerateSteadyState, match="zero generator"):
-            steady_state(build_double_dot_bare(RateSet()))
+            steady_state(scenario_table("double_dot_bare").generator(RateSet()))
 
     def test_undamped_oscillator_degenerate(self):
         with pytest.raises(DegenerateSteadyState, match="null space"):
-            steady_state(build_double_dot_bare(RABI))
+            steady_state(scenario_table("double_dot_bare").generator(RABI))
 
     def test_residual_bound(self):
         rng = np.random.default_rng(29)
@@ -176,7 +174,7 @@ class TestSteadyState:
                         Gamma_L=float(widths[2]), Gamma_R=float(widths[3]),
                         Omega=float(10.0 ** rng.uniform(-2, 2)),
                         epsilon=float(rng.uniform(-10, 10)), U1=1.0, U2=2.0)
-            g = build_double_dot_set(r)
+            g = scenario_table("double_dot_set").generator(r)
             x = steady_state(g)
             assert float(np.abs(g.matrix @ x.values).max()) <= 1e-12 * float(np.abs(g.matrix).sum(axis=1).max())
             assert x.trace() == pytest.approx(1.0, abs=1e-12)
@@ -187,7 +185,7 @@ class TestSteadyState:
         # case the direct solver exists for
         r = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                     U1=1.0, U2=2.0)
-        x = steady_state(build_double_dot_set(r))
+        x = steady_state(scenario_table("double_dot_set").generator(r))
         assert validate_state(x, 1e-9) == []
 
 
@@ -205,7 +203,7 @@ class TestStackedEngine:
         gens = []
         for r in sets:
             try:
-                gens.append(build_scenario(scenario, r, blocking))
+                gens.append(scenario_table(scenario, blocking).generator(r))
             except ValueError:      # the equal-amplitude guard
                 pass
         failed = assert_stack_matches_reference(gens)
@@ -217,7 +215,7 @@ class TestStackedEngine:
         # refinement runs solver._EXTENDED_BLOCK members at a time; a stack
         # past two block edges is solved as if each member were alone
         n = 2 * solver._EXTENDED_BLOCK + 1
-        gens = [build_double_dot_set(README_SLOW.replacing("gamma_R", v))
+        gens = [scenario_table("double_dot_set").generator(README_SLOW.replacing("gamma_R", v))
                 for v in np.geomspace(1.0, 1e6, n).tolist()]
         assert assert_stack_matches_reference(gens) == 0
 
@@ -242,14 +240,15 @@ class TestStackedEngine:
     def test_rank_tol_applies_per_point(self):
         r = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                     U1=1.0, U2=2.0)
-        gens = [build_double_dot_set(r.replacing("gamma_R", v)) for v in (1.0, 1e6, 1e12)]
+        gens = [scenario_table("double_dot_set").generator(r.replacing("gamma_R", v))
+                for v in (1.0, 1e6, 1e12)]
         for rank_tol in (1e-10, 1e-14):
             assert_stack_matches_reference(gens, rank_tol)
 
 
 class TestEvolve:
     def test_short_time_decay_slope(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         t = 1e-3
         traj = evolve(g, basis_state(g.index, "a"), t, dt=1e-4)
         slope = (1.0 - traj.final.occupation("a")) / t
@@ -257,7 +256,7 @@ class TestEvolve:
         assert slope == pytest.approx(2.0, abs=5e-3)
 
     def test_rabi_oscillation_closed_form(self):
-        g = build_double_dot_bare(RABI)
+        g = scenario_table("double_dot_bare").generator(RABI)
         x0 = pack(g.index, {"b": 1.0})
         traj = evolve(g, x0, 6.0, dt=0.01)
         _, im = g.index.coherence(("b", "c"))
@@ -267,7 +266,7 @@ class TestEvolve:
                                    rtol=0, atol=1e-7)
 
     def test_fourth_order_convergence(self):
-        g = build_double_dot_bare(RABI)
+        g = scenario_table("double_dot_bare").generator(RABI)
         x0 = pack(g.index, {"b": 1.0})
         exact = math.cos(2.0) ** 2
 
@@ -277,17 +276,18 @@ class TestEvolve:
         assert err(0.02) / err(0.01) >= 15.0
 
     def test_long_time_limit_is_steady_state(self):
-        for g in (build_single_dot_set(ALL_ONES_SINGLE),
-                  build_double_dot_bare(RateSet(Gamma_L=1, Gamma_R=1, Omega=1)),
-                  build_double_dot_set(RateSet(gamma_L=1, gamma_R=2, Gamma_L=1,
-                                               Gamma_R=1, Omega=1, U1=1, U2=2))):
+        for g in (scenario_table("single_dot_set").generator(ALL_ONES_SINGLE),
+                  scenario_table("double_dot_bare").generator(
+                      RateSet(Gamma_L=1, Gamma_R=1, Omega=1)),
+                  scenario_table("double_dot_set").generator(
+                      RateSet(gamma_L=1, gamma_R=2, Gamma_L=1, Gamma_R=1, Omega=1, U1=1, U2=2))):
             target = steady_state(g)
             traj = evolve(g, basis_state(g.index, "a"), 50.0)
             assert float(np.abs(traj.final.values - target.values).max()) < 1e-6
 
     def test_trace_and_positivity_preserved(self):
-        g = build_double_dot_set(RateSet(gamma_L=1, gamma_R=3, Gamma_L=1, Gamma_R=1,
-                                         Omega=1, epsilon=0.5, U1=1, U2=2))
+        g = scenario_table("double_dot_set").generator(
+            RateSet(gamma_L=1, gamma_R=3, Gamma_L=1, Gamma_R=1, Omega=1, epsilon=0.5, U1=1, U2=2))
         traj = evolve(g, basis_state(g.index, "a"), 30.0)
         drift = abs(traj.final.trace() - 1.0) / 30.0
         assert drift < 1e-9
@@ -295,7 +295,7 @@ class TestEvolve:
         assert traj.values[:, diag].min() > -1e-6
 
     def test_default_step_guard(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         assert default_step(g) == pytest.approx(0.1 / 3.0)
 
     # the "monitored coupled dots" run is the README config at gamma_R = 3
@@ -314,7 +314,7 @@ class TestEvolve:
     def test_step_too_large_on_conserving_generator(self):
         # trace-conserving, but dt = 2 is outside RK4's stability region:
         # the per-step guard stops the run once the growing mode shows
-        g = build_double_dot_set(README_SLOW)
+        g = scenario_table("double_dot_set").generator(README_SLOW)
         with pytest.raises(StepTooLarge) as info:
             evolve(g, basis_state(g.index, "a"), 2000.0, dt=2.0)
         assert str(info.value) == "trace moved by 2.375e-07 in one step of 2.000e+00; shrink dt"
@@ -326,13 +326,13 @@ class TestEvolve:
         assert str(info.value) == "trace moved by 3.932e-01 in one step of 5.000e-01; shrink dt"
 
     def test_rejects_mismatched_layout(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
-        other = basis_state(build_double_dot_bare(RABI).index, "a")
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
+        other = basis_state(scenario_table("double_dot_bare").index, "a")
         with pytest.raises(ValueError, match="layout"):
             evolve(g, other, 1.0)
 
     def test_rejects_bad_steps(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         x0 = basis_state(g.index, "a")
         with pytest.raises(ValueError):
             evolve(g, x0, -1.0)
@@ -340,26 +340,26 @@ class TestEvolve:
             evolve(g, x0, 1.0, dt=0.0)
 
     def test_nan_t_final_is_not_positive(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         with pytest.raises(ValueError, match="^t_final must be positive$"):
             evolve(g, basis_state(g.index, "a"), math.nan)
 
     def test_nan_dt_is_not_positive(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         with pytest.raises(ValueError, match="^dt must be positive$"):
             evolve(g, basis_state(g.index, "a"), 1.0, dt=math.nan)
 
     def test_step_cap_fails_fast_on_stiff_runs(self, monkeypatch):
         # widely spread rates push the guard step into millions of steps;
         # the integrator refuses instead of building a huge trajectory
-        g = build_double_dot_set(RateSet(gamma_L=1, gamma_R=1e4, Gamma_L=1,
-                                         Gamma_R=1, Omega=1, U1=1, U2=2))
+        g = scenario_table("double_dot_set").generator(
+            RateSet(gamma_L=1, gamma_R=1e4, Gamma_L=1, Gamma_R=1, Omega=1, U1=1, U2=2))
         with pytest.raises(ValueError, match="cap 1000000"):
             evolve(g, basis_state(g.index, "a"), 30.0)
         # the cap is the module constant MAX_STEPS, and a run of exactly
         # that many steps is allowed
         monkeypatch.setattr(solver, "MAX_STEPS", 100)
-        small = build_single_dot_set(ALL_ONES_SINGLE)
+        small = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         with pytest.raises(ValueError, match="asks for 102 steps"):
             evolve(small, basis_state(small.index, "a"), 1.0, dt=0.0099)
         traj = evolve(small, basis_state(small.index, "a"), 1.0, dt=0.01)
@@ -368,12 +368,12 @@ class TestEvolve:
     def test_step_cap_refuses_an_infinite_step_count(self):
         # t_final/dt overflows to inf: the cap refuses it before the count
         # is rounded to an integer, which would raise an OverflowError
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         with pytest.raises(ValueError, match=r"asks for inf steps \(cap 1000000\)"):
             evolve(g, basis_state(g.index, "a"), 1e308, 5e-324)
 
     def test_endpoint_lands_exactly_on_t_final(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         traj = evolve(g, basis_state(g.index, "a"), 1.0, dt=0.3)
         assert traj.times[-1] == 1.0
         assert len(traj.times) == 5  # 4 equal steps of 0.25
@@ -381,7 +381,7 @@ class TestEvolve:
 
 class TestTrajectory:
     def test_times_strictly_increasing_enforced(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         x = basis_state(g.index, "a")
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory(np.array([0.0, 0.0]), np.stack([x.values, x.values]), g.index)
@@ -389,13 +389,13 @@ class TestTrajectory:
     @pytest.mark.parametrize("times", [[0.0, math.nan, 2.0], [0.0, 1.0, 1.0, 2.0],
                                        [math.nan, 1.0], [0.0, 2.0, 1.0]])
     def test_nan_and_repeated_times_rejected(self, times):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         values = np.zeros((len(times), g.dim))
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory(np.array(times), values, g.index)
 
     def test_values_shape_enforced(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         x = basis_state(g.index, "a")
         with pytest.raises(ValueError, match="shape"):
             Trajectory(np.array([0.0, 1.0]), np.stack([x.values] * 3), g.index)
@@ -405,7 +405,7 @@ class TestTrajectory:
             Trajectory(np.array([0.0]), x.values, g.index)
 
     def test_values_read_only(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         traj = evolve(g, basis_state(g.index, "a"), 1.0)
         assert traj.values.shape == (len(traj.times), g.dim)
         with pytest.raises(ValueError):
@@ -413,7 +413,7 @@ class TestTrajectory:
         np.testing.assert_array_equal(traj.final.values, traj.values[-1])
 
     def test_caller_array_not_aliased(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         x = basis_state(g.index, "a")
         times = np.array([0.0, 1.0])
         values = np.stack([x.values, x.values])
@@ -425,7 +425,7 @@ class TestTrajectory:
         assert not traj.values.flags.writeable
 
     def test_states_validate_along_the_way(self):
-        g = build_single_dot_set(ALL_ONES_SINGLE)
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         traj = evolve(g, basis_state(g.index, "a"), 10.0)
         for sample in traj.values[:: len(traj.times) // 10]:
             assert validate_state(StateVector(sample, g.index), 1e-6) == []
@@ -467,7 +467,7 @@ class TestFixedPointExit:
 
     @pytest.mark.parametrize("scenario,gamma_R", LONG_RUNS + [CYCLING_RUN])
     def test_samples_are_those_of_plain_stepping(self, scenario, gamma_R):
-        g = build_scenario(scenario, README_SLOW.replacing("gamma_R", gamma_R))
+        g = scenario_table(scenario).generator(README_SLOW.replacing("gamma_R", gamma_R))
         x0 = basis_state(g.index, "a")
         values = evolve(g, x0, 500.0, 0.02).values
         assert values.tobytes() == _plain_steps(g, x0, 500.0, 0.02).tobytes()
@@ -477,7 +477,7 @@ class TestFixedPointExit:
 
     def test_fixed_point_at_the_first_step(self):
         # the zero generator: P = I, so the first step repeats x0
-        g = build_double_dot_bare(RateSet())
+        g = scenario_table("double_dot_bare").generator(RateSet())
         x0 = basis_state(g.index, "b")
         traj = evolve(g, x0, 10.0, 0.5)
         assert len(traj.times) == 21
