@@ -6,12 +6,13 @@ system is solved by LU with partial pivoting, then polished with
 extended-precision iterative refinement.  That keeps the stiff detector
 limits (collector width four orders above the emitter width) out of the
 integrator entirely.  One engine, steady_states, solves a whole stack of
-generators (N, dim, dim): the SVD rank test and the LU solve are one
-LAPACK call on the stack, each refinement solve one call per block of
-members, every check runs per generator, and a generator that fails gets
-its own error without failing the others.  steady_state is its
-one-generator case, so a sweep and a single solve share every line and
-every bit.
+generators (N, dim, dim): the LU solve is one LAPACK call on the stack,
+each refinement solve one call per block of members, every check runs per
+generator, and a generator that fails gets its own error without failing
+the others.  steady_state is its one-generator case, so a sweep and a
+single solve share every line and every bit.  The rank test before the
+solve takes its verdict from a cheap proof where that holds and from one
+SVD call on the rest of the stack; the two never disagree (_proven_unique).
 
 Time evolution is fixed-step classical RK4 with a guarded default step.
 For a constant generator one RK4 step is exactly the matrix polynomial
@@ -38,7 +39,7 @@ from .model import Generator, IndexMap, StateVector
 
 TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
 MAX_STEPS = 1_000_000          # most steps one evolve run may take
-_EXTENDED_BLOCK = 64           # members per extended-precision refinement block
+_EXTENDED_BLOCK = 64           # members per refinement block and per rank-test proof block
 
 
 class DegenerateSteadyState(RuntimeError):
@@ -99,28 +100,31 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
     matrices has shape (N, dim, dim).  Returns the (N, dim) array of
     solutions and one entry per generator: None where it was solved, else
     the exception steady_state raises for that generator alone, whose row
-    of the array is then NaN.  Every check runs per generator; one SVD and
-    the LU solve are one call on the whole stack, and the three refinement
-    solves one call each per block of _EXTENDED_BLOCK members.
+    of the array is then NaN.  Every check runs per generator; the LU solve
+    is one call on the whole stack, the three refinement solves one call
+    each per block of _EXTENDED_BLOCK members, and so is the rank test's
+    proof (_proven_unique); one SVD call decides the members it leaves.
     """
     G = np.asarray(matrices, dtype=float)
     n_points, n = len(G), len(index)
     errors: list[Exception | None] = [None] * n_points
 
+    proven = _proven_unique(G, len(index.diagonal_positions), rank_tol)
+    tail = G[proven:]
     try:
-        singulars = np.linalg.svd(G, compute_uv=False)
+        singulars = np.linalg.svd(tail, compute_uv=False) if len(tail) else np.empty((0, n))
     except np.linalg.LinAlgError:
         # some member did not converge: it fails alone, the others go on
-        singulars = np.full((n_points, n), np.nan)
-        for k, s in enumerate(_each_member(np.linalg.svd, G, compute_uv=False)):
+        singulars = np.full((len(tail), n), np.nan)
+        for k, s in enumerate(_each_member(np.linalg.svd, tail, compute_uv=False)):
             if isinstance(s, np.linalg.LinAlgError):
-                errors[k] = s
+                errors[proven + k] = s
             else:
                 singulars[k] = s
-    largest = singulars[:, 0] if n else np.zeros(n_points)
+    largest = singulars[:, 0] if n else np.zeros(len(tail))
     null_dims = (singulars <= rank_tol * largest[:, np.newaxis]).sum(axis=1)
-    ok = []
-    for k, (top, null_dim) in enumerate(zip(largest.tolist(), null_dims.tolist())):
+    ok = list(range(proven))
+    for k, (top, null_dim) in enumerate(zip(largest.tolist(), null_dims.tolist()), proven):
         if errors[k] is not None:
             pass
         elif top == 0.0:
@@ -141,7 +145,7 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
     # stack kept: its replaced row is saved and put back for the residual
     # check, so a stack the caller does not hold is freed here.
     A = G.copy() if len(ok) == n_points else G[ok]
-    del G, matrices
+    del G, matrices, tail
     row0 = A[:, 0, :].copy()
     A[:, 0, :] = 0.0
     A[:, 0, :len(index.diagonal_positions)] = 1.0
@@ -188,6 +192,46 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
     return values, errors
 
 
+def _proven_unique(G: np.ndarray, n_diag: int, rank_tol: float) -> int:
+    """How many leading members of the stack the SVD rank test would find a
+    one-dimensional null space in, proven a block of _EXTENDED_BLOCK at a
+    time up to the first block that defeats the proof.  With A the solve's
+    constrained matrix and s = max(||A||_F^2, ||G||_F^2), a member is proven
+    when it is finite and nonzero, when its diagonal-slot column sums 1_d^T G
+    (0 when G keeps the trace) have norm <= 1e-2 rank_tol ||G||_F / sqrt(dim),
+    so sigma_min(G) <= 1e-2 rank_tol sigma_max(G) and the SVD counts one,
+    and when A^T A - tau s I, tau = max(1e-12, (10 rank_tol)^2), has a
+    Cholesky factor: then sigma_min(A)^2 >= tau s up to about 1e-14 s of
+    rounding, and as G differs from A in one row, interlacing puts its
+    second-smallest singular value at >= sigma_min(A) >= 10 rank_tol
+    sigma_max(G): the SVD counts no second one.  Both margins are hundreds
+    of times the SVD's rounding (dim eps sigma_max); below rank_tol = 1e-12
+    they are not, and from rank_tol = 1 on every singular value counts."""
+    if not 1e-12 <= rank_tol < 1.0:
+        return 0
+    n = G.shape[-1]
+    tau = max(1e-12, (10.0 * rank_tol) ** 2)
+    for lo in range(0, len(G), _EXTENDED_BLOCK):
+        g = G[lo:lo + _EXTENDED_BLOCK]
+        a = g.copy()                    # the block's constrained matrix
+        a[:, 0, :] = 0.0
+        a[:, 0, :n_diag] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            g2 = np.einsum("kij,kij->k", g, g)
+            leak = np.linalg.norm(np.einsum("kij->kj", g[:, :n_diag]), axis=1)
+            gram = a.transpose(0, 2, 1).copy() @ a      # contiguous: 3x faster than the view
+            s = np.maximum(np.einsum("kii->k", gram), g2)
+            gram.reshape(len(g), n * n)[:, ::n + 1] -= (tau * s)[:, np.newaxis]
+            if not (np.isfinite(gram).all() and (g2 > 0.0).all()
+                    and (leak <= 1e-2 * rank_tol * np.sqrt(g2 / n)).all()):
+                return lo
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return lo
+    return len(G)
+
+
 def _each_member(fn, stack, *args, **kwargs) -> list:
     """fn on each member of the stack (and of the stacked args): its result,
     or the LinAlgError it raised."""
@@ -205,7 +249,8 @@ def steady_state(g: Generator, rank_tol: float = 1e-10) -> StateVector:
 
     The one-generator case of steady_states.  rank_tol is relative to the
     largest singular value and flags disconnected models whose null space
-    is more than one-dimensional.  The returned vector satisfies
+    is more than one-dimensional (proven without the SVD where a cheap
+    bound allows).  The returned vector satisfies
     ||G x||_inf <= 1e-12 ||G||_inf.
     """
     values, errors = steady_states(g.matrix[np.newaxis], g.index, rank_tol)

@@ -1,26 +1,31 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mesorate import (
+    GENERALIZED_DOUBLE_DOT_SET,
+    REGIMES,
     DegenerateSteadyState,
     Generator,
     IndexMap,
     RateSet,
     StateVector,
     StepTooLarge,
+    SweepSpec,
     Trajectory,
     basis_state,
     default_step,
     evolve,
     pack,
+    run_sweep,
     scenario_table,
     steady_state,
     steady_states,
     validate_state,
 )
-from mesorate import solver
+from mesorate import experiments, solver
 from mesorate.acceptance import _suite_evolve_runs
 from test_bit_identity import CONFIGS, SETS, config_id
 
@@ -244,6 +249,155 @@ class TestStackedEngine:
                 for v in (1.0, 1e6, 1e12)]
         for rank_tol in (1e-10, 1e-14):
             assert_stack_matches_reference(gens, rank_tol)
+
+
+# the uniqueness proof that spares the SVD: the stiff rates of
+# tests/test_experiments.py::TestStiffRegime, swept to 1e12, and the README
+# sweep config, swept to 1e4; each scenario with a closed form sweeps the
+# width that test sweeps, the generalized scenario under every regime too
+STIFF_BASE = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1e-3, Gamma_R=1e-3, Omega=1e-3,
+                     U1=0.0, U2=0.0)
+README_SWEEP = README_SLOW.replacing("gamma_R", 1e4)
+SWEPT = {"double_dot_bare": "Gamma_R", "reduced_double_dot": "gamma_L"}    # else gamma_R
+PROOF_CONFIGS = [(s, None) for s in sorted(experiments._CLOSED_FORMS)] + [
+    (GENERALIZED_DOUBLE_DOT_SET, REGIMES[name]) for name in REGIMES]
+BLOCK = solver._EXTENDED_BLOCK
+
+
+def _grid_stack(scenario, blocking, base, top, n=1000):
+    table = scenario_table(scenario, blocking)
+    param = SWEPT.get(scenario, "gamma_R")
+    rows = [table.quantities(base.replacing(param, v)) for v in np.geomspace(1.0, top, n).tolist()]
+    return table.stack(rows), table.index
+
+
+@pytest.fixture
+def svd_stacks(monkeypatch):
+    """The length of every stack np.linalg.svd is called on (the reference
+    solver calls it on single matrices, which are not recorded)."""
+    lengths = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            lengths.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return lengths
+
+
+class TestUniquenessProof:
+    """steady_states takes the rank test's verdict from solver._proven_unique
+    for the leading blocks it proves, and from the SVD for the rest."""
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-4])
+    @pytest.mark.parametrize("base,top", [(STIFF_BASE, 1e12), (README_SWEEP, 1e4)],
+                             ids=["stiff", "sweep"])
+    @pytest.mark.parametrize("scenario,blocking", PROOF_CONFIGS,
+                             ids=[config_id(*c) for c in PROOF_CONFIGS])
+    def test_a_proven_member_has_a_one_dimensional_null_space(self, scenario, blocking,
+                                                              base, top, rank_tol):
+        G, index = _grid_stack(scenario, blocking, base, top)
+        n_diag = len(index.diagonal_positions)
+        singulars = np.linalg.svd(G, compute_uv=False)
+        null_dims = (singulars <= rank_tol * singulars[:, :1]).sum(axis=1)
+        proven = np.array([solver._proven_unique(G[k:k + 1], n_diag, rank_tol)
+                           for k in range(len(G))], dtype=bool)
+        assert null_dims[proven].tolist() == [1] * int(proven.sum())
+        # a block holds when each of its members does, and the stack's
+        # proof stops at the first block that does not
+        first = len(G) if proven.all() else int(np.argmin(proven))
+        expected = len(G) if proven.all() else first - first % BLOCK
+        assert solver._proven_unique(G, n_diag, rank_tol) == expected
+
+    def test_the_readme_sweep_never_reaches_the_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        grid = tuple(np.geomspace(1.0, 1e4, 1000).tolist())
+        rows = run_sweep(SweepSpec("double_dot_set", README_SWEEP, "gamma_R", grid))
+        assert len(rows) == 1000 and all(row.error is None for row in rows)
+
+
+def _edge_stack(size, first_unproven):
+    """double_dot_set generators the proof settles, up to first_unproven;
+    from there on, members it cannot settle (one the SVD solves, one it calls
+    disconnected) in turn with ones it can."""
+    table = scenario_table("double_dot_set")
+    provable = [table.generator(README_SWEEP.replacing("gamma_R", v))
+                for v in np.geomspace(1.0, 1e4, size).tolist()]
+    unprovable = [table.generator(STIFF_BASE.replacing("gamma_R", v)) for v in (1e4, 1e12)]
+    n_diag = len(table.index.diagonal_positions)
+    for g in unprovable:
+        assert solver._proven_unique(g.matrix[np.newaxis], n_diag, 1e-10) == 0
+    return [provable[k] if k < first_unproven or (k - first_unproven) % 3 == 2
+            else unprovable[(k - first_unproven) % 3] for k in range(size)]
+
+
+class TestProofEdges:
+    """Each stack matches the one-point reference, bytes and errors."""
+
+    @pytest.mark.parametrize("size,first_unproven", [
+        (size, first) for size in (63, 64, 65, 129) for first in (0, 63, 64, 128)
+        if first < size] + [(129, 129)])
+    def test_the_svd_takes_the_stack_from_the_first_unproven_block(
+            self, size, first_unproven, svd_stacks):
+        gens = _edge_stack(size, first_unproven)
+        failed = assert_stack_matches_reference(gens)
+        assert failed == (size - first_unproven + 1) // 3
+        proven = size if first_unproven == size else first_unproven - first_unproven % BLOCK
+        assert svd_stacks == ([size - proven] if proven < size else [])
+
+    @pytest.mark.parametrize("kind", ["nan", "huge", "zero", "leaky"])
+    def test_a_member_the_proof_cannot_settle_in_block_0(self, kind, svd_stacks):
+        # a NaN entry, entries whose squares overflow, the zero generator and
+        # one that loses trace (no stationary direction): the SVD decides
+        # every member, and no RuntimeWarning escapes
+        gens = _edge_stack(129, 129)
+        g = gens[5]
+        matrix = {"nan": np.where(g.matrix != 0.0, g.matrix, np.nan),
+                  "huge": 1e200 * g.matrix, "zero": np.zeros_like(g.matrix),
+                  "leaky": g.matrix - 1e-3 * np.eye(g.dim)}[kind]
+        gens[5] = Generator(matrix, g.index, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failed = assert_stack_matches_reference(gens)
+        assert failed == (kind != "huge")
+        assert svd_stacks == [129]
+
+    def test_the_one_slot_zero_generator_is_not_proven(self):
+        # its constrained matrix is [[1]]: only ||G||_F > 0 keeps it from
+        # being proven, and keeps its message
+        g = Generator(np.zeros((1, 1)), IndexMap(("a",)), "zero")
+        assert assert_stack_matches_reference([g]) == 1
+
+    def test_an_svd_failure_lands_on_its_own_member(self, monkeypatch):
+        # the SVD runs on the members from 64 on; its stack call fails, and
+        # of its one-member calls, the one on member 102
+        gens = _edge_stack(129, 64)
+        target = gens[102].matrix
+        svd = np.linalg.svd
+
+        def failing(a, *args, **kwargs):
+            if np.ndim(a) == 3 or np.array_equal(a, target):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        assert assert_stack_matches_reference(gens) == 22 + 1
+        _, errors = steady_states(np.stack([g.matrix for g in gens]), gens[0].index)
+        assert isinstance(errors[102], np.linalg.LinAlgError)
+        assert errors[102 - 64] is None
+
+    @pytest.mark.parametrize("rank_tol", [1e-14, 1.0, 1e200, math.nan])
+    def test_the_svd_decides_where_the_proof_does_not_apply(self, rank_tol, svd_stacks):
+        # below 1e-12 the proof's margins are lost in rounding, from 1 on
+        # every singular value counts, and NaN compares false: none is tried
+        gens = _edge_stack(129, 129)
+        assert_stack_matches_reference(gens, rank_tol)
+        assert svd_stacks == [129]
 
 
 class TestEvolve:
