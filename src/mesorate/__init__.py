@@ -6,7 +6,6 @@ from .model import (
     DIAGONAL,
     IM_COHERENCE,
     RE_COHERENCE,
-    EnergyConfig,
     Generator,
     IndexMap,
     RateSet,

@@ -15,7 +15,7 @@ from math import fsum
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import RATE_FIELDS, EnergyConfig, Generator, IndexMap, RateSet, basis_state, pack
+from .model import RATE_FIELDS, Generator, IndexMap, RateSet, basis_state, pack
 from .solver import evolve, steady_states
 from .experiments import run_fermi_sweep
 
@@ -183,9 +183,8 @@ def criterion_6() -> CriterionResult:
     """Two-plateau step of the current versus the detector Fermi level."""
     base = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0,
                    Omega=1.0, U1=1.0, U2=2.0)
-    energy = EnergyConfig(E0=0.0)
     grid = np.linspace(0.1, 1.9, 13)
-    rows = run_fermi_sweep(base, energy, grid)
+    rows = run_fermi_sweep(base, 0.0, grid)
     bare_value = analytic.double_dot_current_bare(base)
     dephased_value = analytic.double_dot_current_measured(base)
     worst_low = worst_high = 0.0

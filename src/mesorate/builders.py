@@ -253,16 +253,14 @@ def _fsum_or_nan(terms) -> float:
         return np.nan
 
 
-@lru_cache(maxsize=None)
 def scenario_table(scenario: str, blocking: BlockingConfig | None = None) -> ChannelTable:
     """The table of a scenario: one or two dots in series, the emitter
     filling the first from a and the collector emptying the last into a,
     plus a detector joining each s to s' under the scenario's blocking.
     single_dot_set and double_dot_set fix theirs (REGIMES "blind" and
     "resolving"), the generalized scenario takes it as an argument, and a
-    scenario given a blocking it does not take is refused.  A width is primed
-    when the other subsystem is occupied while it tunnels; the monitored
-    coupled dots require equal amplitudes and use unprimed widths."""
+    scenario given a blocking it does not take is refused.  Each scenario
+    is compiled once per blocking it runs under, however it was asked for."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario == GENERALIZED_DOUBLE_DOT_SET and blocking is None:
@@ -271,6 +269,15 @@ def scenario_table(scenario: str, blocking: BlockingConfig | None = None) -> Cha
         raise ValueError(f"{scenario} fixes its own blocking and takes no BlockingConfig")
     blocking = {SINGLE_DOT_SET: REGIMES["blind"],     # the one dot blocks
                 DOUBLE_DOT_SET: REGIMES["resolving"]}.get(scenario, blocking)
+    return _compiled_table(scenario, blocking)
+
+
+@lru_cache(maxsize=None)
+def _compiled_table(scenario: str, blocking: BlockingConfig | None) -> ChannelTable:
+    """The table of a scenario under its effective blocking (None: no
+    detector).  A width is primed when the other subsystem is occupied
+    while it tunnels; the monitored coupled dots require equal amplitudes
+    and use unprimed widths."""
     states = ("a", "b") if scenario == SINGLE_DOT_SET else ("a", "b", "c")
     equal_amplitudes = len(states) == 3 and blocking is not None
 

@@ -1,5 +1,9 @@
 """Command-line interface.
 
+The config file sets the model and the run values dt, t_final and
+blocking, the flags the swept parameter, the grid, the output format and
+steady's tolerance; no value has a second setter.
+
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 numerical
 failure (degenerate model or no convergence), 4 validation failure.
 """
@@ -8,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import acceptance, builders, observables, output
-from .config import ConfigError, RunConfig, load_config, parse_grid
+from .config import ConfigError, load_config, parse_grid
 from .experiments import SweepSpec, run_fermi_sweep, run_sweep
 from .model import basis_state, fixed_columns, validate_state
 from .solver import DegenerateSteadyState, StepTooLarge, evolve, steady_state
@@ -35,53 +38,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steady", help="print stationary occupations and currents")
     add_common(p, writes_file=False)
-    p.add_argument("--tol", type=float, default=None,
-                   help="state-validation tolerance (default 1e-9 or MESORATE_TOL)")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="state-validation tolerance, a finite number >= 0 (default 1e-9)")
 
     p = sub.add_parser("evolve", help="write a time-series CSV from a point mass on state a")
     add_common(p)
 
     p = sub.add_parser("sweep", help="scan one rate parameter and write the table")
     add_common(p)
-    p.add_argument("--param", help="RateSet field to sweep")
-    p.add_argument("--grid", help="start:stop:count with optional log/lin suffix")
-    p.add_argument("--format", choices=("csv", "svg"), default=None)
+    p.add_argument("--param", required=True, help="RateSet field to sweep")
+    p.add_argument("--grid", required=True, help="start:stop:count with optional log/lin suffix")
+    p.add_argument("--format", choices=("csv", "svg"), default="csv")
 
     p = sub.add_parser("fig3", help="current versus detector Fermi level (two-plateau step)")
     add_common(p)
-    p.add_argument("--grid", help="Fermi-level grid, start:stop:count[log|lin]")
-    p.add_argument("--format", choices=("csv", "svg"), default=None)
+    p.add_argument("--grid", required=True, help="Fermi-level grid, start:stop:count[log|lin]")
+    p.add_argument("--format", choices=("csv", "svg"), default="csv")
 
     sub.add_parser("validate", help="run the full numeric-vs-analytic validation suite")
     return parser
 
 
-def _default_tol(args) -> float:
-    # a NaN tolerance would pass every check in validate_state
-    tol, source = args.tol, "--tol"
-    if tol is None:
-        env = os.environ.get("MESORATE_TOL")
-        if not env:
-            return 1e-9
-        try:
-            tol, source = float(env), "MESORATE_TOL"
-        except ValueError:
-            raise ConfigError(f"MESORATE_TOL is not a number: {env!r}") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"{source} must be a finite number >= 0, got {tol!r}")
-    return tol
-
-
-def _pick(flag_value, config_value, name: str, required: bool = True):
-    value = flag_value if flag_value is not None else config_value
-    if value is None and required:
-        raise ConfigError(f"{name} must be given on the command line or in [run]")
-    return value
-
-
 def _cmd_steady(args) -> int:
     cfg = load_config(args.config)
-    tol = _default_tol(args)
+    # a NaN tolerance would pass every check in validate_state
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     table = builders.scenario_table(cfg.scenario, cfg.blocking_config())
     x = steady_state(table.generator(cfg.rates))
 
@@ -97,7 +79,7 @@ def _cmd_steady(args) -> int:
     outputs = observables.stationary_outputs(table, fixed_columns(cfg.rates), x.values[np.newaxis])
     for name, column in outputs.items():
         print(f"{name} = {column[0]:.12g}")
-    violations = validate_state(x, tol)
+    violations = validate_state(x, args.tol)
     for v in violations:
         print(f"warning: {v}", file=sys.stderr)
     return 0
@@ -117,10 +99,9 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _write_table(rows, args, cfg: RunConfig, x_label: str) -> None:
-    fmt = _pick(args.format, cfg.run.format, "format", required=False) or "csv"
-    if fmt == "svg":
-        output.write_svg(rows, args.out, x_label=x_label, y_label="I_S [e*rate]")
+def _write_table(rows, args, x_label: str) -> None:
+    if args.format == "svg":
+        output.write_svg(rows, args.out, x_label=x_label)
     else:
         output.write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -128,15 +109,13 @@ def _write_table(rows, args, cfg: RunConfig, x_label: str) -> None:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    param = _pick(args.param, cfg.run.param, "--param")
-    grid_spec = _pick(args.grid, cfg.run.grid, "--grid")
-    grid = parse_grid(grid_spec)
+    grid = parse_grid(args.grid)
     try:
-        spec = SweepSpec(cfg.scenario, cfg.rates, param, tuple(grid), cfg.blocking_config())
+        spec = SweepSpec(cfg.scenario, cfg.rates, args.param, tuple(grid), cfg.blocking_config())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = run_sweep(spec)
-    _write_table(rows, args, cfg, x_label=param)
+    _write_table(rows, args, x_label=args.param)
     return 0
 
 
@@ -144,15 +123,14 @@ def _cmd_fig3(args) -> int:
     cfg = load_config(args.config)
     if cfg.scenario != builders.GENERALIZED_DOUBLE_DOT_SET:
         raise ConfigError("fig3 needs scenario generalized_double_dot_set")
-    if cfg.energy is None:
+    if cfg.E0 is None:
         raise ConfigError("fig3 needs an [energies] section")
-    grid_spec = _pick(args.grid, cfg.run.grid, "--grid")
-    grid = parse_grid(grid_spec)
+    grid = parse_grid(args.grid)
     try:
-        rows = run_fermi_sweep(cfg.rates, cfg.energy, grid)
+        rows = run_fermi_sweep(cfg.rates, cfg.E0, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _write_table(rows, args, cfg, x_label="detector Fermi level")
+    _write_table(rows, args, x_label="detector Fermi level")
     return 0
 
 

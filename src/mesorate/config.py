@@ -2,22 +2,22 @@
 
 Four sections: [scenario] names the model, [rates] carries the physical
 parameters, [energies] the detector level E0 (read by fig3 only) and
-[run] the command options dt, t_final, param, grid, format and blocking;
-an unknown key is rejected.  The RK4 step cap and trace budget are
-constants of the solver, not settings.  The format is deliberately flat
-so golden configs diff cleanly.
+[run] the run values dt, t_final and blocking; an unknown key is
+rejected.  The swept parameter, the grid and the output format are set
+by command-line flags only, and the RK4 step cap, trace budget and rank
+tolerance are constants of the solver, not settings.  The format is
+deliberately flat so golden configs diff cleanly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import builders
-from .model import RATE_FIELDS, EnergyConfig, RateSet
+from .model import RATE_FIELDS, RateSet
 
 
 class ConfigError(ValueError):
@@ -28,21 +28,17 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_ENERGY_KEYS = tuple(f.name for f in dataclasses.fields(EnergyConfig))
 _RUN_FLOAT_KEYS = ("dt", "t_final")
-_RUN_STR_KEYS = ("param", "grid", "format", "blocking")
+_RUN_STR_KEYS = ("blocking",)
 _SECTIONS = ("scenario", "rates", "energies", "run")
 
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Command options from the [run] section; None means unset."""
+    """Run values from the [run] section; None means unset."""
 
     dt: float | None = None
     t_final: float | None = None
-    param: str | None = None
-    grid: str | None = None
-    format: str | None = None
     blocking: str | None = None
 
 
@@ -50,7 +46,7 @@ class RunOptions:
 class RunConfig:
     scenario: str
     rates: RateSet
-    energy: EnergyConfig | None
+    E0: float | None        # the [energies] detector level; None without the section
     run: RunOptions
 
     def blocking_config(self) -> builders.BlockingConfig | None:
@@ -133,17 +129,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     # [energies]
-    energy = None
-    if sections["energies"]:
-        energy_kwargs: dict[str, float] = {}
-        for key, (token, lineno) in sections["energies"].items():
-            if key not in _ENERGY_KEYS:
-                raise ConfigError(f"unknown key {key} in section [energies]", lineno)
-            energy_kwargs[key] = _parse_float(token, key, lineno)
-        try:
-            energy = EnergyConfig(**energy_kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    E0 = None
+    for key, (token, lineno) in sections["energies"].items():
+        if key != "E0":
+            raise ConfigError(f"unknown key {key} in section [energies]", lineno)
+        E0 = _parse_float(token, key, lineno)
 
     # [run]
     run_kwargs: dict[str, object] = {}
@@ -155,8 +145,6 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"unknown key {key} in section [run]", lineno)
     run = RunOptions(**run_kwargs)
-    if run.format is not None and run.format not in ("csv", "svg"):
-        raise ConfigError(f"format must be csv or svg, got {run.format!r}")
     if run.blocking is not None and run.blocking not in builders.REGIMES:
         raise ConfigError(f"blocking must be one of {sorted(builders.REGIMES)}, "
                           f"got {run.blocking!r}")
@@ -168,7 +156,7 @@ def parse_config(text: str) -> RunConfig:
     if run.t_final is not None and run.t_final <= 0.0:
         raise ConfigError("t_final must be positive")
 
-    return RunConfig(scenario=scenario, rates=rates, energy=energy, run=run)
+    return RunConfig(scenario=scenario, rates=rates, E0=E0, run=run)
 
 
 def load_config(path: str) -> RunConfig:

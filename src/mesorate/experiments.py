@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import (RATE_FIELDS, EnergyConfig, RateColumns, RateSet, fixed_columns, invalid_rows,
+from .model import (RATE_FIELDS, RateColumns, RateSet, fixed_columns, invalid_rows,
                     row_rates, sweep_columns, take_rows, violation_magnitudes)
 from .solver import DegenerateSteadyState, steady_states
 
@@ -199,9 +199,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 _PLATEAU = {"blind": builders.DOUBLE_DOT_BARE, "resolving": builders.REDUCED_DOUBLE_DOT}
 
 
-def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float]) -> list[SweepRow]:
+def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> list[SweepRow]:
     """Stationary current of the monitored coupled dots versus the left
-    detector Fermi level.
+    detector Fermi level, E0 being the detector level.
 
     Each grid point selects its regime of builders.REGIMES and runs the
     generalized scenario under it: blind below E0 + U1, resolving from
@@ -217,15 +217,18 @@ def run_fermi_sweep(base: RateSet, energy: EnergyConfig, grid: Sequence[float]) 
     its row is copied to each of its points; the first error in grid order
     is that of the first failing regime.
     """
+    E0 = float(E0)
+    if not math.isfinite(E0):
+        raise ValueError("E0 must be finite")
     if base.U2 < base.U1:
         raise ValueError("U2 must be >= U1 (second dot closer to the detector)")
-    threshold_resolving, threshold_open = energy.E0 + base.U1, energy.E0 + base.U2
+    threshold_resolving, threshold_open = E0 + base.U1, E0 + base.U2
     grid = [float(v) for v in grid]
     if not grid:
         raise ValueError("grid must not be empty")
     for v in grid:
-        if not v > energy.E0:
-            raise ValueError(f"Fermi level {v!r} is not above the detector level E0 = {energy.E0!r}")
+        if not v > E0:
+            raise ValueError(f"Fermi level {v!r} is not above the detector level E0 = {E0!r}")
         if v >= threshold_open:
             raise ValueError(
                 f"Fermi level {v!r} reaches E0 + U2 = {threshold_open!r}; that territory is "

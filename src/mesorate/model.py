@@ -147,24 +147,6 @@ def row_rates(columns: RateColumns, k: int) -> RateSet:
 
 
 @dataclass(frozen=True)
-class EnergyConfig:
-    """The detector level E0.
-
-    Only used to select the detector blocking regime: where the left
-    detector Fermi level sits against E0 + U1 and E0 + U2 decides which
-    dot shuts the detector entry.  The rate equations themselves carry the
-    energies through the widths and the detuning epsilon.
-    """
-
-    E0: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "E0", float(self.E0))
-        if not math.isfinite(self.E0):
-            raise ValueError("E0 must be finite")
-
-
-@dataclass(frozen=True)
 class VariableIndex:
     """One slot of the packed real vector.
 

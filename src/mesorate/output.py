@@ -139,9 +139,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def svg_text(rows: Sequence[SweepRow], x_label: str, y_label: str = "current") -> str:
-    """Line chart of the numeric current over the sweep parameter, with a
-    dashed companion line for the analytic reference where it exists."""
+def svg_text(rows: Sequence[SweepRow], x_label: str) -> str:
+    """Line chart of the numeric current I_S over the sweep parameter, with
+    a dashed companion line for the analytic reference where it exists."""
     if not rows:
         raise ValueError("refusing to plot an empty table")
     pts = [(r.param, r.I_S_numeric) for r in rows if math.isfinite(r.I_S_numeric)]
@@ -191,7 +191,7 @@ def svg_text(rows: Sequence[SweepRow], x_label: str, y_label: str = "current") -
                  f'text-anchor="middle">{x_label}</text>')
     parts.append(f'<text x="16" y="{(_MT + _SVG_H - _MB) / 2:.2f}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 16 {(_MT + _SVG_H - _MB) / 2:.2f})">'
-                 f'{y_label}</text>')
+                 'I_S [e*rate]</text>')
     if ref:
         parts.append(f'<polyline points="{poly(ref)}" fill="none" stroke="#888888" '
                      'stroke-dasharray="6 4" stroke-width="1.5"/>')
@@ -201,6 +201,5 @@ def svg_text(rows: Sequence[SweepRow], x_label: str, y_label: str = "current") -
     return "\n".join(parts) + "\n"
 
 
-def write_svg(rows: Sequence[SweepRow], path: str,
-              x_label: str, y_label: str = "current") -> None:
-    _write_text(path, svg_text(rows, x_label, y_label))
+def write_svg(rows: Sequence[SweepRow], path: str, x_label: str) -> None:
+    _write_text(path, svg_text(rows, x_label))

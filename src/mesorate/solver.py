@@ -22,8 +22,8 @@ and each step is one product P x written into a row of one
 run normally outlasts its relaxation: once a step returns its input bit
 for bit, a floating-point fixed point of P, every later step would
 repeat it, so the remaining rows are filled with it instead of stepping.
-The trace budget and the step cap are the constants
-TRACE_BUDGET_PER_STEP and MAX_STEPS.  No adaptivity, no matrix
+The trace budget, the step cap and the rank test's tolerance are the
+constants TRACE_BUDGET_PER_STEP, MAX_STEPS and RANK_TOL.  No adaptivity, no matrix
 exponentials, so reruns are bit-identical.
 """
 
@@ -39,6 +39,7 @@ from .model import Generator, IndexMap, StateVector
 
 TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
 MAX_STEPS = 1_000_000          # most steps one evolve run may take
+RANK_TOL = 1e-10               # singular values at or below RANK_TOL * sigma_max count as null
 _EXTENDED_BLOCK = 64           # members per refinement block and per rank-test proof block
 
 
@@ -93,8 +94,8 @@ def default_step(g: Generator) -> float:
     return 0.1 / m if m > 0.0 else math.inf
 
 
-def steady_states(matrices: np.ndarray, index: IndexMap,
-                  rank_tol: float = 1e-10) -> tuple[np.ndarray, list[Exception | None]]:
+def steady_states(matrices: np.ndarray,
+                  index: IndexMap) -> tuple[np.ndarray, list[Exception | None]]:
     """Stationary states of a stack of generators sharing one slot layout.
 
     matrices has shape (N, dim, dim).  Returns the (N, dim) array of
@@ -109,7 +110,7 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
     n_points, n = len(G), len(index)
     errors: list[Exception | None] = [None] * n_points
 
-    proven = _proven_unique(G, len(index.diagonal_positions), rank_tol)
+    proven = _proven_unique(G, len(index.diagonal_positions))
     tail = G[proven:]
     try:
         singulars = np.linalg.svd(tail, compute_uv=False) if len(tail) else np.empty((0, n))
@@ -122,7 +123,7 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
             else:
                 singulars[k] = s
     largest = singulars[:, 0] if n else np.zeros(len(tail))
-    null_dims = (singulars <= rank_tol * largest[:, np.newaxis]).sum(axis=1)
+    null_dims = (singulars <= RANK_TOL * largest[:, np.newaxis]).sum(axis=1)
     ok = list(range(proven))
     for k, (top, null_dim) in enumerate(zip(largest.tolist(), null_dims.tolist()), proven):
         if errors[k] is not None:
@@ -192,38 +193,37 @@ def steady_states(matrices: np.ndarray, index: IndexMap,
     return values, errors
 
 
-def _proven_unique(G: np.ndarray, n_diag: int, rank_tol: float) -> int:
+def _proven_unique(G: np.ndarray, n_diag: int) -> int:
     """How many leading members of the stack the SVD rank test would find a
     one-dimensional null space in, proven a block of _EXTENDED_BLOCK at a
-    time up to the first block that defeats the proof.  With A the solve's
-    constrained matrix and s = max(||A||_F^2, ||G||_F^2), a member is proven
-    when it is finite and nonzero, when its diagonal-slot column sums 1_d^T G
-    (0 when G keeps the trace) have norm <= 1e-2 rank_tol ||G||_F / sqrt(dim),
-    so sigma_min(G) <= 1e-2 rank_tol sigma_max(G) and the SVD counts one,
-    and when A^T A - tau s I, tau = max(1e-12, (10 rank_tol)^2), has a
-    Cholesky factor: then sigma_min(A)^2 >= tau s up to about 1e-14 s of
-    rounding, and as G differs from A in one row, interlacing puts its
-    second-smallest singular value at >= sigma_min(A) >= 10 rank_tol
-    sigma_max(G): the SVD counts no second one.  Both margins are hundreds
-    of times the SVD's rounding (dim eps sigma_max); below rank_tol = 1e-12
-    they are not, and from rank_tol = 1 on every singular value counts."""
-    if not 1e-12 <= rank_tol < 1.0:
-        return 0
+    time up to the first block that defeats the proof.  A is G with row 0
+    replaced by ||G||_F / sqrt(n_diag) on each diagonal slot, a row as long
+    as G, so the proof sees the ratios of the rates and not their scale
+    (the LU keeps its row of ones).  With s = max(||A||_F^2, ||G||_F^2), a
+    member is proven when it is finite and nonzero, when its diagonal-slot
+    column sums 1_d^T G (0 when G keeps the trace) have norm
+    <= 1e-2 RANK_TOL ||G||_F / sqrt(dim), so sigma_min(G) <= 1e-2 RANK_TOL
+    sigma_max(G) and the SVD counts one, and when A^T A - 1e-12 s I has a
+    Cholesky factor: then sigma_min(A)^2 >= 1e-12 s up to about 1e-14 s of
+    rounding, and as G differs from A in one row, whatever that row holds,
+    interlacing puts its second-smallest singular value at
+    >= sigma_min(A) >= 1e-6 sigma_max(G): the SVD counts no second one.
+    Both margins are hundreds of times the SVD's rounding (dim eps
+    sigma_max)."""
     n = G.shape[-1]
-    tau = max(1e-12, (10.0 * rank_tol) ** 2)
     for lo in range(0, len(G), _EXTENDED_BLOCK):
         g = G[lo:lo + _EXTENDED_BLOCK]
-        a = g.copy()                    # the block's constrained matrix
-        a[:, 0, :] = 0.0
-        a[:, 0, :n_diag] = 1.0
+        a = g.copy()                    # the block's constrained matrix, at the scale of G
         with np.errstate(over="ignore", invalid="ignore"):
             g2 = np.einsum("kij,kij->k", g, g)
+            a[:, 0, :] = 0.0
+            a[:, 0, :n_diag] = np.sqrt(g2 / n_diag)[:, np.newaxis]
             leak = np.linalg.norm(np.einsum("kij->kj", g[:, :n_diag]), axis=1)
             gram = a.transpose(0, 2, 1).copy() @ a      # contiguous: 3x faster than the view
             s = np.maximum(np.einsum("kii->k", gram), g2)
-            gram.reshape(len(g), n * n)[:, ::n + 1] -= (tau * s)[:, np.newaxis]
+            gram.reshape(len(g), n * n)[:, ::n + 1] -= (1e-12 * s)[:, np.newaxis]
             if not (np.isfinite(gram).all() and (g2 > 0.0).all()
-                    and (leak <= 1e-2 * rank_tol * np.sqrt(g2 / n)).all()):
+                    and (leak <= 1e-2 * RANK_TOL * np.sqrt(g2 / n)).all()):
                 return lo
         try:
             np.linalg.cholesky(gram)
@@ -244,16 +244,16 @@ def _each_member(fn, stack, *args, **kwargs) -> list:
     return out
 
 
-def steady_state(g: Generator, rank_tol: float = 1e-10) -> StateVector:
+def steady_state(g: Generator) -> StateVector:
     """Stationary state: G x = 0 with the diagonal slots summing to 1.
 
-    The one-generator case of steady_states.  rank_tol is relative to the
-    largest singular value and flags disconnected models whose null space
-    is more than one-dimensional (proven without the SVD where a cheap
-    bound allows).  The returned vector satisfies
+    The one-generator case of steady_states.  A null space of more than
+    one dimension, singular values at or below RANK_TOL times the largest,
+    flags a disconnected model (proven one-dimensional without the SVD
+    where a cheap bound allows).  The returned vector satisfies
     ||G x||_inf <= 1e-12 ||G||_inf.
     """
-    values, errors = steady_states(g.matrix[np.newaxis], g.index, rank_tol)
+    values, errors = steady_states(g.matrix[np.newaxis], g.index)
     if errors[0] is not None:
         raise errors[0]
     return StateVector(values[0], g.index)

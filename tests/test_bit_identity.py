@@ -187,6 +187,12 @@ CLI_RUNS = {
         ["sweep", "--param", "Omega", "--grid", "0:2:9"]),
     "fig3": (readme_config("generalized_double_dot_set", "\n[energies]\nE0 = 0.0\n"),
              ["fig3", "--grid", "0.1:1.9:40"]),
+    # the two charts the CLI draws, axis labels included
+    "sweep:double_dot_set:svg": (
+        readme_config("double_dot_set"),
+        ["sweep", "--param", "gamma_R", "--grid", "1:1e4:25log", "--format", "svg"]),
+    "fig3:svg": (readme_config("generalized_double_dot_set", "\n[energies]\nE0 = 0.0\n"),
+                 ["fig3", "--grid", "0.1:1.9:40", "--format", "svg"]),
     "evolve:double_dot_set": (
         f"[scenario]\nname = double_dot_set\n\n{EVOLVE_RATES}\n[run]\nt_final = 10.0\n",
         ["evolve"]),
@@ -211,6 +217,7 @@ CLI_SHA256 = {
     "evolve:reduced_double_dot": "4cfa0e327c72e7c280672804bb4d5f6598eb45ed01fd0d093240f279f70b89aa",
     "evolve:single_dot_set": "e10c46b51c8431a26c036e38fb785a6e43f57eb08d1b2b844203bdde541924e3",
     "fig3": "1330a4e34280eaa3818e6b4b25a679da8ee32b49a5fde7597238056e51ac49f7",
+    "fig3:svg": "277626f91b029c2a70bd6edc4b15d764271b6f1fcdd4b97a4c544ab204070fb2",
     "steady:double_dot_bare": "c90b9b475fb3de921e6d8bfa75d1e5f397ce196a7f668f88665d5e0ebb6b631a",
     "steady:double_dot_set": "3aa2c6bef8a0f3fa9511da593ee59127bf16ea2169da4dad20a3ba7defb78f36",
     "steady:generalized:blind": "0468cba777b7f815e6f91f3d0eabe4ce31df5c4989be5a724185096c934fb926",
@@ -219,6 +226,7 @@ CLI_SHA256 = {
     "steady:reduced_double_dot": "192d655c28fdba1038870ec46be3e0ba65ad7e228656dbe724d7f5c2a4b5da0c",
     "steady:single_dot_set": "e46ca2f11ac3370cf14b733314e35c0e970ad330f08b0cc654c9b3770f5d0f4d",
     "sweep:double_dot_set": "a0ef7aa199ccd3457ff4524874b63cbcc2b4e5db64ecca26802fe433a8f6252a",
+    "sweep:double_dot_set:svg": "ca603d1cd6af34b437f2028557e311343fe6f74a4af058169c17f157ba46e8b7",
     "sweep:generalized:blind": "878821a38d6ab28f7a54d66f226e9e2258084ace0984aa51fb0797c860bc3cf3",
     "sweep:single_dot_set": "a17dbe99551e36582dd9bf64abf870f55f5c35aa1f7948c9c180790470d8fbf0",
 }

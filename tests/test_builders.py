@@ -289,6 +289,13 @@ class TestDispatch:
             with pytest.raises(ValueError, match=f"{scenario} fixes its own blocking"):
                 scenario_table(scenario, blocking)
 
+    @pytest.mark.parametrize("scenario", ["single_dot_set", "double_dot_bare",
+                                          "reduced_double_dot", "double_dot_set"])
+    def test_fixed_scenario_is_compiled_once(self, scenario):
+        # the one-argument call (validate) and an explicit None (the CLI)
+        # reach the same table
+        assert scenario_table(scenario) is scenario_table(scenario, None)
+
 
 class TestRegimes:
     def test_each_regime_names_its_blocking(self):

@@ -120,16 +120,14 @@ class TestSweep:
         assert content == b.read_bytes()
         assert content.count(b"\n") == 5  # header plus four rows
 
-    def test_param_from_run_section(self, tmp_path):
-        p = tmp_path / "cfg.cfg"
-        p.write_text(BARE_CFG + "param = Omega\ngrid = 0:2:5\n")
-        out = tmp_path / "sweep.csv"
-        assert cli_main(["sweep", "--config", str(p), "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 6
-
-    def test_missing_param_is_config_error(self, bare_cfg, tmp_path):
-        assert cli_main(["sweep", "--config", bare_cfg, "--grid", "0:1:2",
-                         "--out", str(tmp_path / "x.csv")]) == 2
+    # the flags are the one setter of the swept parameter and the grid
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid", "0:1:2"], ["sweep", "--param", "Omega"], ["fig3"],
+    ], ids=["sweep-param", "sweep-grid", "fig3-grid"])
+    def test_missing_param_or_grid_is_usage_error(self, bare_cfg, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        assert cli_main(argv + ["--config", bare_cfg, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_bad_param_is_config_error(self, bare_cfg, tmp_path):
         assert cli_main(["sweep", "--config", bare_cfg, "--param", "warp",
@@ -249,38 +247,23 @@ class TestFig3:
 
 
 class TestTolOverride:
-    def test_env_tolerance_accepted(self, bare_cfg, monkeypatch):
-        monkeypatch.setenv("MESORATE_TOL", "1e-6")
+    def test_environment_is_not_read(self, bare_cfg, monkeypatch, capsys):
+        # steady --tol is the one setter of the tolerance
         assert cli_main(["steady", "--config", bare_cfg]) == 0
-
-    def test_env_tolerance_malformed(self, bare_cfg, monkeypatch):
+        expected = capsys.readouterr()
         monkeypatch.setenv("MESORATE_TOL", "not-a-number")
-        assert cli_main(["steady", "--config", bare_cfg]) == 2
-
-    def test_flag_beats_env(self, bare_cfg, monkeypatch):
-        monkeypatch.setenv("MESORATE_TOL", "not-a-number")
-        assert cli_main(["steady", "--config", bare_cfg, "--tol", "1e-8"]) == 0
+        assert cli_main(["steady", "--config", bare_cfg]) == 0
+        assert capsys.readouterr() == expected
 
     # NaN fails every comparison in validate_state, so it would switch the
     # warnings off; a negative or infinite tolerance means nothing either
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-300"])
-    def test_env_tolerance_must_be_finite_and_nonnegative(self, bare_cfg, monkeypatch, capsys,
-                                                          value):
-        monkeypatch.setenv("MESORATE_TOL", value)
-        assert cli_main(["steady", "--config", bare_cfg]) == 2
-        assert "MESORATE_TOL must be a finite number >= 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-300"])
-    def test_flag_tolerance_must_be_finite_and_nonnegative(self, bare_cfg, monkeypatch, capsys,
-                                                           value):
-        monkeypatch.setenv("MESORATE_TOL", "1e-6")
+    def test_flag_tolerance_must_be_finite_and_nonnegative(self, bare_cfg, capsys, value):
         assert cli_main(["steady", "--config", bare_cfg, f"--tol={value}"]) == 2
         assert "--tol must be a finite number >= 0" in capsys.readouterr().err
 
-    def test_zero_tolerance_accepted(self, bare_cfg, monkeypatch):
+    def test_zero_tolerance_accepted(self, bare_cfg):
         assert cli_main(["steady", "--config", bare_cfg, "--tol", "0"]) == 0
-        monkeypatch.setenv("MESORATE_TOL", "0")
-        assert cli_main(["steady", "--config", bare_cfg]) == 0
 
 
 class TestExitCodes:
@@ -302,6 +285,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section,line", [
         ("run", "tol = -1e-300"), ("run", "out = x.out"), ("energies", "EFL_det = 1.5"),
+        ("run", "param = Omega"), ("run", "grid = 0:2:5"), ("run", "format = svg"),
     ])
     def test_removed_config_keys_are_config_errors(self, tmp_path, capsys, section, line):
         p = tmp_path / "removed.cfg"

@@ -3,8 +3,8 @@ import itertools
 
 import pytest
 
-from mesorate import (BlockingConfig, ConfigError, EnergyConfig, RateSet, experiments,
-                      parse_config, parse_grid, run_fermi_sweep)
+from mesorate import (BlockingConfig, ConfigError, RateSet, experiments, parse_config,
+                      parse_grid, run_fermi_sweep)
 from mesorate.builders import scenario_table
 from mesorate.config import RunConfig, RunOptions, required_rates
 
@@ -53,17 +53,24 @@ class TestParseConfig:
         assert cfg.rates.U2 == 2.0
         assert cfg.run.t_final == 40.0
         assert cfg.run.dt == 0.01
-        assert cfg.energy is None
+        assert cfg.E0 is None
 
     def test_energies_section(self):
         cfg = parse_config(FULL + "\n[energies]\nE0 = 2.0\n")
-        assert cfg.energy.E0 == 2.0
+        assert cfg.E0 == 2.0
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_nonfinite_detector_level_rejected(self, token):
+        with pytest.raises(ConfigError, match=f"E0 must be finite, got '{token}'"):
+            parse_config(FULL + f"\n[energies]\nE0 = {token}\n")
 
     @pytest.mark.parametrize("section,line", [
         ("energies", "E1 = 0.0"), ("energies", "E2 = 0.0"),
         ("energies", "EFL_det = 1.5"), ("energies", "EFR_det = -1.5"),
         ("energies", "EFL_sys = 1.5"), ("energies", "EFR_sys = -1.5"),
         ("run", "tol = 1e-8"), ("run", "out = x.csv"),
+        # the flags --param, --grid and --format are their one setter
+        ("run", "param = Omega"), ("run", "grid = 0:2:5"), ("run", "format = svg"),
     ])
     def test_removed_keys_are_unknown(self, section, line):
         # settings no command read are rejected, not silently ignored
@@ -143,10 +150,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="width"):
             parse_config(text)
 
-    def test_bad_format_value(self):
-        with pytest.raises(ConfigError, match="format"):
-            parse_config(FULL + "format = pdf\n")
-
     def test_bad_blocking_value(self):
         with pytest.raises(ConfigError, match="blocking"):
             parse_config(FULL + "blocking = sideways\n")
@@ -193,7 +196,7 @@ class TestParseConfig:
             return solve(table, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "_solved_rows", recorded)
-        rows = run_fermi_sweep(cfg.rates, EnergyConfig(E0=0.0), [0.5, 1.5])
+        rows = run_fermi_sweep(cfg.rates, 0.0, [0.5, 1.5])
         assert [row.regime for row in rows] == ["blind", "resolving"]
         assert solved[1] is scenario_table(cfg.scenario, cfg.blocking_config())
 
@@ -210,26 +213,26 @@ class TestParsedConfig:
             scenario="double_dot_set",
             rates=RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                           epsilon=0.0, U1=1.0, U2=2.0),
-            energy=None,
+            E0=None,
             run=RunOptions(t_final=40.0, dt=0.01),
         )
 
     def test_energies_section_sets_only_the_energy(self):
         cfg = parse_config(FULL + "\n[energies]\nE0 = 0.25\n")
-        assert cfg == dataclasses.replace(parse_config(FULL), energy=EnergyConfig(E0=0.25))
+        assert cfg == dataclasses.replace(parse_config(FULL), E0=0.25)
 
     def test_string_run_keys_and_a_primed_width(self):
         text = (
             "[scenario]\nname = generalized_double_dot_set\n\n[rates]\n"
             "gamma_L = 0.1\ngamma_R = 1e4\ngamma_L_p = 0.05\nGamma_L = 0.3333333333333333\n"
             "Gamma_R = 2.0\nOmega = 0.0\n\n[run]\n"
-            "param = gamma_R\ngrid = 1:1e4:5log\nformat = csv\nblocking = blind\n")
+            "blocking = blind\n")
         assert parse_config(text) == RunConfig(
             scenario="generalized_double_dot_set",
             rates=RateSet(gamma_L=0.1, gamma_R=1e4, gamma_L_p=0.05,
                           Gamma_L=1 / 3, Gamma_R=2.0),
-            energy=None,
-            run=RunOptions(param="gamma_R", grid="1:1e4:5log", format="csv", blocking="blind"),
+            E0=None,
+            run=RunOptions(blocking="blind"),
         )
 
 

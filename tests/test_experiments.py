@@ -7,7 +7,6 @@ from mesorate import (
     REGIMES,
     BlockingConfig,
     DegenerateSteadyState,
-    EnergyConfig,
     RateSet,
     SweepSpec,
     double_dot_current_bare,
@@ -145,12 +144,12 @@ class TestSweepErrors:
     def test_underflowed_plateau_is_a_nan_reference(self):
         base = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1e-200, Omega=1e-170,
                        U1=1.0, U2=2.0)
-        energy, grid = EnergyConfig(E0=0.0), (0.5, 1.5)
-        rows = run_fermi_sweep(base, energy, grid)
+        E0, grid = 0.0, (0.5, 1.5)
+        rows = run_fermi_sweep(base, E0, grid)
         assert [row.regime for row in rows] == ["blind", "resolving"]
         assert all(math.isnan(row.I_S_analytic) for row in rows)
-        assert (_outcome(lambda: run_fermi_sweep(base, energy, grid))
-                == _outcome(lambda: _reference_fermi_sweep(base, energy, grid, [])))
+        assert (_outcome(lambda: run_fermi_sweep(base, E0, grid))
+                == _outcome(lambda: _reference_fermi_sweep(base, E0, grid, [])))
 
     def test_solver_error_of_one_member_is_raised(self, monkeypatch):
         # an engine error other than DegenerateSteadyState is raised, not
@@ -235,9 +234,9 @@ class TestSweepErrors:
     def test_fermi_sweep_solves_each_regime(self):
         base = TestFermiSweep.BASE
         grid = [1.5, 0.5, 1.2, 0.2]
-        rows = run_fermi_sweep(base, TestFermiSweep.ENERGY, grid)
+        rows = run_fermi_sweep(base, TestFermiSweep.E0, grid)
         for v, row in zip(grid, rows):
-            alone = run_fermi_sweep(base, TestFermiSweep.ENERGY, [v])
+            alone = run_fermi_sweep(base, TestFermiSweep.E0, [v])
             assert repr(row) == repr(alone[0])
 
 
@@ -245,31 +244,31 @@ class TestFermiRegimes:
     """The regime of a Fermi level: blind below E0 + U1, resolving from
     there up to E0 + U2, each threshold belonging to the regime above it."""
 
-    ENERGY = EnergyConfig(E0=0.5)
+    E0 = 0.5
 
     def test_level_at_e0_plus_u1_is_resolving(self):
-        rows = run_fermi_sweep(SET_BASE, self.ENERGY, [1.0, 1.5, 2.0])
+        rows = run_fermi_sweep(SET_BASE, self.E0, [1.0, 1.5, 2.0])
         assert [row.regime for row in rows] == ["blind", "resolving", "resolving"]
 
     def test_level_at_e0_plus_u2_is_refused(self):
         with pytest.raises(ValueError, match=r"reaches E0 \+ U2 = 2.5"):
-            run_fermi_sweep(SET_BASE, self.ENERGY, [1.0, 2.5])
+            run_fermi_sweep(SET_BASE, self.E0, [1.0, 2.5])
 
     def test_u2_below_u1_is_refused_before_the_grid_checks(self):
         base = SET_BASE.replacing("U1", 2.0).replacing("U2", 1.0)
         for grid in ([], [-1.0], [0.75]):
             with pytest.raises(ValueError, match="U2 must be >= U1"):
-                run_fermi_sweep(base, self.ENERGY, grid)
+                run_fermi_sweep(base, self.E0, grid)
 
 
 class TestFermiSweep:
     BASE = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                    U1=1.0, U2=2.0)
-    ENERGY = EnergyConfig(E0=0.0)
+    E0 = 0.0
 
     def test_two_plateau_step(self):
         grid = [0.2, 0.6, 1.0, 1.4, 1.8]
-        rows = run_fermi_sweep(self.BASE, self.ENERGY, grid)
+        rows = run_fermi_sweep(self.BASE, self.E0, grid)
         bare = double_dot_current_bare(self.BASE)
         dephased = double_dot_current_measured(self.BASE)
         for row in rows:
@@ -284,28 +283,34 @@ class TestFermiSweep:
 
     def test_no_step_without_detector_coupling(self):
         base = self.BASE.replacing("gamma_L", 0.0)
-        rows = run_fermi_sweep(base, self.ENERGY, [0.5, 1.5])
+        rows = run_fermi_sweep(base, self.E0, [0.5, 1.5])
         assert rows[0].I_S_numeric == pytest.approx(rows[1].I_S_numeric, rel=1e-12)
 
     def test_entirely_blind_grid_matches_bare_value(self):
-        rows = run_fermi_sweep(self.BASE, self.ENERGY, [0.3, 0.5, 0.7])
+        rows = run_fermi_sweep(self.BASE, self.E0, [0.3, 0.5, 0.7])
         bare = double_dot_current_bare(self.BASE)
         for row in rows:
             assert row.I_S_numeric == pytest.approx(bare, rel=1e-2)
 
     def test_grid_below_detector_level_rejected(self):
         with pytest.raises(ValueError, match="not above"):
-            run_fermi_sweep(self.BASE, self.ENERGY, [-0.5, 0.5])
+            run_fermi_sweep(self.BASE, self.E0, [-0.5, 0.5])
 
     def test_extrapolated_grid_rejected(self):
         # the open regime is reachable only as a sweep with [run] blocking = open
         with pytest.raises(ValueError, match=r"extrapolated, reachable only as a sweep with "
                                              r"\[run\] blocking = open"):
-            run_fermi_sweep(self.BASE, self.ENERGY, [0.5, 2.5])
+            run_fermi_sweep(self.BASE, self.E0, [0.5, 2.5])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            run_fermi_sweep(self.BASE, self.ENERGY, [])
+            run_fermi_sweep(self.BASE, self.E0, [])
+
+    @pytest.mark.parametrize("E0", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_detector_level_rejected(self, E0):
+        # a library caller reaches the sweep without the config file's check
+        with pytest.raises(ValueError, match="^E0 must be finite$"):
+            run_fermi_sweep(self.BASE, E0, [0.5])
 
 
 class TestDeterminism:
@@ -436,24 +441,24 @@ def _reference_sweep(spec, stacks):
     return _reference_rows(spec.scenario, points, stacks)
 
 
-def _reference_fermi_sweep(base, energy, grid, stacks):
+def _reference_fermi_sweep(base, E0, grid, stacks):
     if base.U2 < base.U1:
         raise ValueError("U2 must be >= U1 (second dot closer to the detector)")
     grid = [float(v) for v in grid]
     if not grid:
         raise ValueError("grid must not be empty")
     for v in grid:
-        if not v > energy.E0:
+        if not v > E0:
             raise ValueError(f"Fermi level {v!r} is not above the detector level "
-                             f"E0 = {energy.E0!r}")
-        if v >= energy.E0 + base.U2:
+                             f"E0 = {E0!r}")
+        if v >= E0 + base.U2:
             raise ValueError(
-                f"Fermi level {v!r} reaches E0 + U2 = {energy.E0 + base.U2!r}; that territory is "
+                f"Fermi level {v!r} reaches E0 + U2 = {E0 + base.U2!r}; that territory is "
                 "extrapolated, reachable only as a sweep with [run] blocking = open")
     scenario = builders.GENERALIZED_DOUBLE_DOT_SET
     points = []
     for v in grid:
-        resolving = v >= energy.E0 + base.U1
+        resolving = v >= E0 + base.U1
         regime = "resolving" if resolving else "blind"
         blocking = BlockingConfig(not resolving, True)
         plateau = builders.REDUCED_DOUBLE_DOT if resolving else builders.DOUBLE_DOT_BARE
@@ -561,7 +566,7 @@ class TestColumnarMatchesPerPoint:
             return steady_states(matrices, index)
 
         monkeypatch.setattr(experiments, "steady_states", recorded)
-        energy = EnergyConfig(E0=0.0)
-        expected = _outcome(lambda: _reference_fermi_sweep(base, energy, grid, expected_stacks))
-        assert _outcome(lambda: run_fermi_sweep(base, energy, grid)) == expected
+        E0 = 0.0
+        expected = _outcome(lambda: _reference_fermi_sweep(base, E0, grid, expected_stacks))
+        assert _outcome(lambda: run_fermi_sweep(base, E0, grid)) == expected
         assert _regime_bits(stacks, expected_stacks)

@@ -5,7 +5,6 @@ import pytest
 
 from mesorate import (
     DIAGONAL,
-    EnergyConfig,
     Generator,
     IndexMap,
     RateSet,
@@ -151,19 +150,6 @@ class TestViolationMagnitudes:
         x = pack(DOUBLE_DOT_INDEX, {"b": 0.5, "c": 0.5}, {("b", "c"): 0.75j})
         assert violation_magnitudes(x.index, x.values[np.newaxis]).tolist() == [
             reference_violation_magnitude(x)] == [0.3125]
-
-
-class TestEnergyConfig:
-    def test_detector_level_is_the_only_field(self):
-        assert EnergyConfig().E0 == 0.0
-        assert EnergyConfig(E0=2.0).E0 == 2.0   # no Fermi-level window to fit in
-        for removed in ("E1", "E2", "EFL_det", "EFR_det", "EFL_sys", "EFR_sys"):
-            with pytest.raises(TypeError):
-                EnergyConfig(**{removed: 0.0})
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="E0 must be finite"):
-            EnergyConfig(E0=math.nan)
 
 
 class TestIndexMap:

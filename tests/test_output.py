@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mesorate import (
-    EnergyConfig,
     RateSet,
     SweepSpec,
     Trajectory,
@@ -247,15 +246,15 @@ class TestSvg:
     def fig3_rows(self):
         base = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0,
                        Omega=1.0, U1=1.0, U2=2.0)
-        return run_fermi_sweep(base, EnergyConfig(E0=0.0), [0.2, 0.5, 0.8, 1.2, 1.5, 1.8])
+        return run_fermi_sweep(base, 0.0, [0.2, 0.5, 0.8, 1.2, 1.5, 1.8])
 
     def test_contains_labeled_axes_and_line(self):
         text = svg_text([ROW, SweepRow(2.0, 0.6, 0.6, math.nan, math.nan, 0.0)],
-                        x_label="Omega", y_label="I_S")
+                        x_label="Omega")
         assert text.startswith("<svg")
         assert "<polyline" in text
         assert ">Omega</text>" in text
-        assert ">I_S</text>" in text
+        assert ">I_S [e*rate]</text>" in text
 
     def test_step_plot_has_two_plateaus(self):
         text = svg_text(self.fig3_rows(), x_label="Fermi level")

@@ -26,6 +26,7 @@ from mesorate import (
     validate_state,
 )
 from mesorate import experiments, solver
+from mesorate.model import RATE_FIELDS
 from mesorate.acceptance import _suite_evolve_runs
 from test_bit_identity import CONFIGS, SETS, config_id
 
@@ -46,16 +47,17 @@ def _rk4_step(G, x, h):
 
 
 
-def _steady_state_reference(g, rank_tol=1e-10):
+def _steady_state_reference(g):
     """The one-generator solver that preceded the stacked engine: the
-    reference steady_states must match bit for bit, errors included."""
+    reference steady_states must match bit for bit, errors included.  Its
+    rank tolerance is its own literal, not solver.RANK_TOL."""
     G = g.matrix
     n = g.dim
     singulars = np.linalg.svd(G, compute_uv=False)
     largest = float(singulars[0]) if n else 0.0
     if largest == 0.0:
         raise DegenerateSteadyState("zero generator: every state is stationary")
-    null_dim = int(np.count_nonzero(singulars <= rank_tol * largest))
+    null_dim = int(np.count_nonzero(singulars <= 1e-10 * largest))
     if null_dim > 1:
         raise DegenerateSteadyState(
             f"{null_dim}-dimensional null space: the model is disconnected")
@@ -83,16 +85,16 @@ def _steady_state_reference(g, rank_tol=1e-10):
     return StateVector(x, g.index)
 
 
-def assert_stack_matches_reference(gens, rank_tol=1e-10):
+def assert_stack_matches_reference(gens):
     """One stacked call against the reference per generator: the bytes of
     every solution, the type and message of every error.  Returns the
     number of failing points."""
-    values, errors = steady_states(np.stack([g.matrix for g in gens]), gens[0].index, rank_tol)
+    values, errors = steady_states(np.stack([g.matrix for g in gens]), gens[0].index)
     assert values.shape == (len(gens), gens[0].dim) and len(errors) == len(gens)
     failed = 0
     for g, v, err in zip(gens, values, errors):
         try:
-            expected = _steady_state_reference(g, rank_tol)
+            expected = _steady_state_reference(g)
         except Exception as exc:
             failed += 1
             assert (type(err), str(err)) == (type(exc), str(exc))
@@ -242,14 +244,6 @@ class TestStackedEngine:
         assert str(errors[1]) == "constrained stationary system is singular: Singular matrix"
         assert isinstance(errors[1].__cause__, np.linalg.LinAlgError)
 
-    def test_rank_tol_applies_per_point(self):
-        r = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
-                    U1=1.0, U2=2.0)
-        gens = [scenario_table("double_dot_set").generator(r.replacing("gamma_R", v))
-                for v in (1.0, 1e6, 1e12)]
-        for rank_tol in (1e-10, 1e-14):
-            assert_stack_matches_reference(gens, rank_tol)
-
 
 # the uniqueness proof that spares the SVD: the stiff rates of
 # tests/test_experiments.py::TestStiffRegime, swept to 1e12, and the README
@@ -291,33 +285,38 @@ class TestUniquenessProof:
     """steady_states takes the rank test's verdict from solver._proven_unique
     for the leading blocks it proves, and from the SVD for the rest."""
 
-    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-4])
+    # the proof sees the ratios of the rates, not their scale
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e3])
     @pytest.mark.parametrize("base,top", [(STIFF_BASE, 1e12), (README_SWEEP, 1e4)],
                              ids=["stiff", "sweep"])
     @pytest.mark.parametrize("scenario,blocking", PROOF_CONFIGS,
                              ids=[config_id(*c) for c in PROOF_CONFIGS])
     def test_a_proven_member_has_a_one_dimensional_null_space(self, scenario, blocking,
-                                                              base, top, rank_tol):
+                                                              base, top, scale):
         G, index = _grid_stack(scenario, blocking, base, top)
+        G = scale * G
         n_diag = len(index.diagonal_positions)
         singulars = np.linalg.svd(G, compute_uv=False)
-        null_dims = (singulars <= rank_tol * singulars[:, :1]).sum(axis=1)
-        proven = np.array([solver._proven_unique(G[k:k + 1], n_diag, rank_tol)
+        null_dims = (singulars <= solver.RANK_TOL * singulars[:, :1]).sum(axis=1)
+        proven = np.array([solver._proven_unique(G[k:k + 1], n_diag)
                            for k in range(len(G))], dtype=bool)
         assert null_dims[proven].tolist() == [1] * int(proven.sum())
         # a block holds when each of its members does, and the stack's
         # proof stops at the first block that does not
         first = len(G) if proven.all() else int(np.argmin(proven))
         expected = len(G) if proven.all() else first - first % BLOCK
-        assert solver._proven_unique(G, n_diag, rank_tol) == expected
+        assert solver._proven_unique(G, n_diag) == expected
 
-    def test_the_readme_sweep_never_reaches_the_svd(self, monkeypatch):
+    # every rate and energy of the README sweep times the scale
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e3])
+    def test_the_readme_sweep_never_reaches_the_svd(self, monkeypatch, scale):
         def no_svd(*args, **kwargs):
             raise AssertionError("np.linalg.svd was called")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        grid = tuple(np.geomspace(1.0, 1e4, 1000).tolist())
-        rows = run_sweep(SweepSpec("double_dot_set", README_SWEEP, "gamma_R", grid))
+        base = RateSet(**{f: scale * getattr(README_SWEEP, f) for f in RATE_FIELDS})
+        grid = tuple((scale * np.geomspace(1.0, 1e4, 1000)).tolist())
+        rows = run_sweep(SweepSpec("double_dot_set", base, "gamma_R", grid))
         assert len(rows) == 1000 and all(row.error is None for row in rows)
 
 
@@ -331,7 +330,7 @@ def _edge_stack(size, first_unproven):
     unprovable = [table.generator(STIFF_BASE.replacing("gamma_R", v)) for v in (1e4, 1e12)]
     n_diag = len(table.index.diagonal_positions)
     for g in unprovable:
-        assert solver._proven_unique(g.matrix[np.newaxis], n_diag, 1e-10) == 0
+        assert solver._proven_unique(g.matrix[np.newaxis], n_diag) == 0
     return [provable[k] if k < first_unproven or (k - first_unproven) % 3 == 2
             else unprovable[(k - first_unproven) % 3] for k in range(size)]
 
@@ -390,14 +389,6 @@ class TestProofEdges:
         _, errors = steady_states(np.stack([g.matrix for g in gens]), gens[0].index)
         assert isinstance(errors[102], np.linalg.LinAlgError)
         assert errors[102 - 64] is None
-
-    @pytest.mark.parametrize("rank_tol", [1e-14, 1.0, 1e200, math.nan])
-    def test_the_svd_decides_where_the_proof_does_not_apply(self, rank_tol, svd_stacks):
-        # below 1e-12 the proof's margins are lost in rounding, from 1 on
-        # every singular value counts, and NaN compares false: none is tried
-        gens = _edge_stack(129, 129)
-        assert_stack_matches_reference(gens, rank_tol)
-        assert svd_stacks == [129]
 
 
 class TestEvolve:
