@@ -196,28 +196,26 @@ def steady_states(matrices: np.ndarray,
 def _proven_unique(G: np.ndarray, n_diag: int) -> int:
     """How many leading members of the stack the SVD rank test would find a
     one-dimensional null space in, proven a block of _EXTENDED_BLOCK at a
-    time up to the first block that defeats the proof.  A is G with row 0
-    replaced by ||G||_F / sqrt(n_diag) on each diagonal slot, a row as long
-    as G, so the proof sees the ratios of the rates and not their scale
-    (the LU keeps its row of ones).  With s = max(||A||_F^2, ||G||_F^2), a
-    member is proven when it is finite and nonzero, when its diagonal-slot
-    column sums 1_d^T G (0 when G keeps the trace) have norm
-    <= 1e-2 RANK_TOL ||G||_F / sqrt(dim), so sigma_min(G) <= 1e-2 RANK_TOL
-    sigma_max(G) and the SVD counts one, and when A^T A - 1e-12 s I has a
-    Cholesky factor: then sigma_min(A)^2 >= 1e-12 s up to about 1e-14 s of
-    rounding, and as G differs from A in one row, whatever that row holds,
-    interlacing puts its second-smallest singular value at
-    >= sigma_min(A) >= 1e-6 sigma_max(G): the SVD counts no second one.
-    Both margins are hundreds of times the SVD's rounding (dim eps
-    sigma_max)."""
+    time up to the first block that defeats the proof.  With A the solve's
+    constrained matrix and s = max(||A||_F^2, ||G||_F^2), a member is proven
+    when it is finite and nonzero, when its diagonal-slot column sums 1_d^T G
+    (0 when G keeps the trace) have norm <= 1e-2 RANK_TOL ||G||_F / sqrt(dim),
+    so sigma_min(G) <= 1e-2 RANK_TOL sigma_max(G) and the SVD counts one,
+    and when A^T A - 1e-12 s I has a Cholesky factor: then
+    sigma_min(A)^2 >= 1e-12 s up to about 1e-14 s of rounding (s >= n_diag,
+    from A's row of ones, keeps the shift clear of underflow), and as G
+    differs from A in one row, interlacing puts its second-smallest singular
+    value at >= sigma_min(A) >= 1e-6 sigma_max(G): the SVD counts no second
+    one.  Both margins are hundreds of times the SVD's rounding
+    (dim eps sigma_max)."""
     n = G.shape[-1]
     for lo in range(0, len(G), _EXTENDED_BLOCK):
         g = G[lo:lo + _EXTENDED_BLOCK]
-        a = g.copy()                    # the block's constrained matrix, at the scale of G
+        a = g.copy()                    # the block's constrained matrix
+        a[:, 0, :] = 0.0
+        a[:, 0, :n_diag] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             g2 = np.einsum("kij,kij->k", g, g)
-            a[:, 0, :] = 0.0
-            a[:, 0, :n_diag] = np.sqrt(g2 / n_diag)[:, np.newaxis]
             leak = np.linalg.norm(np.einsum("kij->kj", g[:, :n_diag]), axis=1)
             gram = a.transpose(0, 2, 1).copy() @ a      # contiguous: 3x faster than the view
             s = np.maximum(np.einsum("kii->k", gram), g2)

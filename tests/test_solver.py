@@ -26,7 +26,6 @@ from mesorate import (
     validate_state,
 )
 from mesorate import experiments, solver
-from mesorate.model import RATE_FIELDS
 from mesorate.acceptance import _suite_evolve_runs
 from test_bit_identity import CONFIGS, SETS, config_id
 
@@ -285,16 +284,13 @@ class TestUniquenessProof:
     """steady_states takes the rank test's verdict from solver._proven_unique
     for the leading blocks it proves, and from the SVD for the rest."""
 
-    # the proof sees the ratios of the rates, not their scale
-    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e3])
     @pytest.mark.parametrize("base,top", [(STIFF_BASE, 1e12), (README_SWEEP, 1e4)],
                              ids=["stiff", "sweep"])
     @pytest.mark.parametrize("scenario,blocking", PROOF_CONFIGS,
                              ids=[config_id(*c) for c in PROOF_CONFIGS])
     def test_a_proven_member_has_a_one_dimensional_null_space(self, scenario, blocking,
-                                                              base, top, scale):
+                                                              base, top):
         G, index = _grid_stack(scenario, blocking, base, top)
-        G = scale * G
         n_diag = len(index.diagonal_positions)
         singulars = np.linalg.svd(G, compute_uv=False)
         null_dims = (singulars <= solver.RANK_TOL * singulars[:, :1]).sum(axis=1)
@@ -307,17 +303,39 @@ class TestUniquenessProof:
         expected = len(G) if proven.all() else first - first % BLOCK
         assert solver._proven_unique(G, n_diag) == expected
 
-    # every rate and energy of the README sweep times the scale
-    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e3])
-    def test_the_readme_sweep_never_reaches_the_svd(self, monkeypatch, scale):
+    def test_the_readme_sweep_never_reaches_the_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("np.linalg.svd was called")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        base = RateSet(**{f: scale * getattr(README_SWEEP, f) for f in RATE_FIELDS})
-        grid = tuple((scale * np.geomspace(1.0, 1e4, 1000)).tolist())
-        rows = run_sweep(SweepSpec("double_dot_set", base, "gamma_R", grid))
+        grid = tuple(np.geomspace(1.0, 1e4, 1000).tolist())
+        rows = run_sweep(SweepSpec("double_dot_set", README_SWEEP, "gamma_R", grid))
         assert len(rows) == 1000 and all(row.error is None for row in rows)
+
+    @pytest.mark.parametrize("scenario,blocking", CONFIGS,
+                             ids=[config_id(*c) for c in CONFIGS])
+    def test_rates_near_underflow_keep_the_verdicts(self, scenario, blocking):
+        # at rates of 2^-535 (about 1e-161), scaled exactly, the Gram
+        # products of G fall below the smallest normal float; the proof's
+        # shift stays at the scale of its row of ones, so a disconnected
+        # member still reaches the SVD
+        table = scenario_table(scenario, blocking)
+        gens = []
+        for r in SETS["golden_and_random"][:3] + FAILING_SETS:
+            try:
+                g = table.generator(r)
+            except ValueError:      # the equal-amplitude guard
+                continue
+            gens.append(Generator(np.ldexp(g.matrix, -535), g.index, g.label))
+        assert assert_stack_matches_reference(gens) >= len(FAILING_SETS)
+
+    def test_a_tiny_dense_disconnected_generator_is_disconnected(self):
+        block = np.array([[-1.0, 2.0, 3.0], [0.5, -2.0, 1.0], [0.5, 0.0, -4.0]])
+        matrix = np.ldexp(np.kron(np.eye(2), block), -535)
+        g = Generator(matrix, IndexMap(tuple("abcdef")), "synthetic")
+        assert assert_stack_matches_reference([g]) == 1
+        with pytest.raises(DegenerateSteadyState, match="^2-dimensional null space"):
+            steady_state(g)
 
 
 def _edge_stack(size, first_unproven):
