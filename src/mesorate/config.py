@@ -1,12 +1,13 @@
 """Flat key = value run configuration.
 
 Four sections: [scenario] names the model, [rates] carries the physical
-parameters, [energies] the detector level E0 (read by fig3 only) and
-[run] the run values dt, t_final and blocking; an unknown key is
-rejected.  The swept parameter, the grid and the output format are set
-by command-line flags only, and the RK4 step cap, trace budget and rank
-tolerance are constants of the solver, not settings.  The format is
-deliberately flat so golden configs diff cleanly.
+parameters, [energies] the detector level E0 (read by fig3 only; a
+section without it is rejected) and [run] the run values dt, t_final and
+blocking; an unknown key is rejected.  The swept parameter, the grid and
+the output format are set by command-line flags only, and the RK4 step
+cap, trace budget and rank tolerance are constants of the solver, not
+settings.  The format is deliberately flat so golden configs diff
+cleanly.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ def _parse_float(token: str, key: str, line: int) -> float:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration file's text."""
     sections: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _SECTIONS}
+    opened: set[str] = set()
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -92,6 +94,7 @@ def parse_config(text: str) -> RunConfig:
             if name not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}]", lineno)
             current = name
+            opened.add(name)
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
@@ -134,6 +137,8 @@ def parse_config(text: str) -> RunConfig:
         if key != "E0":
             raise ConfigError(f"unknown key {key} in section [energies]", lineno)
         E0 = _parse_float(token, key, lineno)
+    if E0 is None and "energies" in opened:
+        raise ConfigError("missing required key E0 in section [energies]")
 
     # [run]
     run_kwargs: dict[str, object] = {}

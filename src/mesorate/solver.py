@@ -2,17 +2,19 @@
 
 The stationary state is found directly: one redundant balance row of G
 is replaced by the probability normalization and the resulting square
-system is solved by LU with partial pivoting, then polished with
-extended-precision iterative refinement.  That keeps the stiff detector
-limits (collector width four orders above the emitter width) out of the
-integrator entirely.  One engine, steady_states, solves a whole stack of
-generators (N, dim, dim): the LU solve is one LAPACK call on the stack,
-each refinement solve one call per block of members, every check runs per
-generator, and a generator that fails gets its own error without failing
-the others.  steady_state is its one-generator case, so a sweep and a
-single solve share every line and every bit.  The rank test before the
-solve takes its verdict from a cheap proof where that holds and from one
-SVD call on the rest of the stack; the two never disagree (_proven_unique).
+system is solved by LU with partial pivoting, then polished with up to
+three passes of extended-precision iterative refinement.  That keeps the
+stiff detector limits (collector width four orders above the emitter
+width) out of the integrator entirely.  One engine, steady_states, solves
+a whole stack of generators (N, dim, dim): the LU solve is one LAPACK
+call on the stack, each refinement pass one call per block of members (a
+block stops after a pass that leaves its bits unchanged), every check
+runs per generator, and a generator that fails gets its own error without
+failing the others.  steady_state is its one-generator case, so a sweep
+and a single solve share every line and every bit.  The rank test before
+the solve takes its verdict from a cheap proof where that holds and from
+one SVD call on the rest of the stack; the two never disagree
+(_proven_unique).  A one-member stack goes straight to the SVD.
 
 Time evolution is fixed-step classical RK4 with a guarded default step.
 For a constant generator one RK4 step is exactly the matrix polynomial
@@ -102,15 +104,18 @@ def steady_states(matrices: np.ndarray,
     solutions and one entry per generator: None where it was solved, else
     the exception steady_state raises for that generator alone, whose row
     of the array is then NaN.  Every check runs per generator; the LU solve
-    is one call on the whole stack, the three refinement solves one call
-    each per block of _EXTENDED_BLOCK members, and so is the rank test's
-    proof (_proven_unique); one SVD call decides the members it leaves.
+    is one call on the whole stack, and each of up to three refinement
+    passes one call per block of _EXTENDED_BLOCK members: a block stops
+    after a pass that leaves its bits unchanged.  The rank test's proof
+    (_proven_unique) runs per block too, and one SVD call decides the
+    members it leaves; a one-member stack goes straight to the SVD.
     """
     G = np.asarray(matrices, dtype=float)
     n_points, n = len(G), len(index)
     errors: list[Exception | None] = [None] * n_points
 
-    proven = _proven_unique(G, len(index.diagonal_positions))
+    # the proof pays off on a stack, not on one member, and needs a slot
+    proven = _proven_unique(G, len(index.diagonal_positions)) if n_points > 1 and n > 0 else 0
     tail = G[proven:]
     try:
         singulars = np.linalg.svd(tail, compute_uv=False) if len(tail) else np.empty((0, n))
@@ -138,6 +143,8 @@ def steady_states(matrices: np.ndarray,
                 "generator has no stationary direction; it does not conserve trace")
         else:
             ok.append(k)
+    if not ok:                      # a zero-slot stack always ends here
+        return np.full((n_points, n), np.nan), errors
 
     # Any single balance row of a diagonal slot is linearly dependent on the
     # others (their sum is the zero row), so replacing the first one keeps
@@ -171,13 +178,21 @@ def steady_states(matrices: np.ndarray,
     # precision: recovers the tiny occupations (collector width >> emitter
     # width leaves primed states at ~1e-12) to full relative accuracy.  It
     # runs a block of members at a time, so the longdouble copy of the
-    # stack is made once per block and stays small next to the stack.
+    # stack is made once per block and stays small next to the stack.  At
+    # most three passes; a pass that returns the block's bits unchanged
+    # found a fixed point, since the next would compute the same residual
+    # from the same bits and return them again, so the block stops there.
+    # Only pass 2 is compared: pass 1 moves nearly every member, and after
+    # pass 3 no pass is left to spare.
     for lo in range(0, len(A), _EXTENDED_BLOCK):
         block = slice(lo, lo + _EXTENDED_BLOCK)
         A_ext, rhs_ext = A[block].astype(np.longdouble), rhs[block].astype(np.longdouble)
-        for _ in range(3):
+        for n_pass in (1, 2, 3):
             residual = (rhs_ext - A_ext @ x[block].astype(np.longdouble)).astype(float)
-            x[block] = x[block] + np.linalg.solve(A[block], residual)
+            refined = x[block] + np.linalg.solve(A[block], residual)
+            if n_pass == 2 and refined.tobytes() == x[block].tobytes():
+                break
+            x[block] = refined
 
     A[:, 0, :] = row0               # the generators of the ok members again
     defects = np.abs(A @ x).max(axis=(1, 2))
@@ -247,8 +262,7 @@ def steady_state(g: Generator) -> StateVector:
 
     The one-generator case of steady_states.  A null space of more than
     one dimension, singular values at or below RANK_TOL times the largest,
-    flags a disconnected model (proven one-dimensional without the SVD
-    where a cheap bound allows).  The returned vector satisfies
+    flags a disconnected model.  The returned vector satisfies
     ||G x||_inf <= 1e-12 ||G||_inf.
     """
     values, errors = steady_states(g.matrix[np.newaxis], g.index)

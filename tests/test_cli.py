@@ -239,6 +239,19 @@ class TestFig3:
         assert cli_main(["fig3", "--config", bare_cfg, "--grid", "0.1:1.9:5",
                          "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("config,message", [
+        (FIG3_CFG.replace("\n[energies]\nE0 = 0.0\n", ""), "fig3 needs an [energies] section"),
+        (FIG3_CFG.replace("E0 = 0.0\n", ""), "missing required key E0 in section [energies]"),
+    ], ids=["no-section", "empty-section"])
+    def test_missing_detector_level_named(self, tmp_path, capsys, config, message):
+        p = tmp_path / "fig3.cfg"
+        p.write_text(config)
+        out = tmp_path / "x.csv"
+        assert cli_main(["fig3", "--config", str(p), "--grid", "0.1:1.9:5",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_grid_beyond_second_threshold_rejected(self, tmp_path):
         p = tmp_path / "fig3.cfg"
         p.write_text(FIG3_CFG)

@@ -59,6 +59,12 @@ class TestParseConfig:
         cfg = parse_config(FULL + "\n[energies]\nE0 = 2.0\n")
         assert cfg.E0 == 2.0
 
+    @pytest.mark.parametrize("tail", ["\n[energies]\n", "\n[energies]\n# no level\n[run]\n"])
+    def test_energies_section_without_E0_rejected(self, tail):
+        # a section that sets nothing names its one key, not the section
+        with pytest.raises(ConfigError, match=r"^missing required key E0 in section \[energies\]$"):
+            parse_config(FULL + tail)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_nonfinite_detector_level_rejected(self, token):
         with pytest.raises(ConfigError, match=f"E0 must be finite, got '{token}'"):

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 
@@ -280,6 +281,20 @@ def svd_stacks(monkeypatch):
     return lengths
 
 
+@pytest.fixture
+def proof_stacks(monkeypatch):
+    """The length of every stack steady_states runs the uniqueness proof on."""
+    lengths = []
+    proven_unique = solver._proven_unique
+
+    def spy(G, *args):
+        lengths.append(len(G))
+        return proven_unique(G, *args)
+
+    monkeypatch.setattr(solver, "_proven_unique", spy)
+    return lengths
+
+
 class TestUniquenessProof:
     """steady_states takes the rank test's verdict from solver._proven_unique
     for the leading blocks it proves, and from the SVD for the rest."""
@@ -360,10 +375,12 @@ class TestProofEdges:
         (size, first) for size in (63, 64, 65, 129) for first in (0, 63, 64, 128)
         if first < size] + [(129, 129)])
     def test_the_svd_takes_the_stack_from_the_first_unproven_block(
-            self, size, first_unproven, svd_stacks):
+            self, size, first_unproven, svd_stacks, proof_stacks):
         gens = _edge_stack(size, first_unproven)
+        proof_stacks.clear()            # _edge_stack runs the proof on two members
         failed = assert_stack_matches_reference(gens)
         assert failed == (size - first_unproven + 1) // 3
+        assert proof_stacks == [size]
         proven = size if first_unproven == size else first_unproven - first_unproven % BLOCK
         assert svd_stacks == ([size - proven] if proven < size else [])
 
@@ -390,6 +407,30 @@ class TestProofEdges:
         g = Generator(np.zeros((1, 1)), IndexMap(("a",)), "zero")
         assert assert_stack_matches_reference([g]) == 1
 
+    def test_a_zero_slot_generator_is_the_zero_generator(self):
+        # no slot to normalize: like the reference, every member of a
+        # zero-slot stack, alone or not, fails as the zero generator
+        g = Generator(np.zeros((0, 0)), IndexMap(()), "empty")
+        assert assert_stack_matches_reference([g]) == 1
+        assert assert_stack_matches_reference([g] * 3) == 3
+        with pytest.raises(DegenerateSteadyState, match="^zero generator"):
+            steady_state(g)
+
+    def test_steady_state_never_runs_the_proof(self, monkeypatch, svd_stacks):
+        # on one member the proof costs more than the SVD it would spare,
+        # so a one-member stack goes straight to the SVD
+        def no_cholesky(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky was called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        table = scenario_table("double_dot_set")
+        for r in (README_SWEEP, STIFF_BASE.replacing("gamma_R", 1e4), README_SLOW):
+            steady_state(table.generator(r))
+        for r in FAILING_SETS:
+            with pytest.raises(DegenerateSteadyState):
+                steady_state(table.generator(r))
+        assert svd_stacks == [1] * (3 + len(FAILING_SETS))
+
     def test_an_svd_failure_lands_on_its_own_member(self, monkeypatch):
         # the SVD runs on the members from 64 on; its stack call fails, and
         # of its one-member calls, the one on member 102
@@ -407,6 +448,66 @@ class TestProofEdges:
         _, errors = steady_states(np.stack([g.matrix for g in gens]), gens[0].index)
         assert isinstance(errors[102], np.linalg.LinAlgError)
         assert errors[102 - 64] is None
+
+
+@pytest.fixture
+def solve_stacks(monkeypatch):
+    """Every stack np.linalg.solve is called on, copied, in call order (the
+    reference solver calls it on single matrices, which are not recorded)."""
+    stacks = []
+    solve = np.linalg.solve
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(np.array(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return stacks
+
+
+def _passes(G, stacks):
+    """How many refinement solves each member of G took part in: stacks
+    are the engine's solve calls, the LU first.  A constrained matrix
+    keeps rows 1: of its generator, which tell the members apart."""
+    keys = [g[1:].tobytes() for g in G]
+    assert len(set(keys)) == len(keys)
+    taken = collections.Counter(a[1:].tobytes() for stack in stacks[1:] for a in stack)
+    return np.array([taken[k] for k in keys])
+
+
+class TestRefinementExit:
+    """A refinement block stops after a pass that leaves its bits
+    unchanged; the solutions are those of three passes (the reference)."""
+
+    def test_the_readme_sweep_spares_most_third_passes(self, solve_stacks):
+        G, index = _grid_stack("double_dot_set", None, README_SWEEP, 1e4)
+        _, errors = steady_states(G, index)
+        assert errors == [None] * len(G)
+        lu, *refinement = solve_stacks
+        assert len(lu) == len(G)
+        # three passes would be 3 * len(G) members
+        assert sum(len(stack) for stack in refinement) <= 2 * len(G) + 2 * BLOCK
+        assert set(_passes(G, solve_stacks).tolist()) == {2, 3}
+
+    def test_stiff_blocks_take_every_pass(self, solve_stacks):
+        # README-sweep blocks of 64 in turn with stiff ones; from stiff member
+        # 558 on the rank test fails them, so later blocks mix the two kinds
+        sweep, index = _grid_stack("double_dot_set", None, README_SWEEP, 1e4)
+        stiff, _ = _grid_stack("double_dot_set", None, STIFF_BASE, 1e12)
+        chunks = [c for lo in range(0, len(sweep), BLOCK)
+                  for c in (sweep[lo:lo + BLOCK], stiff[lo:lo + BLOCK])]
+        G = np.concatenate(chunks)
+        is_stiff = np.concatenate([np.full(len(c), k % 2 == 1) for k, c in enumerate(chunks)])
+        gens = [Generator(g, index, "alternating") for g in G]
+        assert assert_stack_matches_reference(gens) == 442
+        passes = _passes(G, solve_stacks)
+        assert set(passes[is_stiff].tolist()) == {0, 3}        # failed or refined thrice
+        assert (passes[is_stiff] == 3).sum() == len(stiff) - 442
+        # a README member takes pass 3 only beside a stiff member or one of
+        # the few members that pass 2 moves
+        assert set(passes[~is_stiff].tolist()) == {2, 3}
+        assert (passes[~is_stiff] == 3).sum() <= 3 * BLOCK
 
 
 class TestEvolve:
