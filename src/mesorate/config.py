@@ -6,8 +6,8 @@ section without it is rejected) and [run] the run values dt, t_final and
 blocking; an unknown key is rejected.  The swept parameter, the grid and
 the output format are set by command-line flags only, and the RK4 step
 cap, trace budget and rank tolerance are constants of the solver, not
-settings.  The format is deliberately flat so golden configs diff
-cleanly.
+settings, as is the grid cap MAX_GRID_POINTS here.  The format is
+deliberately flat so golden configs diff cleanly.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ class ConfigError(ValueError):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
+
+# most points one --grid may ask for: each is a generator of the stack
+# solved at once, 800 bytes for a 10x10 one, so the cap holds a stack to
+# 80 MB and a count far above it is refused before anything is allocated
+MAX_GRID_POINTS = 100_000
 
 _RUN_FLOAT_KEYS = ("dt", "t_final")
 _RUN_STR_KEYS = ("blocking",)
@@ -177,7 +182,7 @@ def parse_grid(spec: str) -> list[float]:
     """Grid spec start:stop:count with an optional log/lin suffix.
 
     '1:1e4:4log' gives four log-spaced points from 1 to 1e4; the default
-    spacing is linear.
+    spacing is linear.  A count above MAX_GRID_POINTS is refused.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -195,6 +200,8 @@ def parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"malformed grid spec {spec!r}") from None
     if count < 1:
         raise ConfigError("grid count must be >= 1")
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"grid count {count} exceeds the cap of {MAX_GRID_POINTS} points")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError("grid endpoints must be finite")
     if spacing == "log":

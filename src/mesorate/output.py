@@ -6,12 +6,16 @@ byte-identical.  The SVG writer is self-contained (no plotting library)
 for the same reason.  A time series that has settled repeats its samples
 bit for bit, and a row with the bytes of another has its text too, so
 the time-series writer formats the columns after t once per distinct row
-of a block and reuses that text.
+of a block, as a row format with a slot for t in front, and reuses it.
+A piece of rows is then one join of those formats and one % of its times,
+and the file writer streams the pieces, not rows.  The sweep table is one
+% call too.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import attrgetter
 from typing import Iterator, Sequence
 
@@ -26,6 +30,9 @@ from .solver import Trajectory
 # block are read at once, so the writer holds one block (and the text of
 # the block before, if that block repeated a row), not the run
 _BLOCK = 1024
+# rows per piece of text the time-series writer yields: a block is joined
+# and formatted a piece at a time, never all at once
+_PIECE = 128
 
 # the SweepRow fields written, in column order
 SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max_violation")
@@ -36,9 +43,8 @@ def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
         raise ValueError("refusing to write an empty table")
     row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
     fields = attrgetter(*SWEEP_HEADER)
-    lines = [",".join(SWEEP_HEADER) + "\n"]
-    lines += [row_format % fields(row) for row in rows]
-    return "".join(lines)
+    values = tuple(chain.from_iterable(map(fields, rows)))
+    return ",".join(SWEEP_HEADER) + "\n" + (row_format * len(rows)) % values
 
 
 def _write_text(path: str, text: str) -> None:
@@ -70,12 +76,13 @@ def _row_keys(values: np.ndarray) -> list[bytes]:
 
 
 def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[str]:
-    """The header line, then one line per sample, read _BLOCK samples at a
-    time.  Rows with the same bytes have the same slot and current text,
-    so the columns after t are summed and formatted once per distinct row
-    of a block, and a block that repeated a row hands its text on to the
-    next.  A bad weight map raises here, before the first line is asked
-    for."""
+    """The header line, then the sample lines _PIECE at a time, read
+    _BLOCK samples at a time.  Rows with the same bytes have the same slot
+    and current text, so the columns after t are summed and formatted once
+    per distinct row of a block, into a row format whose only slot is t,
+    and a block that repeated a row hands its formats on to the next.  A
+    piece is one join of its rows' formats and one % of its times.  A bad
+    weight map raises here, before the first line is asked for."""
     header = ["t"] + [column_token(e) for e in traj.index.entries]
     weights = []
     if system_weights is not None:
@@ -86,25 +93,30 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
         weights.append(detector_weights)
     for w in weights:      # a weight on a missing slot raises on zero rows too
         currents(traj.index, w, traj.values[:0])
-    tail_format = ",%.17g" * (len(header) - 1) + "\n"    # the columns after t
+    # "%.17g" for t, then the columns after it as text; that text holds no
+    # %, since %.17g of a float gives only digits, a sign, ".", "e", "nan"
+    # or "inf", so the one % of a piece fills exactly the t slots
+    row_format = "%%.17g" + ",%.17g" * (len(header) - 1) + "\n"
 
     def block(lo: int, known: dict):
-        """Yield the lines of the block at lo, given known, the text after
-        t of rows of the block before by their bytes; return that of its
-        own rows.  A block without a repeated row has not settled, so its
-        text is not kept."""
+        """Yield the lines of the block at lo, a piece at a time, given
+        known, the row formats of rows of the block before by their bytes;
+        return those of its own rows.  A block without a repeated row has
+        not settled, so its formats are not kept."""
         rows = slice(lo, lo + _BLOCK)
         keys = _row_keys(traj.values[rows])
         distinct = dict.fromkeys(keys)
-        tails = {key: known[key] for key in distinct if key in known}
-        fresh = [key for key in distinct if key not in tails]
+        formats = {key: known[key] for key in distinct if key in known}
+        fresh = [key for key in distinct if key not in formats]
         values = np.frombuffer(b"".join(fresh), dtype=float).reshape(len(fresh), len(traj.index))
         sums = [currents(traj.index, w, values) for w in weights]
-        tails.update(zip(fresh, [tail_format % (*sample, *row_sums)
-                                 for sample, *row_sums in zip(values.tolist(), *sums)]))
-        times = map("%.17g".__mod__, traj.times[rows].tolist())
-        yield from map(str.__add__, times, map(tails.__getitem__, keys))
-        return tails if len(tails) < len(keys) else {}
+        formats.update(zip(fresh, [row_format % (*sample, *row_sums)
+                                   for sample, *row_sums in zip(values.tolist(), *sums)]))
+        times = traj.times[rows].tolist()
+        for p in range(0, len(keys), _PIECE):
+            piece = slice(p, p + _PIECE)
+            yield "".join(map(formats.__getitem__, keys[piece])) % tuple(times[piece])
+        return formats if len(formats) < len(keys) else {}
 
     def lines():
         yield ",".join(header) + "\n"
@@ -122,8 +134,9 @@ def timeseries_csv_text(traj: Trajectory, system_weights=None, detector_weights=
 
 def write_timeseries_csv(traj: Trajectory, path: str,
                          system_weights=None, detector_weights=None) -> None:
-    """timeseries_csv_text streamed to path line by line, without holding
-    the whole text; a bad weight map fails before the file is created."""
+    """timeseries_csv_text streamed to path a piece of rows at a time,
+    without holding the whole text; a bad weight map fails before the file
+    is created."""
     lines = _timeseries_lines(traj, system_weights, detector_weights)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)

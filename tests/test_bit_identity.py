@@ -9,7 +9,8 @@ the channel tables; the evolve and time-series digests were recorded
 from the one-matrix RK4 propagator, which departs from the stage-wise
 step at rounding level (test_solver.py bounds the gap); the long evolve
 digest was recorded before evolve and the time-series writer stopped
-redoing the work of repeated samples.  Regenerate them only for a
+redoing the work of repeated samples, and the cycling evolve digest
+before the writer formatted a piece of rows in one call.  Regenerate them only for a
 deliberate change of numbers, never to make a refactor pass.
 """
 
@@ -204,6 +205,14 @@ CLI_RUNS = {
     "evolve:double_dot_set:long": (
         f"[scenario]\nname = double_dot_set\n\n{EVOLVE_RATES}\n[run]\ndt = 0.02\nt_final = 500.0\n",
         ["evolve"]),
+    # a run whose samples enter a 226-step cycle at row 2439 and never
+    # reach a fixed point, so evolve steps to the end and the writer reuses
+    # the text of a cycle that crosses its block edges
+    "evolve:double_dot_set:cycle": (
+        "[scenario]\nname = double_dot_set\n\n"
+        + README_RATES.replace("gamma_R = 1e4", "gamma_R = 3.2028859394138767")
+        + "\n[run]\ndt = 0.02\nt_final = 500.0\n",
+        ["evolve"]),
     # no detector, so no I_D column
     **{f"evolve:{s}": (
         f"[scenario]\nname = {s}\n\n{EVOLVE_RATES}\n[run]\nt_final = 10.0\n", ["evolve"])
@@ -214,6 +223,7 @@ CLI_SHA256 = {
     "evolve:double_dot_bare": "166c9831e7c63b54b1a858b3f2925e448a599e8f2ba1df0eace8ca707b8a5847",
     "evolve:double_dot_set": "ed67fc3fe5d38a9f35793fe4c7624fc2eda58b09170e05c2562c49513085d20f",
     "evolve:double_dot_set:long": "4d328dbef5cdc5439e66fffe0cef04635da848f2fd33748126f013a5d2ce5066",
+    "evolve:double_dot_set:cycle": "d91505bc98974f841d6d1d07fdec55137e2a4c25d53a5e2b1a51f252dd2a4cbb",
     "evolve:reduced_double_dot": "4cfa0e327c72e7c280672804bb4d5f6598eb45ed01fd0d093240f279f70b89aa",
     "evolve:single_dot_set": "e10c46b51c8431a26c036e38fb785a6e43f57eb08d1b2b844203bdde541924e3",
     "fig3": "1330a4e34280eaa3818e6b4b25a679da8ee32b49a5fde7597238056e51ac49f7",

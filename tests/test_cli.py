@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from mesorate import cli_main
@@ -165,6 +166,27 @@ class TestSweep:
         assert cli_main(["sweep", "--config", str(cfg), "--param", "gamma_R",
                          "--grid", "-1:1:3", "--out", str(out)]) == 2
         assert "width gamma_R must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "fig3"])
+    def test_grid_count_above_the_cap_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        # numpy could not allocate this grid: it is refused before it is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "geomspace", refuse)
+        cfg = tmp_path / "fig3.cfg"
+        cfg.write_text(FIG3_CFG)
+        out = tmp_path / "x.csv"
+        argv = [command, "--config", str(cfg), "--grid", "1:10:99999999999", "--out", str(out)]
+        if command == "sweep":
+            argv += ["--param", "gamma_R"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "grid count 99999999999 exceeds the cap of 100000 points" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_overflowing_grid_value_is_config_error(self, tmp_path, capfd):

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from mesorate import (BlockingConfig, ConfigError, RateSet, experiments, parse_config,
                       parse_grid, run_fermi_sweep)
 from mesorate.builders import scenario_table
-from mesorate.config import RunConfig, RunOptions, required_rates
+from mesorate.config import MAX_GRID_POINTS, RunConfig, RunOptions, required_rates
 
 # the hand table the channel-table derivation replaced, kept literally so
 # the derivation cannot silently drop a key
@@ -270,6 +271,18 @@ class TestParseGrid:
         with pytest.raises(ConfigError, match=r"grid span 1e\+308 - -1e\+308 overflows"):
             parse_grid(f"-1e308:1e308:{count}")
         assert parse_grid(f"-8e307:8e307:{count}")[-1] == (8e307 if count > 1 else -8e307)
+
+    @pytest.mark.parametrize("suffix", ["", "lin", "log"])
+    def test_count_above_the_cap_refused_before_allocating(self, monkeypatch, suffix):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "geomspace", refuse)
+        for count in (MAX_GRID_POINTS + 1, 99999999999):
+            with pytest.raises(ConfigError, match=f"grid count {count} exceeds the cap of "
+                                                  f"{MAX_GRID_POINTS} points"):
+                parse_grid(f"1:10:{count}{suffix}")
 
     def test_log_needs_positive_endpoints(self):
         with pytest.raises(ConfigError, match="positive"):

@@ -18,8 +18,9 @@ from mesorate import (
     write_svg,
 )
 from mesorate.experiments import SweepRow
-from mesorate.output import (_BLOCK, column_token, sweep_csv_text, svg_text,
-                             timeseries_csv_text, write_timeseries_csv)
+from mesorate.output import (SWEEP_HEADER, _BLOCK, _PIECE, _timeseries_lines, column_token,
+                             sweep_csv_text, svg_text, timeseries_csv_text,
+                             write_timeseries_csv)
 from test_observables import reference_occupation_sum
 
 ROW = SweepRow(param=1.0, I_S_numeric=0.5, I_S_analytic=0.5, I_D=math.nan,
@@ -56,6 +57,20 @@ class TestSweepCsv:
         path = tmp_path / "table.csv"
         write_csv([ROW], str(path))
         assert path.read_text().startswith("param,")
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_bytes_equal_the_per_row_reference(self, n):
+        rng = np.random.default_rng(n)
+        specials = [math.nan, -math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324, 1.0 / 3.0]
+        values = rng.normal(size=(n, len(SWEEP_HEADER))) * 10.0 ** rng.integers(
+            -300, 300, size=(n, len(SWEEP_HEADER)))
+        values.ravel()[:len(specials)] = specials[:values.size]
+        rows = [SweepRow(*row) for row in values.tolist()]
+        row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
+        expected = ",".join(SWEEP_HEADER) + "\n" + "".join(
+            row_format % tuple(getattr(row, f) for f in SWEEP_HEADER) for row in rows)
+        assert sweep_csv_text(rows) == expected
+        assert "nan" in expected and ",-0," in expected
 
     def test_byte_determinism(self, tmp_path):
         base = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
@@ -202,6 +217,13 @@ REPEAT_CASES = {
     "cycle_across_block_edges": (3 * _BLOCK + 5, cycle(300, 3 * _BLOCK + 5, 226)),
     "cycle_longer_than_a_block": (4 * _BLOCK, cycle(_BLOCK + 10, 4 * _BLOCK, _BLOCK + 3)),
     "no_rows": (0, []),
+    # pieces of _PIECE rows inside a block
+    "run_starts_at_piece_edge": (_BLOCK, runs(3 * _PIECE, 3 * _PIECE + 9)),
+    "run_ends_at_piece_edge": (2 * _BLOCK, runs(_BLOCK + 2 * _PIECE - 7, _BLOCK + 2 * _PIECE)),
+    "run_straddles_piece_edge": (_BLOCK, runs(_PIECE - 2, _PIECE + 3)),
+    "settled_block_in_pieces": (3 * _BLOCK, runs(_BLOCK - 10, 3 * _BLOCK)),
+    "short_final_piece": (2 * _BLOCK + _PIECE + 3, runs(2 * _BLOCK + 1, 2 * _BLOCK + _PIECE + 3)),
+    "one_row_final_piece": (_BLOCK + 1, runs(_BLOCK - 3, _BLOCK + 1)),
 }
 
 
@@ -216,6 +238,19 @@ class TestTimeseriesRepeats:
         w = scenario_table("double_dot_set").weights(HAND_RATES)
         for weights in ((), (w["system"],), (w["system"], w["detector"])):
             assert timeseries_csv_text(traj, *weights) == reference_timeseries_text(traj, *weights)
+
+    @pytest.mark.parametrize("case", ["settled_block_in_pieces", "short_final_piece",
+                                      "cycle_across_block_edges"])
+    def test_lines_stream_a_piece_at_a_time(self, case):
+        n, copies = REPEAT_CASES[case]
+        traj = repeating_trajectory(n, copies)
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        header, *pieces = _timeseries_lines(traj, w["system"], w["detector"])
+        assert header.count("\n") == 1 and header.endswith("\n")
+        rows = [piece.count("\n") for piece in pieces]
+        assert all(0 < k <= _PIECE for k in rows) and sum(rows) == n
+        # a piece never spans a block edge
+        assert len(pieces) == sum(-(-min(_BLOCK, n - lo) // _PIECE) for lo in range(0, n, _BLOCK))
 
     def test_signed_zeros_do_not_share_text(self):
         # rows equal under == but not in their bits: 0.0 and -0.0 in a
