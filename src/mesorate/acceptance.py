@@ -184,17 +184,14 @@ def criterion_6() -> CriterionResult:
     base = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0,
                    Omega=1.0, U1=1.0, U2=2.0)
     grid = np.linspace(0.1, 1.9, 13)
-    rows = run_fermi_sweep(base, 0.0, grid)
+    table = run_fermi_sweep(base, 0.0, grid)
     bare_value = analytic.double_dot_current_bare(base)
     dephased_value = analytic.double_dot_current_measured(base)
-    worst_low = worst_high = 0.0
-    min_delta = math.inf
-    for row in rows:
-        min_delta = min(min_delta, abs(row.Delta_I_D))
-        if row.regime == "blind":
-            worst_low = max(worst_low, abs(row.I_S_numeric - bare_value) / bare_value)
-        else:
-            worst_high = max(worst_high, abs(row.I_S_numeric - dephased_value) / dephased_value)
+    blind = np.array(table.regime) == "blind"
+    plateau = np.where(blind, bare_value, dephased_value)
+    errors = np.abs(table["I_S_numeric"] - plateau) / plateau
+    worst_low, worst_high = errors[blind].max(initial=0.0), errors[~blind].max(initial=0.0)
+    min_delta = np.abs(table["Delta_I_D"]).min()
     ok = worst_low < LIMIT_TOL and worst_high < LIMIT_TOL and min_delta > 1e-6
     return CriterionResult(
         6, "Fermi-level sweep shows the undistorted and dephased plateaus",

@@ -99,12 +99,16 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _write_table(rows, args, x_label: str) -> None:
+def _write_table(table, args, x_label: str) -> None:
     if args.format == "svg":
-        output.write_svg(rows, args.out, x_label=x_label)
+        output.write_svg(table, args.out, x_label=x_label)
     else:
-        output.write_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        output.write_csv(table, args.out)
+    print(f"wrote {len(table)} rows to {args.out}")
+    failed = [k for k, message in enumerate(table.message) if message is not None]
+    if failed:
+        print(f"warning: {len(failed)} of {len(table)} rows are NaN; the first, at {x_label} = "
+              f"{table['param'][failed[0]].item()!r}: {table.message[failed[0]]}", file=sys.stderr)
 
 
 def _cmd_sweep(args) -> int:
@@ -114,8 +118,7 @@ def _cmd_sweep(args) -> int:
         spec = SweepSpec(cfg.scenario, cfg.rates, args.param, tuple(grid), cfg.blocking_config())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = run_sweep(spec)
-    _write_table(rows, args, x_label=args.param)
+    _write_table(run_sweep(spec), args, x_label=args.param)
     return 0
 
 
@@ -127,10 +130,10 @@ def _cmd_fig3(args) -> int:
         raise ConfigError("fig3 needs an [energies] section")
     grid = parse_grid(args.grid)
     try:
-        rows = run_fermi_sweep(cfg.rates, cfg.E0, grid)
+        table = run_fermi_sweep(cfg.rates, cfg.E0, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _write_table(rows, args, x_label="detector Fermi level")
+    _write_table(table, args, x_label="detector Fermi level")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Parameter sweeps over the stationary solutions.
 
-A sweep stays columnar from the swept RateSet field to its rows.  The
+A sweep stays columnar from the swept RateSet field to its SweepTable.  The
 grid is one array column of the rate columns (model.sweep_columns), every
 other field a float of the base RateSet, which is validated once; the
 column is validated once as an array.  The channel table evaluates the
@@ -18,8 +18,8 @@ underflowed zero).  Every quantity is a pure function of the sweep
 specification, so repeated runs serialize to identical bytes.
 
 The points of a Fermi-level sweep differ only in their regime, so each
-regime is one generator: it is solved once and its row copied to every
-point of the regime.
+regime is one generator: it is solved once, and one fancy index gives
+every point its regime's row before the grid fills the param column.
 
 A grid point whose model is disconnected is reported as a row of NaNs
 with the error message attached instead of aborting the sweep; any other
@@ -32,7 +32,7 @@ its error, type and message, comes from building that row's RateSet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
@@ -67,18 +67,27 @@ class SweepSpec:
         object.__setattr__(self, "grid", grid)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of a sweep; NaN marks undefined or failed entries."""
+SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max_violation")
 
-    param: float
-    I_S_numeric: float
-    I_S_analytic: float
-    I_D: float
-    Delta_I_D: float
-    max_violation: float
-    regime: str | None = None
-    error: str | None = None
+
+@dataclass(frozen=True)
+class SweepTable:
+    """A sweep's points in grid order as columns: one read-only (N, 6) array
+    of values, read by SWEEP_HEADER name, NaN where undefined or failed; each
+    point's regime (None for run_sweep) and message (None or its error)."""
+
+    values: np.ndarray
+    regime: tuple[str, ...] | None
+    message: tuple[str | None, ...]
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.values[:, SWEEP_HEADER.index(name)]
 
 
 # closed-form system current of each scenario with one, and the RateSet
@@ -125,10 +134,10 @@ def _raised(fn, *args) -> Exception:
 
 
 def _solved_rows(table: builders.ChannelTable, columns: RateColumns, quantities: np.ndarray,
-                 params: list[float], references: list[float], regime: str | None = None,
-                 failure: Exception | None = None) -> list[SweepRow]:
-    """Rows of the points in grid order, one row of quantities and of the
-    columns per point, their generators solved as one stack.
+                 params, references: list[float],
+                 failure: Exception | None = None) -> SweepTable:
+    """The points in grid order, one row of quantities and of the columns
+    per point, their generators solved as one stack.
 
     A DegenerateSteadyState point becomes a row of NaNs carrying the
     message; any other error is raised, the first in grid order, with
@@ -159,16 +168,11 @@ def _solved_rows(table: builders.ChannelTable, columns: RateColumns, quantities:
         raise errors[raised]
     if failure is not None:
         raise failure
-
-    rows = []
-    for k, (i_s, i_d, delta, violation) in enumerate(outputs.T.tolist()):
-        err = errors[k]
-        rows.append(SweepRow(params[k], i_s, references[k], i_d, delta, violation,
-                             regime=regime, error=None if err is None else str(err)))
-    return rows
+    return SweepTable(np.column_stack((params, outputs[0], references, *outputs[1:])), None,
+                      tuple(None if err is None else str(err) for err in errors))
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Stationary currents along the grid, one row per grid point.
 
     The grid is one array column of the rate columns: validated, assembled
@@ -192,14 +196,14 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     if not stop:
         raise failure
     return _solved_rows(table, take_rows(columns, slice(stop)), quantities[:stop],
-                        list(spec.grid[:stop]), references[:stop], failure=failure)
+                        spec.grid[:stop], references[:stop], failure=failure)
 
 
 # the scenario whose closed form is the fast-detector plateau of a regime
 _PLATEAU = {"blind": builders.DOUBLE_DOT_BARE, "resolving": builders.REDUCED_DOUBLE_DOT}
 
 
-def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> list[SweepRow]:
+def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> SweepTable:
     """Stationary current of the monitored coupled dots versus the left
     detector Fermi level, E0 being the detector level.
 
@@ -214,8 +218,8 @@ def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> list[Swe
 
     Every point of a regime shares its rates, so each regime present is
     solved once, a one-member stack, in the order of its first point, and
-    its row is copied to each of its points; the first error in grid order
-    is that of the first failing regime.
+    each point takes its regime's row; the first error in grid order is
+    that of the first failing regime.
     """
     E0 = float(E0)
     if not math.isfinite(E0):
@@ -223,24 +227,29 @@ def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> list[Swe
     if base.U2 < base.U1:
         raise ValueError("U2 must be >= U1 (second dot closer to the detector)")
     threshold_resolving, threshold_open = E0 + base.U1, E0 + base.U2
-    grid = [float(v) for v in grid]
-    if not grid:
+    levels = np.array(grid, dtype=float)
+    if not levels.size:
         raise ValueError("grid must not be empty")
-    for v in grid:
+    # the grid is checked at once; the first refused level raises alone
+    for v in levels[~(levels > E0) | (levels >= threshold_open)][:1].tolist():
         if not v > E0:
             raise ValueError(f"Fermi level {v!r} is not above the detector level E0 = {E0!r}")
-        if v >= threshold_open:
-            raise ValueError(
-                f"Fermi level {v!r} reaches E0 + U2 = {threshold_open!r}; that territory is "
-                "extrapolated, reachable only as a sweep with [run] blocking = open")
+        raise ValueError(
+            f"Fermi level {v!r} reaches E0 + U2 = {threshold_open!r}; that territory is "
+            "extrapolated, reachable only as a sweep with [run] blocking = open")
 
-    regimes = ["resolving" if v >= threshold_resolving else "blind" for v in grid]
+    names = ("blind", "resolving")
+    codes = (levels >= threshold_resolving).astype(np.intp).tolist()     # indices into names
     columns = fixed_columns(base)
-    solved = {}
-    for regime in dict.fromkeys(regimes):     # in the order of first appearance
+    rows, messages = np.empty((len(names), len(SWEEP_HEADER))), [None] * len(names)
+    for code in dict.fromkeys(codes):     # in the order of first appearance
         table = builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET,
-                                        builders.REGIMES[regime])
-        reference = _analytic_reference(_PLATEAU[regime], columns, 1)
-        solved[regime] = _solved_rows(table, columns, table.quantities(base)[np.newaxis],
-                                      [grid[regimes.index(regime)]], reference, regime)[0]
-    return [replace(solved[regime], param=v) for v, regime in zip(grid, regimes)]
+                                        builders.REGIMES[names[code]])
+        reference = _analytic_reference(_PLATEAU[names[code]], columns, 1)
+        solved = _solved_rows(table, columns, table.quantities(base)[np.newaxis],
+                              levels[:1], reference)
+        rows[code], messages[code] = solved.values[0], solved.message[0]
+    values = rows[codes]     # each point takes its regime's row, then its own level
+    values[:, 0] = levels
+    return SweepTable(values, tuple(map(names.__getitem__, codes)),
+                      tuple(map(messages.__getitem__, codes)))

@@ -9,19 +9,17 @@ the time-series writer formats the columns after t once per distinct row
 of a block, as a row format with a slot for t in front, and reuses it.
 A piece of rows is then one join of those formats and one % of its times,
 and the file writer streams the pieces, not rows.  The sweep table is one
-% call too.
+% call too, over the table's values in row order.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .experiments import SweepRow
+from .experiments import SWEEP_HEADER, SweepTable
 from .model import DIAGONAL, RE_COHERENCE
 from .observables import currents
 from .solver import Trajectory
@@ -34,17 +32,12 @@ _BLOCK = 1024
 # and formatted a piece at a time, never all at once
 _PIECE = 128
 
-# the SweepRow fields written, in column order
-SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max_violation")
-
-
-def sweep_csv_text(rows: Sequence[SweepRow]) -> str:
-    if not rows:
+def sweep_csv_text(table: SweepTable) -> str:
+    if not len(table):
         raise ValueError("refusing to write an empty table")
     row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
-    fields = attrgetter(*SWEEP_HEADER)
-    values = tuple(chain.from_iterable(map(fields, rows)))
-    return ",".join(SWEEP_HEADER) + "\n" + (row_format * len(rows)) % values
+    values = tuple(table.values.ravel().tolist())
+    return ",".join(SWEEP_HEADER) + "\n" + (row_format * len(table)) % values
 
 
 def _write_text(path: str, text: str) -> None:
@@ -52,9 +45,9 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(rows: Sequence[SweepRow], path: str) -> None:
+def write_csv(table: SweepTable, path: str) -> None:
     """Sweep table as CSV; fails before creating the file when empty."""
-    _write_text(path, sweep_csv_text(rows))
+    _write_text(path, sweep_csv_text(table))
 
 
 def column_token(entry) -> str:
@@ -152,15 +145,16 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def svg_text(rows: Sequence[SweepRow], x_label: str) -> str:
+def svg_text(table: SweepTable, x_label: str) -> str:
     """Line chart of the numeric current I_S over the sweep parameter, with
     a dashed companion line for the analytic reference where it exists."""
-    if not rows:
+    if not len(table):
         raise ValueError("refusing to plot an empty table")
-    pts = [(r.param, r.I_S_numeric) for r in rows if math.isfinite(r.I_S_numeric)]
+    params = table["param"].tolist()
+    pts = [(p, v) for p, v in zip(params, table["I_S_numeric"].tolist()) if math.isfinite(v)]
     if not pts:
         raise ValueError("no finite currents to plot")
-    ref = [(r.param, r.I_S_analytic) for r in rows if math.isfinite(r.I_S_analytic)]
+    ref = [(p, v) for p, v in zip(params, table["I_S_analytic"].tolist()) if math.isfinite(v)]
 
     xs = [p for p, _ in pts] + [p for p, _ in ref]
     ys = [v for _, v in pts] + [v for _, v in ref]
@@ -214,5 +208,5 @@ def svg_text(rows: Sequence[SweepRow], x_label: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_svg(rows: Sequence[SweepRow], path: str, x_label: str) -> None:
-    _write_text(path, svg_text(rows, x_label))
+def write_svg(table: SweepTable, path: str, x_label: str) -> None:
+    _write_text(path, svg_text(table, x_label))

@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mesorate
 from mesorate import cli_main
 
 BARE_CFG = """\
@@ -244,6 +248,83 @@ class TestSweep:
         assert not out.exists()
 
 
+STIFF_CFG = """\
+[scenario]
+name = double_dot_set
+
+[rates]
+gamma_L = 1.0
+gamma_R = 1.0
+Gamma_L = 1e-3
+Gamma_R = 1e-3
+Omega = 1e-3
+U1 = 0.0
+U2 = 0.0
+"""
+
+ZERO_FIG3_CFG = """\
+[scenario]
+name = generalized_double_dot_set
+
+[rates]
+gamma_L = 0.0
+gamma_R = 0.0
+Gamma_L = 0.0
+Gamma_R = 0.0
+Omega = 0.0
+U1 = 1.0
+U2 = 2.0
+
+[energies]
+E0 = 0.0
+"""
+
+
+class TestNanRows:
+    """A sweep with NaN rows says so on stderr, once: the count, and the
+    first NaN row's parameter value and message.  stdout, the exit code
+    and the file stay as they are."""
+
+    def run(self, tmp_path, capsys, cfg_text, argv):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg.write_text(cfg_text)
+        code = cli_main([argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert captured.out == f"wrote {len(rows)} rows to {out}\n"
+        return rows, captured.err
+
+    def test_stiff_grid(self, tmp_path, capsys):
+        rows, err = self.run(tmp_path, capsys, STIFF_CFG,
+                             ["sweep", "--param", "gamma_R", "--grid", "1:1e12:1000log"])
+        nan_rows = [row for row in rows if row[1] == "nan"]
+        assert 0 < len(nan_rows) < len(rows)
+        assert err == (f"warning: {len(nan_rows)} of 1000 rows are NaN; the first, at "
+                       f"gamma_R = {float(nan_rows[0][0])!r}: 2-dimensional null space: "
+                       "the model is disconnected\n")
+
+    def test_all_nan_sweep(self, tmp_path, capsys):
+        # Gamma_R = 0 leaves the b-c oscillation undamped at every point
+        rows, err = self.run(tmp_path, capsys, BARE_CFG.replace("Gamma_R = 1.0", "Gamma_R = 0.0"),
+                             ["sweep", "--param", "Gamma_L", "--grid", "0.5:2:3"])
+        assert all(row[1] == "nan" for row in rows)
+        assert err == ("warning: 3 of 3 rows are NaN; the first, at Gamma_L = 0.5: "
+                       "2-dimensional null space: the model is disconnected\n")
+
+    def test_all_nan_fig3(self, tmp_path, capsys):
+        rows, err = self.run(tmp_path, capsys, ZERO_FIG3_CFG,
+                             ["fig3", "--grid", "0.5:1.5:3"])
+        assert all(row[1] == "nan" for row in rows)
+        assert re.fullmatch(r"warning: 3 of 3 rows are NaN; the first, at detector Fermi "
+                            r"level = 0\.5: .+\n", err)
+
+    def test_no_nan_row_no_line(self, tmp_path, capsys):
+        rows, err = self.run(tmp_path, capsys, SET_CFG,
+                             ["sweep", "--param", "gamma_R", "--grid", "1:1e4:25log"])
+        assert len(rows) == 25 and err == ""
+
+
 class TestFig3:
     def test_csv_and_svg(self, tmp_path):
         p = tmp_path / "fig3.cfg"
@@ -345,6 +426,18 @@ class TestExitCodes:
         p.write_text("[scenario]\nname = double_dot_bare\n"
                      "[rates]\nGamma_L = 0\nGamma_R = 0\nOmega = 0\n")
         assert cli_main(["steady", "--config", str(p)]) == 3
+
+    def test_module_entry_point_runs_clean(self):
+        # python -m mesorate, with numpy's RuntimeWarnings as errors: no
+        # runpy warning, and validate exits 4 while criterion 5 fails
+        src = os.path.dirname(os.path.dirname(mesorate.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "mesorate",
+                               "validate"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr == ""
+        assert "criteria passed" in proc.stdout
 
     def test_validate_reports_every_criterion(self, capsys):
         code = cli_main(["validate"])

@@ -203,8 +203,8 @@ class TestParseConfig:
             return solve(table, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "_solved_rows", recorded)
-        rows = run_fermi_sweep(cfg.rates, 0.0, [0.5, 1.5])
-        assert [row.regime for row in rows] == ["blind", "resolving"]
+        table = run_fermi_sweep(cfg.rates, 0.0, [0.5, 1.5])
+        assert table.regime == ("blind", "resolving")
         assert solved[1] is scenario_table(cfg.scenario, cfg.blocking_config())
 
     def test_nonpositive_dt(self):

@@ -1,8 +1,9 @@
 """The stationary engine against the exact rational oracle (tests/exact.py).
 
 Each case sweeps one width of the stiff rates over a 200-point log grid
-from 1 to 1e12 and compares every row the engine solves with the exact
-solution of the same constrained system, rounded once.  The bounds are
+from 1 to 1e12, or gamma_R of the README rates from 1 to 1e4 (the README
+sweep), and compares every row the engine solves with the exact solution
+of the same constrained system, rounded once.  The bounds are
 the ones measured to hold on today's engine: normwise within one eps of
 the row's largest component everywhere, componentwise correctly rounded
 where the engine is, and a few hundred ulps where it is not, or 2**28
@@ -24,7 +25,7 @@ from mesorate.builders import GENERALIZED_DOUBLE_DOT_SET, REGIMES
 from mesorate.model import IndexMap
 from mesorate.observables import currents
 from mesorate.solver import steady_states
-from test_solver import STIFF_BASE
+from test_solver import README_SWEEP, STIFF_BASE
 
 # unequal Coulomb shifts, so no closed form is exact (the resolving
 # generalized case is double_dot_set at U1 = U2)
@@ -32,13 +33,19 @@ DETUNED_BASE = dataclasses.replace(STIFF_BASE, U1=1.0, U2=2.0)
 # every primed width unlike its unprimed twin
 UNLIKE_BASE = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1e-3, Gamma_R=1e-3, gamma_L_p=0.5,
                       gamma_R_p=3.0, Gamma_L_p=2e-3, Gamma_R_p=7e-4)
+GRID = np.geomspace(1.0, 1e12, 200).tolist()
+# config -> (scenario, blocking, base rates, grid of the swept width)
 CONFIGS = {
-    "double_dot_set": ("double_dot_set", None, DETUNED_BASE),
-    "single_dot_set:unlike": ("single_dot_set", None, UNLIKE_BASE),
-    **{f"generalized:{name}": (GENERALIZED_DOUBLE_DOT_SET, REGIMES[name], STIFF_BASE)
+    "double_dot_set": ("double_dot_set", None, DETUNED_BASE, GRID),
+    "single_dot_set:unlike": ("single_dot_set", None, UNLIKE_BASE, GRID),
+    **{f"generalized:{name}": (GENERALIZED_DOUBLE_DOT_SET, REGIMES[name], STIFF_BASE, GRID)
        for name in REGIMES},
+    "double_dot_bare": ("double_dot_bare", None, STIFF_BASE, GRID),
+    "reduced_double_dot": ("reduced_double_dot", None, STIFF_BASE, GRID),
+    "readme": ("double_dot_set", None, README_SWEEP, np.geomspace(1.0, 1e4, 200).tolist()),
 }
-# (config, swept width) -> most ulps of the exact component a solved one is off
+# (config, swept width) -> most ulps of the exact component a solved one is
+# off; the bare and reduced models are swept in the widths they read
 COMPONENT_ULPS = {
     ("double_dot_set", "gamma_R"): 128,
     ("single_dot_set:unlike", "gamma_R"): 0,
@@ -50,9 +57,13 @@ COMPONENT_ULPS = {
     ("generalized:blind", "Gamma_R"): 0,
     ("generalized:resolving", "Gamma_R"): 2 ** 28,
     ("generalized:open", "Gamma_R"): 2 ** 28,
+    ("double_dot_bare", "Gamma_R"): 0,
+    ("double_dot_bare", "Omega"): 0,
+    ("reduced_double_dot", "gamma_L"): 0,
+    ("reduced_double_dot", "Gamma_R"): 0,
+    ("readme", "gamma_R"): 1,       # 1 of its 2000 components is off, by 1.2e-16
 }
 CURRENT_ULPS = 2
-GRID = np.geomspace(1.0, 1e12, 200).tolist()
 
 
 class TestOracle:
@@ -69,12 +80,11 @@ class TestOracle:
         assert exact_solution(np.zeros((2, 2)), 2) is None
 
 
-@pytest.mark.parametrize("param", ["gamma_R", "Gamma_R"])
-@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("config,param", sorted(COMPONENT_ULPS))
 def test_solved_rows_against_the_exact_solution(config, param):
-    scenario, blocking, base = CONFIGS[config]
+    scenario, blocking, base, grid = CONFIGS[config]
     table = scenario_table(scenario, blocking)
-    rates = [base.replacing(param, v) for v in GRID]
+    rates = [base.replacing(param, v) for v in grid]
     G = table.stack([table.quantities(r) for r in rates])
     values, errors = steady_states(G, table.index)
     n_diag = len(table.index.diagonal_positions)

@@ -17,8 +17,9 @@ from mesorate import (
     steady_state,
     steady_states,
 )
-from mesorate import StateVector, analytic, builders, experiments, observables
+from mesorate import StateVector, SweepTable, analytic, builders, experiments, observables
 from mesorate.acceptance import ORACLE_RTOL
+from mesorate.experiments import SWEEP_HEADER
 from mesorate.model import RATE_FIELDS
 from mesorate.output import sweep_csv_text
 from test_model import reference_violation_magnitude
@@ -49,46 +50,55 @@ class TestSweepSpec:
 
 class TestRunSweep:
     def test_zero_hopping_row_has_zero_current(self):
-        rows = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Omega", (0.0,)))
-        assert len(rows) == 1
-        assert rows[0].I_S_numeric == pytest.approx(0.0, abs=1e-14)
+        table = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Omega", (0.0,)))
+        assert len(table) == 1
+        assert table["I_S_numeric"][0] == pytest.approx(0.0, abs=1e-14)
 
     def test_detuning_symmetry(self):
         grid = (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)
-        rows = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "epsilon", grid))
-        by_param = {row.param: row.I_S_numeric for row in rows}
+        table = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "epsilon", grid))
+        by_param = dict(zip(table["param"].tolist(), table["I_S_numeric"].tolist()))
         for e in (0.25, 1.0, 4.0):
             assert by_param[e] == pytest.approx(by_param[-e], rel=1e-12)
 
     def test_detector_ratio_convergence_study(self):
-        rows = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R",
-                                   (1e2, 1e3, 1e4)))
+        table = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R",
+                                    (1e2, 1e3, 1e4)))
         target = double_dot_current_measured(SET_BASE)
-        errors = [abs(row.I_S_numeric - target) for row in rows]
+        errors = np.abs(table["I_S_numeric"] - target)
         assert errors[0] > errors[1] > errors[2]
-        assert rows[0].I_S_analytic == pytest.approx(target, rel=1e-15)
+        assert table["I_S_analytic"][0] == pytest.approx(target, rel=1e-15)
 
     def test_degenerate_points_marked_not_fatal(self):
         # Omega 0 with no widths is the zero generator; Omega 1 with no
         # widths is the undamped oscillator: both rows must carry the error
-        rows = run_sweep(SweepSpec("double_dot_bare", RateSet(), "Omega", (0.0, 1.0)))
-        assert all(math.isnan(row.I_S_numeric) for row in rows)
-        assert all(row.error for row in rows)
+        table = run_sweep(SweepSpec("double_dot_bare", RateSet(), "Omega", (0.0, 1.0)))
+        assert np.isnan(table["I_S_numeric"]).all()
+        assert all(table.message)
 
     def test_detector_columns_nan_for_bare_scenario(self):
-        rows = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Omega", (1.0,)))
-        assert math.isnan(rows[0].I_D)
-        assert math.isnan(rows[0].Delta_I_D)
+        table = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Omega", (1.0,)))
+        assert math.isnan(table["I_D"][0])
+        assert math.isnan(table["Delta_I_D"][0])
 
     def test_rows_carry_invariant_violation_magnitude(self):
-        rows = run_sweep(SweepSpec("single_dot_set",
-                                   RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1),
-                                   "gamma_R", (1.0, 2.0)))
-        assert all(row.max_violation < 1e-12 for row in rows)
+        table = run_sweep(SweepSpec("single_dot_set",
+                                    RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1),
+                                    "gamma_R", (1.0, 2.0)))
+        assert (table["max_violation"] < 1e-12).all()
 
     def test_sweeping_unprimed_width_keeps_equal_amplitudes(self):
-        rows = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R", (5.0,)))
-        assert not rows[0].error
+        table = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R", (5.0,)))
+        assert table.message == (None,)
+        assert table.regime is None
+
+    def test_table_is_read_only_columns(self):
+        table = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R", (1.0, 2.0, 3.0)))
+        assert len(table) == 3 and table.values.shape == (3, len(SWEEP_HEADER))
+        for k, name in enumerate(SWEEP_HEADER):
+            assert table[name].tobytes() == table.values[:, k].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table["I_S_numeric"][0] = 0.0
 
 
 class TestSweepErrors:
@@ -97,14 +107,19 @@ class TestSweepErrors:
 
     def test_degenerate_point_mid_batch_is_a_nan_row(self):
         # Gamma_R = 0 leaves the b-c oscillation undamped: a degenerate model
-        grid = (0.5, 1.0, 0.0, 2.0, 4.0)
-        rows = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Gamma_R", grid))
-        assert math.isnan(rows[2].I_S_numeric)
-        assert rows[2].error == "2-dimensional null space: the model is disconnected"
-        # every row, the failed one included, is the row of its point alone
-        for value, row in zip(grid, rows):
-            alone = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Gamma_R", (value,)))
-            assert repr(row) == repr(alone[0])
+        grid = (0.5, 1.0, 0.0, 2.0, 4.0, -0.0)
+        table = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Gamma_R", grid))
+        assert math.isnan(table["I_S_numeric"][2])
+        assert table.message[2] == "2-dimensional null space: the model is disconnected"
+        # every column, the failed rows and their messages included, is
+        # that of the points swept one at a time
+        alone = [run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Gamma_R", (value,)))
+                 for value in grid]
+        assert len(table) == len(grid)
+        for name in SWEEP_HEADER:
+            assert table[name].tobytes() == b"".join(a[name].tobytes() for a in alone), name
+        assert table.message == tuple(a.message[0] for a in alone)
+        assert table.message[-1] == table.message[2] and table.message.count(None) == 4
 
     @pytest.mark.parametrize("grid,error", [
         ((1.0, 1e200, -1.0), ValueError),       # past a NaN closed form (Gamma_R**2 overflows)
@@ -118,9 +133,9 @@ class TestSweepErrors:
 
     def test_unrepresentable_closed_form_is_a_nan_reference(self):
         # Gamma_R**2 overflows at 1e200: the reference is NaN, the row is kept
-        rows = run_sweep(SweepSpec("double_dot_set", SET_BASE, "Gamma_R", (1.0, 1e200)))
-        assert rows[0].I_S_analytic == double_dot_current_measured(SET_BASE)
-        assert math.isnan(rows[1].I_S_analytic)
+        table = run_sweep(SweepSpec("double_dot_set", SET_BASE, "Gamma_R", (1.0, 1e200)))
+        assert table["I_S_analytic"][0] == double_dot_current_measured(SET_BASE)
+        assert math.isnan(table["I_S_analytic"][1])
 
     # Omega**2 underflows to 0 at Omega = 1e-170, and with it both terms of
     # the closed form's fraction: bare_current(1, 0, 1e-170, 0) and
@@ -136,18 +151,18 @@ class TestSweepErrors:
         with pytest.raises(ZeroDivisionError):
             form(*[getattr(base.replacing("Omega", 1e-170), name) for name in names])
         spec = SweepSpec(scenario, base, "Omega", (1e-170, 0.5, 1.0))
-        rows = run_sweep(spec)
-        assert math.isnan(rows[0].I_S_analytic)
-        assert all(math.isfinite(row.I_S_analytic) for row in rows[1:])
+        reference = run_sweep(spec)["I_S_analytic"]
+        assert math.isnan(reference[0])
+        assert np.isfinite(reference[1:]).all()
         assert _outcome(lambda: run_sweep(spec)) == _outcome(lambda: _reference_sweep(spec, []))
 
     def test_underflowed_plateau_is_a_nan_reference(self):
         base = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1e-200, Omega=1e-170,
                        U1=1.0, U2=2.0)
         E0, grid = 0.0, (0.5, 1.5)
-        rows = run_fermi_sweep(base, E0, grid)
-        assert [row.regime for row in rows] == ["blind", "resolving"]
-        assert all(math.isnan(row.I_S_analytic) for row in rows)
+        table = run_fermi_sweep(base, E0, grid)
+        assert table.regime == ("blind", "resolving")
+        assert np.isnan(table["I_S_analytic"]).all()
         assert (_outcome(lambda: run_fermi_sweep(base, E0, grid))
                 == _outcome(lambda: _reference_fermi_sweep(base, E0, grid, [])))
 
@@ -232,12 +247,20 @@ class TestSweepErrors:
         assert str(swept.value) == str(alone.value)
 
     def test_fermi_sweep_solves_each_regime(self):
-        base = TestFermiSweep.BASE
-        grid = [1.5, 0.5, 1.2, 0.2]
-        rows = run_fermi_sweep(base, TestFermiSweep.E0, grid)
-        for v, row in zip(grid, rows):
-            alone = run_fermi_sweep(base, TestFermiSweep.E0, [v])
-            assert repr(row) == repr(alone[0])
+        # every column, regimes and messages included, is that of the
+        # points swept one at a time, each a one-member solve of its regime;
+        # RateSet(U1=1, U2=2) is degenerate in both regimes
+        grid = [1.5, 0.5, 1.2, 0.2, 1.0, 0.5]
+        for base in (TestFermiSweep.BASE, RateSet(U1=1.0, U2=2.0)):
+            table = run_fermi_sweep(base, TestFermiSweep.E0, grid)
+            alone = [run_fermi_sweep(base, TestFermiSweep.E0, [v]) for v in grid]
+            assert len(table) == len(grid)
+            for name in SWEEP_HEADER:
+                assert table[name].tobytes() == b"".join(a[name].tobytes() for a in alone)
+            assert table.regime == tuple(a.regime[0] for a in alone)
+            assert table.message == tuple(a.message[0] for a in alone)
+            assert table["param"].tolist() == grid
+        assert all(table.message)
 
 
 class TestFermiRegimes:
@@ -247,8 +270,8 @@ class TestFermiRegimes:
     E0 = 0.5
 
     def test_level_at_e0_plus_u1_is_resolving(self):
-        rows = run_fermi_sweep(SET_BASE, self.E0, [1.0, 1.5, 2.0])
-        assert [row.regime for row in rows] == ["blind", "resolving", "resolving"]
+        table = run_fermi_sweep(SET_BASE, self.E0, [1.0, 1.5, 2.0])
+        assert table.regime == ("blind", "resolving", "resolving")
 
     def test_level_at_e0_plus_u2_is_refused(self):
         with pytest.raises(ValueError, match=r"reaches E0 \+ U2 = 2.5"):
@@ -268,29 +291,29 @@ class TestFermiSweep:
 
     def test_two_plateau_step(self):
         grid = [0.2, 0.6, 1.0, 1.4, 1.8]
-        rows = run_fermi_sweep(self.BASE, self.E0, grid)
+        table = run_fermi_sweep(self.BASE, self.E0, grid)
         bare = double_dot_current_bare(self.BASE)
         dephased = double_dot_current_measured(self.BASE)
-        for row in rows:
-            if row.param < 1.0:
-                assert row.regime == "blind"
-                assert row.I_S_numeric == pytest.approx(bare, rel=1e-2)
-                assert row.I_S_analytic == pytest.approx(bare, rel=1e-15)
+        for param, i_s, reference, regime in zip(table["param"], table["I_S_numeric"],
+                                                  table["I_S_analytic"], table.regime):
+            if param < 1.0:
+                assert regime == "blind"
+                assert i_s == pytest.approx(bare, rel=1e-2)
+                assert reference == pytest.approx(bare, rel=1e-15)
             else:
-                assert row.regime == "resolving"
-                assert row.I_S_numeric == pytest.approx(dephased, rel=1e-2)
-            assert abs(row.Delta_I_D) > 1e-6  # the detector interacts on both sides
+                assert regime == "resolving"
+                assert i_s == pytest.approx(dephased, rel=1e-2)
+        assert (np.abs(table["Delta_I_D"]) > 1e-6).all()  # the detector interacts on both sides
 
     def test_no_step_without_detector_coupling(self):
         base = self.BASE.replacing("gamma_L", 0.0)
-        rows = run_fermi_sweep(base, self.E0, [0.5, 1.5])
-        assert rows[0].I_S_numeric == pytest.approx(rows[1].I_S_numeric, rel=1e-12)
+        i_s = run_fermi_sweep(base, self.E0, [0.5, 1.5])["I_S_numeric"]
+        assert i_s[0] == pytest.approx(i_s[1], rel=1e-12)
 
     def test_entirely_blind_grid_matches_bare_value(self):
-        rows = run_fermi_sweep(self.BASE, self.E0, [0.3, 0.5, 0.7])
+        table = run_fermi_sweep(self.BASE, self.E0, [0.3, 0.5, 0.7])
         bare = double_dot_current_bare(self.BASE)
-        for row in rows:
-            assert row.I_S_numeric == pytest.approx(bare, rel=1e-2)
+        assert table["I_S_numeric"] == pytest.approx(bare, rel=1e-2)
 
     def test_grid_below_detector_level_rejected(self):
         with pytest.raises(ValueError, match="not above"):
@@ -301,6 +324,22 @@ class TestFermiSweep:
         with pytest.raises(ValueError, match=r"extrapolated, reachable only as a sweep with "
                                              r"\[run\] blocking = open"):
             run_fermi_sweep(self.BASE, self.E0, [0.5, 2.5])
+
+    @pytest.mark.parametrize("grid,message", [
+        ([0.5, 2.5, -0.5], "Fermi level 2.5 reaches E0 + U2 = 2.0;"),
+        ([0.5, -0.5, 2.5], "Fermi level -0.5 is not above the detector level E0 = 0.0"),
+        ([0.5, 0.0, 2.0], "Fermi level 0.0 is not above"),
+        ([0.5, 1.5, 2.0, 0.0], "Fermi level 2.0 reaches"),
+        ([0.5, math.nan, 2.5], "Fermi level nan is not above"),
+        ([0.5, math.inf], "Fermi level inf reaches"),
+    ])
+    def test_first_refused_level_in_grid_order_raises(self, grid, message):
+        # the grid is checked at once; the first refused level in grid
+        # order raises its own message, its value a plain float
+        for levels in (grid, np.array(grid)):
+            with pytest.raises(ValueError) as caught:
+                run_fermi_sweep(self.BASE, self.E0, levels)
+            assert str(caught.value).startswith(message)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -337,19 +376,19 @@ class TestStiffRegime:
         ("double_dot_bare", "Gamma_R"), ("reduced_double_dot", "gamma_L"),
     ])
     def test_rows_match_the_closed_form_or_are_degenerate(self, scenario, param):
-        rows = run_sweep(SweepSpec(scenario, self.BASE, param, self.GRID))
-        solved = [row for row in rows if not math.isnan(row.I_S_numeric)]
-        assert solved
-        for row in solved:
-            assert row.I_S_numeric == pytest.approx(row.I_S_analytic, rel=ORACLE_RTOL, abs=0)
+        table = run_sweep(SweepSpec(scenario, self.BASE, param, self.GRID))
+        solved = ~np.isnan(table["I_S_numeric"])
+        assert solved.any()
+        assert table["I_S_numeric"][solved] == pytest.approx(table["I_S_analytic"][solved],
+                                                             rel=ORACLE_RTOL, abs=0)
         # a NaN row is a point the rank test calls disconnected, never a
         # lost answer: solved alone it raises that same degeneracy
-        for row in rows:
-            if math.isnan(row.I_S_numeric):
-                g = scenario_table(scenario).generator(self.BASE.replacing(param, row.param))
-                with pytest.raises(DegenerateSteadyState) as caught:
-                    steady_state(g)
-                assert str(caught.value) == row.error
+        for value, message in zip(table["param"][~solved].tolist(),
+                                  np.array(table.message, dtype=object)[~solved]):
+            g = scenario_table(scenario).generator(self.BASE.replacing(param, value))
+            with pytest.raises(DegenerateSteadyState) as caught:
+                steady_state(g)
+            assert str(caught.value) == message
 
 
 # --- per-point reference: every grid point on its own, with one RateSet,
@@ -394,7 +433,8 @@ def _reference_closed_form(scenario, r):
 
 
 def _reference_rows(scenario, points, stacks, failure=None):
-    """points: (param, rates, blocking, reference, regime, quantities)."""
+    """points: (param, rates, blocking, reference, regime, quantities);
+    a row is its SWEEP_HEADER values, its regime and its message."""
     solved = [None] * len(points)
     for blocking in dict.fromkeys(p[2] for p in points):
         members = [k for k, p in enumerate(points) if p[2] == blocking]
@@ -407,8 +447,8 @@ def _reference_rows(scenario, points, stacks, failure=None):
     rows = []
     for (param, r, blocking, reference, regime, _), (v, index, err) in zip(points, solved):
         if isinstance(err, DegenerateSteadyState):
-            rows.append(experiments.SweepRow(param, math.nan, reference, math.nan, math.nan,
-                                             math.nan, regime=regime, error=str(err)))
+            rows.append((param, math.nan, reference, math.nan, math.nan, math.nan, regime,
+                         str(err)))
             continue
         if err is not None:
             raise err
@@ -420,8 +460,8 @@ def _reference_rows(scenario, points, stacks, failure=None):
             delta = reference_delta_detector_current(r, i_d)
         else:
             i_d = delta = math.nan
-        rows.append(experiments.SweepRow(param, i_s, reference, i_d, delta,
-                                         reference_violation_magnitude(x), regime=regime))
+        rows.append((param, i_s, reference, i_d, delta, reference_violation_magnitude(x),
+                     regime, None))
     if failure is not None:
         raise failure
     return rows
@@ -473,12 +513,21 @@ def _reference_fermi_sweep(base, E0, grid, stacks):
 
 
 def _outcome(run):
-    """(rows repr, CSV text) of a run, or (exception type, message)."""
+    """(rows repr, CSV text) of a run, or (exception type, message).  run
+    returns a SweepTable, or the reference's rows: tuples of the
+    SWEEP_HEADER values, the regime and the message, and CSV text written
+    a row at a time."""
     try:
-        rows = run()
+        result = run()
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
-    return repr(rows), sweep_csv_text(rows)
+    if not isinstance(result, SweepTable):
+        row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
+        return repr(result), ",".join(SWEEP_HEADER) + "\n" + "".join(
+            row_format % row[:len(SWEEP_HEADER)] for row in result)
+    regimes = result.regime or (None,) * len(result)
+    return (repr(list(zip(*result.values.T.tolist(), regimes, result.message))),
+            sweep_csv_text(result))
 
 
 def _same_bits(stacks, other):

@@ -17,19 +17,23 @@ from mesorate import (
     write_csv,
     write_svg,
 )
-from mesorate.experiments import SweepRow
-from mesorate.output import (SWEEP_HEADER, _BLOCK, _PIECE, _timeseries_lines, column_token,
+from mesorate.experiments import SWEEP_HEADER, SweepTable
+from mesorate.output import (_BLOCK, _PIECE, _timeseries_lines, column_token,
                              sweep_csv_text, svg_text, timeseries_csv_text,
                              write_timeseries_csv)
 from test_observables import reference_occupation_sum
 
-ROW = SweepRow(param=1.0, I_S_numeric=0.5, I_S_analytic=0.5, I_D=math.nan,
-               Delta_I_D=math.nan, max_violation=0.0)
+ROW = (1.0, 0.5, 0.5, math.nan, math.nan, 0.0)     # in SWEEP_HEADER order
+
+
+def table(*rows) -> SweepTable:
+    return SweepTable(np.array(rows, dtype=float).reshape(-1, len(SWEEP_HEADER)), None,
+                      (None,) * len(rows))
 
 
 class TestSweepCsv:
     def test_single_row_table_is_two_lines(self):
-        text = sweep_csv_text([ROW])
+        text = sweep_csv_text(table(ROW))
         lines = text.split("\n")
         assert lines[0] == "param,I_S_numeric,I_S_analytic,I_D,Delta_I_D,max_violation"
         assert lines[1].startswith("1,0.5,0.5,nan,nan,0")
@@ -37,25 +41,23 @@ class TestSweepCsv:
         assert len([ln for ln in lines if ln]) == 2
 
     def test_lf_line_endings_only(self):
-        assert "\r" not in sweep_csv_text([ROW, ROW])
+        assert "\r" not in sweep_csv_text(table(ROW, ROW))
 
     def test_full_precision_round_trip(self):
         value = 1.0 / 3.0 + 1e-16
-        row = SweepRow(param=value, I_S_numeric=value, I_S_analytic=value,
-                       I_D=value, Delta_I_D=value, max_violation=value)
-        line = sweep_csv_text([row]).split("\n")[1]
+        line = sweep_csv_text(table((value,) * len(SWEEP_HEADER))).split("\n")[1]
         for token in line.split(","):
             assert float(token) == value
 
     def test_empty_table_rejected_before_file_creation(self, tmp_path):
         path = tmp_path / "empty.csv"
         with pytest.raises(ValueError, match="empty"):
-            write_csv([], str(path))
+            write_csv(table(), str(path))
         assert not path.exists()
 
     def test_write_and_reread(self, tmp_path):
         path = tmp_path / "table.csv"
-        write_csv([ROW], str(path))
+        write_csv(table(ROW), str(path))
         assert path.read_text().startswith("param,")
 
     @pytest.mark.parametrize("n", [1, 2, 1000])
@@ -65,11 +67,10 @@ class TestSweepCsv:
         values = rng.normal(size=(n, len(SWEEP_HEADER))) * 10.0 ** rng.integers(
             -300, 300, size=(n, len(SWEEP_HEADER)))
         values.ravel()[:len(specials)] = specials[:values.size]
-        rows = [SweepRow(*row) for row in values.tolist()]
         row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
         expected = ",".join(SWEEP_HEADER) + "\n" + "".join(
-            row_format % tuple(getattr(row, f) for f in SWEEP_HEADER) for row in rows)
-        assert sweep_csv_text(rows) == expected
+            row_format % tuple(row) for row in values.tolist())
+        assert sweep_csv_text(table(*values)) == expected
         assert "nan" in expected and ",-0," in expected
 
     def test_byte_determinism(self, tmp_path):
@@ -278,21 +279,20 @@ class TestTimeseriesRepeats:
 
 
 class TestSvg:
-    def fig3_rows(self):
+    def fig3_table(self):
         base = RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0,
                        Omega=1.0, U1=1.0, U2=2.0)
         return run_fermi_sweep(base, 0.0, [0.2, 0.5, 0.8, 1.2, 1.5, 1.8])
 
     def test_contains_labeled_axes_and_line(self):
-        text = svg_text([ROW, SweepRow(2.0, 0.6, 0.6, math.nan, math.nan, 0.0)],
-                        x_label="Omega")
+        text = svg_text(table(ROW, (2.0, 0.6, 0.6, math.nan, math.nan, 0.0)), x_label="Omega")
         assert text.startswith("<svg")
         assert "<polyline" in text
         assert ">Omega</text>" in text
         assert ">I_S [e*rate]</text>" in text
 
     def test_step_plot_has_two_plateaus(self):
-        text = svg_text(self.fig3_rows(), x_label="Fermi level")
+        text = svg_text(self.fig3_table(), x_label="Fermi level")
         polylines = re.findall(r'<polyline points="([^"]+)"', text)
         ys = [float(pt.split(",")[1]) for pt in polylines[-1].split()]
         levels = sorted(set(round(y, 1) for y in ys))
@@ -301,12 +301,12 @@ class TestSvg:
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "plot.svg"
         with pytest.raises(ValueError, match="empty"):
-            write_svg([], str(path), x_label="x")
+            write_svg(table(), str(path), x_label="x")
         assert not path.exists()
 
     def test_write_file(self, tmp_path):
         path = tmp_path / "plot.svg"
-        write_svg(self.fig3_rows(), str(path), x_label="Fermi level")
+        write_svg(self.fig3_table(), str(path), x_label="Fermi level")
         content = path.read_text()
         assert content.startswith("<svg")
         assert content.rstrip().endswith("</svg>")

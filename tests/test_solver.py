@@ -324,8 +324,8 @@ class TestUniquenessProof:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         grid = tuple(np.geomspace(1.0, 1e4, 1000).tolist())
-        rows = run_sweep(SweepSpec("double_dot_set", README_SWEEP, "gamma_R", grid))
-        assert len(rows) == 1000 and all(row.error is None for row in rows)
+        table = run_sweep(SweepSpec("double_dot_set", README_SWEEP, "gamma_R", grid))
+        assert len(table) == 1000 and table.message == (None,) * 1000
 
     @pytest.mark.parametrize("scenario,blocking", CONFIGS,
                              ids=[config_id(*c) for c in CONFIGS])
