@@ -42,7 +42,7 @@ from .analytic import (
     double_dot_current_measured,
     single_dot_current,
 )
-from .experiments import SweepSpec, SweepTable, run_fermi_sweep, run_sweep
+from .experiments import SweepTable, run_fermi_sweep, run_sweep
 from .config import ConfigError, RunConfig, RunOptions, load_config, parse_config, parse_grid
 from .output import write_csv, write_svg, write_timeseries_csv
 from .cli import cli_main

@@ -5,7 +5,9 @@ blocking, the flags the swept parameter, the grid, the output format and
 steady's tolerance; no value has a second setter.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 numerical
-failure (degenerate model or no convergence), 4 validation failure.
+failure (degenerate model or no convergence), 4 validation failure.  A
+ValueError of either sweep, a refused grid point's included, is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import acceptance, builders, observables, output
 from .config import ConfigError, load_config, parse_grid
-from .experiments import SweepSpec, run_fermi_sweep, run_sweep
+from .experiments import run_fermi_sweep, run_sweep
 from .model import basis_state, fixed_columns, validate_state
 from .solver import DegenerateSteadyState, StepTooLarge, evolve, steady_state
 
@@ -115,10 +117,10 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid = parse_grid(args.grid)
     try:
-        spec = SweepSpec(cfg.scenario, cfg.rates, args.param, tuple(grid), cfg.blocking_config())
+        table = run_sweep(cfg.scenario, cfg.rates, args.param, grid, cfg.blocking_config())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _write_table(run_sweep(spec), args, x_label=args.param)
+    _write_table(table, args, x_label=args.param)
     return 0
 
 

@@ -4,7 +4,8 @@ Four sections: [scenario] names the model, [rates] carries the physical
 parameters, [energies] the detector level E0 (read by fig3 only; a
 section without it is rejected) and [run] the run values dt, t_final and
 blocking; an unknown key is rejected.  The swept parameter, the grid and
-the output format are set by command-line flags only, and the RK4 step
+the output format are set by command-line flags only (parse_grid turns a
+--grid spec into the float64 array both sweeps take), and the RK4 step
 cap, trace budget and rank tolerance are constants of the solver, not
 settings, as is the grid cap MAX_GRID_POINTS here.  The format is
 deliberately flat so golden configs diff cleanly.
@@ -178,8 +179,9 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def parse_grid(spec: str) -> list[float]:
-    """Grid spec start:stop:count with an optional log/lin suffix.
+def parse_grid(spec: str) -> np.ndarray:
+    """Grid spec start:stop:count with an optional log/lin suffix, as the
+    float64 array the sweeps take.
 
     '1:1e4:4log' gives four log-spaced points from 1 to 1e4; the default
     spacing is linear.  A count above MAX_GRID_POINTS is refused.
@@ -207,7 +209,7 @@ def parse_grid(spec: str) -> list[float]:
     if spacing == "log":
         if start <= 0.0 or stop <= 0.0:
             raise ConfigError("log grids need positive endpoints")
-        return [float(v) for v in np.geomspace(start, stop, count)]
+        return np.geomspace(start, stop, count)
     if not math.isfinite(stop - start):
         raise ConfigError(f"grid span {stop!r} - {start!r} overflows the float range")
-    return [float(v) for v in np.linspace(start, stop, count)]
+    return np.linspace(start, stop, count)

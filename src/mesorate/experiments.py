@@ -1,9 +1,12 @@
 """Parameter sweeps over the stationary solutions.
 
+Both sweeps take plain arguments and convert their grid once, to one
+float64 array, refusing anything but a non-empty one-dimensional sequence.
 A sweep stays columnar from the swept RateSet field to its SweepTable.  The
 grid is one array column of the rate columns (model.sweep_columns), every
 other field a float of the base RateSet, which is validated once; the
-column is validated once as an array.  The channel table evaluates the
+column is validated once as an array, a non-finite value being a row the
+RateSet checks refuse like a negative width.  The channel table evaluates the
 quantities as an (N, n_quantities) array, one steady_states call solves
 the stack of generators, and the currents, Delta_I_D and the violation
 magnitude are read from the (N, dim) array of solutions.  Each value has
@@ -14,8 +17,8 @@ fsum or ** where numpy's add or square would differ in a last bit or in
 the sign of a zero.  The closed-form reference column stays scalar
 Python per row, fed the row's field values; it is NaN where the form is
 undefined or its arithmetic fails (an overflow, a division by an
-underflowed zero).  Every quantity is a pure function of the sweep
-specification, so repeated runs serialize to identical bytes.
+underflowed zero).  Every quantity is a pure function of the sweep's
+arguments, so repeated runs serialize to identical bytes.
 
 The points of a Fermi-level sweep differ only in their regime, so each
 regime is one generator: it is solved once, and one fancy index gives
@@ -40,31 +43,8 @@ import numpy as np
 
 from . import analytic, builders, observables
 from .model import (RATE_FIELDS, RateColumns, RateSet, fixed_columns, invalid_rows,
-                    row_rates, sweep_columns, take_rows, violation_magnitudes)
+                    sweep_columns, take_rows, violation_magnitudes)
 from .solver import DegenerateSteadyState, steady_states
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter scan of a scenario around a base RateSet."""
-
-    scenario: str
-    base: RateSet
-    parameter: str
-    grid: tuple[float, ...]
-    blocking: builders.BlockingConfig | None = None
-
-    def __post_init__(self):
-        if self.scenario not in builders.SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.parameter not in RATE_FIELDS:
-            raise ValueError(f"parameter {self.parameter!r} is not a RateSet field")
-        grid = tuple(float(v) for v in self.grid)
-        if not grid:
-            raise ValueError("grid must not be empty")
-        if not all(map(math.isfinite, grid)):
-            raise ValueError("grid values must be finite")
-        object.__setattr__(self, "grid", grid)
 
 
 SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max_violation")
@@ -123,14 +103,18 @@ def _analytic_reference(scenario: str | None, columns: RateColumns, n: int) -> l
     return [_closed_form(form, args)] * n
 
 
-def _raised(fn, *args) -> Exception:
-    """The error fn(*args) raises: the RateSet check run on the one row
-    the columnar checks found invalid, for its exact type and message."""
+def _grid_array(grid) -> np.ndarray:
+    """grid as one float64 array; a non-empty 1-D sequence of numbers or a ValueError."""
     try:
-        fn(*args)
-    except (ValueError, ArithmeticError) as exc:
-        return exc
-    raise AssertionError(f"{fn.__qualname__} accepts a point the columnar checks refused")
+        values = np.array(grid, dtype=float)
+    except (TypeError, ValueError) as exc:     # a set, a generator, ragged, not numbers
+        raise ValueError(f"grid must be a one-dimensional sequence of numbers: {exc}") from None
+    if values.ndim != 1:
+        raise ValueError(f"grid must be a one-dimensional sequence of numbers, "
+                         f"got {values.ndim}-D")
+    if not values.size:
+        raise ValueError("grid must not be empty")
+    return values
 
 
 def _solved_rows(table: builders.ChannelTable, columns: RateColumns, quantities: np.ndarray,
@@ -172,31 +156,45 @@ def _solved_rows(table: builders.ChannelTable, columns: RateColumns, quantities:
                       tuple(None if err is None else str(err) for err in errors))
 
 
-def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Stationary currents along the grid, one row per grid point.
+def run_sweep(scenario: str, base: RateSet, parameter: str, grid: Sequence[float],
+              blocking: builders.BlockingConfig | None = None) -> SweepTable:
+    """Stationary currents of scenario along the grid, one row per grid
+    point, each point being base.replacing(parameter, value).
 
-    The grid is one array column of the rate columns: validated, assembled
-    and solved as arrays, its rows refused, solved or degenerate exactly as
-    each point alone would be.
+    An unknown scenario or parameter is refused first, then a grid that is
+    not a non-empty one-dimensional sequence.  The grid is then one array
+    column of the rate columns: validated, assembled and solved as arrays,
+    its rows refused, solved or degenerate exactly as each point alone
+    would be.
     """
-    n = len(spec.grid)
-    columns = sweep_columns(spec.base, spec.parameter, np.array(spec.grid))
+    if scenario not in builders.SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if parameter not in RATE_FIELDS:
+        raise ValueError(f"parameter {parameter!r} is not a RateSet field")
+    values = _grid_array(grid)
+    n = len(values)
+    columns = sweep_columns(base, parameter, values)
     invalid = invalid_rows(columns, n)
     valid = int(invalid.argmax()) if invalid.any() else n
-    references = _analytic_reference(spec.scenario, take_rows(columns, slice(valid)), valid)
+    references = _analytic_reference(scenario, take_rows(columns, slice(valid)), valid)
     try:
-        table = builders.scenario_table(spec.scenario, spec.blocking)
+        table = builders.scenario_table(scenario, blocking)
     except ValueError as exc:
         table, assembled, assembly_error = None, 0, exc
     else:
         quantities, assembled, assembly_error = table.quantity_columns(columns, n)
     # a point alone is checked in this order: RateSet, then assembly
     stop = min(valid, assembled)
-    failure = _raised(row_rates, columns, stop) if stop == valid < n else assembly_error
+    failure = assembly_error
+    if stop == valid < n:
+        try:
+            RateSet(**take_rows(columns, stop))     # for the row's own error
+        except ValueError as exc:
+            failure = exc
     if not stop:
         raise failure
     return _solved_rows(table, take_rows(columns, slice(stop)), quantities[:stop],
-                        spec.grid[:stop], references[:stop], failure=failure)
+                        values[:stop], references[:stop], failure=failure)
 
 
 # the scenario whose closed form is the fast-detector plateau of a regime
@@ -227,9 +225,7 @@ def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> SweepTab
     if base.U2 < base.U1:
         raise ValueError("U2 must be >= U1 (second dot closer to the detector)")
     threshold_resolving, threshold_open = E0 + base.U1, E0 + base.U2
-    levels = np.array(grid, dtype=float)
-    if not levels.size:
-        raise ValueError("grid must not be empty")
+    levels = _grid_array(grid)
     # the grid is checked at once; the first refused level raises alone
     for v in levels[~(levels > E0) | (levels >= threshold_open)][:1].tolist():
         if not v > E0:

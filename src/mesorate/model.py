@@ -141,11 +141,6 @@ def take_rows(columns: RateColumns, rows) -> dict:
     return {f: v[rows] if isinstance(v, np.ndarray) else v for f, v in columns.items()}
 
 
-def row_rates(columns: RateColumns, k: int) -> RateSet:
-    """Row k as a RateSet, validated like any other."""
-    return RateSet(**take_rows(columns, k))
-
-
 @dataclass(frozen=True)
 class VariableIndex:
     """One slot of the packed real vector.

@@ -156,7 +156,7 @@ class TestSweep:
         out = tmp_path / "u.csv"
         assert cli_main(["sweep", "--config", bare_cfg, "--param", "U", "--grid", "0:100:5",
                          "--out", str(out)]) == 2
-        assert "parameter 'U' is not a RateSet field" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: parameter 'U' is not a RateSet field\n"
         assert not out.exists()
         cfg = tmp_path / "u.cfg"
         cfg.write_text(SET_CFG + "U = 3.0\n")
@@ -169,7 +169,8 @@ class TestSweep:
         out = tmp_path / "x.csv"
         assert cli_main(["sweep", "--config", str(cfg), "--param", "gamma_R",
                          "--grid", "-1:1:3", "--out", str(out)]) == 2
-        assert "width gamma_R must be >= 0, got -1.0" in capsys.readouterr().err
+        # a refused point is a configuration error of sweep, as of fig3
+        assert capsys.readouterr().err == "config error: width gamma_R must be >= 0, got -1.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "fig3"])

@@ -245,7 +245,7 @@ class TestParsedConfig:
 
 class TestParseGrid:
     def test_linear(self):
-        assert parse_grid("0:2:5") == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert parse_grid("0:2:5").tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_log(self):
         grid = parse_grid("1:1e4:4log")
@@ -255,10 +255,21 @@ class TestParseGrid:
         assert grid[1] == pytest.approx(10.0 ** (4 / 3))
 
     def test_explicit_linear_suffix(self):
-        assert parse_grid("1:3:3lin") == [1.0, 2.0, 3.0]
+        assert parse_grid("1:3:3lin").tolist() == [1.0, 2.0, 3.0]
 
     def test_single_point(self):
-        assert parse_grid("2.5:2.5:1") == [2.5]
+        assert parse_grid("2.5:2.5:1").tolist() == [2.5]
+
+    @pytest.mark.parametrize("spec,expected", [
+        ("1:1e4:25log", np.geomspace(1.0, 1e4, 25)),
+        ("-3:3:13", np.linspace(-3.0, 3.0, 13)),
+        ("0.1:1.9:40lin", np.linspace(0.1, 1.9, 40)),
+    ])
+    def test_is_the_numpy_array_itself(self, spec, expected):
+        # the float64 array both sweeps take, with numpy's bits
+        grid = parse_grid(spec)
+        assert isinstance(grid, np.ndarray) and grid.dtype == np.float64 and grid.ndim == 1
+        assert grid.tobytes() == expected.tobytes()
 
     def test_bad_shapes(self):
         for bad in ("1:2", "1:2:3:4", "a:2:3", "1:2:xlog", "1:2:0"):

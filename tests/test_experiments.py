@@ -8,7 +8,6 @@ from mesorate import (
     BlockingConfig,
     DegenerateSteadyState,
     RateSet,
-    SweepSpec,
     double_dot_current_bare,
     double_dot_current_measured,
     run_fermi_sweep,
@@ -30,40 +29,89 @@ SET_BASE = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0
                    U1=1.0, U2=2.0)
 
 
-class TestSweepSpec:
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            SweepSpec("double_dot_bare", BARE_BASE, "Omega", ())
-
-    def test_nonfinite_grid_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            SweepSpec("double_dot_bare", BARE_BASE, "Omega", (1.0, math.inf))
+class TestSweepArguments:
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError, match="^unknown scenario 'quadruple_dot'$"):
+            run_sweep("quadruple_dot", BARE_BASE, "Omega", (1.0,))
 
     def test_unresolvable_parameter_rejected(self):
-        with pytest.raises(ValueError, match="not a RateSet field"):
-            SweepSpec("double_dot_bare", BARE_BASE, "momentum", (1.0,))
+        with pytest.raises(ValueError, match="^parameter 'momentum' is not a RateSet field$"):
+            run_sweep("double_dot_bare", BARE_BASE, "momentum", (1.0,))
 
-    def test_unknown_scenario_rejected(self):
+    def test_scenario_and_parameter_are_checked_before_the_grid(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            SweepSpec("quadruple_dot", BARE_BASE, "Omega", (1.0,))
+            run_sweep("quadruple_dot", BARE_BASE, "momentum", ())
+        with pytest.raises(ValueError, match="not a RateSet field"):
+            run_sweep("double_dot_bare", BARE_BASE, "momentum", "1.5")
+
+    def test_empty_grid_rejected(self):
+        for grid in ((), [], np.array([])):
+            with pytest.raises(ValueError, match="^grid must not be empty$"):
+                run_sweep("double_dot_bare", BARE_BASE, "Omega", grid)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_point_raises_its_rateset_error_after_the_rows_before_it(
+            self, monkeypatch, value):
+        # the non-finite row is refused by the RateSet rule, with the
+        # message that point alone raises, once row 0 has been solved
+        solved = []
+
+        def recorded(matrices, index):
+            solved.append(len(matrices))
+            return steady_states(matrices, index)
+
+        monkeypatch.setattr(experiments, "steady_states", recorded)
+        with pytest.raises(ValueError) as alone:
+            BARE_BASE.replacing("Omega", value)
+        with pytest.raises(ValueError) as swept:
+            run_sweep("double_dot_bare", BARE_BASE, "Omega", (1.0, value))
+        assert str(swept.value) == str(alone.value) == f"Omega must be finite, got {value!r}"
+        assert solved == [1]
+
+    def test_earlier_overflow_wins_over_a_later_nonfinite_point(self):
+        # 2 * Omega overflows at Omega = 1e308, before the inf is reached
+        blocking = REGIMES["resolving"]
+        with pytest.raises(ValueError, match="a generator entry from Omega overflows"):
+            run_sweep("generalized_double_dot_set", SET_BASE, "Omega", (1.0, 1e308, math.inf),
+                      blocking)
+        with pytest.raises(ValueError, match="^Omega must be finite, got inf$"):
+            run_sweep("generalized_double_dot_set", SET_BASE, "Omega", (1.0, math.inf, 1e308),
+                      blocking)
+
+
+# grids both sweeps refuse with a ValueError: a scalar, a string (which
+# numpy would read as one number), two dimensions, a ragged nesting, a
+# set, a generator and a value that is no number
+MALFORMED_GRIDS = [1.5, "1.5", [[0.5, 1.5], [0.6, 1.6]], [[0.5], [0.6, 1.6]], {0.5, 1.5},
+                   (v for v in (0.5, 1.5)), [0.5, object()]]
+
+
+@pytest.mark.parametrize("grid", MALFORMED_GRIDS,
+                         ids=["scalar", "string", "2d", "ragged", "set", "generator", "object"])
+@pytest.mark.parametrize("sweep", [
+    lambda grid: run_sweep("double_dot_set", SET_BASE, "gamma_R", grid),
+    lambda grid: run_fermi_sweep(SET_BASE, 0.0, grid),
+], ids=["run_sweep", "run_fermi_sweep"])
+def test_malformed_grid_is_a_value_error(sweep, grid):
+    with pytest.raises(ValueError, match="grid must be a one-dimensional sequence of numbers"):
+        sweep(grid)
 
 
 class TestRunSweep:
     def test_zero_hopping_row_has_zero_current(self):
-        table = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Omega", (0.0,)))
+        table = run_sweep("double_dot_bare", BARE_BASE, "Omega", (0.0,))
         assert len(table) == 1
         assert table["I_S_numeric"][0] == pytest.approx(0.0, abs=1e-14)
 
     def test_detuning_symmetry(self):
         grid = (-4.0, -1.0, -0.25, 0.25, 1.0, 4.0)
-        table = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "epsilon", grid))
+        table = run_sweep("double_dot_bare", BARE_BASE, "epsilon", grid)
         by_param = dict(zip(table["param"].tolist(), table["I_S_numeric"].tolist()))
         for e in (0.25, 1.0, 4.0):
             assert by_param[e] == pytest.approx(by_param[-e], rel=1e-12)
 
     def test_detector_ratio_convergence_study(self):
-        table = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R",
-                                    (1e2, 1e3, 1e4)))
+        table = run_sweep("double_dot_set", SET_BASE, "gamma_R", (1e2, 1e3, 1e4))
         target = double_dot_current_measured(SET_BASE)
         errors = np.abs(table["I_S_numeric"] - target)
         assert errors[0] > errors[1] > errors[2]
@@ -72,28 +120,27 @@ class TestRunSweep:
     def test_degenerate_points_marked_not_fatal(self):
         # Omega 0 with no widths is the zero generator; Omega 1 with no
         # widths is the undamped oscillator: both rows must carry the error
-        table = run_sweep(SweepSpec("double_dot_bare", RateSet(), "Omega", (0.0, 1.0)))
+        table = run_sweep("double_dot_bare", RateSet(), "Omega", (0.0, 1.0))
         assert np.isnan(table["I_S_numeric"]).all()
         assert all(table.message)
 
     def test_detector_columns_nan_for_bare_scenario(self):
-        table = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Omega", (1.0,)))
+        table = run_sweep("double_dot_bare", BARE_BASE, "Omega", (1.0,))
         assert math.isnan(table["I_D"][0])
         assert math.isnan(table["Delta_I_D"][0])
 
     def test_rows_carry_invariant_violation_magnitude(self):
-        table = run_sweep(SweepSpec("single_dot_set",
-                                    RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1),
-                                    "gamma_R", (1.0, 2.0)))
+        table = run_sweep("single_dot_set", RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1),
+                          "gamma_R", (1.0, 2.0))
         assert (table["max_violation"] < 1e-12).all()
 
     def test_sweeping_unprimed_width_keeps_equal_amplitudes(self):
-        table = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R", (5.0,)))
+        table = run_sweep("double_dot_set", SET_BASE, "gamma_R", (5.0,))
         assert table.message == (None,)
         assert table.regime is None
 
     def test_table_is_read_only_columns(self):
-        table = run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R", (1.0, 2.0, 3.0)))
+        table = run_sweep("double_dot_set", SET_BASE, "gamma_R", (1.0, 2.0, 3.0))
         assert len(table) == 3 and table.values.shape == (3, len(SWEEP_HEADER))
         for k, name in enumerate(SWEEP_HEADER):
             assert table[name].tobytes() == table.values[:, k].tobytes()
@@ -108,12 +155,12 @@ class TestSweepErrors:
     def test_degenerate_point_mid_batch_is_a_nan_row(self):
         # Gamma_R = 0 leaves the b-c oscillation undamped: a degenerate model
         grid = (0.5, 1.0, 0.0, 2.0, 4.0, -0.0)
-        table = run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Gamma_R", grid))
+        table = run_sweep("double_dot_bare", BARE_BASE, "Gamma_R", grid)
         assert math.isnan(table["I_S_numeric"][2])
         assert table.message[2] == "2-dimensional null space: the model is disconnected"
         # every column, the failed rows and their messages included, is
         # that of the points swept one at a time
-        alone = [run_sweep(SweepSpec("double_dot_bare", BARE_BASE, "Gamma_R", (value,)))
+        alone = [run_sweep("double_dot_bare", BARE_BASE, "Gamma_R", (value,))
                  for value in grid]
         assert len(table) == len(grid)
         for name in SWEEP_HEADER:
@@ -128,12 +175,12 @@ class TestSweepErrors:
     ])
     def test_first_error_in_grid_order_is_raised(self, grid, error):
         with pytest.raises(error, match="width Gamma_R must be >= 0, got -1.0") as caught:
-            run_sweep(SweepSpec("double_dot_set", SET_BASE, "Gamma_R", grid))
+            run_sweep("double_dot_set", SET_BASE, "Gamma_R", grid)
         assert type(caught.value) is error
 
     def test_unrepresentable_closed_form_is_a_nan_reference(self):
         # Gamma_R**2 overflows at 1e200: the reference is NaN, the row is kept
-        table = run_sweep(SweepSpec("double_dot_set", SET_BASE, "Gamma_R", (1.0, 1e200)))
+        table = run_sweep("double_dot_set", SET_BASE, "Gamma_R", (1.0, 1e200))
         assert table["I_S_analytic"][0] == double_dot_current_measured(SET_BASE)
         assert math.isnan(table["I_S_analytic"][1])
 
@@ -150,11 +197,11 @@ class TestSweepErrors:
         form, names = experiments._CLOSED_FORMS[scenario]
         with pytest.raises(ZeroDivisionError):
             form(*[getattr(base.replacing("Omega", 1e-170), name) for name in names])
-        spec = SweepSpec(scenario, base, "Omega", (1e-170, 0.5, 1.0))
-        reference = run_sweep(spec)["I_S_analytic"]
+        args = (scenario, base, "Omega", (1e-170, 0.5, 1.0))
+        reference = run_sweep(*args)["I_S_analytic"]
         assert math.isnan(reference[0])
         assert np.isfinite(reference[1:]).all()
-        assert _outcome(lambda: run_sweep(spec)) == _outcome(lambda: _reference_sweep(spec, []))
+        assert _outcome(lambda: run_sweep(*args)) == _outcome(lambda: _reference_sweep(*args))
 
     def test_underflowed_plateau_is_a_nan_reference(self):
         base = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1e-200, Omega=1e-170,
@@ -180,8 +227,7 @@ class TestSweepErrors:
         blocking = REGIMES["resolving"]
         for grid in ((1.0, 2.0, 3.0), (1.0, 2.0, 1e308)):
             with pytest.raises(ArithmeticError, match="stationary residual") as caught:
-                run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "Omega", grid,
-                                    blocking))
+                run_sweep("generalized_double_dot_set", SET_BASE, "Omega", grid, blocking)
             assert type(caught.value) is ArithmeticError
 
     @pytest.mark.parametrize("failing,engine_fails,expected", [
@@ -211,7 +257,7 @@ class TestSweepErrors:
         monkeypatch.setattr(experiments, "steady_states", third_member_fails)
         monkeypatch.setattr(observables, "detector_drops", picky_drops)
         with pytest.raises((ValueError, ArithmeticError), match=expected):
-            run_sweep(SweepSpec("double_dot_set", SET_BASE, "gamma_R", (1.0, 2.0, 3.0, 4.0)))
+            run_sweep("double_dot_set", SET_BASE, "gamma_R", (1.0, 2.0, 3.0, 4.0))
 
     def test_overflowing_assembly_names_the_fields(self):
         # 2 * Omega overflows at Omega = 1e308 and a sum of widths past the
@@ -222,11 +268,11 @@ class TestSweepErrors:
         with pytest.raises(ValueError, match="a generator entry from Omega overflows"):
             scenario_table("generalized_double_dot_set", blocking).generator(alone)
         with pytest.raises(ValueError, match="a generator entry from Omega overflows"):
-            run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "Omega",
-                                (1.0, 1e308, -1.0), blocking))
+            run_sweep("generalized_double_dot_set", SET_BASE, "Omega", (1.0, 1e308, -1.0),
+                      blocking)
         with pytest.raises(ValueError, match=r"from Gamma_R, gamma_R, gamma_L overflows"):
-            run_sweep(SweepSpec("generalized_double_dot_set", SET_BASE, "gamma_R",
-                                (1.0, 1e308), blocking))
+            run_sweep("generalized_double_dot_set", SET_BASE, "gamma_R", (1.0, 1e308),
+                      blocking)
         # the largest widths whose entries stay finite still assemble
         scenario_table("generalized_double_dot_set", blocking).generator(
             SET_BASE.replacing("Omega", 5e307))
@@ -243,7 +289,7 @@ class TestSweepErrors:
         with pytest.raises(ValueError, match=expected) as alone:
             scenario_table("double_dot_set").generator(base.replacing("gamma_R", grid[0]))
         with pytest.raises(ValueError) as swept:
-            run_sweep(SweepSpec("double_dot_set", base, "gamma_R", grid))
+            run_sweep("double_dot_set", base, "gamma_R", grid)
         assert str(swept.value) == str(alone.value)
 
     def test_fermi_sweep_solves_each_regime(self):
@@ -355,10 +401,9 @@ class TestFermiSweep:
 class TestDeterminism:
     def test_sweep_rows_identical_between_runs(self):
         from mesorate.output import sweep_csv_text
-        spec = SweepSpec("double_dot_set", SET_BASE, "gamma_R",
-                         tuple(np.geomspace(1, 1e4, 7)))
-        text1 = sweep_csv_text(run_sweep(spec))
-        text2 = sweep_csv_text(run_sweep(spec))
+        args = ("double_dot_set", SET_BASE, "gamma_R", np.geomspace(1, 1e4, 7))
+        text1 = sweep_csv_text(run_sweep(*args))
+        text2 = sweep_csv_text(run_sweep(*args))
         assert text1 == text2
 
 
@@ -369,14 +414,14 @@ class TestStiffRegime:
 
     BASE = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1e-3, Gamma_R=1e-3, Omega=1e-3,
                    U1=0.0, U2=0.0)
-    GRID = tuple(np.geomspace(1.0, 1e12, 25))
+    GRID = np.geomspace(1.0, 1e12, 25)
 
     @pytest.mark.parametrize("scenario,param", [
         ("single_dot_set", "gamma_R"), ("double_dot_set", "gamma_R"),
         ("double_dot_bare", "Gamma_R"), ("reduced_double_dot", "gamma_L"),
     ])
     def test_rows_match_the_closed_form_or_are_degenerate(self, scenario, param):
-        table = run_sweep(SweepSpec(scenario, self.BASE, param, self.GRID))
+        table = run_sweep(scenario, self.BASE, param, self.GRID)
         solved = ~np.isnan(table["I_S_numeric"])
         assert solved.any()
         assert table["I_S_numeric"][solved] == pytest.approx(table["I_S_analytic"][solved],
@@ -467,18 +512,19 @@ def _reference_rows(scenario, points, stacks, failure=None):
     return rows
 
 
-def _reference_sweep(spec, stacks):
+def _reference_sweep(scenario, base, parameter, grid, blocking=None, stacks=None):
+    stacks = [] if stacks is None else stacks
     points = []
-    for value in spec.grid:
+    for value in grid:
         try:
-            r = spec.base.replacing(spec.parameter, value)
-            reference = _reference_closed_form(spec.scenario, r)
-            table = builders.scenario_table(spec.scenario, spec.blocking)
-            points.append((value, r, spec.blocking, reference, None,
+            r = base.replacing(parameter, value)
+            reference = _reference_closed_form(scenario, r)
+            table = builders.scenario_table(scenario, blocking)
+            points.append((value, r, blocking, reference, None,
                            _reference_quantities(table, r)))
         except (ValueError, ArithmeticError) as exc:
-            return _reference_rows(spec.scenario, points, stacks, exc)
-    return _reference_rows(spec.scenario, points, stacks)
+            return _reference_rows(scenario, points, stacks, exc)
+    return _reference_rows(scenario, points, stacks)
 
 
 def _reference_fermi_sweep(base, E0, grid, stacks):
@@ -559,11 +605,12 @@ _DIFF_BASES = (
             U1=0.0, U2=-0.0),
 )
 _DIFF_GRIDS = (
-    tuple(np.geomspace(1e-3, 1e12, 6)),
+    tuple(np.geomspace(1e-3, 1e12, 6).tolist()),
     (0.5, 2.0, -1.0, 3.0),              # a negative width ends a width sweep
     (1.0, 0.0, -0.0, 2.0, -1.0),        # through zero
     (1.0, 1e200, 1e308),                # overflowing closed forms and entries
     (2.0, 3.0),                         # meets the unequal primed widths
+    (1.0, 1e308, -math.inf, math.nan),  # overflowing entries, then non-finite points
 )
 
 
@@ -585,11 +632,11 @@ class TestColumnarMatchesPerPoint:
         monkeypatch.setattr(experiments, "steady_states", recorded)
         for base in _DIFF_BASES:
             for grid in _DIFF_GRIDS:
-                spec = SweepSpec(scenario, base, field, grid, blocking)
+                args = (scenario, base, field, grid, blocking)
                 expected_stacks = []
-                expected = _outcome(lambda: _reference_sweep(spec, expected_stacks))
+                expected = _outcome(lambda: _reference_sweep(*args, stacks=expected_stacks))
                 stacks.clear()
-                assert _outcome(lambda: run_sweep(spec)) == expected, (base, grid)
+                assert _outcome(lambda: run_sweep(*args)) == expected, (base, grid)
                 assert _same_bits(stacks, expected_stacks), (base, grid)
 
     @pytest.mark.parametrize("base", [

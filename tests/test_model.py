@@ -14,7 +14,7 @@ from mesorate import (
     scenario_table,
     validate_state,
 )
-from mesorate.model import RATE_FIELDS, row_rates, sweep_columns, violation_magnitudes
+from mesorate.model import RATE_FIELDS, sweep_columns, take_rows, violation_magnitudes
 
 # the slot layouts of three scenarios
 SINGLE_DOT_SET_INDEX = scenario_table("single_dot_set").index
@@ -82,7 +82,7 @@ class TestRateColumns:
             values = np.array([0.25, 4.0])
             columns = sweep_columns(base, name, values)
             for k, v in enumerate(values.tolist()):
-                assert row_rates(columns, k) == base.replacing(name, v)
+                assert RateSet(**take_rows(columns, k)) == base.replacing(name, v)
 
 
 def reference_violation_magnitude(x):

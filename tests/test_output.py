@@ -7,7 +7,6 @@ import pytest
 
 from mesorate import (
     RateSet,
-    SweepSpec,
     Trajectory,
     basis_state,
     evolve,
@@ -75,10 +74,10 @@ class TestSweepCsv:
 
     def test_byte_determinism(self, tmp_path):
         base = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
-        spec = SweepSpec("single_dot_set", base, "gamma_R", (1.0, 3.0, 9.0))
+        args = ("single_dot_set", base, "gamma_R", (1.0, 3.0, 9.0))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(run_sweep(spec), str(a))
-        write_csv(run_sweep(spec), str(b))
+        write_csv(run_sweep(*args), str(a))
+        write_csv(run_sweep(*args), str(b))
         assert a.read_bytes() == b.read_bytes()
 
 

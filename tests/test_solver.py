@@ -14,7 +14,6 @@ from mesorate import (
     RateSet,
     StateVector,
     StepTooLarge,
-    SweepSpec,
     Trajectory,
     basis_state,
     default_step,
@@ -324,7 +323,7 @@ class TestUniquenessProof:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         grid = tuple(np.geomspace(1.0, 1e4, 1000).tolist())
-        table = run_sweep(SweepSpec("double_dot_set", README_SWEEP, "gamma_R", grid))
+        table = run_sweep("double_dot_set", README_SWEEP, "gamma_R", grid)
         assert len(table) == 1000 and table.message == (None,) * 1000
 
     @pytest.mark.parametrize("scenario,blocking", CONFIGS,
