@@ -19,6 +19,11 @@ Prager, PRB 53, 15932 (1996)) and is compiled once into generator cells:
    destinations at that rate.  Detector entry has no such counterpart, so
    entry open for both dots dephases without a coherent entry transfer.
 
+ChannelTable.stack assembles the generators of n rows of rate columns
+and decides every refused row, in the order a point alone is checked:
+the RateSet rule, then equal amplitudes, then a generator entry leaving
+the float range.  generator(r) is its one-row case.
+
 The same table is the one source of the collector weights: weight_columns
 (weights at one RateSet) maps the source state of each system collector,
 detector collector and detector backflow channel to its width, and
@@ -40,7 +45,7 @@ from math import fsum
 import numpy as np
 
 from .model import (Generator, IndexMap, RateColumns, RateSet, equal_amplitude_rows,
-                    fixed_columns)
+                    fixed_columns, invalid_rows, take_rows)
 
 SINGLE_DOT_SET = "single_dot_set"
 DOUBLE_DOT_BARE = "double_dot_bare"
@@ -158,32 +163,38 @@ class ChannelTable:
         return (quantities, np.array([row * len(self.index) + col for row, col in cells]),
                 np.array([coef for coef, _, _ in cells.values()]), np.array(of), gains)
 
-    def quantity_columns(self, columns: RateColumns,
-                         n: int) -> tuple[np.ndarray, int, ValueError | None]:
-        """The compiled cells' quantities at each of n rows of rate columns,
-        shape (n, n_quantities): the single term of a quantity as is, else
-        the fsum of its terms.  Also the first row refused (n if none), whose
-        quantities mean nothing, and its ValueError (else None): unequal
-        amplitudes where the scenario assumes them equal, else a quantity
-        whose cells would leave the float range, naming its fields.
+    def stack(self, columns: RateColumns,
+              n: int) -> tuple[np.ndarray, int, ValueError | None]:
+        """Generator matrices of n rows of rate columns, up to the first
+        row refused, shape (first, dim, dim): each compiled cell is its
+        coefficient times a quantity, the single term of a quantity as is,
+        else the fsum of its terms.  Also that first refused row (n if none)
+        and its ValueError (else None).  A row is checked in the order a
+        point alone is: the RateSet rule (model.invalid_rows; the error is
+        that of the row's RateSet), then unequal amplitudes where the
+        scenario assumes them equal, then a quantity whose cells would
+        leave the float range, naming its fields.
 
         A quantity that reads no array column is evaluated once, a one-term
         one is a column product and a summed one that reads an array column
         keeps its per-row fsum, so every row has the bits of its point alone.
         """
-        keys, gains = self._cells[0], self._cells[4]
-        unequal = np.zeros(n, dtype=bool)
+        keys, flat, coefs, of, gains = self._cells
+        invalid = invalid_rows(columns, n)
+        valid = int(invalid.argmax()) if invalid.any() else n
+        accepted = take_rows(columns, slice(valid))     # the rows the RateSet rule accepts
+        unequal = np.zeros(valid, dtype=bool)
         if self.equal_amplitudes:
-            unequal |= ~np.asarray(equal_amplitude_rows(columns))
-        q = np.empty((n, len(keys)))
+            unequal |= ~np.asarray(equal_amplitude_rows(accepted))
+        q = np.empty((valid, len(keys)))
         for k, (terms, force) in enumerate(keys):
-            values = [s * columns[f] for f, s in terms]
+            values = [s * accepted[f] for f, s in terms]
             if not force and len(terms) == 1:
                 q[:, k] = values[0]
             elif not any(isinstance(v, np.ndarray) for v in values):
                 q[:, k] = _fsum_or_nan(values)
             else:
-                rows = list(zip(*[v.tolist() if isinstance(v, np.ndarray) else repeat(v, n)
+                rows = list(zip(*[v.tolist() if isinstance(v, np.ndarray) else repeat(v, valid)
                                   for v in values]))
                 try:
                     q[:, k] = list(map(fsum, rows))
@@ -192,37 +203,33 @@ class ChannelTable:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(q * gains)
         refused = unequal | ~finite.all(axis=1)
-        if not refused.any():
-            return q, n, None
-        first = int(refused.argmax())
-        if unequal[first]:
-            return q, first, ValueError(f"{self.label} assumes equal tunneling amplitudes; "
-                                        "primed widths must equal unprimed ones")
-        fields = [f for (terms, _), ok in zip(keys, finite[first].tolist()) if not ok
-                  for f, _ in terms]
-        return q, first, ValueError(f"rates too large for {self.label}: a generator entry from "
-                                    f"{', '.join(dict.fromkeys(fields))} overflows the float range")
-
-    def quantities(self, r: RateSet) -> np.ndarray:
-        """The one-row case of quantity_columns; a refused point raises its error."""
-        q, _, error = self.quantity_columns(fixed_columns(r), 1)
-        if error is not None:
-            raise error
-        return q[0]
-
-    def stack(self, quantities) -> np.ndarray:
-        """Generator matrices, shape (N, dim, dim), from N rows of
-        quantities: each compiled cell is its coefficient times a quantity."""
-        keys, flat, coefs, of, _ = self._cells
-        q = np.array(quantities, dtype=float).reshape(-1, len(keys))
+        first, error = valid, None
+        if refused.any():
+            first = int(refused.argmax())
+            if unequal[first]:
+                error = ValueError(f"{self.label} assumes equal tunneling amplitudes; "
+                                   "primed widths must equal unprimed ones")
+            else:
+                fields = [f for (terms, _), ok in zip(keys, finite[first].tolist()) if not ok
+                          for f, _ in terms]
+                error = ValueError(f"rates too large for {self.label}: a generator entry from "
+                                   f"{', '.join(dict.fromkeys(fields))} overflows the float range")
+        elif valid < n:
+            try:
+                RateSet(**take_rows(columns, valid))     # for the row's own error
+            except ValueError as exc:
+                error = exc
         dim = len(self.index)
-        g = np.zeros((len(q), dim * dim))
-        g[:, flat] = coefs * q[:, of]
-        return g.reshape(-1, dim, dim)
+        g = np.zeros((first, dim * dim))
+        g[:, flat] = coefs * q[:first, of]
+        return g.reshape(first, dim, dim), first, error
 
     def generator(self, r: RateSet) -> Generator:
-        """The one-row case of stack."""
-        return Generator(self.stack([self.quantities(r)])[0], self.index, self.label)
+        """The one-row case of stack; a refused point raises its error."""
+        matrices, _, error = self.stack(fixed_columns(r), 1)
+        if error is not None:
+            raise error
+        return Generator(matrices[0], self.index, self.label)
 
     @cached_property
     def _weight_fields(self) -> dict[str, dict[str, str]]:

@@ -4,21 +4,22 @@ Both sweeps take plain arguments and convert their grid once, to one
 float64 array, refusing anything but a non-empty one-dimensional sequence.
 A sweep stays columnar from the swept RateSet field to its SweepTable.  The
 grid is one array column of the rate columns (model.sweep_columns), every
-other field a float of the base RateSet, which is validated once; the
-column is validated once as an array, a non-finite value being a row the
-RateSet checks refuse like a negative width.  The channel table evaluates the
-quantities as an (N, n_quantities) array, one steady_states call solves
-the stack of generators, and the currents, Delta_I_D and the violation
-magnitude are read from the (N, dim) array of solutions.  Each value has
-the bits the point gives alone through RateSet, quantities, steady_state
-and a one-row stationary_outputs and violation_magnitudes: elementwise
-IEEE arithmetic where that is exactly the scalar operation, a per-row
-fsum or ** where numpy's add or square would differ in a last bit or in
-the sign of a zero.  The closed-form reference column stays scalar
-Python per row, fed the row's field values; it is NaN where the form is
-undefined or its arithmetic fails (an overflow, a division by an
-underflowed zero).  Every quantity is a pure function of the sweep's
-arguments, so repeated runs serialize to identical bytes.
+other field a float of the base RateSet, which is validated once.  One
+ChannelTable.stack call checks the rows, a non-finite value being a row
+the RateSet rule refuses like a negative width, evaluates the quantities
+as an (N, n_quantities) array and scatters the rows before the first
+refused one into their generators; one steady_states call solves the
+stack, and the currents, Delta_I_D and the violation magnitude are read
+from the (N, dim) array of solutions.  Each value has the bits the point
+gives alone through RateSet, generator, steady_state and a one-row
+stationary_outputs and violation_magnitudes: elementwise IEEE arithmetic
+where that is exactly the scalar operation, a per-row fsum or ** where
+numpy's add or square would differ in a last bit or in the sign of a
+zero.  The closed-form reference column stays scalar Python per row, fed
+the row's field values; it is NaN where the form is undefined or its
+arithmetic fails (an overflow, a division by an underflowed zero).  Every
+quantity is a pure function of the sweep's arguments, so repeated runs
+serialize to identical bytes.
 
 The points of a Fermi-level sweep differ only in their regime, so each
 regime is one generator: it is solved once, and one fancy index gives
@@ -27,9 +28,8 @@ every point its regime's row before the grid fills the param column.
 A grid point whose model is disconnected is reported as a row of NaNs
 with the error message attached instead of aborting the sweep; any other
 error is raised, the one the first failing point in grid order raises
-alone.  The channel table reports the first row it refuses together with
-that row's error.  The RateSet checks only locate the first invalid row;
-its error, type and message, comes from building that row's RateSet.
+alone: the channel table's stack reports the first row it refuses
+together with that row's error.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import (RATE_FIELDS, RateColumns, RateSet, fixed_columns, invalid_rows,
-                    sweep_columns, take_rows, violation_magnitudes)
+from .model import (RATE_FIELDS, RateColumns, RateSet, fixed_columns, sweep_columns,
+                    take_rows, violation_magnitudes)
 from .solver import DegenerateSteadyState, steady_states
 
 
@@ -117,18 +117,18 @@ def _grid_array(grid) -> np.ndarray:
     return values
 
 
-def _solved_rows(table: builders.ChannelTable, columns: RateColumns, quantities: np.ndarray,
+def _solved_rows(table: builders.ChannelTable, columns: RateColumns, matrices: np.ndarray,
                  params, references: list[float],
                  failure: Exception | None = None) -> SweepTable:
-    """The points in grid order, one row of quantities and of the columns
-    per point, their generators solved as one stack.
+    """The points in grid order, one generator matrix and one row of the
+    columns per point, the matrices solved as one stack.
 
     A DegenerateSteadyState point becomes a row of NaNs carrying the
     message; any other error is raised, the first in grid order, with
     failure (raised by the point after the last one given) coming last.
     """
     n = len(params)
-    values, errors = steady_states(table.stack(quantities), table.index)
+    values, errors = steady_states(matrices, table.index)
     raised = next((k for k, err in enumerate(errors)
                    if err is not None and not isinstance(err, DegenerateSteadyState)), n)
 
@@ -161,40 +161,23 @@ def run_sweep(scenario: str, base: RateSet, parameter: str, grid: Sequence[float
     """Stationary currents of scenario along the grid, one row per grid
     point, each point being base.replacing(parameter, value).
 
-    An unknown scenario or parameter is refused first, then a grid that is
-    not a non-empty one-dimensional sequence.  The grid is then one array
-    column of the rate columns: validated, assembled and solved as arrays,
-    its rows refused, solved or degenerate exactly as each point alone
-    would be.
+    An unknown scenario or a blocking it does not take is refused first,
+    then an unknown parameter, then a grid that is not a non-empty
+    one-dimensional sequence.  The grid is then one array column of the
+    rate columns: checked, assembled and solved as arrays, its rows
+    refused, solved or degenerate exactly as each point alone would be.
     """
-    if scenario not in builders.SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
+    table = builders.scenario_table(scenario, blocking)
     if parameter not in RATE_FIELDS:
         raise ValueError(f"parameter {parameter!r} is not a RateSet field")
     values = _grid_array(grid)
-    n = len(values)
     columns = sweep_columns(base, parameter, values)
-    invalid = invalid_rows(columns, n)
-    valid = int(invalid.argmax()) if invalid.any() else n
-    references = _analytic_reference(scenario, take_rows(columns, slice(valid)), valid)
-    try:
-        table = builders.scenario_table(scenario, blocking)
-    except ValueError as exc:
-        table, assembled, assembly_error = None, 0, exc
-    else:
-        quantities, assembled, assembly_error = table.quantity_columns(columns, n)
-    # a point alone is checked in this order: RateSet, then assembly
-    stop = min(valid, assembled)
-    failure = assembly_error
-    if stop == valid < n:
-        try:
-            RateSet(**take_rows(columns, stop))     # for the row's own error
-        except ValueError as exc:
-            failure = exc
-    if not stop:
-        raise failure
-    return _solved_rows(table, take_rows(columns, slice(stop)), quantities[:stop],
-                        values[:stop], references[:stop], failure=failure)
+    matrices, first, error = table.stack(columns, len(values))
+    if not first:
+        raise error
+    columns = take_rows(columns, slice(first))
+    return _solved_rows(table, columns, matrices, values[:first],
+                        _analytic_reference(scenario, columns, first), failure=error)
 
 
 # the scenario whose closed form is the fast-detector plateau of a regime
@@ -242,7 +225,7 @@ def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> SweepTab
         table = builders.scenario_table(builders.GENERALIZED_DOUBLE_DOT_SET,
                                         builders.REGIMES[names[code]])
         reference = _analytic_reference(_PLATEAU[names[code]], columns, 1)
-        solved = _solved_rows(table, columns, table.quantities(base)[np.newaxis],
+        solved = _solved_rows(table, columns, table.generator(base).matrix[np.newaxis],
                               levels[:1], reference)
         rows[code], messages[code] = solved.values[0], solved.message[0]
     values = rows[codes]     # each point takes its regime's row, then its own level

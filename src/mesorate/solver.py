@@ -104,9 +104,10 @@ def steady_states(matrices: np.ndarray,
     solutions and one entry per generator: None where it was solved, else
     the exception steady_state raises for that generator alone, whose row
     of the array is then NaN.  Every check runs per generator; the LU solve
-    is one call on the whole stack, and each of up to three refinement
-    passes one call per block of _EXTENDED_BLOCK members: a block stops
-    after a pass that leaves its bits unchanged.  The rank test's proof
+    is one call on the whole stack (one per member when a member is
+    singular), and each of up to three refinement passes one call per
+    block of _EXTENDED_BLOCK members: a block stops after a pass that
+    leaves its bits unchanged.  The rank test's proof
     (_proven_unique) runs per block too, and one SVD call decides the
     members it leaves; a one-member stack goes straight to the SVD.
     """
@@ -172,7 +173,8 @@ def steady_states(matrices: np.ndarray,
             else:
                 keep.append(j)
         ok, A, row0, rhs = [ok[j] for j in keep], A[keep], row0[keep], rhs[keep]
-        x = np.linalg.solve(A, rhs)
+        # each member's own solve has the bits of the stacked one
+        x = np.array([solved[j] for j in keep]).reshape(rhs.shape)
 
     # Iterative refinement with the residual accumulated in extended
     # precision: recovers the tiny occupations (collector width >> emitter

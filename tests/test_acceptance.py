@@ -4,6 +4,7 @@ Each test prints its own pass/fail line (run pytest -s to see them all;
 the `mesorate validate` command prints the same report).
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -49,6 +50,20 @@ def test_criterion_6_fermi_level_step(results):
 
 def test_criterion_7_golden_matrices(results):
     _check(results, 7)
+
+
+def test_criterion_7_fails_under_its_own_title(results, monkeypatch):
+    hand_coded = acceptance._hand_coded_double_dot_set
+
+    def perturbed(r):
+        g = hand_coded(r)
+        return dataclasses.replace(g, matrix=g.matrix + 1.0)
+
+    monkeypatch.setattr(acceptance, "_hand_coded_double_dot_set", perturbed)
+    r = acceptance.criterion_7()
+    assert r.passed is False
+    assert r.title == results[7].title
+    assert r.detail.startswith("double_dot_set matrix differs for RateSet(")
 
 
 def test_criterion_8_conservation_and_positivity(results):

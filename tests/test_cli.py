@@ -417,6 +417,17 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert cli_main(["steady", "--config", "/nonexistent/x.cfg"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["evolve"], ["sweep", "--param", "Omega", "--grid", "1:2:2"],
+        ["sweep", "--param", "Omega", "--grid", "1:2:2", "--format", "svg"],
+    ], ids=["evolve", "sweep-csv", "sweep-svg"])
+    def test_out_into_a_missing_directory_is_an_io_error(self, bare_cfg, tmp_path, capsys,
+                                                         argv):
+        out = tmp_path / "missing" / "x.out"
+        assert cli_main(argv[:1] + ["--config", bare_cfg] + argv[1:] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 2] No such file or directory")
+        assert not out.parent.exists()
+
     def test_config_parse_error(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[scenario]\nname = double_dot_bare\n[rates]\nGamma_L = abc\n")

@@ -118,6 +118,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"unknown section \[magic\]"):
             parse_config("[magic]\nx = 1\n")
 
+    def test_line_without_equals_names_line(self):
+        with pytest.raises(ConfigError, match=r"^line 2: expected key = value, got 'name'$"):
+            parse_config("[scenario]\nname\n")
+
+    def test_unknown_scenario_key_names_line(self):
+        with pytest.raises(ConfigError,
+                           match=r"^line 3: unknown key label in section \[scenario\]$"):
+            parse_config("[scenario]\nname = double_dot_bare\nlabel = x\n")
+
+    @pytest.mark.parametrize("token", ["0", "-1.0"])
+    def test_nonpositive_t_final_rejected(self, token):
+        text = FULL.replace("t_final = 40.0", f"t_final = {token}")
+        with pytest.raises(ConfigError, match="^t_final must be positive$"):
+            parse_config(text)
+
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="outside"):
             parse_config("name = double_dot_bare\n")
@@ -294,6 +309,10 @@ class TestParseGrid:
             with pytest.raises(ConfigError, match=f"grid count {count} exceeds the cap of "
                                                   f"{MAX_GRID_POINTS} points"):
                 parse_grid(f"1:10:{count}{suffix}")
+
+    def test_infinite_endpoint_refused(self):
+        with pytest.raises(ConfigError, match="^grid endpoints must be finite$"):
+            parse_grid("1:inf:3")
 
     def test_log_needs_positive_endpoints(self):
         with pytest.raises(ConfigError, match="positive"):

@@ -85,7 +85,7 @@ def test_solved_rows_against_the_exact_solution(config, param):
     scenario, blocking, base, grid = CONFIGS[config]
     table = scenario_table(scenario, blocking)
     rates = [base.replacing(param, v) for v in grid]
-    G = table.stack([table.quantities(r) for r in rates])
+    G = np.stack([table.generator(r).matrix for r in rates])
     values, errors = steady_states(G, table.index)
     n_diag = len(table.index.diagonal_positions)
     ulps = COMPONENT_ULPS[config, param]

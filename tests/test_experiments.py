@@ -38,6 +38,18 @@ class TestSweepArguments:
         with pytest.raises(ValueError, match="^parameter 'momentum' is not a RateSet field$"):
             run_sweep("double_dot_bare", BARE_BASE, "momentum", (1.0,))
 
+    @pytest.mark.parametrize("scenario,blocking,message", [
+        ("double_dot_set", REGIMES["resolving"],
+         "^double_dot_set fixes its own blocking and takes no BlockingConfig$"),
+        ("generalized_double_dot_set", None, "^the generalized scenario needs a BlockingConfig$"),
+    ])
+    def test_misused_blocking_is_refused_before_a_refused_row_0(self, scenario, blocking,
+                                                                 message):
+        # like an unknown scenario, the blocking is checked before any row
+        for grid in ((-1.0,), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match=message):
+                run_sweep(scenario, SET_BASE, "gamma_R", grid, blocking)
+
     def test_scenario_and_parameter_are_checked_before_the_grid(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_sweep("quadruple_dot", BARE_BASE, "momentum", ())
@@ -440,7 +452,8 @@ class TestStiffRegime:
 # quantities row, StateVector and weight map per point ---
 
 def _reference_quantities(table, r):
-    """ChannelTable.quantities as one Python pass over the compiled cells."""
+    """The quantities ChannelTable.stack evaluates at one RateSet, as one
+    Python pass over the compiled cells."""
     if table.equal_amplitudes and not r.is_equal_amplitudes:
         raise ValueError(f"{table.label} assumes equal tunneling amplitudes; "
                          "primed widths must equal unprimed ones")
@@ -484,7 +497,11 @@ def _reference_rows(scenario, points, stacks, failure=None):
     for blocking in dict.fromkeys(p[2] for p in points):
         members = [k for k, p in enumerate(points) if p[2] == blocking]
         table = builders.scenario_table(scenario, blocking)
-        stack = table.stack([points[k][5] for k in members])
+        _, flat, coefs, of, _ = table._cells
+        dim = len(table.index)
+        stack = np.zeros((len(members), dim * dim))
+        stack[:, flat] = coefs * np.array([points[k][5] for k in members])[:, of]
+        stack = stack.reshape(-1, dim, dim)
         stacks.append(stack)
         values, errors = steady_states(stack, table.index)
         for k, v, err in zip(members, values, errors):

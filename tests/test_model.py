@@ -189,6 +189,13 @@ class TestPackUnpack:
         with pytest.raises(KeyError):
             pack(SINGLE_DOT_SET_INDEX, {"q": 1.0})
 
+    @pytest.mark.parametrize("values,shape", [(np.zeros(3), "(3,)"),
+                                              (np.zeros((4, 1)), "(4, 1)")])
+    def test_wrong_slot_count_rejected(self, values, shape):
+        with pytest.raises(ValueError) as refused:
+            StateVector(values, SINGLE_DOT_SET_INDEX)
+        assert str(refused.value) == f"expected 4 slots, got shape {shape}"
+
     def test_round_trip_exact(self):
         idx = DOUBLE_DOT_INDEX
         rng = np.random.default_rng(7)

@@ -303,6 +303,19 @@ class TestSvg:
             write_svg(table(), str(path), x_label="x")
         assert not path.exists()
 
+    def test_all_nan_rejected(self):
+        with pytest.raises(ValueError, match="^no finite currents to plot$"):
+            svg_text(table(*[(p, math.nan, math.nan, math.nan, math.nan, math.nan)
+                             for p in (1.0, 2.0)]), x_label="x")
+
+    def test_one_point_spans_a_unit_around_it(self):
+        # a single parameter value is widened by 0.5 on each side, so the
+        # axis still has five ticks
+        text = svg_text(table(ROW), x_label="x")
+        ticks = re.findall(r'text-anchor="middle">([^<]+)</text>', text)
+        assert ticks[:5] == ["0.5", "0.75", "1", "1.25", "1.5"]
+        assert text.count("<polyline") == 2
+
     def test_write_file(self, tmp_path):
         path = tmp_path / "plot.svg"
         write_svg(self.fig3_table(), str(path), x_label="Fermi level")

@@ -225,7 +225,7 @@ class TestStackedEngine:
                 for v in np.geomspace(1.0, 1e6, n).tolist()]
         assert assert_stack_matches_reference(gens) == 0
 
-    def test_failing_members_fail_alone(self):
+    def test_failing_members_fail_alone(self, monkeypatch):
         # a singular constrained system (null vector with zero trace), no
         # stationary direction, a residual beyond the bound and the zero
         # generator, between valid generators: each fails with its own
@@ -236,12 +236,27 @@ class TestStackedEngine:
                     [[0.0, 0.0], [0.0, 0.0]], [[-1.0, 2.0], [1.0, -2.0]])
         gens = [Generator(np.array(m), index, "synthetic") for m in matrices]
         assert assert_stack_matches_reference(gens) == 4
+        shapes = []
+        solve = np.linalg.solve
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
         _, errors = steady_states(np.stack([g.matrix for g in gens]), index)
         assert [type(e).__name__ for e in errors] == [
             "NoneType", "DegenerateSteadyState", "ValueError", "ArithmeticError",
             "DegenerateSteadyState", "NoneType"]
         assert str(errors[1]) == "constrained stationary system is singular: Singular matrix"
         assert isinstance(errors[1].__cause__, np.linalg.LinAlgError)
+        # the stacked LU fails on member 1, so each of the four members the
+        # rank test keeps is solved alone, and their own solutions start the
+        # refinement (two passes, the second leaving the bits unchanged):
+        # the stack is not solved again
+        assert shapes == [(4, 2, 2)] + [(2, 2)] * 4 + [(3, 2, 2)] * 2
+        # when every kept member is singular, none is left to refine
+        assert assert_stack_matches_reference([gens[1], gens[4], gens[1]]) == 3
 
 
 # the uniqueness proof that spares the SVD: the stiff rates of
@@ -260,8 +275,8 @@ BLOCK = solver._EXTENDED_BLOCK
 def _grid_stack(scenario, blocking, base, top, n=1000):
     table = scenario_table(scenario, blocking)
     param = SWEPT.get(scenario, "gamma_R")
-    rows = [table.quantities(base.replacing(param, v)) for v in np.geomspace(1.0, top, n).tolist()]
-    return table.stack(rows), table.index
+    rates = [base.replacing(param, v) for v in np.geomspace(1.0, top, n).tolist()]
+    return np.stack([table.generator(r).matrix for r in rates]), table.index
 
 
 @pytest.fixture
@@ -556,6 +571,15 @@ class TestEvolve:
         assert drift < 1e-9
         diag = list(g.index.diagonal_positions)
         assert traj.values[:, diag].min() > -1e-6
+
+    def test_zero_generator_takes_one_step(self):
+        # no entry bounds the step, so the default step is the whole run
+        index = IndexMap(("a", "b"))
+        g = Generator(np.zeros((2, 2)), index, "zero")
+        x0 = basis_state(index, "a")
+        traj = evolve(g, x0, 2.5)
+        assert traj.times.tolist() == [0.0, 2.5]
+        assert traj.values.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
     def test_default_step_guard(self):
         g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
