@@ -35,13 +35,7 @@ from .solver import (
     steady_state,
     steady_states,
 )
-from .analytic import (
-    EtaFactor,
-    amplification_ratio,
-    double_dot_current_bare,
-    double_dot_current_measured,
-    single_dot_current,
-)
+from .analytic import bare_current, dephased_current, single_dot_current
 from .experiments import SweepTable, run_fermi_sweep, run_sweep
 from .config import ConfigError, RunConfig, RunOptions, load_config, parse_config, parse_grid
 from .output import write_csv, write_svg, write_timeseries_csv

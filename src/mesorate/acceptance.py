@@ -15,12 +15,13 @@ from math import fsum
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import RATE_FIELDS, Generator, IndexMap, RateSet, basis_state, pack
+from .model import Generator, IndexMap, RateColumns, RateSet, basis_state, fixed_columns, pack
 from .solver import evolve, steady_states
 from .experiments import run_fermi_sweep
 
 SEED = 20260810
 N_RANDOM_SETS = 200
+N_RESIDUAL_SETS = 40
 RATE_DECADES = (-2.0, 2.0)      # widths and hopping drawn log-uniform in [1e-2, 1e2]
 DETUNING_RANGE = (-10.0, 10.0)
 ORACLE_RTOL = 1e-10
@@ -38,27 +39,27 @@ class CriterionResult:
     detail: str
 
 
-def _solve_all(scenario: str, rates: list[RateSet]):
-    """Generators of one scenario at many rate sets, shape (N, dim, dim),
-    assembled from the rate sets as rate columns, and their stationary
-    states, solved as one stack; the first failing point raises its error.
-    Returns the table, the generators, the states and the columns."""
+def _solve_all(scenario: str, columns: RateColumns, n: int):
+    """Generators of one scenario at n rows of rate columns, shape
+    (n, dim, dim), and their stationary states, solved as one stack; the
+    first failing point raises its error.  Returns the table, the
+    generators and the states."""
     table = builders.scenario_table(scenario)
-    columns = {name: np.array([getattr(r, name) for r in rates]) for name in RATE_FIELDS}
-    matrices, _, error = table.stack(columns, len(rates))
+    matrices, _, error = table.stack(columns, n)
     if error is not None:
         raise error
     values, errors = steady_states(matrices, table.index)
     for err in errors:
         if err is not None:
             raise err
-    return table, matrices, values, columns
+    return table, matrices, values
 
 
-def _currents(scenario: str, rates: list[RateSet]) -> dict[str, list[float]]:
-    """The stationary outputs of one scenario at each rate set, read from
-    the solved rows by the sweeps' reader, observables.stationary_outputs."""
-    table, _, values, columns = _solve_all(scenario, rates)
+def _currents(scenario: str, columns: RateColumns, n: int = 1) -> dict[str, list[float]]:
+    """The stationary outputs of one scenario at each of n rows of rate
+    columns, read from the solved rows by the sweeps' reader,
+    observables.stationary_outputs."""
+    table, _, values = _solve_all(scenario, columns, n)
     return observables.stationary_outputs(table, columns, values)
 
 
@@ -74,21 +75,51 @@ def _monotone_decreasing(errors, floor=MONOTONE_FLOOR) -> bool:
     return True
 
 
-def _draw_bare(rng) -> RateSet:
+def _drawn_columns(seed: int, n: int, dephased: bool) -> dict:
+    """n random rate sets as rate columns, each row drawn in turn from one
+    generator: Gamma_L, Gamma_R and Omega log-uniform over RATE_DECADES,
+    epsilon uniform over DETUNING_RANGE and, when dephased, gamma_L
+    log-uniform too; every other field is zero and each primed width
+    equals its unprimed one.  A uniform value is low + (high - low) * u,
+    as Generator.uniform computes it.  gamma_L's power is Python's scalar
+    one: numpy's array power can differ from it in the last bit."""
     lo, hi = RATE_DECADES
-    g_l, g_r, om = 10.0 ** rng.uniform(lo, hi, size=3)
-    eps = rng.uniform(*DETUNING_RANGE)
-    return RateSet(Gamma_L=g_l, Gamma_R=g_r, Omega=om, epsilon=eps)
+    u = np.random.default_rng(seed).random((n, 5 if dephased else 4))
+    g_l, g_r, om = (10.0 ** (lo + (hi - lo) * u[:, :3])).T
+    d_lo, d_hi = DETUNING_RANGE
+    eps = d_lo + (d_hi - d_lo) * u[:, 3]
+    drawn = {"Gamma_L": g_l, "Gamma_R": g_r, "Omega": om, "epsilon": eps}
+    if dephased:
+        drawn["gamma_L"] = np.array([10.0 ** e for e in (lo + (hi - lo) * u[:, 4]).tolist()])
+    zero = RateSet()
+    columns = fixed_columns(zero)
+    for name, values in drawn.items():
+        columns.update(dict.fromkeys(zero.swept_fields(name), values))
+    return columns
+
+
+# the fields the closed forms of criteria 1 and 2 take, in argument order
+_BARE_FIELDS = ("Gamma_L", "Gamma_R", "Omega", "epsilon")
+_DEPHASED_FIELDS = (*_BARE_FIELDS, "gamma_L")
+
+
+def _worst_rel_err(scenario: str, seed: int, dephased: bool) -> float:
+    """Largest relative error of the stationary I_S of scenario at
+    N_RANDOM_SETS drawn rate sets against the bare or dephased closed form,
+    fed each row's fields as Python floats."""
+    columns = _drawn_columns(seed, N_RANDOM_SETS, dephased)
+    form, names = ((analytic.dephased_current, _DEPHASED_FIELDS) if dephased
+                   else (analytic.bare_current, _BARE_FIELDS))
+    references = map(form, *(columns[name].tolist() for name in names))
+    worst = 0.0
+    for numeric, reference in zip(_currents(scenario, columns, N_RANDOM_SETS)["I_S"], references):
+        worst = max(worst, abs(numeric - reference) / abs(reference))
+    return worst
 
 
 def criterion_1() -> CriterionResult:
     """Bare coupled-dot steady current against its closed form."""
-    rng = np.random.default_rng(SEED)
-    rates = [_draw_bare(rng) for _ in range(N_RANDOM_SETS)]
-    worst = 0.0
-    for r, numeric in zip(rates, _currents(builders.DOUBLE_DOT_BARE, rates)["I_S"]):
-        reference = analytic.double_dot_current_bare(r)
-        worst = max(worst, abs(numeric - reference) / abs(reference))
+    worst = _worst_rel_err(builders.DOUBLE_DOT_BARE, SEED, dephased=False)
     return CriterionResult(
         1, "bare coupled-dot current matches the closed form",
         worst <= ORACLE_RTOL,
@@ -97,14 +128,7 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """Dephased coupled-dot steady current against its closed form."""
-    rng = np.random.default_rng(SEED + 1)
-    lo, hi = RATE_DECADES
-    rates = [_draw_bare(rng).replacing("gamma_L", float(10.0 ** rng.uniform(lo, hi)))
-             for _ in range(N_RANDOM_SETS)]
-    worst = 0.0
-    for r, numeric in zip(rates, _currents(builders.REDUCED_DOUBLE_DOT, rates)["I_S"]):
-        reference = analytic.double_dot_current_measured(r)
-        worst = max(worst, abs(numeric - reference) / abs(reference))
+    worst = _worst_rel_err(builders.REDUCED_DOUBLE_DOT, SEED + 1, dephased=True)
     return CriterionResult(
         2, "dephased coupled-dot current matches the closed form",
         worst <= ORACLE_RTOL,
@@ -117,11 +141,11 @@ def criterion_3() -> CriterionResult:
     ratio_errors = []
     for ratio in LIMIT_RATIOS:
         r = RateSet(gamma_L=1.0, gamma_R=ratio, Gamma_L=1.0, Gamma_R=1.0)
-        outputs = _currents(builders.SINGLE_DOT_SET, [r])
+        outputs = _currents(builders.SINGLE_DOT_SET, fixed_columns(r))
         i_s, delta = outputs["I_S"][0], outputs["Delta_I_D"][0]
         undistorted = analytic.single_dot_current(r.Gamma_L, r.Gamma_R)
         current_errors.append(abs(i_s - undistorted) / i_s)
-        ratio_errors.append(abs(delta / i_s - analytic.amplification_ratio(r)))
+        ratio_errors.append(abs(delta / i_s - analytic.amplification_ratio(r.gamma_L, r.Gamma_R)))
     ok = (_monotone_decreasing(current_errors) and _monotone_decreasing(ratio_errors)
           and current_errors[-1] < LIMIT_TOL and ratio_errors[-1] < LIMIT_TOL)
     return CriterionResult(
@@ -145,8 +169,9 @@ def criterion_4() -> CriterionResult:
         r = RateSet(gamma_L=1.0, gamma_R=ratio, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                     U1=1.0, U2=2.0)
         if target is None:
-            target = analytic.double_dot_current_measured(r)  # gamma_R-independent
-        numeric = _currents(builders.DOUBLE_DOT_SET, [r])["I_S"][0]
+            target = analytic.dephased_current(r.Gamma_L, r.Gamma_R, r.Omega, r.epsilon,
+                                               r.gamma_L)  # gamma_R-independent
+        numeric = _currents(builders.DOUBLE_DOT_SET, fixed_columns(r))["I_S"][0]
         errors.append(abs(numeric - target) / target)
     ok = _monotone_decreasing(errors) and errors[-1] < LIMIT_TOL
     return CriterionResult(
@@ -165,9 +190,9 @@ def criterion_5() -> CriterionResult:
     for gamma_l in (10.0, 100.0):
         r = RateSet(gamma_L=gamma_l, gamma_R=1e4 * gamma_l,
                     Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
-        measured = _currents(builders.DOUBLE_DOT_SET, [r])["I_S"][0]
-        bare = _currents(builders.DOUBLE_DOT_BARE, [r])["I_S"][0]
-        eta = analytic.EtaFactor.from_rates(r).eta
+        measured = _currents(builders.DOUBLE_DOT_SET, fixed_columns(r))["I_S"][0]
+        bare = _currents(builders.DOUBLE_DOT_BARE, fixed_columns(r))["I_S"][0]
+        eta = analytic.eta(r.gamma_L, r.Gamma_R)
         ratio = measured / bare
         rel = abs(ratio - 1.0 / eta) / (1.0 / eta)
         ok = ok and rel <= SUPPRESSION_TOL
@@ -184,8 +209,9 @@ def criterion_6() -> CriterionResult:
                    Omega=1.0, U1=1.0, U2=2.0)
     grid = np.linspace(0.1, 1.9, 13)
     table = run_fermi_sweep(base, 0.0, grid)
-    bare_value = analytic.double_dot_current_bare(base)
-    dephased_value = analytic.double_dot_current_measured(base)
+    bare_value = analytic.bare_current(base.Gamma_L, base.Gamma_R, base.Omega, base.epsilon)
+    dephased_value = analytic.dephased_current(base.Gamma_L, base.Gamma_R, base.Omega,
+                                               base.epsilon, base.gamma_L)
     blind = np.array(table.regime) == "blind"
     plateau = np.where(blind, bare_value, dephased_value)
     errors = np.abs(table["I_S_numeric"] - plateau) / plateau
@@ -341,12 +367,10 @@ def criterion_8() -> CriterionResult:
         diag = list(g.index.diagonal_positions)
         worst_negativity = max(worst_negativity, -float(traj.values[:, diag].min()))
 
-    rng = np.random.default_rng(SEED + 2)
-    rates = [_draw_bare(rng).replacing("gamma_L", float(10.0 ** rng.uniform(*RATE_DECADES)))
-             for _ in range(40)]
+    columns = _drawn_columns(SEED + 2, N_RESIDUAL_SETS, dephased=True)
     worst_residual = 0.0
     for scenario in (builders.DOUBLE_DOT_BARE, builders.REDUCED_DOUBLE_DOT):
-        _, matrices, values, _ = _solve_all(scenario, rates)
+        _, matrices, values = _solve_all(scenario, columns, N_RESIDUAL_SETS)
         for G, x in zip(matrices, values):
             worst_residual = max(worst_residual, float(np.abs(G @ x).max())
                                  / float(np.abs(G).sum(axis=1).max()))

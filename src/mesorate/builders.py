@@ -45,7 +45,7 @@ from math import fsum
 import numpy as np
 
 from .model import (Generator, IndexMap, RateColumns, RateSet, equal_amplitude_rows,
-                    fixed_columns, invalid_rows, take_rows)
+                    fixed_columns, refused_rows, take_rows)
 
 SINGLE_DOT_SET = "single_dot_set"
 DOUBLE_DOT_BARE = "double_dot_bare"
@@ -170,18 +170,16 @@ class ChannelTable:
         coefficient times a quantity, the single term of a quantity as is,
         else the fsum of its terms.  Also that first refused row (n if none)
         and its ValueError (else None).  A row is checked in the order a
-        point alone is: the RateSet rule (model.invalid_rows; the error is
-        that of the row's RateSet), then unequal amplitudes where the
-        scenario assumes them equal, then a quantity whose cells would
-        leave the float range, naming its fields.
+        point alone is: the RateSet rule (model.refused_rows), then unequal
+        amplitudes where the scenario assumes them equal, then a quantity
+        whose cells would leave the float range, naming its fields.
 
         A quantity that reads no array column is evaluated once, a one-term
         one is a column product and a summed one that reads an array column
         keeps its per-row fsum, so every row has the bits of its point alone.
         """
         keys, flat, coefs, of, gains = self._cells
-        invalid = invalid_rows(columns, n)
-        valid = int(invalid.argmax()) if invalid.any() else n
+        valid, error = refused_rows(columns, n)
         accepted = take_rows(columns, slice(valid))     # the rows the RateSet rule accepts
         unequal = np.zeros(valid, dtype=bool)
         if self.equal_amplitudes:
@@ -203,7 +201,7 @@ class ChannelTable:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(q * gains)
         refused = unequal | ~finite.all(axis=1)
-        first, error = valid, None
+        first = valid
         if refused.any():
             first = int(refused.argmax())
             if unequal[first]:
@@ -214,11 +212,6 @@ class ChannelTable:
                           for f, _ in terms]
                 error = ValueError(f"rates too large for {self.label}: a generator entry from "
                                    f"{', '.join(dict.fromkeys(fields))} overflows the float range")
-        elif valid < n:
-            try:
-                RateSet(**take_rows(columns, valid))     # for the row's own error
-            except ValueError as exc:
-                error = exc
         dim = len(self.index)
         g = np.zeros((first, dim * dim))
         g[:, flat] = coefs * q[:first, of]

@@ -62,20 +62,18 @@ class RateSet:
     def __post_init__(self):
         for name, twin in _PRIMED_TWIN.items():
             if getattr(self, twin) is None:
-                object.__setattr__(self, twin, float(getattr(self, name)))
+                object.__setattr__(self, twin, getattr(self, name))
         for name in RATE_FIELDS:
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in _WIDTH_FIELDS:
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"width {name} must be >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _, error = refused_rows(fixed_columns(self), 1)
+        if error is not None:
+            raise error
 
     @property
     def is_equal_amplitudes(self) -> bool:
-        """True when every primed width equals its unprimed counterpart."""
-        return all(getattr(self, t) == getattr(self, u) for u, t in _PRIMED_TWIN.items())
+        """True when every primed width equals its unprimed counterpart:
+        the one-row case of equal_amplitude_rows."""
+        return equal_amplitude_rows(fixed_columns(self))
 
     def swept_fields(self, name: str) -> tuple[str, ...]:
         """The fields a change of name sets: name itself and, when name is
@@ -114,22 +112,32 @@ def sweep_columns(base: RateSet, name: str, values: np.ndarray) -> dict:
     return {**fixed_columns(base), **dict.fromkeys(base.swept_fields(name), values)}
 
 
-def invalid_rows(columns: RateColumns, n: int) -> np.ndarray:
-    """Mask of the n rows RateSet refuses: a non-finite value or a negative
-    width in an array column.  Float columns come from a validated RateSet
-    and are not checked again."""
+def refused_rows(columns: RateColumns, n: int) -> tuple[int, ValueError | None]:
+    """The first of n rows of rate columns that the RateSet rule refuses
+    (n if none) and that row's ValueError (None if none): its first
+    non-finite field in RATE_FIELDS order, else its first negative width,
+    unprimed before primed."""
     bad = np.zeros(n, dtype=bool)
     for name, v in columns.items():
         if isinstance(v, np.ndarray):
-            bad |= ~np.isfinite(v)
-            if name in _WIDTH_FIELDS:
-                bad |= v < 0.0
-    return bad
+            bad |= ~np.isfinite(v) | (v < 0.0 if name in _WIDTH_FIELDS else False)
+    # a float column is in every row, so row 0 is the first refused when one
+    # breaks the rule; else it is the first row an array column breaks it in
+    for first in [0, *np.flatnonzero(bad)[:1].tolist()] if n else []:
+        row = {name: float(v[first] if isinstance(v, np.ndarray) else v)
+               for name, v in columns.items()}
+        for name in RATE_FIELDS:
+            if not math.isfinite(row[name]):
+                return first, ValueError(f"{name} must be finite, got {row[name]!r}")
+        for name in _WIDTH_FIELDS:
+            if row[name] < 0.0:
+                return first, ValueError(f"width {name} must be >= 0, got {row[name]}")
+    return n, None
 
 
 def equal_amplitude_rows(columns: RateColumns):
-    """RateSet.is_equal_amplitudes of every row: a bool when no twin pair
-    holds an array column, else a mask."""
+    """Whether each row's primed widths equal its unprimed ones: a bool
+    when no twin pair holds an array column, else a mask."""
     equal = True
     for name, twin in _PRIMED_TWIN.items():
         equal = equal & (columns[name] == columns[twin])

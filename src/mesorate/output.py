@@ -15,6 +15,7 @@ and the file writer streams the pieces, not rows.  The sweep table is one
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterator
 
 import numpy as np
@@ -161,7 +162,10 @@ def svg_text(table: SweepTable, x_label: str) -> str:
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys), max(ys)
     if xhi == xlo:
-        xlo, xhi = xlo - 0.5, xhi + 0.5
+        # a unit around one value; from |x| = 2**53 up x + 0.5 == x, so a
+        # large value takes a margin of |x| * 2**-30, kept in the float range
+        half = max(0.5, abs(xlo) * 2.0 ** -30)
+        xlo, xhi = max(xlo - half, -sys.float_info.max), min(xhi + half, sys.float_info.max)
     pad = 0.05 * (yhi - ylo) if yhi > ylo else max(abs(yhi), 1.0) * 0.05
     ylo, yhi = ylo - pad, yhi + pad
 

@@ -7,9 +7,11 @@ the `mesorate validate` command prints the same report).
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
-from mesorate import acceptance, cli_main
+from mesorate import RateSet, acceptance, cli_main
+from mesorate.model import RATE_FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,39 @@ def test_criterion_7_fails_under_its_own_title(results, monkeypatch):
     assert r.passed is False
     assert r.title == results[7].title
     assert r.detail.startswith("double_dot_set matrix differs for RateSet(")
+
+
+# --- row-by-row reference of the random rate sets of criteria 1, 2 and 8:
+# one RateSet per row, each drawn by Generator.uniform, gamma_L's power a
+# Python scalar one ---
+
+def _draw_bare(rng):
+    lo, hi = acceptance.RATE_DECADES
+    g_l, g_r, om = 10.0 ** rng.uniform(lo, hi, size=3)
+    eps = rng.uniform(*acceptance.DETUNING_RANGE)
+    return RateSet(Gamma_L=g_l, Gamma_R=g_r, Omega=om, epsilon=eps)
+
+
+def _row_draws(seed, n, dephased):
+    rng = np.random.default_rng(seed)
+    if not dephased:
+        return [_draw_bare(rng) for _ in range(n)]
+    lo, hi = acceptance.RATE_DECADES
+    return [_draw_bare(rng).replacing("gamma_L", float(10.0 ** rng.uniform(lo, hi)))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed, n, dephased", [
+    (acceptance.SEED, acceptance.N_RANDOM_SETS, False),
+    (acceptance.SEED + 1, acceptance.N_RANDOM_SETS, True),
+    (acceptance.SEED + 2, acceptance.N_RESIDUAL_SETS, True),
+], ids=["criterion_1", "criterion_2", "criterion_8"])
+def test_drawn_columns_equal_row_by_row_draws(seed, n, dephased):
+    # bit for bit, so that validate's numbers cannot move with the draw
+    columns = acceptance._drawn_columns(seed, n, dephased)
+    for name in RATE_FIELDS:
+        expected = np.array([getattr(r, name) for r in _row_draws(seed, n, dephased)])
+        assert np.broadcast_to(columns[name], n).tobytes() == expected.tobytes(), name
 
 
 def test_criterion_8_conservation_and_positivity(results):

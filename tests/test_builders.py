@@ -6,7 +6,7 @@ from mesorate import (
     REGIMES,
     BlockingConfig,
     RateSet,
-    double_dot_current_bare,
+    bare_current,
     scenario_table,
     steady_state,
 )
@@ -103,7 +103,7 @@ class TestDoubleDotBare:
             x = steady_state(scenario_table("double_dot_bare").generator(r))
             w = scenario_table("double_dot_bare").weights(r)
             assert one_current(x, w["system"]) == pytest.approx(
-                double_dot_current_bare(r), rel=1e-10)
+                bare_current(r.Gamma_L, r.Gamma_R, r.Omega, r.epsilon), rel=1e-10)
 
 
 class TestDoubleDotSet:
@@ -169,7 +169,7 @@ class TestDoubleDotSet:
                         Omega=1.0, epsilon=eps, U1=2.0, U2=2.0)
             i_s = one_current(steady_state(scenario_table("double_dot_set").generator(r)),
                               scenario_table("double_dot_set").weights(r)["system"])
-            assert i_s < double_dot_current_bare(r)
+            assert i_s < bare_current(r.Gamma_L, r.Gamma_R, r.Omega, r.epsilon)
 
 
 class TestReducedDoubleDot:

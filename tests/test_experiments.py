@@ -8,8 +8,8 @@ from mesorate import (
     BlockingConfig,
     DegenerateSteadyState,
     RateSet,
-    double_dot_current_bare,
-    double_dot_current_measured,
+    bare_current,
+    dephased_current,
     run_fermi_sweep,
     run_sweep,
     scenario_table,
@@ -27,6 +27,12 @@ from test_observables import reference_current, reference_delta_detector_current
 BARE_BASE = RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
 SET_BASE = RateSet(gamma_L=1.0, gamma_R=1.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                    U1=1.0, U2=2.0)
+
+
+def closed_form_args(r):
+    """r's fields in dephased_current's argument order; the first four
+    are bare_current's."""
+    return r.Gamma_L, r.Gamma_R, r.Omega, r.epsilon, r.gamma_L
 
 
 class TestSweepArguments:
@@ -124,7 +130,7 @@ class TestRunSweep:
 
     def test_detector_ratio_convergence_study(self):
         table = run_sweep("double_dot_set", SET_BASE, "gamma_R", (1e2, 1e3, 1e4))
-        target = double_dot_current_measured(SET_BASE)
+        target = dephased_current(*closed_form_args(SET_BASE))
         errors = np.abs(table["I_S_numeric"] - target)
         assert errors[0] > errors[1] > errors[2]
         assert table["I_S_analytic"][0] == pytest.approx(target, rel=1e-15)
@@ -193,7 +199,7 @@ class TestSweepErrors:
     def test_unrepresentable_closed_form_is_a_nan_reference(self):
         # Gamma_R**2 overflows at 1e200: the reference is NaN, the row is kept
         table = run_sweep("double_dot_set", SET_BASE, "Gamma_R", (1.0, 1e200))
-        assert table["I_S_analytic"][0] == double_dot_current_measured(SET_BASE)
+        assert table["I_S_analytic"][0] == dephased_current(*closed_form_args(SET_BASE))
         assert math.isnan(table["I_S_analytic"][1])
 
     # Omega**2 underflows to 0 at Omega = 1e-170, and with it both terms of
@@ -350,8 +356,8 @@ class TestFermiSweep:
     def test_two_plateau_step(self):
         grid = [0.2, 0.6, 1.0, 1.4, 1.8]
         table = run_fermi_sweep(self.BASE, self.E0, grid)
-        bare = double_dot_current_bare(self.BASE)
-        dephased = double_dot_current_measured(self.BASE)
+        bare = bare_current(*closed_form_args(self.BASE)[:4])
+        dephased = dephased_current(*closed_form_args(self.BASE))
         for param, i_s, reference, regime in zip(table["param"], table["I_S_numeric"],
                                                   table["I_S_analytic"], table.regime):
             if param < 1.0:
@@ -370,7 +376,7 @@ class TestFermiSweep:
 
     def test_entirely_blind_grid_matches_bare_value(self):
         table = run_fermi_sweep(self.BASE, self.E0, [0.3, 0.5, 0.7])
-        bare = double_dot_current_bare(self.BASE)
+        bare = bare_current(*closed_form_args(self.BASE)[:4])
         assert table["I_S_numeric"] == pytest.approx(bare, rel=1e-2)
 
     def test_grid_below_detector_level_rejected(self):
@@ -482,9 +488,9 @@ def _reference_closed_form(scenario, r):
         if scenario == builders.SINGLE_DOT_SET:
             return analytic.single_dot_current(r.Gamma_L, r.Gamma_R)
         if scenario == builders.DOUBLE_DOT_BARE:
-            return analytic.double_dot_current_bare(r)
+            return analytic.bare_current(*closed_form_args(r)[:4])
         if scenario in (builders.REDUCED_DOUBLE_DOT, builders.DOUBLE_DOT_SET):
-            return analytic.double_dot_current_measured(r)
+            return analytic.dephased_current(*closed_form_args(r))
     except (ValueError, ArithmeticError):
         return math.nan
     return math.nan

@@ -14,7 +14,7 @@ from mesorate import (
 )
 from mesorate.analytic import single_dot_current
 from mesorate.builders import DETECTOR_ENTRY
-from mesorate.model import fixed_columns, invalid_rows, sweep_columns
+from mesorate.model import fixed_columns, refused_rows, sweep_columns
 from mesorate.observables import currents, detector_drops
 
 # --- per-state reference: the weighted occupation sum as one fsum over the
@@ -91,7 +91,42 @@ class TestWeightsFor:
         with pytest.raises(ValueError, match=">= 0"):
             scenario_table("single_dot_set").weights(RateSet(gamma_L=1, gamma_R=-1.0))
         columns = sweep_columns(ALL_ONES, "gamma_R", np.array([1.0, -1.0]))
-        assert invalid_rows(columns, 2).tolist() == [False, True]
+        first, error = refused_rows(columns, 2)
+        assert first == 1 and str(error) == "width gamma_R must be >= 0, got -1.0"
+
+
+class TestRefusedRows:
+    # the RateSet rule on rate columns: the first refused row, with the
+    # message of its first fault, non-finite before negative and unprimed
+    # widths before primed ones
+    def columns(self, **fields):
+        n = max(len(v) for v in fields.values())
+        return {**fixed_columns(ALL_ONES), **{f: np.array(v) for f, v in fields.items()}}, n
+
+    def test_non_finite_is_named_before_a_negative_width(self):
+        columns, n = self.columns(gamma_L=[1.0, -1.0], U2=[0.0, math.nan])
+        first, error = refused_rows(columns, n)
+        assert first == 1 and str(error) == "U2 must be finite, got nan"
+
+    def test_unprimed_width_is_named_before_primed(self):
+        columns, n = self.columns(Gamma_R=[-2.0], gamma_L_p=[-1.0])
+        assert str(refused_rows(columns, n)[1]) == "width Gamma_R must be >= 0, got -2.0"
+
+    def test_first_bad_row_is_reported(self):
+        columns, n = self.columns(gamma_R=[1.0, 2.0, -3.0, math.inf, -5.0])
+        first, error = refused_rows(columns, n)
+        assert first == 2 and str(error) == "width gamma_R must be >= 0, got -3.0"
+        columns, n = self.columns(epsilon=[0.0, -math.inf, math.nan])
+        first, error = refused_rows(columns, n)
+        assert first == 1 and str(error) == "epsilon must be finite, got -inf"
+        # a float column is in every row: breaking the rule, it refuses row 0
+        columns, n = self.columns(gamma_R=[1.0, -3.0])
+        first, error = refused_rows({**columns, "Gamma_L_p": -0.5}, n)
+        assert first == 0 and str(error) == "width Gamma_L_p must be >= 0, got -0.5"
+
+    def test_clean_table_refuses_no_row(self):
+        columns, n = self.columns(Gamma_L=[0.0, 1.0, 1e300], epsilon=[-1.0, 0.0, 1.0])
+        assert refused_rows(columns, n) == (3, None)
 
 
 class TestCurrent:

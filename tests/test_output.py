@@ -316,6 +316,18 @@ class TestSvg:
         assert ticks[:5] == ["0.5", "0.75", "1", "1.25", "1.5"]
         assert text.count("<polyline") == 2
 
+    @pytest.mark.parametrize("param", [1e20, -1e300, 1.7976931348623157e308])
+    def test_one_point_far_from_zero_spans_a_margin_around_it(self, param):
+        # +-0.5 would be absorbed here: the margin is relative to |param|,
+        # and at the largest float it stays in the float range
+        text = svg_text(table((param, *ROW[1:])), x_label="x")
+        ticks = re.findall(r'text-anchor="middle">([^<]+)</text>', text)[:5]
+        assert len(ticks) == 5 and not any(t in ("inf", "-inf", "nan") for t in ticks)
+        x = float(re.findall(r'<polyline points="([\d.]+),', text)[-1])
+        assert 80.0 < x <= 616.0
+        if abs(param) < 1e308:
+            assert x == 348.0      # centred
+
     def test_write_file(self, tmp_path):
         path = tmp_path / "plot.svg"
         write_svg(self.fig3_table(), str(path), x_label="Fermi level")
