@@ -30,9 +30,9 @@ detector collector and detector backflow channel to its width, and
 observables.currents reads every current through those maps.
 
 Multi-term cells are math.fsum, the correctly rounded sum in any order.
-Sign-of-zero rule: a single-term cell holds its width as is and a loss
-cell is the negated sum, so an all-zero loss reads -0.0; the generalized
-scenario sums every rate cell with fsum over signed terms, giving +0.0.
+One sign-of-zero rule compiles every scenario: a single-term cell holds
+its field as is and a loss cell is the negated sum, so an all-zero loss
+reads -0.0.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ class Channel:
 
 @dataclass(frozen=True)
 class ChannelTable:
-    """One scenario.  Detuning terms are (RateSet field, sign), dephasing
-    lists pure-dephasing widths; rule_sums picks the generalized
-    scenario's sign-of-zero rule."""
+    """One scenario, compiled by the module's one rule set, sign of zero
+    included.  Detuning terms are (RateSet field, sign), dephasing lists
+    pure-dephasing widths."""
 
     label: str
     index: IndexMap
@@ -123,18 +123,15 @@ class ChannelTable:
     coherences: tuple = ()
     dephasing: tuple[str, ...] = ()
     equal_amplitudes: bool = False
-    rule_sums: bool = False
 
     @cached_property
     def _cells(self):
         pos = {lab: self.index.diagonal(lab) for lab in self.index.diagonal_labels}
-        forced = self.rule_sums
-        loss, loss_sign = (1.0, -1.0) if forced else (-1.0, 1.0)    # sign-of-zero rule
-        cells = {}                      # (row, col) -> (coefficient, terms, forced)
+        cells = {}                      # (row, col) -> (coefficient, terms)
         for ch in self.channels:                                        # rule 1
             src, dst = pos[ch.source], pos[ch.destination]
-            cells.setdefault((dst, src), (1.0, [], forced))[1].append((ch.rate, 1.0))
-            cells.setdefault((src, src), (loss, [], forced))[1].append((ch.rate, loss_sign))
+            cells.setdefault((dst, src), (1.0, []))[1].append((ch.rate, 1.0))
+            cells.setdefault((src, src), (-1.0, []))[1].append((ch.rate, 1.0))
 
         exits = {(ch.source, ch.destination, ch.rate) for ch in self.channels
                  if ch.kind in (DETECTOR_COLLECTOR, DETECTOR_BACKFLOW)}
@@ -142,26 +139,26 @@ class ChannelTable:
         for (p, q), detuning in self.coherences:
             u, v = self.index.coherence((p, q))
             rates = [ch.rate for ch in self.channels if ch.source in (p, q)] + list(self.dephasing)
-            cells[(u, u)] = cells[(v, v)] = (-0.5, [(f, 1.0) for f in rates], forced)  # rule 2
+            cells[(u, u)] = cells[(v, v)] = (-0.5, [(f, 1.0) for f in rates])      # rule 2
             for row, col, coef, terms in ((u, v, -1.0, detuning), (v, u, 1.0, detuning),  # rule 3
                                           (pos[p], v, -2.0, omega), (pos[q], v, 2.0, omega),
                                           (v, pos[p], 1.0, omega), (v, pos[q], -1.0, omega)):
-                cells[(row, col)] = (coef, terms, False)
+                cells[(row, col)] = (coef, terms)
             for (p2, q2), _ in self.coherences:                         # rule 4
                 feed = [(f, 1.0) for src, dst, f in sorted(exits)
                         if (src, dst) == (p, p2) and (q, q2, f) in exits]
                 if feed:
                     u2, v2 = self.index.coherence((p2, q2))
-                    cells[(u2, u)] = cells[(v2, v)] = (1.0, feed, forced)
+                    cells[(u2, u)] = cells[(v2, v)] = (1.0, feed)
 
-        keys = [(tuple(terms), force) for _, terms, force in cells.values()]
+        keys = [tuple(terms) for _, terms in cells.values()]
         quantities = list(dict.fromkeys(keys))
         of = [quantities.index(key) for key in keys]
         gains = [0.0] * len(quantities)     # largest |coefficient| applied to each quantity
-        for k, (coef, _, _) in zip(of, cells.values()):
+        for k, (coef, _) in zip(of, cells.values()):
             gains[k] = max(gains[k], abs(coef))
         return (quantities, np.array([row * len(self.index) + col for row, col in cells]),
-                np.array([coef for coef, _, _ in cells.values()]), np.array(of), gains)
+                np.array([coef for coef, _ in cells.values()]), np.array(of), gains)
 
     def stack(self, columns: RateColumns,
               n: int) -> tuple[np.ndarray, int, ValueError | None]:
@@ -185,9 +182,9 @@ class ChannelTable:
         if self.equal_amplitudes:
             unequal |= ~np.asarray(equal_amplitude_rows(accepted))
         q = np.empty((valid, len(keys)))
-        for k, (terms, force) in enumerate(keys):
+        for k, terms in enumerate(keys):
             values = [s * accepted[f] for f, s in terms]
-            if not force and len(terms) == 1:
+            if len(terms) == 1:
                 q[:, k] = values[0]
             elif not any(isinstance(v, np.ndarray) for v in values):
                 q[:, k] = _fsum_or_nan(values)
@@ -208,7 +205,7 @@ class ChannelTable:
                 error = ValueError(f"{self.label} assumes equal tunneling amplitudes; "
                                    "primed widths must equal unprimed ones")
             else:
-                fields = [f for (terms, _), ok in zip(keys, finite[first].tolist()) if not ok
+                fields = [f for terms, ok in zip(keys, finite[first].tolist()) if not ok
                           for f, _ in terms]
                 error = ValueError(f"rates too large for {self.label}: a generator entry from "
                                    f"{', '.join(dict.fromkeys(fields))} overflows the float range")
@@ -305,7 +302,7 @@ def _compiled_table(scenario: str, blocking: BlockingConfig | None) -> ChannelTa
              else IndexMap(("a", "a'", "b", "b'", "c", "c'"), (("b", "c"), ("b'", "c'"))))
     return ChannelTable(scenario, index, tuple(channels), tuple(coherences),
                         ("gamma_L",) if scenario == REDUCED_DOUBLE_DOT else (),
-                        equal_amplitudes, scenario == GENERALIZED_DOUBLE_DOT_SET)
+                        equal_amplitudes)
 
 
 def build_generalized_double_dot_set(r: RateSet, cfg: BlockingConfig) -> Generator:

@@ -172,7 +172,7 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:    # drops a leading byte-order mark
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

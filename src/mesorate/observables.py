@@ -41,15 +41,10 @@ def currents(index: IndexMap, weights: Mapping, values: np.ndarray) -> list[floa
 
 def detector_drops(columns: RateColumns, detector_currents: list[float]) -> list[float]:
     """Drop of each row's detector current below the bare resonant
-    detector current of its unprimed detector widths, which is evaluated
-    once unless a detector width is an array column."""
-    gamma_l, gamma_r = columns["gamma_L"], columns["gamma_R"]
+    detector current of its unprimed detector widths."""
     n = len(detector_currents)
-    if isinstance(gamma_l, np.ndarray) or isinstance(gamma_r, np.ndarray):
-        bare = list(map(single_dot_current, np.broadcast_to(gamma_l, n).tolist(),
-                        np.broadcast_to(gamma_r, n).tolist()))
-    else:
-        bare = [single_dot_current(gamma_l, gamma_r)] * n
+    bare = map(single_dot_current, np.broadcast_to(columns["gamma_L"], n).tolist(),
+               np.broadcast_to(columns["gamma_R"], n).tolist())
     return [b - i for b, i in zip(bare, detector_currents)]
 
 

@@ -92,31 +92,27 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
     # or "inf", so the one % of a piece fills exactly the t slots
     row_format = "%%.17g" + ",%.17g" * (len(header) - 1) + "\n"
 
-    def block(lo: int, known: dict):
-        """Yield the lines of the block at lo, a piece at a time, given
-        known, the row formats of rows of the block before by their bytes;
-        return those of its own rows.  A block without a repeated row has
-        not settled, so its formats are not kept."""
-        rows = slice(lo, lo + _BLOCK)
-        keys = _row_keys(traj.values[rows])
-        distinct = dict.fromkeys(keys)
-        formats = {key: known[key] for key in distinct if key in known}
-        fresh = [key for key in distinct if key not in formats]
-        values = np.frombuffer(b"".join(fresh), dtype=float).reshape(len(fresh), len(traj.index))
-        sums = [currents(traj.index, w, values) for w in weights]
-        formats.update(zip(fresh, [row_format % (*sample, *row_sums)
-                                   for sample, *row_sums in zip(values.tolist(), *sums)]))
-        times = traj.times[rows].tolist()
-        for p in range(0, len(keys), _PIECE):
-            piece = slice(p, p + _PIECE)
-            yield "".join(map(formats.__getitem__, keys[piece])) % tuple(times[piece])
-        return formats if len(formats) < len(keys) else {}
+    dim = len(traj.index)
 
     def lines():
         yield ",".join(header) + "\n"
-        known = {}
+        known = {}      # row formats by bytes, of the block before if it repeated a row
         for lo in range(0, len(traj.times), _BLOCK):
-            known = yield from block(lo, known)
+            rows = slice(lo, lo + _BLOCK)
+            keys = _row_keys(traj.values[rows])
+            distinct = dict.fromkeys(keys)
+            formats = {key: known[key] for key in distinct if key in known}
+            fresh = [key for key in distinct if key not in formats]
+            values = np.frombuffer(b"".join(fresh), dtype=float).reshape(len(fresh), dim)
+            sums = [currents(traj.index, w, values) for w in weights]
+            formats.update(zip(fresh, [row_format % (*sample, *row_sums)
+                                       for sample, *row_sums in zip(values.tolist(), *sums)]))
+            times = traj.times[rows].tolist()
+            for p in range(0, len(keys), _PIECE):
+                piece = slice(p, p + _PIECE)
+                yield "".join(map(formats.__getitem__, keys[piece])) % tuple(times[piece])
+            # a block without a repeated row has not settled, so its formats are not kept
+            known = formats if len(formats) < len(keys) else {}
 
     return lines()
 

@@ -68,6 +68,20 @@ def test_criterion_7_fails_under_its_own_title(results, monkeypatch):
     assert r.detail.startswith("double_dot_set matrix differs for RateSet(")
 
 
+def test_criterion_7_sees_the_sign_of_a_zero(monkeypatch):
+    # np.array_equal takes -0.0 for 0.0; criterion 7 compares raw bytes
+    hand_coded = acceptance._hand_coded_double_dot_set
+
+    def negated_zeros(r):
+        g = hand_coded(r)
+        return dataclasses.replace(g, matrix=np.where(g.matrix == 0.0, -g.matrix, g.matrix))
+
+    monkeypatch.setattr(acceptance, "_hand_coded_double_dot_set", negated_zeros)
+    r = acceptance.criterion_7()
+    assert r.passed is False
+    assert r.detail.startswith("double_dot_set matrix differs for RateSet(")
+
+
 # --- row-by-row reference of the random rate sets of criteria 1, 2 and 8:
 # one RateSet per row, each drawn by Generator.uniform, gamma_L's power a
 # Python scalar one ---

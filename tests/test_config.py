@@ -1,11 +1,12 @@
+import codecs
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from mesorate import (BlockingConfig, ConfigError, RateSet, experiments, parse_config,
-                      parse_grid, run_fermi_sweep)
+from mesorate import (BlockingConfig, ConfigError, RateSet, experiments, load_config,
+                      parse_config, parse_grid, run_fermi_sweep)
 from mesorate.builders import scenario_table
 from mesorate.config import MAX_GRID_POINTS, RunConfig, RunOptions, required_rates
 
@@ -238,6 +239,12 @@ class TestParsedConfig:
             E0=None,
             run=RunOptions(t_final=40.0, dt=0.01),
         )
+
+    def test_file_with_a_byte_order_mark(self, tmp_path):
+        # Windows editors may start a UTF-8 file with a byte-order mark
+        path = tmp_path / "run.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + FULL.encode())
+        assert load_config(str(path)) == parse_config(FULL)
 
     def test_energies_section_sets_only_the_energy(self):
         cfg = parse_config(FULL + "\n[energies]\nE0 = 0.25\n")

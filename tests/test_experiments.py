@@ -466,14 +466,14 @@ def _reference_quantities(table, r):
     keys, gains = table._cells[0], table._cells[4]
     try:
         q = [math.fsum([s * getattr(r, f) for f, s in terms])
-             if force or len(terms) != 1 else terms[0][1] * getattr(r, terms[0][0])
-             for terms, force in keys]
+             if len(terms) != 1 else terms[0][1] * getattr(r, terms[0][0])
+             for terms in keys]
         if all(math.isfinite(g * v) for g, v in zip(gains, q)):
             return q
     except OverflowError:
         pass
     fields = []
-    for (terms, _), gain in zip(keys, gains):
+    for terms, gain in zip(keys, gains):
         try:
             finite = math.isfinite(gain * math.fsum([s * getattr(r, f) for f, s in terms]))
         except OverflowError:

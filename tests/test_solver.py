@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from exact import exact_solution
 from mesorate import (
     GENERALIZED_DOUBLE_DOT_SET,
     REGIMES,
@@ -104,30 +105,6 @@ def assert_stack_matches_reference(gens):
     return failed
 
 
-def rational_steady_state(matrix_rows):
-    """Independent oracle: exact Gaussian elimination over rationals.
-
-    Solves G x = 0 with the entries of x summing to 1, using
-    fractions.Fraction throughout, so it shares no code or arithmetic with
-    the floating-point solver under test.
-    """
-    from fractions import Fraction
-
-    n = len(matrix_rows)
-    # replace the first balance row (linearly dependent) by normalization
-    aug = [[Fraction(1)] * n + [Fraction(1)]]
-    for row in matrix_rows[1:]:
-        aug.append([Fraction(v) for v in row] + [Fraction(0)])
-    for col in range(n):
-        pivot = next(k for k in range(col, n) if aug[k][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for k in range(n):
-            if k != col and aug[k][col] != 0:
-                factor = aug[k][col] / aug[col][col]
-                aug[k] = [a - factor * b for a, b in zip(aug[k], aug[col])]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
-
-
 class TestSteadyState:
     def test_all_ones_single_dot(self):
         x = steady_state(scenario_table("single_dot_set").generator(ALL_ONES_SINGLE))
@@ -147,13 +124,13 @@ class TestSteadyState:
         ]
         for r in cases:
             g = scenario_table("single_dot_set").generator(r)
-            expected = rational_steady_state([[F(v) for v in row] for row in g.matrix])
+            expected = exact_solution(g.matrix, len(g.index.diagonal_positions))
             x = steady_state(g)
             for got, want in zip(x.values, expected):
                 assert got == pytest.approx(float(want), rel=1e-13, abs=1e-15)
         # the frozen all-ones value comes out of the oracle too
         g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
-        oracle = rational_steady_state([[F(v) for v in row] for row in g.matrix])
+        oracle = exact_solution(g.matrix, len(g.index.diagonal_positions))
         assert oracle == [F(5, 16), F(7, 16), F(3, 16), F(1, 16)]
 
     def test_absorbing_state_without_hopping(self):
