@@ -19,9 +19,12 @@ one SVD call on the rest of the stack; the two never disagree
 Time evolution is fixed-step classical RK4 with a guarded default step.
 For a constant generator one RK4 step is exactly the matrix polynomial
 P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, so P is built once per run
-and each step is one product P x written into a row of one
-(n_samples, dim) array; the trace is still checked after every step.  A
-run normally outlasts its relaxation: once a step returns its input bit
+(a P that overflows is refused before the first step) and each step is
+one product P x written in place into its row of one (n_samples, dim)
+array.  The steps run in chunks, and the trace of every step of a chunk
+is checked after the chunk, in step order, so a run fails at the step,
+and with the message, that checking each step as it is made would give.
+A run normally outlasts its relaxation: once a step returns its input bit
 for bit, a floating-point fixed point of P, every later step would
 repeat it, so the remaining rows are filled with it instead of stepping.
 The trace budget, the step cap and the rank test's tolerance are the
@@ -43,6 +46,7 @@ TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
 MAX_STEPS = 1_000_000          # most steps one evolve run may take
 RANK_TOL = 1e-10               # singular values at or below RANK_TOL * sigma_max count as null
 _EXTENDED_BLOCK = 64           # members per refinement block and per rank-test proof block
+_TRACE_ROWS = 256              # samples whose diagonal slots evolve reads as one list
 
 
 class DegenerateSteadyState(RuntimeError):
@@ -288,12 +292,18 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     (default: the stability guard 0.1/max|G|), so the last sample lands
     exactly on t_final.  The RK4 step of the constant generator is built
     once as the propagator P and each step is the one product P x, which
-    agrees with the stage-wise step to rounding.
+    agrees with the stage-wise step to rounding; a P that is not finite
+    (the polynomial overflowed) raises StepTooLarge before the first step.
 
-    The trace is checked after every step, not once on P: a per-step trace
+    The trace of every step is checked, not once on P: a per-step trace
     drift beyond TRACE_BUDGET_PER_STEP (or a NaN) raises StepTooLarge, so
     a run whose step is unstable stops where it blows up.  A well-formed
-    generator keeps the drift at rounding level.
+    generator keeps the drift at rounding level.  Each product is written
+    in place into its row, a chunk of steps at a time (see below), and the
+    traces of a chunk's steps are checked after it, in step order: the
+    first step over budget raises, with the message checking each step as
+    it is made would give, and the rows stepped past it, which may have
+    overflowed without a warning, are discarded.
 
     A step that returns its input bit for bit (its trace checked) found a
     fixed point of P in floating point: every later step would compute
@@ -328,7 +338,10 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
             "t_final, or use steady_state for the stationary answer")
     n_steps = max(1, math.ceil(steps))
     h = t_final / n_steps
-    P = _rk4_propagator(g.matrix, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _rk4_propagator(g.matrix, h)
+    if not np.isfinite(P).all():
+        raise StepTooLarge(f"the RK4 propagator of a step of {h:.3e} overflows; shrink dt")
     # IndexMap puts the diagonal slots first
     n_diag = len(g.index.diagonal_positions)
 
@@ -338,14 +351,18 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     lo = 0
     while lo < n_steps:             # in chunks of half the steps taken so far
         hi = min(lo + lo // 2 + 1, n_steps)
-        for k in range(lo + 1, hi + 1):
-            x = values[k] = P @ x
-            trace_next = math.fsum(x[:n_diag].tolist())
-            drift = abs(trace_next - trace)
-            if not drift <= TRACE_BUDGET_PER_STEP:
-                raise StepTooLarge(
-                    f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
-            trace = trace_next
+        # rows past a step over budget are discarded, so they may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in values[lo + 1:hi + 1]:
+                x = np.dot(P, x, out=row)
+        for a in range(lo + 1, hi + 1, _TRACE_ROWS):
+            for diagonal in values[a:min(a + _TRACE_ROWS, hi + 1), :n_diag].tolist():
+                trace_next = math.fsum(diagonal)
+                drift = abs(trace_next - trace)
+                if not drift <= TRACE_BUDGET_PER_STEP:
+                    raise StepTooLarge(
+                        f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
+                trace = trace_next
         if values[hi].tobytes() == values[hi - 1].tobytes():
             values[hi + 1:] = values[hi]
             break

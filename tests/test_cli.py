@@ -99,6 +99,21 @@ class TestEvolve:
             "numerical failure: trace moved by 2.375e-07 in one step of 2.000e+00; shrink dt\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("gamma_R", ["1e80", "1e200"])
+    def test_overflowing_propagator_is_numerical_failure(self, tmp_path, capsys, gamma_R):
+        # at dt = 0.02 the RK4 polynomial in h * G overflows (its fourth
+        # power at 1e80, its square at 1e200): refused before the first
+        # step, with one line and no numpy warning
+        p = tmp_path / "overflow.cfg"
+        p.write_text(SET_CFG.replace("gamma_R = 100.0", f"gamma_R = {gamma_R}")
+                     + "\n[run]\nt_final = 1.0\ndt = 0.02\n")
+        out_path = tmp_path / "ts.csv"
+        assert cli_main(["evolve", "--config", str(p), "--out", str(out_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: the RK4 propagator of a step of 2.000e-02 overflows; "
+            "shrink dt\n")
+        assert not out_path.exists()
+
     def test_infinite_step_count_is_refused_by_the_cap(self, tmp_path, capsys):
         p = tmp_path / "tiny_dt.cfg"
         p.write_text(BARE_CFG.replace("t_final = 30.0", "t_final = 1e308\ndt = 5e-324"))

@@ -577,17 +577,51 @@ class TestEvolve:
 
     def test_step_too_large_on_conserving_generator(self):
         # trace-conserving, but dt = 2 is outside RK4's stability region:
-        # the per-step guard stops the run once the growing mode shows
+        # the trace check stops the run once the growing mode shows, at the
+        # step and with the message of checking each step as it is made
         g = scenario_table("double_dot_set").generator(README_SLOW)
+        x0 = basis_state(g.index, "a")
         with pytest.raises(StepTooLarge) as info:
-            evolve(g, basis_state(g.index, "a"), 2000.0, dt=2.0)
+            evolve(g, x0, 2000.0, dt=2.0)
         assert str(info.value) == "trace moved by 2.375e-07 in one step of 2.000e+00; shrink dt"
+        assert str(info.value) == _first_failing_step(g, x0, 2000.0, 2.0)
 
     def test_step_too_large_on_leaky_generator(self):
         leaky = Generator(np.array([[-1.0]]), IndexMap(("a",)), "leaky")
+        x0 = basis_state(leaky.index, "a")
         with pytest.raises(StepTooLarge) as info:
-            evolve(leaky, basis_state(leaky.index, "a"), 1.0, dt=0.5)
+            evolve(leaky, x0, 1.0, dt=0.5)
         assert str(info.value) == "trace moved by 3.932e-01 in one step of 5.000e-01; shrink dt"
+        assert str(info.value) == _first_failing_step(leaky, x0, 1.0, 0.5)
+
+    def test_a_blow_up_mid_chunk(self, monkeypatch):
+        # a shift chain a -> b -> ... -> h -> a, exact except e -> f and
+        # f -> g, which multiply by 1e300: step 5 is the first over budget,
+        # and steps 6 and 7 of its chunk overflow, then turn 0 * inf into NaN
+        labels = tuple("abcdefgh")
+        g = Generator(np.zeros((8, 8)), IndexMap(labels), "chain")
+        shift = np.roll(np.eye(8), 1, axis=0)
+        shift[5, 4] = shift[6, 5] = 1e300
+        monkeypatch.setattr(solver, "_rk4_propagator", lambda G, h: shift)
+        x0 = basis_state(g.index, "a")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StepTooLarge) as info:
+                evolve(g, x0, 20.0, 1.0)
+        message = "trace moved by 1.000e+300 in one step of 1.000e+00; shrink dt"
+        assert str(info.value) == message
+        assert _first_failing_step(g, x0, 20.0, 1.0) == message
+
+    def test_an_overflowing_propagator_is_refused_before_stepping(self):
+        # hG is finite, but its fourth power overflows: P is refused as a
+        # step too large, without a warning, before a step makes a NaN trace
+        g = scenario_table("double_dot_set").generator(README_SLOW.replacing("gamma_R", 1e80))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StepTooLarge) as info:
+                evolve(g, basis_state(g.index, "a"), 1.0, 0.02)
+        assert str(info.value) == (
+            "the RK4 propagator of a step of 2.000e-02 overflows; shrink dt")
 
     def test_rejects_mismatched_layout(self):
         g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
@@ -696,15 +730,41 @@ class TestTrajectory:
 
 
 
+def _plain_samples(g, x0, t_final, dt):
+    """evolve's step h and its samples as an iterator: x0, then one P @ x
+    per sample read, to the end with no exit."""
+    n_steps = max(1, math.ceil(t_final / dt - 1e-9))
+    h = t_final / n_steps
+    P = solver._rk4_propagator(g.matrix, h)
+
+    def samples():
+        x = x0.values
+        yield x
+        for _ in range(n_steps):
+            x = P @ x
+            yield x
+
+    return h, samples()
+
+
 def _plain_steps(g, x0, t_final, dt):
     """evolve's samples by stepping to the end: P x on every row, no exit."""
-    n_steps = max(1, math.ceil(t_final / dt - 1e-9))
-    P = solver._rk4_propagator(g.matrix, t_final / n_steps)
-    values = np.empty((n_steps + 1, g.dim))
-    x = values[0] = x0.values
-    for k in range(1, n_steps + 1):
-        x = values[k] = P @ x
-    return values
+    return np.array(list(_plain_samples(g, x0, t_final, dt)[1]))
+
+
+def _first_failing_step(g, x0, t_final, dt):
+    """The StepTooLarge message of plain stepping that checks each step's
+    trace drift as it is made and stops at the first over budget, or None."""
+    n_diag = len(g.index.diagonal_positions)
+    h, samples = _plain_samples(g, x0, t_final, dt)
+    trace = math.fsum(next(samples)[:n_diag].tolist())
+    for x in samples:
+        trace_next = math.fsum(x[:n_diag].tolist())
+        drift = abs(trace_next - trace)
+        if not drift <= solver.TRACE_BUDGET_PER_STEP:
+            return f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt"
+        trace = trace_next
+    return None
 
 
 def _first_fixed_point(values):
@@ -772,4 +832,18 @@ class TestFixedPointExit:
                 y = buffer[offset:offset + dim]
                 y[:] = x
                 products.add((P @ y).tobytes())
+            assert products == {(P @ x).tobytes()}
+
+    def test_product_bits_independent_of_the_output_address(self):
+        # evolve writes each product into its row of the samples: a row at
+        # every 8-byte offset gets the bits of P @ x
+        rng = np.random.default_rng(12)
+        for dim in range(3, 17):
+            P = rng.normal(size=(dim, dim))
+            x = rng.normal(size=dim)
+            buffer = np.empty(dim + 8)
+            products = set()
+            for offset in range(8):
+                row = buffer[offset:offset + dim]
+                products.add(np.dot(P, x, out=row).tobytes())
             assert products == {(P @ x).tobytes()}
