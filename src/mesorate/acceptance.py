@@ -15,7 +15,8 @@ from math import fsum
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import Generator, IndexMap, RateColumns, RateSet, basis_state, fixed_columns, pack
+from .model import (Generator, IndexMap, RateColumns, RateSet, basis_state, fixed_columns, pack,
+                    sweep_columns)
 from .solver import evolve, steady_states
 from .experiments import run_fermi_sweep
 
@@ -137,15 +138,16 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Single-dot back-action vanishes as the detector empties faster."""
+    r = RateSet(gamma_L=1.0, Gamma_L=1.0, Gamma_R=1.0)
+    columns = sweep_columns(r, "gamma_R", np.array(LIMIT_RATIOS))
+    outputs = _currents(builders.SINGLE_DOT_SET, columns, len(LIMIT_RATIOS))
+    undistorted = analytic.single_dot_current(r.Gamma_L, r.Gamma_R)
+    amplification = analytic.amplification_ratio(r.gamma_L, r.Gamma_R)
     current_errors = []
     ratio_errors = []
-    for ratio in LIMIT_RATIOS:
-        r = RateSet(gamma_L=1.0, gamma_R=ratio, Gamma_L=1.0, Gamma_R=1.0)
-        outputs = _currents(builders.SINGLE_DOT_SET, fixed_columns(r))
-        i_s, delta = outputs["I_S"][0], outputs["Delta_I_D"][0]
-        undistorted = analytic.single_dot_current(r.Gamma_L, r.Gamma_R)
+    for i_s, delta in zip(outputs["I_S"], outputs["Delta_I_D"]):
         current_errors.append(abs(i_s - undistorted) / i_s)
-        ratio_errors.append(abs(delta / i_s - analytic.amplification_ratio(r.gamma_L, r.Gamma_R)))
+        ratio_errors.append(abs(delta / i_s - amplification))
     ok = (_monotone_decreasing(current_errors) and _monotone_decreasing(ratio_errors)
           and current_errors[-1] < LIMIT_TOL and ratio_errors[-1] < LIMIT_TOL)
     return CriterionResult(
@@ -163,16 +165,12 @@ def criterion_4() -> CriterionResult:
     stationary current would equal the closed form identically and there
     would be no convergence to observe.
     """
-    target = None
-    errors = []
-    for ratio in LIMIT_RATIOS:
-        r = RateSet(gamma_L=1.0, gamma_R=ratio, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
-                    U1=1.0, U2=2.0)
-        if target is None:
-            target = analytic.dephased_current(r.Gamma_L, r.Gamma_R, r.Omega, r.epsilon,
-                                               r.gamma_L)  # gamma_R-independent
-        numeric = _currents(builders.DOUBLE_DOT_SET, fixed_columns(r))["I_S"][0]
-        errors.append(abs(numeric - target) / target)
+    r = RateSet(gamma_L=1.0, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0, U1=1.0, U2=2.0)
+    target = analytic.dephased_current(r.Gamma_L, r.Gamma_R, r.Omega, r.epsilon,
+                                       r.gamma_L)  # gamma_R-independent
+    columns = sweep_columns(r, "gamma_R", np.array(LIMIT_RATIOS))
+    errors = [abs(numeric - target) / target for numeric in
+              _currents(builders.DOUBLE_DOT_SET, columns, len(LIMIT_RATIOS))["I_S"]]
     ok = _monotone_decreasing(errors) and errors[-1] < LIMIT_TOL
     return CriterionResult(
         4, "monitored coupled-dot current converges to the dephased form",
@@ -185,15 +183,18 @@ def criterion_5() -> CriterionResult:
     """Strong-dephasing suppression of the measured current: the ratio of
     the measured to the bare current is compared against 1/eta at the
     pinned parameters (hopping equal to the system widths)."""
+    r = RateSet(Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
+    gamma_ls = (10.0, 100.0)                # each with gamma_R = 1e4 * gamma_L
+    detector = np.array(gamma_ls)
+    columns = {**sweep_columns(r, "gamma_L", detector),
+               **dict.fromkeys(r.swept_fields("gamma_R"), 1e4 * detector)}
+    measured, bare = (_currents(scenario, columns, len(gamma_ls))["I_S"]
+                      for scenario in (builders.DOUBLE_DOT_SET, builders.DOUBLE_DOT_BARE))
     details = []
     ok = True
-    for gamma_l in (10.0, 100.0):
-        r = RateSet(gamma_L=gamma_l, gamma_R=1e4 * gamma_l,
-                    Gamma_L=1.0, Gamma_R=1.0, Omega=1.0)
-        measured = _currents(builders.DOUBLE_DOT_SET, fixed_columns(r))["I_S"][0]
-        bare = _currents(builders.DOUBLE_DOT_BARE, fixed_columns(r))["I_S"][0]
-        eta = analytic.eta(r.gamma_L, r.Gamma_R)
-        ratio = measured / bare
+    for gamma_l, measured_i_s, bare_i_s in zip(gamma_ls, measured, bare):
+        eta = analytic.eta(gamma_l, r.Gamma_R)
+        ratio = measured_i_s / bare_i_s
         rel = abs(ratio - 1.0 / eta) / (1.0 / eta)
         ok = ok and rel <= SUPPRESSION_TOL
         details.append(f"gamma_L={gamma_l:g}: measured/bare {ratio:.4f} vs 1/eta "
@@ -357,6 +358,13 @@ def _suite_evolve_runs():
     return runs
 
 
+def _relative_residuals(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """||G x||_inf / ||G||_inf of each generator of the (N, dim, dim) stack
+    at its row of the (N, dim) states, as one product on the stack."""
+    residuals = np.abs(matrices @ values[:, :, np.newaxis]).max(axis=(1, 2))
+    return residuals / np.abs(matrices).sum(axis=2).max(axis=1)
+
+
 def criterion_8() -> CriterionResult:
     """Trace drift, positivity and stationary residual bounds."""
     worst_drift_rate = 0.0
@@ -365,16 +373,14 @@ def criterion_8() -> CriterionResult:
         traj = evolve(g, x0, t_final, dt)
         drift = abs(traj.final.trace() - x0.trace()) / t_final
         worst_drift_rate = max(worst_drift_rate, drift)
-        diag = list(g.index.diagonal_positions)
-        worst_negativity = max(worst_negativity, -float(traj.values[:, diag].min()))
+        n_diag = len(g.index.diagonal_positions)     # IndexMap puts them first
+        worst_negativity = max(worst_negativity, -float(traj.values[:, :n_diag].min()))
 
     columns = _drawn_columns(SEED + 2, N_RESIDUAL_SETS, dephased=True)
     worst_residual = 0.0
     for scenario in (builders.DOUBLE_DOT_BARE, builders.REDUCED_DOUBLE_DOT):
         _, matrices, values = _solve_all(scenario, columns, N_RESIDUAL_SETS)
-        for G, x in zip(matrices, values):
-            worst_residual = max(worst_residual, float(np.abs(G @ x).max())
-                                 / float(np.abs(G).sum(axis=1).max()))
+        worst_residual = max(worst_residual, float(_relative_residuals(matrices, values).max()))
 
     ok = worst_drift_rate < 1e-9 and worst_negativity < 1e-6 and worst_residual <= 1e-12
     return CriterionResult(

@@ -22,8 +22,10 @@ P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, so P is built once per run
 (a P that overflows is refused before the first step) and each step is
 one product P x written in place into its row of one (n_samples, dim)
 array.  The steps run in chunks, and the trace of every step of a chunk
-is checked after the chunk, in step order, so a run fails at the step,
-and with the message, that checking each step as it is made would give.
+is checked after the chunk: a numpy screen with a proven rounding bound
+passes a slice of steps that cannot be over budget, and any other slice
+is walked in step order with math.fsum, so a run fails at the step, and
+with the message, that checking each step as it is made would give.
 A run normally outlasts its relaxation: once a step returns its input bit
 for bit, a floating-point fixed point of P, every later step would
 repeat it, so the remaining rows are filled with it instead of stepping.
@@ -46,7 +48,8 @@ TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
 MAX_STEPS = 1_000_000          # most steps one evolve run may take
 RANK_TOL = 1e-10               # singular values at or below RANK_TOL * sigma_max count as null
 _EXTENDED_BLOCK = 64           # members per refinement block and per rank-test proof block
-_TRACE_ROWS = 256              # samples whose diagonal slots evolve reads as one list
+_TRACE_ROWS = 256              # steps whose traces evolve checks as one slice
+_SCREEN_STEPS = 16             # fewest steps of a slice that evolve screens with numpy
 
 
 class DegenerateSteadyState(RuntimeError):
@@ -285,6 +288,44 @@ def _rk4_propagator(G: np.ndarray, h: float) -> np.ndarray:
     return eye + hG @ (eye + (hG / 2.0) @ (eye + (hG / 3.0) @ (eye + hG / 4.0)))
 
 
+def _check_traces(diagonals: np.ndarray, h: float) -> None:
+    """Raise StepTooLarge at the first step whose trace drift exceeds
+    TRACE_BUDGET_PER_STEP.  diagonals holds the diagonal slots of a run of
+    samples, each row one step on from the row before; the message is
+    that of checking each step as it is made, with math.fsum traces.
+
+    The rows are read _TRACE_ROWS steps at a time, and a slice of at least
+    _SCREEN_STEPS steps is first screened with one numpy row sum.  A sum of
+    m terms, in any order, is within about (m - 1) u sum|d| of the exact
+    sum (u the unit roundoff) and fsum within u |sum d|, so a row's fsum
+    trace is within m u sum|d| <= m^2 u max|d| of its numpy sum, and a
+    step's fsum drift within the drift of its numpy sums plus
+    2 m^2 u max|d|, max over the slice.  When that is at most half the
+    budget for every step (the other half covers the screen's own
+    rounding and the terms of order u^2), no step of the slice can fail.  Any other slice (a step
+    near or over the budget, a NaN, an inf, or too few steps for the screen
+    to pay) is checked step by step.
+    """
+    m = diagonals.shape[1]
+    slack = m * m * np.finfo(float).eps
+    for a in range(1, len(diagonals), _TRACE_ROWS):
+        d = diagonals[a - 1:a + _TRACE_ROWS]
+        if len(d) > _SCREEN_STEPS:
+            sums = d.sum(axis=1)
+            drift = np.abs(sums[1:] - sums[:-1]).max()
+            if drift + slack * np.abs(d).max() <= TRACE_BUDGET_PER_STEP / 2:
+                continue
+        rows = d.tolist()
+        trace = math.fsum(rows[0])
+        for diagonal in rows[1:]:
+            trace_next = math.fsum(diagonal)
+            drift = abs(trace_next - trace)
+            if not drift <= TRACE_BUDGET_PER_STEP:
+                raise StepTooLarge(
+                    f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
+            trace = trace_next
+
+
 def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = None) -> Trajectory:
     """Fixed-step RK4 trajectory from x0 over [0, t_final].
 
@@ -300,10 +341,13 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     a run whose step is unstable stops where it blows up.  A well-formed
     generator keeps the drift at rounding level.  Each product is written
     in place into its row, a chunk of steps at a time (see below), and the
-    traces of a chunk's steps are checked after it, in step order: the
-    first step over budget raises, with the message checking each step as
-    it is made would give, and the rows stepped past it, which may have
-    overflowed without a warning, are discarded.
+    traces of a chunk's steps are checked after it (_check_traces): a
+    numpy row sum of the diagonal slots, with a proven bound on its
+    rounding and on fsum's, passes the slices of steps whose drift cannot
+    reach the budget, and every other slice is walked in step order with
+    math.fsum.  So the first step over budget raises, with the message
+    checking each step as it is made would give, and the rows stepped
+    past it, which may have overflowed without a warning, are discarded.
 
     A step that returns its input bit for bit (its trace checked) found a
     fixed point of P in floating point: every later step would compute
@@ -347,22 +391,16 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
 
     values = np.empty((n_steps + 1, g.dim))
     x = values[0] = x0.values
-    trace = math.fsum(x[:n_diag].tolist())
+    step = P.dot                    # np.dot(P, x, out=row) without the dispatcher
     lo = 0
     while lo < n_steps:             # in chunks of half the steps taken so far
         hi = min(lo + lo // 2 + 1, n_steps)
-        # rows past a step over budget are discarded, so they may overflow
+        # rows past a step over budget are discarded, so they may overflow,
+        # here and in the check's screen
         with np.errstate(over="ignore", invalid="ignore"):
             for row in values[lo + 1:hi + 1]:
-                x = np.dot(P, x, out=row)
-        for a in range(lo + 1, hi + 1, _TRACE_ROWS):
-            for diagonal in values[a:min(a + _TRACE_ROWS, hi + 1), :n_diag].tolist():
-                trace_next = math.fsum(diagonal)
-                drift = abs(trace_next - trace)
-                if not drift <= TRACE_BUDGET_PER_STEP:
-                    raise StepTooLarge(
-                        f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
-                trace = trace_next
+                x = step(x, row)
+            _check_traces(values[lo:hi + 1, :n_diag], h)
         if values[hi].tobytes() == values[hi - 1].tobytes():
             values[hi + 1:] = values[hi]
             break

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mesorate import RateSet, acceptance, cli_main
-from mesorate.model import RATE_FIELDS
+from mesorate.model import RATE_FIELDS, fixed_columns
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,55 @@ def test_drawn_columns_equal_row_by_row_draws(seed, n, dephased):
     for name in RATE_FIELDS:
         expected = np.array([getattr(r, name) for r in _row_draws(seed, n, dephased)])
         assert np.broadcast_to(columns[name], n).tobytes() == expected.tobytes(), name
+
+
+# --- the stacks of criteria 3, 4, 5 and 8 against their one-point loops:
+# validate prints 3-4 significant digits, so only a byte compare sees a
+# last-bit change ---
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("criterion, n_stacks", [
+    (acceptance.criterion_3, 1), (acceptance.criterion_4, 1), (acceptance.criterion_5, 2),
+], ids=["criterion_3", "criterion_4", "criterion_5"])
+def test_each_stacked_row_has_its_one_point_bits(criterion, n_stacks, monkeypatch):
+    currents = acceptance._currents
+    stacks = []
+
+    def spy(scenario, columns, n=1):
+        outputs = currents(scenario, columns, n)
+        stacks.append((scenario, columns, n, outputs))
+        return outputs
+
+    monkeypatch.setattr(acceptance, "_currents", spy)
+    criterion()
+    assert len(stacks) == n_stacks and all(n > 1 for _, _, n, _ in stacks)
+    for scenario, columns, n, outputs in stacks:
+        for k in range(n):
+            r = RateSet(**{f: float(np.broadcast_to(v, n)[k]) for f, v in columns.items()})
+            alone = currents(scenario, fixed_columns(r))
+            for name in ("I_S", "Delta_I_D"):
+                if name in alone:
+                    assert _bits(outputs[name][k]) == _bits(alone[name][0]), (scenario, k, name)
+
+
+def test_criterion_8_stacked_residual_equals_the_member_loop(monkeypatch):
+    relative_residuals = acceptance._relative_residuals
+    stacks = []
+
+    def spy(matrices, values):
+        stacks.append((matrices, values, relative_residuals(matrices, values)))
+        return stacks[-1][2]
+
+    monkeypatch.setattr(acceptance, "_relative_residuals", spy)
+    acceptance.criterion_8()
+    assert [len(m) for m, _, _ in stacks] == [acceptance.N_RESIDUAL_SETS] * 2
+    for matrices, values, stacked in stacks:
+        loop = [float(np.abs(G @ x).max()) / float(np.abs(G).sum(axis=1).max())
+                for G, x in zip(matrices, values)]
+        assert stacked.tobytes() == np.array(loop).tobytes()
 
 
 def test_criterion_8_conservation_and_positivity(results):

@@ -594,6 +594,47 @@ class TestEvolve:
         assert str(info.value) == "trace moved by 3.932e-01 in one step of 5.000e-01; shrink dt"
         assert str(info.value) == _first_failing_step(leaky, x0, 1.0, 0.5)
 
+    # a 1x1 leaky generator whose every step moves the trace by between half
+    # the budget and the budget: the screen cannot pass a slice of it, so the
+    # step-by-step check decides, and passes it (its chunks of 19 and 28
+    # steps reach the screen)
+    def test_a_drift_between_half_the_budget_and_the_budget_passes(self):
+        leaky = Generator(np.array([[-0.75e-8]]), IndexMap(("a",)), "leaky")
+        x0 = basis_state(leaky.index, "a")
+        traj = evolve(leaky, x0, 100.0, 1.0)
+        assert _first_failing_step(leaky, x0, 100.0, 1.0) is None
+        plain = _plain_steps(leaky, x0, 100.0, 1.0)
+        drifts = np.abs(np.diff(plain[:, 0]))
+        assert (drifts > solver.TRACE_BUDGET_PER_STEP / 2).all()
+        assert (drifts <= solver.TRACE_BUDGET_PER_STEP).all()
+        assert traj.values.tobytes() == plain.tobytes()
+
+    def test_a_drift_just_over_the_budget_fails_at_step_1(self):
+        leaky = Generator(np.array([[-1.01e-8]]), IndexMap(("a",)), "leaky")
+        x0 = basis_state(leaky.index, "a")
+        with pytest.raises(StepTooLarge) as info:
+            evolve(leaky, x0, 100.0, 1.0)
+        assert str(info.value) == "trace moved by 1.010e-08 in one step of 1.000e+00; shrink dt"
+        assert str(info.value) == _first_failing_step(leaky, x0, 100.0, 1.0)
+
+    def test_a_failure_after_a_screened_slice(self, monkeypatch):
+        # slot b grows from a 3e-30 seed at 5% a step: the first step over
+        # budget is step 992, in the second slice of the chunk of steps
+        # 710-1064, whose first slice (steps 710-965, drift below 3e-9) the
+        # screen passes: only short slices and the failing one are walked
+        # (77 fsum traces; walking the first slice too would add 256)
+        g = Generator(np.array([[0.0, 0.0], [3e-30, 0.05]]), IndexMap(("a", "b")), "growing")
+        x0 = basis_state(g.index, "a")
+        walked = []
+        fsum = math.fsum
+        monkeypatch.setattr(solver.math, "fsum", lambda xs: walked.append(xs) or fsum(xs))
+        with pytest.raises(StepTooLarge) as info:
+            evolve(g, x0, 2000.0, 1.0)
+        assert len(walked) < 256
+        monkeypatch.undo()
+        assert str(info.value) == "trace moved by 1.017e-08 in one step of 1.000e+00; shrink dt"
+        assert str(info.value) == _first_failing_step(g, x0, 2000.0, 1.0)
+
     def test_a_blow_up_mid_chunk(self, monkeypatch):
         # a shift chain a -> b -> ... -> h -> a, exact except e -> f and
         # f -> g, which multiply by 1e300: step 5 is the first over budget,
@@ -835,8 +876,8 @@ class TestFixedPointExit:
             assert products == {(P @ x).tobytes()}
 
     def test_product_bits_independent_of_the_output_address(self):
-        # evolve writes each product into its row of the samples: a row at
-        # every 8-byte offset gets the bits of P @ x
+        # evolve writes each product into its row of the samples, with the
+        # call it steps with: a row at every 8-byte offset gets the bits of P @ x
         rng = np.random.default_rng(12)
         for dim in range(3, 17):
             P = rng.normal(size=(dim, dim))
@@ -845,5 +886,5 @@ class TestFixedPointExit:
             products = set()
             for offset in range(8):
                 row = buffer[offset:offset + dim]
-                products.add(np.dot(P, x, out=row).tobytes())
+                products.add(P.dot(x, row).tobytes())
             assert products == {(P @ x).tobytes()}
