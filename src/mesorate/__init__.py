@@ -37,7 +37,7 @@ from .solver import (
 )
 from .analytic import bare_current, dephased_current, single_dot_current
 from .experiments import SweepTable, run_fermi_sweep, run_sweep
-from .config import ConfigError, RunConfig, RunOptions, load_config, parse_config, parse_grid
+from .config import ConfigError, RunConfig, load_config, parse_config, parse_grid
 from .output import write_csv, write_svg, write_timeseries_csv
 from .cli import cli_main
 

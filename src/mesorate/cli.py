@@ -66,7 +66,7 @@ def _cmd_steady(args) -> int:
     # a NaN tolerance would pass every check in validate_state
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    table = builders.scenario_table(cfg.scenario, cfg.blocking_config())
+    table = builders.scenario_table(cfg.scenario, cfg.blocking)
     x = steady_state(table.generator(cfg.rates))
 
     print(f"scenario: {cfg.scenario}")
@@ -89,13 +89,13 @@ def _cmd_steady(args) -> int:
 
 def _cmd_evolve(args) -> int:
     cfg = load_config(args.config)
-    if cfg.run.t_final is None:
+    if cfg.t_final is None:
         raise ConfigError("evolve needs t_final in [run]")
-    table = builders.scenario_table(cfg.scenario, cfg.blocking_config())
+    table = builders.scenario_table(cfg.scenario, cfg.blocking)
     g = table.generator(cfg.rates)
     w = table.weights(cfg.rates)
     x0 = basis_state(g.index, g.index.diagonal_labels[0])
-    traj = evolve(g, x0, cfg.run.t_final, cfg.run.dt)
+    traj = evolve(g, x0, cfg.t_final, cfg.dt)
     output.write_timeseries_csv(traj, args.out, w["system"], w["detector"] or None)
     print(f"wrote {len(traj.times)} samples to {args.out}")
     return 0
@@ -117,7 +117,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid = parse_grid(args.grid)
     try:
-        table = run_sweep(cfg.scenario, cfg.rates, args.param, grid, cfg.blocking_config())
+        table = run_sweep(cfg.scenario, cfg.rates, args.param, grid, cfg.blocking)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _write_table(table, args, x_label=args.param)

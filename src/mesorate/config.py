@@ -3,12 +3,13 @@
 Four sections: [scenario] names the model, [rates] carries the physical
 parameters, [energies] the detector level E0 (read by fig3 only; a
 section without it is rejected) and [run] the run values dt, t_final and
-blocking; an unknown key is rejected.  The swept parameter, the grid and
-the output format are set by command-line flags only (parse_grid turns a
---grid spec into the float64 array both sweeps take), and the RK4 step
-cap, trace budget and rank tolerance are constants of the solver, not
-settings, as is the grid cap MAX_GRID_POINTS here.  The format is
-deliberately flat so golden configs diff cleanly.
+blocking.  One table names each section's keys; any other key is
+rejected.  The swept parameter, the grid and the output format are set by
+command-line flags only (parse_grid turns a --grid spec into the float64
+array both sweeps take), and the RK4 step cap, trace budget and rank
+tolerance are constants of the solver, not settings, as is the grid cap
+MAX_GRID_POINTS here.  The format is deliberately flat so golden configs
+diff cleanly.
 """
 
 from __future__ import annotations
@@ -35,33 +36,24 @@ class ConfigError(ValueError):
 # 80 MB and a count far above it is refused before anything is allocated
 MAX_GRID_POINTS = 100_000
 
-_RUN_FLOAT_KEYS = ("dt", "t_final")
-_RUN_STR_KEYS = ("blocking",)
-_SECTIONS = ("scenario", "rates", "energies", "run")
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Run values from the [run] section; None means unset."""
-
-    dt: float | None = None
-    t_final: float | None = None
-    blocking: str | None = None
+# each section's keys; name and blocking are text, every other value a float
+_SECTION_KEYS = {"scenario": ("name",), "rates": RATE_FIELDS, "energies": ("E0",),
+                 "run": ("dt", "t_final", "blocking")}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """What the commands read: the model, the [energies] level and the [run]
+    values, None where unset; blocking is the effective regime, [run]
+    blocking's (resolving when unset) on generalized_double_dot_set, None
+    on every scenario that fixes its own."""
+
     scenario: str
     rates: RateSet
-    E0: float | None        # the [energies] detector level; None without the section
-    run: RunOptions
-
-    def blocking_config(self) -> builders.BlockingConfig | None:
-        """The [run] blocking regime, resolving when unset; None for a
-        scenario that fixes its own."""
-        if self.scenario != builders.GENERALIZED_DOUBLE_DOT_SET:
-            return None
-        return builders.REGIMES[self.run.blocking or "resolving"]
+    E0: float | None
+    dt: float | None
+    t_final: float | None
+    blocking: builders.BlockingConfig | None
 
 
 def required_rates(scenario: str) -> tuple[str, ...]:
@@ -88,7 +80,7 @@ def _parse_float(token: str, key: str, line: int) -> float:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration file's text."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _SECTIONS}
+    sections: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _SECTION_KEYS}
     opened: set[str] = set()
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,7 +89,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _SECTION_KEYS:
                 raise ConfigError(f"unknown section [{name}]", lineno)
             current = name
             opened.add(name)
@@ -113,22 +105,21 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"duplicate key {key} in section [{current}]", lineno)
         sections[current][key] = (value, lineno)
 
-    # [scenario]
-    for key, (_, lineno) in sections["scenario"].items():
-        if key != "name":
-            raise ConfigError(f"unknown key {key} in section [scenario]", lineno)
-    if "name" not in sections["scenario"]:
+    def read(section: str) -> dict[str, object]:     # each key checked and read in file order
+        values: dict[str, object] = {}
+        for key, (token, lineno) in sections[section].items():
+            if key not in _SECTION_KEYS[section]:
+                raise ConfigError(f"unknown key {key} in section [{section}]", lineno)
+            values[key] = token if key in ("name", "blocking") else _parse_float(token, key, lineno)
+        return values
+
+    if "name" not in read("scenario"):
         raise ConfigError("missing required key name in section [scenario]")
     scenario, scen_line = sections["scenario"]["name"]
     if scenario not in builders.SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}", scen_line)
 
-    # [rates]
-    rate_kwargs: dict[str, float] = {}
-    for key, (token, lineno) in sections["rates"].items():
-        if key not in RATE_FIELDS:
-            raise ConfigError(f"unknown key {key} in section [rates]", lineno)
-        rate_kwargs[key] = _parse_float(token, key, lineno)
+    rate_kwargs = read("rates")
     for key in required_rates(scenario):
         if key not in rate_kwargs:
             raise ConfigError(f"missing required key {key} for scenario {scenario}")
@@ -137,37 +128,26 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    # [energies]
-    E0 = None
-    for key, (token, lineno) in sections["energies"].items():
-        if key != "E0":
-            raise ConfigError(f"unknown key {key} in section [energies]", lineno)
-        E0 = _parse_float(token, key, lineno)
+    E0 = read("energies").get("E0")
     if E0 is None and "energies" in opened:
         raise ConfigError("missing required key E0 in section [energies]")
 
-    # [run]
-    run_kwargs: dict[str, object] = {}
-    for key, (token, lineno) in sections["run"].items():
-        if key in _RUN_FLOAT_KEYS:
-            run_kwargs[key] = _parse_float(token, key, lineno)
-        elif key in _RUN_STR_KEYS:
-            run_kwargs[key] = token
-        else:
-            raise ConfigError(f"unknown key {key} in section [run]", lineno)
-    run = RunOptions(**run_kwargs)
-    if run.blocking is not None and run.blocking not in builders.REGIMES:
+    run = read("run")
+    blocking, dt, t_final = run.get("blocking"), run.get("dt"), run.get("t_final")
+    if blocking is not None and blocking not in builders.REGIMES:
         raise ConfigError(f"blocking must be one of {sorted(builders.REGIMES)}, "
-                          f"got {run.blocking!r}")
-    if run.blocking is not None and scenario != builders.GENERALIZED_DOUBLE_DOT_SET:
+                          f"got {blocking!r}")
+    if blocking is not None and scenario != builders.GENERALIZED_DOUBLE_DOT_SET:
         raise ConfigError(f"blocking applies to {builders.GENERALIZED_DOUBLE_DOT_SET} only, "
                           f"not to {scenario}, which fixes its own")
-    if run.dt is not None and run.dt <= 0.0:
+    if dt is not None and dt <= 0.0:
         raise ConfigError("dt must be positive")
-    if run.t_final is not None and run.t_final <= 0.0:
+    if t_final is not None and t_final <= 0.0:
         raise ConfigError("t_final must be positive")
 
-    return RunConfig(scenario=scenario, rates=rates, E0=E0, run=run)
+    if scenario == builders.GENERALIZED_DOUBLE_DOT_SET:
+        blocking = builders.REGIMES[blocking or "resolving"]
+    return RunConfig(scenario, rates, E0, dt, t_final, blocking)
 
 
 def load_config(path: str) -> RunConfig:

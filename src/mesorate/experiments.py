@@ -42,8 +42,8 @@ from typing import Sequence
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import (RATE_FIELDS, RateColumns, RateSet, fixed_columns, sweep_columns,
-                    take_rows, violation_magnitudes)
+from .model import (RATE_FIELDS, RateColumns, RateSet, fixed_columns, read_only,
+                    sweep_columns, take_rows, violation_magnitudes)
 from .solver import DegenerateSteadyState, steady_states
 
 
@@ -54,14 +54,22 @@ SWEEP_HEADER = ("param", "I_S_numeric", "I_S_analytic", "I_D", "Delta_I_D", "max
 class SweepTable:
     """A sweep's points in grid order as columns: one read-only (N, 6) array
     of values, read by SWEEP_HEADER name, NaN where undefined or failed; each
-    point's regime (None for run_sweep) and message (None or its error)."""
+    point's regime (None for run_sweep) and message (None or its error).
+    values is taken by model.read_only, so no caller's array is aliased."""
 
     values: np.ndarray
     regime: tuple[str, ...] | None
     message: tuple[str | None, ...]
 
     def __post_init__(self):
-        self.values.flags.writeable = False
+        v = read_only(self.values)
+        if v.ndim != 2 or v.shape[1] != len(SWEEP_HEADER):
+            raise ValueError(f"values must have shape (N, {len(SWEEP_HEADER)}), got {v.shape}")
+        for name in ("regime", "message"):
+            column = getattr(self, name)
+            if column is not None and len(column) != len(v):
+                raise ValueError(f"{name} must have {len(v)} entries, got {len(column)}")
+        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -152,8 +160,9 @@ def _solved_rows(table: builders.ChannelTable, columns: RateColumns, matrices: n
         raise errors[raised]
     if failure is not None:
         raise failure
-    return SweepTable(np.column_stack((params, outputs[0], references, *outputs[1:])), None,
-                      tuple(None if err is None else str(err) for err in errors))
+    result = np.column_stack((params, outputs[0], references, *outputs[1:]))
+    result.setflags(write=False)     # owned and read-only: SweepTable takes it as is
+    return SweepTable(result, None, tuple(None if err is None else str(err) for err in errors))
 
 
 def run_sweep(scenario: str, base: RateSet, parameter: str, grid: Sequence[float],
@@ -230,5 +239,6 @@ def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> SweepTab
         rows[code], messages[code] = solved.values[0], solved.message[0]
     values = rows[codes]     # each point takes its regime's row, then its own level
     values[:, 0] = levels
+    values.setflags(write=False)     # owned and read-only: SweepTable takes it as is
     return SweepTable(values, tuple(map(names.__getitem__, codes)),
                       tuple(map(messages.__getitem__, codes)))

@@ -176,20 +176,24 @@ class IndexMap:
     """Canonical slot layout: diagonal slots first, then (Re, Im) pairs."""
 
     def __init__(self, diagonals, coherence_pairs=()):
+        diagonals, coherence_pairs = tuple(diagonals), tuple(map(tuple, coherence_pairs))
         entries = []
         for label in diagonals:
             entries.append(VariableIndex(DIAGONAL, (label,), len(entries)))
         for pair in coherence_pairs:
-            entries.append(VariableIndex(RE_COHERENCE, tuple(pair), len(entries)))
-            entries.append(VariableIndex(IM_COHERENCE, tuple(pair), len(entries)))
+            entries.append(VariableIndex(RE_COHERENCE, pair, len(entries)))
+            entries.append(VariableIndex(IM_COHERENCE, pair, len(entries)))
         self.entries = tuple(entries)
         self._diag = {e.states[0]: e.position for e in entries if e.kind == DIAGONAL}
         self._re = {e.states: e.position for e in entries if e.kind == RE_COHERENCE}
         self._im = {e.states: e.position for e in entries if e.kind == IM_COHERENCE}
         if len(self._diag) != len(diagonals):
             raise ValueError("duplicate diagonal label")
-        if len(self._re) != len(tuple(coherence_pairs)):
+        if len(self._re) != len(coherence_pairs):
             raise ValueError("duplicate coherence pair")
+        for pair in coherence_pairs:
+            if not self._diag.keys() >= set(pair):
+                raise ValueError(f"coherence pair {pair!r} names a state with no diagonal slot")
 
     def __len__(self):
         return len(self.entries)
@@ -228,6 +232,17 @@ class IndexMap:
             return self._re[pair], self._im[pair]
         except KeyError:
             raise KeyError(f"no coherence slot for pair {pair!r}") from None
+
+
+def read_only(a) -> np.ndarray:
+    """a as a read-only float64 array: a itself when it is one and owns its
+    data, else a copy, so a caller's writable array is never aliased."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
+            and not a.flags.writeable):
+        return a
+    a = np.array(a, dtype=float, copy=True)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Generator, IndexMap, StateVector
+from .model import Generator, IndexMap, StateVector, read_only
 
 
 TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
@@ -64,20 +64,18 @@ class StepTooLarge(RuntimeError):
 class Trajectory:
     """Sampled linear evolution: row k of the read-only (n_samples, dim)
     array values is the state at times[k], in the slot layout of index.
-
-    times and values are copied unless they are float arrays that own
-    their data and are already read-only (as evolve hands over its own),
-    so a caller's writable array is never aliased."""
+    times and values are taken by model.read_only (evolve hands over its
+    own as they are), so no caller's array is aliased."""
 
     times: np.ndarray
     values: np.ndarray
     index: IndexMap
 
     def __post_init__(self):
-        t = _read_only(self.times)
+        t = read_only(self.times)
         if not np.all(t[1:] > t[:-1]):     # NaN compares False, so it fails too
             raise ValueError("times must be strictly increasing")
-        v = _read_only(self.values)
+        v = read_only(self.values)
         if v.shape != (len(t), len(self.index)):
             raise ValueError(f"values must have shape {(len(t), len(self.index))}, got {v.shape}")
         object.__setattr__(self, "times", t)
@@ -86,15 +84,6 @@ class Trajectory:
     @property
     def final(self) -> StateVector:
         return StateVector(self.values[-1], self.index)
-
-
-def _read_only(a) -> np.ndarray:
-    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
-            and not a.flags.writeable):
-        return a
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 def default_step(g: Generator) -> float:

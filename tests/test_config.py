@@ -8,7 +8,7 @@ import pytest
 from mesorate import (BlockingConfig, ConfigError, RateSet, experiments, load_config,
                       parse_config, parse_grid, run_fermi_sweep)
 from mesorate.builders import scenario_table
-from mesorate.config import MAX_GRID_POINTS, RunConfig, RunOptions, required_rates
+from mesorate.config import MAX_GRID_POINTS, RunConfig, required_rates
 
 # the hand table the channel-table derivation replaced, kept literally so
 # the derivation cannot silently drop a key
@@ -53,8 +53,8 @@ class TestParseConfig:
         assert cfg.rates.gamma_R == 1e4
         assert cfg.rates.gamma_R_p == 1e4  # primed follows unprimed
         assert cfg.rates.U2 == 2.0
-        assert cfg.run.t_final == 40.0
-        assert cfg.run.dt == 0.01
+        assert cfg.t_final == 40.0
+        assert cfg.dt == 0.01
         assert cfg.E0 is None
 
     def test_energies_section(self):
@@ -183,7 +183,7 @@ class TestParseConfig:
         # not change
         text = rates_config(scenario, REQUIRED_RATES[scenario]) + "[run]\nblocking = blind\n"
         if scenario == "generalized_double_dot_set":
-            assert parse_config(text).run.blocking == "blind"
+            assert parse_config(text).blocking == BlockingConfig(True, True)
             return
         with pytest.raises(ConfigError, match=f"blocking applies to generalized_double_dot_set "
                                               f"only, not to {scenario},"):
@@ -194,15 +194,16 @@ class TestParseConfig:
         # resolving when unset on the generalized scenario, None on every
         # scenario that fixes its own, so none compiles a table under a
         # blocking it would not read
-        cfg = parse_config(rates_config(scenario, REQUIRED_RATES[scenario]))
+        text = rates_config(scenario, REQUIRED_RATES[scenario])
+        cfg = parse_config(text)
         if scenario == "generalized_double_dot_set":
-            assert cfg.blocking_config() == BlockingConfig(False, True)
+            assert cfg.blocking == BlockingConfig(False, True)
             for name, flags in (("blind", (True, True)), ("open", (False, False))):
-                named = dataclasses.replace(cfg, run=RunOptions(blocking=name))
-                assert named.blocking_config() == BlockingConfig(*flags)
+                named = parse_config(text + f"[run]\nblocking = {name}\n")
+                assert named == dataclasses.replace(cfg, blocking=BlockingConfig(*flags))
         else:
-            assert cfg.blocking_config() is None
-            assert scenario_table(scenario, cfg.blocking_config()).label == scenario
+            assert cfg.blocking is None
+            assert scenario_table(scenario, cfg.blocking).label == scenario
 
     def test_resolving_blocking_and_fig3_share_one_table(self, monkeypatch):
         # [run] blocking = resolving and the resolving points of a Fermi
@@ -221,11 +222,51 @@ class TestParseConfig:
         monkeypatch.setattr(experiments, "_solved_rows", recorded)
         table = run_fermi_sweep(cfg.rates, 0.0, [0.5, 1.5])
         assert table.regime == ("blind", "resolving")
-        assert solved[1] is scenario_table(cfg.scenario, cfg.blocking_config())
+        assert solved[1] is scenario_table(cfg.scenario, cfg.blocking)
 
     def test_nonpositive_dt(self):
         with pytest.raises(ConfigError, match="dt"):
             parse_config(FULL.replace("dt = 0.01", "dt = 0"))
+
+
+# configs with two or more faults and the one error each reports: the
+# sections are checked in order ([scenario], [rates], [energies], [run]),
+# each section's keys in file order, then the section's own checks
+MULTI_ERROR_CASES = [
+    ("[scenario]\nname = nope\n[rates]\ngamma_L = abc\n",
+     "line 2: unknown scenario 'nope'"),
+    ("[scenario]\nlabel = x\nname = nope\n",
+     "line 2: unknown key label in section [scenario]"),
+    ("[scenario]\nname = double_dot_bare\n[rates]\nbogus = 1\nGamma_L = abc\n",
+     "line 4: unknown key bogus in section [rates]"),
+    ("[scenario]\nname = double_dot_bare\n[rates]\nGamma_L = abc\nbogus = 1\n",
+     "line 4: malformed number for Gamma_L: 'abc'"),
+    ("[scenario]\nname = double_dot_bare\n[rates]\nGamma_L = -1\nGamma_R = 1\nOmega = 1\n"
+     "[energies]\nE1 = 0\n",
+     "width Gamma_L must be >= 0, got -1.0"),
+    ("[scenario]\nname = double_dot_bare\n[rates]\nGamma_L = 1\n[run]\nspeed = 2\n",
+     "missing required key Gamma_R for scenario double_dot_bare"),
+    (FULL.replace("double_dot_set", "generalized_double_dot_set")
+     + "blocking = sideways\nspeed = 2\n",
+     "line 19: unknown key speed in section [run]"),
+    (FULL.replace("dt = 0.01", "dt = 0") + "blocking = blind\n",
+     "blocking applies to generalized_double_dot_set only, not to double_dot_set, "
+     "which fixes its own"),
+    (FULL.replace("dt = 0.01", "dt = 0").replace("t_final = 40.0", "t_final = -1"),
+     "dt must be positive"),
+    (FULL.replace("dt = 0.01", "dt = abc") + "\n[energies]\nE0 = nan\n",
+     "line 20: E0 must be finite, got 'nan'"),
+    (FULL + "bogus = 1\n\n[energies]\n",
+     "missing required key E0 in section [energies]"),
+]
+
+
+@pytest.mark.parametrize("text,message", MULTI_ERROR_CASES,
+                         ids=[str(k) for k in range(len(MULTI_ERROR_CASES))])
+def test_multi_error_config_reports_its_first_error(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
 
 
 class TestParsedConfig:
@@ -237,7 +278,9 @@ class TestParsedConfig:
             rates=RateSet(gamma_L=1.0, gamma_R=1e4, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
                           epsilon=0.0, U1=1.0, U2=2.0),
             E0=None,
-            run=RunOptions(t_final=40.0, dt=0.01),
+            dt=0.01,
+            t_final=40.0,
+            blocking=None,
         )
 
     def test_file_with_a_byte_order_mark(self, tmp_path):
@@ -261,7 +304,9 @@ class TestParsedConfig:
             rates=RateSet(gamma_L=0.1, gamma_R=1e4, gamma_L_p=0.05,
                           Gamma_L=1 / 3, Gamma_R=2.0),
             E0=None,
-            run=RunOptions(blocking="blind"),
+            dt=None,
+            t_final=None,
+            blocking=BlockingConfig(True, True),
         )
 
 

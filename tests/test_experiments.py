@@ -166,6 +166,56 @@ class TestRunSweep:
             table["I_S_numeric"][0] = 0.0
 
 
+class TestSweepTableRecord:
+    """SweepTable owns a read-only copy of values unless handed an owned,
+    read-only float64 array, and refuses columns of the wrong shape."""
+
+    def test_caller_array_is_not_aliased(self):
+        base = np.zeros((2, len(SWEEP_HEADER)))
+        table = SweepTable(base[:], None, (None, None))
+        base[0, 0] = 5.0
+        assert table.values[0, 0] == 0.0
+        assert base.flags.writeable     # the caller's array stays its own
+
+    def test_owned_read_only_float_array_is_taken_as_is(self):
+        values = np.zeros((2, len(SWEEP_HEADER)))
+        values.setflags(write=False)
+        assert SweepTable(values, None, (None, None)).values is values
+
+    def test_integer_values_become_read_only_floats(self):
+        table = SweepTable(np.zeros((1, len(SWEEP_HEADER)), dtype=int), None, (None,))
+        assert table.values.dtype == np.float64 and not table.values.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 7), (6,), (1, 2, 6)])
+    def test_values_shape_refused(self, shape):
+        with pytest.raises(ValueError, match=r"values must have shape \(N, 6\)"):
+            SweepTable(np.zeros(shape), None, (None, None))
+
+    def test_message_length_refused(self):
+        with pytest.raises(ValueError, match="^message must have 2 entries, got 1$"):
+            SweepTable(np.zeros((2, len(SWEEP_HEADER))), None, (None,))
+
+    def test_regime_length_refused(self):
+        with pytest.raises(ValueError, match="^regime must have 2 entries, got 3$"):
+            SweepTable(np.zeros((2, len(SWEEP_HEADER))), ("blind",) * 3, (None, None))
+
+    @pytest.mark.parametrize("sweep", [
+        lambda: run_sweep("double_dot_set", SET_BASE, "gamma_R", (1.0, 2.0)),
+        lambda: run_fermi_sweep(SET_BASE, 0.0, (0.5, 1.5, 0.7)),
+    ], ids=["run_sweep", "run_fermi_sweep"])
+    def test_sweeps_hand_over_their_own_array(self, monkeypatch, sweep):
+        # both sweeps build an owned read-only array, which is not copied
+        taken, read_only = [], experiments.read_only
+
+        def recorded(a):
+            taken.append(read_only(a) is a)
+            return read_only(a)
+
+        monkeypatch.setattr(experiments, "read_only", recorded)
+        sweep()
+        assert taken and all(taken)
+
+
 class TestSweepErrors:
     """Every grid point is solved in one stack, but the rows and errors are
     those of solving the points one by one in grid order."""

@@ -171,6 +171,21 @@ class TestIndexMap:
         with pytest.raises(ValueError):
             IndexMap(("a", "a"))
 
+    def test_arguments_are_read_once(self):
+        # generators are read once, as tuples, like any other sequence
+        idx = IndexMap((label for label in "abc"), (pair for pair in [("b", "c")]))
+        assert idx == IndexMap(("a", "b", "c"), (("b", "c"),))
+        assert idx.coherence(("b", "c")) == (3, 4)
+
+    def test_duplicate_pair_rejected(self):
+        with pytest.raises(ValueError, match="duplicate coherence pair"):
+            IndexMap(("a", "b"), [("a", "b"), ["a", "b"]])
+
+    def test_pair_without_a_diagonal_slot_rejected(self):
+        with pytest.raises(ValueError, match=r"^coherence pair \('a', 'x'\) names a state "
+                                             r"with no diagonal slot$"):
+            IndexMap(("a", "b"), [("a", "x")])
+
 
 class TestPackUnpack:
     def test_point_mass_single_dot(self):
