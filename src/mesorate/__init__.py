@@ -28,6 +28,7 @@ from .builders import (
 )
 from .solver import (
     DegenerateSteadyState,
+    ResidualTooLarge,
     StepTooLarge,
     Trajectory,
     default_step,

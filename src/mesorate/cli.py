@@ -5,9 +5,10 @@ blocking, the flags the swept parameter, the grid, the output format and
 steady's tolerance; no value has a second setter.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 numerical
-failure (degenerate model or no convergence), 4 validation failure.  A
-ValueError of either sweep, a refused grid point's included, is a
-configuration error.
+failure (degenerate model, no convergence or a stationary residual over
+its bound), 4 validation failure.  A ValueError of either sweep, a
+refused grid point's included, is a configuration error, except a
+LinAlgError, which is a numerical failure.
 """
 
 from __future__ import annotations
@@ -22,9 +23,13 @@ from . import acceptance, builders, observables, output
 from .config import ConfigError, load_config, parse_grid
 from .experiments import run_fermi_sweep, run_sweep
 from .model import basis_state, fixed_columns, validate_state
-from .solver import DegenerateSteadyState, StepTooLarge, evolve, steady_state
+from .solver import (DegenerateSteadyState, ResidualTooLarge, StepTooLarge, evolve,
+                     steady_state)
 
 _USAGE_ERROR, _CONFIG_ERROR, _NUMERICAL_ERROR, _VALIDATION_ERROR = 1, 2, 3, 4
+# a LinAlgError is a ValueError, so it is caught before any ValueError
+_NUMERICAL_FAILURES = (DegenerateSteadyState, StepTooLarge, ResidualTooLarge,
+                       np.linalg.LinAlgError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,6 +123,8 @@ def _cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     try:
         table = run_sweep(cfg.scenario, cfg.rates, args.param, grid, cfg.blocking)
+    except _NUMERICAL_FAILURES:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _write_table(table, args, x_label=args.param)
@@ -133,6 +140,8 @@ def _cmd_fig3(args) -> int:
     grid = parse_grid(args.grid)
     try:
         table = run_fermi_sweep(cfg.rates, cfg.E0, grid)
+    except _NUMERICAL_FAILURES:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _write_table(table, args, x_label="detector Fermi level")
@@ -187,7 +196,7 @@ def cli_main(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
-    except (DegenerateSteadyState, StepTooLarge) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR
     except (ValueError, ArithmeticError) as exc:

@@ -192,6 +192,10 @@ class IndexMap:
         if len(self._re) != len(coherence_pairs):
             raise ValueError("duplicate coherence pair")
         for pair in coherence_pairs:
+            if pair[0] == pair[1]:
+                raise ValueError(f"coherence pair {pair!r} joins a state with itself")
+            if pair[::-1] in self._re:
+                raise ValueError(f"coherence pair {pair!r} is also given as {pair[::-1]!r}")
             if not self._diag.keys() >= set(pair):
                 raise ValueError(f"coherence pair {pair!r} names a state with no diagonal slot")
 

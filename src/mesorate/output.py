@@ -3,13 +3,15 @@
 Floats are written with 17 significant digits so every value survives a
 round trip through text, and rows keep grid order, making repeated runs
 byte-identical.  The SVG writer is self-contained (no plotting library)
-for the same reason.  A time series that has settled repeats its samples
-bit for bit, and a row with the bytes of another has its text too, so
-the time-series writer formats the columns after t once per distinct row
-of a block, as a row format with a slot for t in front, and reuses it.
-A piece of rows is then one join of those formats and one % of its times,
-and the file writer streams the pieces, not rows.  The sweep table is one
-% call too, over the table's values in row order.
+for the same reason.  The time-series writer formats the times of a
+block of samples with one % call.  A time series that has settled
+repeats its samples bit for bit, and a row with the bytes of another has
+its text too, so the columns after t are formatted once per distinct row
+of a block, by one % call for all of them.  A block whose rows all have
+the bytes of its first needs one text, joined on its times a piece at a
+time; any other block interleaves its times with its rows' texts, one
+join per piece.  The file writer streams the pieces, not rows.  The
+sweep table is one % call too, over the table's values in row order.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from .model import DIAGONAL, RE_COHERENCE
 from .observables import currents
 from .solver import Trajectory
 
-# samples per block of the time-series writer: the current columns of a
-# block are read at once, so the writer holds one block (and the text of
-# the block before, if that block repeated a row), not the run
+# samples per block of the time-series writer: the times and the current
+# columns of a block are formatted at once, so the writer holds the text
+# of one block's times and distinct rows (and the row texts of the block
+# before, if that block repeated a row), not the run
 _BLOCK = 1024
 # rows per piece of text the time-series writer yields: a block is joined
-# and formatted a piece at a time, never all at once
+# a piece at a time, never all at once
 _PIECE = 128
 
 def sweep_csv_text(table: SweepTable) -> str:
@@ -61,9 +64,7 @@ def column_token(entry) -> str:
 
 
 def _row_keys(values: np.ndarray) -> list[bytes]:
-    """The bytes of each row of an (N, dim) float array."""
-    if not values.shape[1]:
-        return [b""] * len(values)
+    """The bytes of each row of an (N, dim) float array, dim > 0."""
     values = np.ascontiguousarray(values)
     row = np.dtype((np.void, values.itemsize * values.shape[1]))
     return values.view(row).ravel().tolist()
@@ -71,12 +72,15 @@ def _row_keys(values: np.ndarray) -> list[bytes]:
 
 def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[str]:
     """The header line, then the sample lines _PIECE at a time, read
-    _BLOCK samples at a time.  Rows with the same bytes have the same slot
-    and current text, so the columns after t are summed and formatted once
-    per distinct row of a block, into a row format whose only slot is t,
-    and a block that repeated a row hands its formats on to the next.  A
-    piece is one join of its rows' formats and one % of its times.  A bad
-    weight map raises here, before the first line is asked for."""
+    _BLOCK samples at a time.  The times of a block are formatted by one %
+    call.  A row's text is the columns after t, summed and formatted once
+    per distinct row of a block, by one % call for all of them, and a
+    block that repeated a row hands its texts on to the next.  A block
+    whose rows all have the bytes of its first row (one compare of its
+    bits) needs one text, and a piece of it is that text joined on its
+    times; in any other block a piece is one join of its times interleaved
+    with its rows' texts.  A bad weight map raises here, before the first
+    line is asked for."""
     header = ["t"] + [column_token(e) for e in traj.index.entries]
     weights = []
     if system_weights is not None:
@@ -87,32 +91,45 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
         weights.append(detector_weights)
     for w in weights:      # a weight on a missing slot raises on zero rows too
         currents(traj.index, w, traj.values[:0])
-    # "%.17g" for t, then the columns after it as text; that text holds no
-    # %, since %.17g of a float gives only digits, a sign, ".", "e", "nan"
-    # or "inf", so the one % of a piece fills exactly the t slots
-    row_format = "%%.17g" + ",%.17g" * (len(header) - 1) + "\n"
-
+    # the text of a row, then a NUL, which no %.17g text holds, to split on
+    row_format = ",%.17g" * (len(header) - 1) + "\n\0"
     dim = len(traj.index)
+
+    def row_texts(values: np.ndarray) -> list[str]:
+        """The text after t of each row of an (N, dim) array."""
+        sums = [currents(traj.index, w, values) for w in weights]
+        cells = np.column_stack((values, *sums)).ravel().tolist()
+        return (row_format * len(values) % tuple(cells)).split("\0")[:len(values)]
 
     def lines():
         yield ",".join(header) + "\n"
-        known = {}      # row formats by bytes, of the block before if it repeated a row
+        known = {}      # row texts by bytes, of the block before if it repeated a row
         for lo in range(0, len(traj.times), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
-            keys = _row_keys(traj.values[rows])
+            block = traj.values[rows]
+            n = len(block)
+            times = ("%.17g\0" * n % tuple(traj.times[rows].tolist())).split("\0")[:n]
+            bits = block.view(np.int64)
+            if (bits == bits[0]).all():     # a block of zero-width rows is one too
+                key = block[0].tobytes()
+                text = known[key] if key in known else row_texts(block[:1])[0]
+                known = {key: text}
+                for p in range(0, n, _PIECE):
+                    yield text.join(times[p:p + _PIECE]) + text
+                continue
+            keys = _row_keys(block)
             distinct = dict.fromkeys(keys)
-            formats = {key: known[key] for key in distinct if key in known}
-            fresh = [key for key in distinct if key not in formats]
+            texts = {key: known[key] for key in distinct if key in known}
+            fresh = [key for key in distinct if key not in texts]
             values = np.frombuffer(b"".join(fresh), dtype=float).reshape(len(fresh), dim)
-            sums = [currents(traj.index, w, values) for w in weights]
-            formats.update(zip(fresh, [row_format % (*sample, *row_sums)
-                                       for sample, *row_sums in zip(values.tolist(), *sums)]))
-            times = traj.times[rows].tolist()
-            for p in range(0, len(keys), _PIECE):
-                piece = slice(p, p + _PIECE)
-                yield "".join(map(formats.__getitem__, keys[piece])) % tuple(times[piece])
-            # a block without a repeated row has not settled, so its formats are not kept
-            known = formats if len(formats) < len(keys) else {}
+            texts.update(zip(fresh, row_texts(values)))
+            cells = [None] * (2 * n)        # each time, then its row's text
+            cells[::2] = times
+            cells[1::2] = map(texts.__getitem__, keys)
+            for p in range(0, 2 * n, 2 * _PIECE):
+                yield "".join(cells[p:p + 2 * _PIECE])
+            # a block without a repeated row has not settled, so its texts are not kept
+            known = texts if len(texts) < n else {}
 
     return lines()
 

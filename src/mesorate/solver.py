@@ -60,6 +60,10 @@ class StepTooLarge(RuntimeError):
     """An integration step moved the trace beyond the per-step budget."""
 
 
+class ResidualTooLarge(ArithmeticError):
+    """A solved stationary state leaves a residual beyond 1e-12 ||G||_inf."""
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled linear evolution: row k of the read-only (n_samples, dim)
@@ -199,7 +203,7 @@ def steady_states(matrices: np.ndarray,
     values[ok] = x[:, :, 0]
     for k, defect, norm in zip(ok, defects.tolist(), norms.tolist()):
         if defect > 1e-12 * norm:
-            errors[k] = ArithmeticError(
+            errors[k] = ResidualTooLarge(
                 f"stationary residual {defect:.3e} exceeds 1e-12 * ||G||_inf = "
                 f"{1e-12 * norm:.3e}")
             values[k] = np.nan
@@ -261,7 +265,8 @@ def steady_state(g: Generator) -> StateVector:
     The one-generator case of steady_states.  A null space of more than
     one dimension, singular values at or below RANK_TOL times the largest,
     flags a disconnected model.  The returned vector satisfies
-    ||G x||_inf <= 1e-12 ||G||_inf.
+    ||G x||_inf <= 1e-12 ||G||_inf; a state that misses it raises
+    ResidualTooLarge.
     """
     values, errors = steady_states(g.matrix[np.newaxis], g.index)
     if errors[0] is not None:

@@ -454,6 +454,43 @@ class TestExitCodes:
                      "[rates]\nGamma_L = 0\nGamma_R = 0\nOmega = 0\n")
         assert cli_main(["steady", "--config", str(p)]) == 3
 
+    @staticmethod
+    def stationary_argv(command, tmp_path):
+        """A steady, sweep or fig3 command line on a model it solves."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FIG3_CFG if command == "fig3" else BARE_CFG)
+        out = ["--out", str(tmp_path / "x.out")]
+        return {"steady": ["steady", "--config", str(cfg)],
+                "sweep": ["sweep", "--config", str(cfg), "--param", "Omega",
+                          "--grid", "1:2:3"] + out,
+                "fig3": ["fig3", "--config", str(cfg), "--grid", "0.1:0.9:3"] + out}[command]
+
+    @pytest.mark.parametrize("command", ["steady", "sweep", "fig3"])
+    def test_residual_beyond_its_bound_is_numerical_failure(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        # every solve, the refinement's included, misses by 1e-3 in each
+        # slot, so the residual backstop refuses the state
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-3)
+        assert cli_main(self.stationary_argv(command, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: stationary residual \S+ exceeds "
+                            r"1e-12 \* \|\|G\|\|_inf = \S+\n", err), err
+        assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("command", ["steady", "sweep", "fig3"])
+    def test_svd_without_convergence_is_numerical_failure(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        # a LinAlgError is a ValueError, but not a configuration error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "cholesky", fail)    # the rank proof defers to the SVD
+        assert cli_main(self.stationary_argv(command, tmp_path)) == 3
+        assert capsys.readouterr().err == "numerical failure: SVD did not converge\n"
+        assert not (tmp_path / "x.out").exists()
+
     def test_module_entry_point_runs_clean(self):
         # python -m mesorate, with numpy's RuntimeWarnings as errors: no
         # runpy warning, and validate exits 4 while criterion 5 fails

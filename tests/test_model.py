@@ -181,6 +181,21 @@ class TestIndexMap:
         with pytest.raises(ValueError, match="duplicate coherence pair"):
             IndexMap(("a", "b"), [("a", "b"), ["a", "b"]])
 
+    def test_pair_of_a_state_with_itself_rejected(self):
+        # a diagonal element is not a coherence: it would get Re/Im slots
+        with pytest.raises(ValueError, match=r"^coherence pair \('b', 'b'\) joins a state "
+                                             r"with itself$"):
+            IndexMap(("a", "b"), [("b", "b")])
+
+    def test_pair_in_both_orders_rejected(self):
+        # one coherence and its conjugate would get two slot pairs
+        with pytest.raises(ValueError, match=r"^coherence pair \('a', 'b'\) is also given "
+                                             r"as \('b', 'a'\)$"):
+            IndexMap(("a", "b"), [("a", "b"), ("b", "a")])
+        with pytest.raises(ValueError, match=r"^coherence pair \('b', 'a'\) is also given "
+                                             r"as \('a', 'b'\)$"):
+            IndexMap(("a", "b", "c"), [("b", "a"), ("b", "c"), ("a", "b")])
+
     def test_pair_without_a_diagonal_slot_rejected(self):
         with pytest.raises(ValueError, match=r"^coherence pair \('a', 'x'\) names a state "
                                              r"with no diagonal slot$"):

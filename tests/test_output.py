@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mesorate import (
+    IndexMap,
     RateSet,
     Trajectory,
     basis_state,
@@ -185,6 +186,36 @@ class TestTimeseriesBlocks:
             write_timeseries_csv(traj, str(path), *weights)
             assert path.read_bytes() == expected.encode()
 
+    def test_signed_zero_breaks_a_uniform_block(self):
+        # block 1 repeats one row but for -0.0 in one slot of one row:
+        # equal under ==, not in its bits, so that block is not uniform
+        traj = repeating_trajectory(2 * _BLOCK + 3, runs(_BLOCK + 1, 2 * _BLOCK))
+        values = np.array(traj.values)
+        a = traj.index.diagonal("a")
+        values[_BLOCK:2 * _BLOCK, a] = 0.0
+        values[_BLOCK + 500, a] = -0.0
+        traj = Trajectory(traj.times, values, traj.index)
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        for weights in ((), (w["system"],), (w["system"], w["detector"])):
+            text = timeseries_csv_text(traj, *weights)
+            assert text == reference_timeseries_text(traj, *weights)
+            column = [line.split(",")[1 + a] for line in text.splitlines()[1 + _BLOCK:]]
+            assert column[:_BLOCK].count("-0") == 1 and column[500] == "-0"
+
+    @pytest.mark.parametrize("n", [1, _BLOCK + _PIECE + 1])
+    def test_zero_slot_trajectory(self, n):
+        # rows of no slot all have the bytes of the first: every block is
+        # uniform, with no text after t but the currents
+        traj = Trajectory(np.arange(n) / 3.0, np.zeros((n, 0)), IndexMap(()))
+        for weights in ((), ({},), ({}, {})):
+            text = timeseries_csv_text(traj, *weights)
+            assert text == reference_timeseries_text(traj, *weights)
+            assert text.count("\n") == n + 1
+        header, *pieces = _timeseries_lines(traj, {}, None)
+        assert header == "t,I_S\n" and pieces[0].startswith("0,0\n")
+        assert [piece.count("\n") for piece in pieces] == [
+            min(_PIECE, n - p) for lo in range(0, n, _BLOCK)
+            for p in range(lo, min(lo + _BLOCK, n), _PIECE)]
 
 
 def repeating_trajectory(n, copies, seed=0):
@@ -224,6 +255,12 @@ REPEAT_CASES = {
     "settled_block_in_pieces": (3 * _BLOCK, runs(_BLOCK - 10, 3 * _BLOCK)),
     "short_final_piece": (2 * _BLOCK + _PIECE + 3, runs(2 * _BLOCK + 1, 2 * _BLOCK + _PIECE + 3)),
     "one_row_final_piece": (_BLOCK + 1, runs(_BLOCK - 3, _BLOCK + 1)),
+    # blocks whose rows all have the bytes of the first, and blocks that miss by one row
+    "uniform_block_the_block_before_never_held": (2 * _BLOCK + 3, runs(_BLOCK + 1, 2 * _BLOCK)),
+    "uniform_block_but_its_last_row": (2 * _BLOCK + 5, runs(_BLOCK, 2 * _BLOCK - 1)),
+    "uniform_block_but_its_first_row": (3 * _BLOCK, runs(_BLOCK + 2, 2 * _BLOCK)),
+    "uniform_block_after_a_cycle": (3 * _BLOCK + 4, cycle(300, 2 * _BLOCK, 226)
+                                    + runs(2 * _BLOCK, 3 * _BLOCK)),
 }
 
 
@@ -240,7 +277,7 @@ class TestTimeseriesRepeats:
             assert timeseries_csv_text(traj, *weights) == reference_timeseries_text(traj, *weights)
 
     @pytest.mark.parametrize("case", ["settled_block_in_pieces", "short_final_piece",
-                                      "cycle_across_block_edges"])
+                                      "cycle_across_block_edges", "uniform_block_after_a_cycle"])
     def test_lines_stream_a_piece_at_a_time(self, case):
         n, copies = REPEAT_CASES[case]
         traj = repeating_trajectory(n, copies)

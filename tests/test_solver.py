@@ -28,6 +28,7 @@ from mesorate import (
 )
 from mesorate import experiments, solver
 from mesorate.acceptance import _suite_evolve_runs
+from mesorate.solver import ResidualTooLarge
 from test_bit_identity import CONFIGS, SETS, config_id
 
 ALL_ONES_SINGLE = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
@@ -80,7 +81,7 @@ def _steady_state_reference(g):
     norm = float(np.abs(G).sum(axis=1).max())
     defect = float(np.abs(G @ x).max())
     if defect > 1e-12 * norm:
-        raise ArithmeticError(
+        raise ResidualTooLarge(
             f"stationary residual {defect:.3e} exceeds 1e-12 * ||G||_inf = {1e-12 * norm:.3e}")
     return StateVector(x, g.index)
 
@@ -223,8 +224,9 @@ class TestStackedEngine:
         monkeypatch.setattr(np.linalg, "solve", spy)
         _, errors = steady_states(np.stack([g.matrix for g in gens]), index)
         assert [type(e).__name__ for e in errors] == [
-            "NoneType", "DegenerateSteadyState", "ValueError", "ArithmeticError",
+            "NoneType", "DegenerateSteadyState", "ValueError", "ResidualTooLarge",
             "DegenerateSteadyState", "NoneType"]
+        assert isinstance(errors[3], ArithmeticError)     # the residual backstop
         assert str(errors[1]) == "constrained stationary system is singular: Singular matrix"
         assert isinstance(errors[1].__cause__, np.linalg.LinAlgError)
         # the stacked LU fails on member 1, so each of the four members the
