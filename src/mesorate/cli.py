@@ -14,6 +14,7 @@ LinAlgError, which is a numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -32,6 +33,9 @@ _NUMERICAL_FAILURES = (DegenerateSteadyState, StepTooLarge, ResidualTooLarge,
                        np.linalg.LinAlgError)
 
 
+# built on the first call, not at import; parse_args keeps no state in the
+# parser, so every call can share it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mesorate",

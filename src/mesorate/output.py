@@ -3,13 +3,16 @@
 Floats are written with 17 significant digits so every value survives a
 round trip through text, and rows keep grid order, making repeated runs
 byte-identical.  The SVG writer is self-contained (no plotting library)
-for the same reason.  The time-series writer formats the times of a
-block of samples with one % call.  A time series that has settled
+for the same reason.  The CSV writers build UTF-8 bytes with bytes %
+calls and write them to a file opened in binary mode; the *_text
+functions return the same bytes decoded once.  The time-series writer
+reads a block of samples at a time.  A time series that has settled
 repeats its samples bit for bit, and a row with the bytes of another has
 its text too, so the columns after t are formatted once per distinct row
 of a block, by one % call for all of them.  A block whose rows all have
-the bytes of its first needs one text, joined on its times a piece at a
-time; any other block interleaves its times with its rows' texts, one
+the bytes of its first needs one text, and a piece of it is one % call
+over its times, with that text after each %.17g; any other block formats
+its times with one % call and interleaves them with its rows' texts, one
 join per piece.  The file writer streams the pieces, not rows.  The
 sweep table is one % call too, over the table's values in row order.
 """
@@ -27,31 +30,36 @@ from .model import DIAGONAL, RE_COHERENCE
 from .observables import currents
 from .solver import Trajectory
 
-# samples per block of the time-series writer: the times and the current
-# columns of a block are formatted at once, so the writer holds the text
-# of one block's times and distinct rows (and the row texts of the block
-# before, if that block repeated a row), not the run
+# samples per block of the time-series writer: the distinct rows of a
+# block, and the times of a block that is not uniform, are formatted at
+# once, so the writer holds the text of one block's times and distinct
+# rows (and the row texts of the block before, if that block repeated a
+# row), not the run
 _BLOCK = 1024
 # rows per piece of text the time-series writer yields: a block is joined
-# a piece at a time, never all at once
+# or formatted a piece at a time, never all at once
 _PIECE = 128
 
-def sweep_csv_text(table: SweepTable) -> str:
+def _sweep_csv_bytes(table: SweepTable) -> bytes:
     if not len(table):
         raise ValueError("refusing to write an empty table")
-    row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
+    row_format = b",".join([b"%.17g"] * len(SWEEP_HEADER)) + b"\n"
     values = tuple(table.values.ravel().tolist())
-    return ",".join(SWEEP_HEADER) + "\n" + (row_format * len(table)) % values
+    return ",".join(SWEEP_HEADER).encode() + b"\n" + (row_format * len(table)) % values
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def sweep_csv_text(table: SweepTable) -> str:
+    return _sweep_csv_bytes(table).decode()
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_csv(table: SweepTable, path: str) -> None:
     """Sweep table as CSV; fails before creating the file when empty."""
-    _write_text(path, sweep_csv_text(table))
+    _write_bytes(path, _sweep_csv_bytes(table))
 
 
 def column_token(entry) -> str:
@@ -70,17 +78,18 @@ def _row_keys(values: np.ndarray) -> list[bytes]:
     return values.view(row).ravel().tolist()
 
 
-def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[str]:
+def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[bytes]:
     """The header line, then the sample lines _PIECE at a time, read
-    _BLOCK samples at a time.  The times of a block are formatted by one %
-    call.  A row's text is the columns after t, summed and formatted once
-    per distinct row of a block, by one % call for all of them, and a
-    block that repeated a row hands its texts on to the next.  A block
-    whose rows all have the bytes of its first row (one compare of its
-    bits) needs one text, and a piece of it is that text joined on its
-    times; in any other block a piece is one join of its times interleaved
-    with its rows' texts.  A bad weight map raises here, before the first
-    line is asked for."""
+    _BLOCK samples at a time, all as UTF-8 bytes.  A row's text is the
+    columns after t, summed and formatted once per distinct row of a
+    block, by one % call for all of them, and a block that repeated a row
+    hands its texts on to the next.  A block whose rows all have the bytes
+    of its first row (one compare of its bits) needs one text, and a piece
+    of it is one % call over its times, each %.17g followed by that text,
+    which holds no % because no %.17g text does.  In any other block the
+    times are formatted by one % call, and a piece is one join of its
+    times interleaved with its rows' texts.  A bad weight map raises here,
+    before the first line is asked for."""
     header = ["t"] + [column_token(e) for e in traj.index.entries]
     weights = []
     if system_weights is not None:
@@ -92,30 +101,32 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
     for w in weights:      # a weight on a missing slot raises on zero rows too
         currents(traj.index, w, traj.values[:0])
     # the text of a row, then a NUL, which no %.17g text holds, to split on
-    row_format = ",%.17g" * (len(header) - 1) + "\n\0"
+    row_format = b",%.17g" * (len(header) - 1) + b"\n\0"
     dim = len(traj.index)
 
-    def row_texts(values: np.ndarray) -> list[str]:
+    def row_texts(values: np.ndarray) -> list[bytes]:
         """The text after t of each row of an (N, dim) array."""
         sums = [currents(traj.index, w, values) for w in weights]
         cells = np.column_stack((values, *sums)).ravel().tolist()
-        return (row_format * len(values) % tuple(cells)).split("\0")[:len(values)]
+        return (row_format * len(values) % tuple(cells)).split(b"\0")[:len(values)]
 
     def lines():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode()
         known = {}      # row texts by bytes, of the block before if it repeated a row
         for lo in range(0, len(traj.times), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
             block = traj.values[rows]
             n = len(block)
-            times = ("%.17g\0" * n % tuple(traj.times[rows].tolist())).split("\0")[:n]
+            times = traj.times[rows].tolist()
             bits = block.view(np.int64)
             if (bits == bits[0]).all():     # a block of zero-width rows is one too
                 key = block[0].tobytes()
                 text = known[key] if key in known else row_texts(block[:1])[0]
                 known = {key: text}
+                line_format = b"%.17g" + text
                 for p in range(0, n, _PIECE):
-                    yield text.join(times[p:p + _PIECE]) + text
+                    piece = tuple(times[p:p + _PIECE])
+                    yield line_format * len(piece) % piece
                 continue
             keys = _row_keys(block)
             distinct = dict.fromkeys(keys)
@@ -124,10 +135,10 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
             values = np.frombuffer(b"".join(fresh), dtype=float).reshape(len(fresh), dim)
             texts.update(zip(fresh, row_texts(values)))
             cells = [None] * (2 * n)        # each time, then its row's text
-            cells[::2] = times
+            cells[::2] = (b"%.17g\0" * n % tuple(times)).split(b"\0")[:n]
             cells[1::2] = map(texts.__getitem__, keys)
             for p in range(0, 2 * n, 2 * _PIECE):
-                yield "".join(cells[p:p + 2 * _PIECE])
+                yield b"".join(cells[p:p + 2 * _PIECE])
             # a block without a repeated row has not settled, so its texts are not kept
             known = texts if len(texts) < n else {}
 
@@ -136,16 +147,16 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
 
 def timeseries_csv_text(traj: Trajectory, system_weights=None, detector_weights=None) -> str:
     """Columns t, every slot, I_S if system weights are given, I_D if detector ones."""
-    return "".join(_timeseries_lines(traj, system_weights, detector_weights))
+    return b"".join(_timeseries_lines(traj, system_weights, detector_weights)).decode()
 
 
 def write_timeseries_csv(traj: Trajectory, path: str,
                          system_weights=None, detector_weights=None) -> None:
-    """timeseries_csv_text streamed to path a piece of rows at a time,
-    without holding the whole text; a bad weight map fails before the file
-    is created."""
+    """The bytes of timeseries_csv_text streamed to path a piece of rows
+    at a time, without holding the whole text; a bad weight map fails
+    before the file is created."""
     lines = _timeseries_lines(traj, system_weights, detector_weights)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(lines)
 
 
@@ -226,4 +237,4 @@ def svg_text(table: SweepTable, x_label: str) -> str:
 
 
 def write_svg(table: SweepTable, path: str, x_label: str) -> None:
-    _write_text(path, svg_text(table, x_label))
+    _write_bytes(path, svg_text(table, x_label).encode())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mesorate
-from mesorate import cli_main
+from mesorate import cli, cli_main, validate_state
 
 BARE_CFG = """\
 [scenario]
@@ -396,6 +396,59 @@ class TestTolOverride:
 
     def test_zero_tolerance_accepted(self, bare_cfg):
         assert cli_main(["steady", "--config", bare_cfg, "--tol", "0"]) == 0
+
+
+class TestCachedParser:
+    """cli_main parses every call with one parser, built on the first call;
+    no call leaves a value behind for the next."""
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.fixture
+    def tolerances(self, monkeypatch):
+        seen = []
+
+        def spy(x, tol):
+            seen.append(tol)
+            return validate_state(x, tol)
+
+        monkeypatch.setattr(cli, "validate_state", spy)
+        return seen
+
+    def test_tol_falls_back_to_its_default(self, bare_cfg, tolerances):
+        assert cli_main(["steady", "--config", bare_cfg, "--tol", "0"]) == 0
+        assert cli_main(["steady", "--config", bare_cfg]) == 0
+        assert tolerances == [0.0, 1e-9]
+
+    def test_format_falls_back_to_csv(self, bare_cfg, tmp_path):
+        argv = ["sweep", "--config", bare_cfg, "--param", "Omega", "--grid", "0.5:2:4"]
+        svg, csv = tmp_path / "a.svg", tmp_path / "b.csv"
+        assert cli_main(argv + ["--format", "svg", "--out", str(svg)]) == 0
+        assert cli_main(argv + ["--out", str(csv)]) == 0
+        assert svg.read_text().startswith("<svg")
+        assert csv.read_text().startswith("param,I_S_numeric,")
+
+    @pytest.mark.parametrize("bad", [
+        ["steady", "--tol", "x"],
+        ["sweep", "--param", "Omega", "--format", "svg", "--out", "x.svg"],
+        ["fig3", "--grid", "0.1:0.9:3", "--format", "png", "--out", "x.png"],
+    ], ids=["steady-bad-tol", "sweep-no-grid", "fig3-bad-format"])
+    def test_usage_error_between_good_calls(self, bare_cfg, tmp_path, monkeypatch, capsys,
+                                            tolerances, bad):
+        monkeypatch.chdir(tmp_path)
+        good = ["steady", "--config", bare_cfg]
+        assert cli_main(good) == 0
+        first = capsys.readouterr()
+        assert cli_main(bad[:1] + ["--config", bare_cfg] + bad[1:]) == 1
+        assert capsys.readouterr().out == ""
+        assert cli_main(good) == 0
+        assert capsys.readouterr() == first
+        assert tolerances == [1e-9, 1e-9]
+        sweep = ["sweep", "--config", bare_cfg, "--param", "Omega", "--grid", "0.5:2:4"]
+        assert cli_main(sweep + ["--out", "y.csv"]) == 0
+        assert (tmp_path / "y.csv").read_text().startswith("param,")
+        assert not list(tmp_path.glob("x.*"))
 
 
 class TestExitCodes:

@@ -26,6 +26,19 @@ from test_observables import reference_occupation_sum
 ROW = (1.0, 0.5, 0.5, math.nan, math.nan, 0.0)     # in SWEEP_HEADER order
 
 
+def assert_same_text(actual, expected):
+    """actual == expected, two str or two bytes, failing with the first
+    line that differs: pytest's own report of a failed == diffs the two
+    texts, which for a time series of a few MB does not finish."""
+    if actual == expected:
+        return
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+             min(len(got), len(want)))
+    pytest.fail(f"texts of {len(got)} and {len(want)} lines differ first at line {k + 1}: "
+                f"{got[k:k + 1]!r} != {want[k:k + 1]!r}")
+
+
 def table(*rows) -> SweepTable:
     return SweepTable(np.array(rows, dtype=float).reshape(-1, len(SWEEP_HEADER)), None,
                       (None,) * len(rows))
@@ -70,7 +83,7 @@ class TestSweepCsv:
         row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
         expected = ",".join(SWEEP_HEADER) + "\n" + "".join(
             row_format % tuple(row) for row in values.tolist())
-        assert sweep_csv_text(table(*values)) == expected
+        assert_same_text(sweep_csv_text(table(*values)), expected)
         assert "nan" in expected and ",-0," in expected
 
     def test_byte_determinism(self, tmp_path):
@@ -140,7 +153,7 @@ class TestTimeseriesBytes:
         for weights in ((), (w["system"],), (w["system"], w["detector"])):
             path = tmp_path / "ts.csv"
             write_timeseries_csv(traj, str(path), *weights)
-            assert path.read_bytes() == timeseries_csv_text(traj, *weights).encode()
+            assert_same_text(path.read_bytes(), timeseries_csv_text(traj, *weights).encode())
 
 
 def reference_timeseries_text(traj, system_weights=None, detector_weights=None):
@@ -181,10 +194,10 @@ class TestTimeseriesBlocks:
         for weights in ((), (w["system"],), (w["system"], w["detector"])):
             expected = reference_timeseries_text(traj, *weights)
             assert expected.count("\n") == n + 1
-            assert timeseries_csv_text(traj, *weights) == expected
+            assert_same_text(timeseries_csv_text(traj, *weights), expected)
             path = tmp_path / "ts.csv"
             write_timeseries_csv(traj, str(path), *weights)
-            assert path.read_bytes() == expected.encode()
+            assert_same_text(path.read_bytes(), expected.encode())
 
     def test_signed_zero_breaks_a_uniform_block(self):
         # block 1 repeats one row but for -0.0 in one slot of one row:
@@ -198,7 +211,7 @@ class TestTimeseriesBlocks:
         w = scenario_table("double_dot_set").weights(HAND_RATES)
         for weights in ((), (w["system"],), (w["system"], w["detector"])):
             text = timeseries_csv_text(traj, *weights)
-            assert text == reference_timeseries_text(traj, *weights)
+            assert_same_text(text, reference_timeseries_text(traj, *weights))
             column = [line.split(",")[1 + a] for line in text.splitlines()[1 + _BLOCK:]]
             assert column[:_BLOCK].count("-0") == 1 and column[500] == "-0"
 
@@ -209,11 +222,11 @@ class TestTimeseriesBlocks:
         traj = Trajectory(np.arange(n) / 3.0, np.zeros((n, 0)), IndexMap(()))
         for weights in ((), ({},), ({}, {})):
             text = timeseries_csv_text(traj, *weights)
-            assert text == reference_timeseries_text(traj, *weights)
+            assert_same_text(text, reference_timeseries_text(traj, *weights))
             assert text.count("\n") == n + 1
         header, *pieces = _timeseries_lines(traj, {}, None)
-        assert header == "t,I_S\n" and pieces[0].startswith("0,0\n")
-        assert [piece.count("\n") for piece in pieces] == [
+        assert header == b"t,I_S\n" and pieces[0].startswith(b"0,0\n")
+        assert [piece.count(b"\n") for piece in pieces] == [
             min(_PIECE, n - p) for lo in range(0, n, _BLOCK)
             for p in range(lo, min(lo + _BLOCK, n), _PIECE)]
 
@@ -274,7 +287,8 @@ class TestTimeseriesRepeats:
         traj = repeating_trajectory(*REPEAT_CASES[case])
         w = scenario_table("double_dot_set").weights(HAND_RATES)
         for weights in ((), (w["system"],), (w["system"], w["detector"])):
-            assert timeseries_csv_text(traj, *weights) == reference_timeseries_text(traj, *weights)
+            assert_same_text(timeseries_csv_text(traj, *weights),
+                             reference_timeseries_text(traj, *weights))
 
     @pytest.mark.parametrize("case", ["settled_block_in_pieces", "short_final_piece",
                                       "cycle_across_block_edges", "uniform_block_after_a_cycle"])
@@ -283,8 +297,8 @@ class TestTimeseriesRepeats:
         traj = repeating_trajectory(n, copies)
         w = scenario_table("double_dot_set").weights(HAND_RATES)
         header, *pieces = _timeseries_lines(traj, w["system"], w["detector"])
-        assert header.count("\n") == 1 and header.endswith("\n")
-        rows = [piece.count("\n") for piece in pieces]
+        assert header.count(b"\n") == 1 and header.endswith(b"\n")
+        rows = [piece.count(b"\n") for piece in pieces]
         assert all(0 < k <= _PIECE for k in rows) and sum(rows) == n
         # a piece never spans a block edge
         assert len(pieces) == sum(-(-min(_BLOCK, n - lo) // _PIECE) for lo in range(0, n, _BLOCK))
@@ -300,7 +314,7 @@ class TestTimeseriesRepeats:
         traj = Trajectory(traj.times, values, traj.index)
         w = scenario_table("double_dot_set").weights(HAND_RATES)
         text = timeseries_csv_text(traj, {"a": 1.0}, w["detector"])
-        assert text == reference_timeseries_text(traj, {"a": 1.0}, w["detector"])
+        assert_same_text(text, reference_timeseries_text(traj, {"a": 1.0}, w["detector"]))
         assert [line.split(",")[1] for line in text.splitlines()[1:]] == ["0", "-0", "0", "-0"]
 
     def test_nan_rows_of_either_sign(self):
@@ -311,7 +325,81 @@ class TestTimeseriesRepeats:
         traj = Trajectory(traj.times, values, traj.index)
         w = scenario_table("double_dot_set").weights(HAND_RATES)
         text = timeseries_csv_text(traj, w["system"], w["detector"])
-        assert text == reference_timeseries_text(traj, w["system"], w["detector"])
+        assert_same_text(text, reference_timeseries_text(traj, w["system"], w["detector"]))
+
+
+def special_values_trajectory():
+    """NaN of either sign, +-inf and -0.0 in the slots, and so in the currents."""
+    traj = repeating_trajectory(7, [])
+    values = np.array(traj.values)
+    values[0, 0], values[1, 0] = math.nan, -math.nan
+    values[2, 1], values[3, 2] = math.inf, -math.inf
+    values[4] = -0.0
+    values[5:] = 0.0
+    values[6, 3] = -0.0
+    return Trajectory(traj.times, values, traj.index)
+
+
+def settled_from_the_block_before():
+    """Block 1 repeats, bit for bit, the last row of block 0, which block 0
+    repeats too, so block 1 is uniform and takes its text from block 0."""
+    traj = repeating_trajectory(*REPEAT_CASES["settled_block_in_pieces"])
+    assert (traj.values[_BLOCK - 11:2 * _BLOCK] == traj.values[_BLOCK - 11]).all()
+    return traj
+
+
+def non_ascii_trajectory():
+    rng = np.random.default_rng(5)
+    index = IndexMap(("α", "β'"), [("α", "β'")])
+    return Trajectory(np.arange(9) / 7.0, rng.normal(size=(9, len(index))), index)
+
+
+FILE_CASES = {
+    "nan_inf_and_signed_zeros": (special_values_trajectory,
+                                 scenario_table("double_dot_set").weights(HAND_RATES)),
+    "zero_slot_trajectory": (
+        lambda: Trajectory(np.arange(_BLOCK + 3) / 3.0, np.zeros((_BLOCK + 3, 0)), IndexMap(())),
+        {"system": {}, "detector": {}}),
+    "settled_block_from_the_block_before": (settled_from_the_block_before,
+                                            scenario_table("double_dot_set").weights(HAND_RATES)),
+    "non_ascii_labels": (non_ascii_trajectory, {"system": {"α": 1.0 / 3.0}, "detector": {"β'": 0.1}}),
+}
+
+
+class TestFileBytesEqualText:
+    """Each writer writes the UTF-8 bytes of the text its *_text function
+    returns; the time series also the per-row reference's."""
+
+    @pytest.mark.parametrize("case", sorted(FILE_CASES))
+    def test_timeseries(self, tmp_path, case):
+        make, w = FILE_CASES[case]
+        traj = make()
+        path = tmp_path / "ts.csv"
+        for weights in ((), (w["system"],), (w["system"], w["detector"])):
+            text = timeseries_csv_text(traj, *weights)
+            assert_same_text(text, reference_timeseries_text(traj, *weights))
+            write_timeseries_csv(traj, str(path), *weights)
+            assert_same_text(path.read_bytes(), text.encode("utf-8"))
+
+    def test_non_ascii_header_is_utf8(self, tmp_path):
+        traj = non_ascii_trajectory()
+        path = tmp_path / "ts.csv"
+        write_timeseries_csv(traj, str(path), {"α": 1.0})
+        assert path.read_bytes().split(b"\n")[0] == "t,α,βp,re_αβp,im_αβp,I_S".encode("utf-8")
+
+    def test_sweep_table(self, tmp_path):
+        t = table(ROW, (2.0, math.inf, -math.inf, -0.0, math.nan, -math.nan),
+                  (-0.0, 5e-324, 1.0 / 3.0, -1e300, math.inf, 0.0))
+        text = sweep_csv_text(t)
+        assert text.splitlines()[2:] == ["2,inf,-inf,-0,nan,nan",
+                                         "-0,4.9406564584124654e-324,0.33333333333333331,"
+                                         "-1.0000000000000001e+300,inf,0"]
+        path = tmp_path / "sweep.csv"
+        write_csv(t, str(path))
+        assert_same_text(path.read_bytes(), text.encode("utf-8"))
+        path = tmp_path / "sweep.svg"
+        write_svg(t, str(path), x_label="Ω")
+        assert_same_text(path.read_bytes(), svg_text(t, "Ω").encode("utf-8"))
 
 
 class TestSvg:
