@@ -311,7 +311,7 @@ def pack(index: IndexMap, occupations: Mapping[str, float],
         values[re] = c.real
         values[im] = c.imag
     total = math.fsum(float(p) for p in occupations.values())
-    if abs(total - 1.0) > PACK_TOL:
+    if not abs(total - 1.0) <= PACK_TOL:       # NaN compares False, so it is refused too
         raise ValueError(f"occupations sum to {total!r}, expected 1 within {PACK_TOL:g}")
     return StateVector(values, index)
 
@@ -353,7 +353,7 @@ def validate_state(x: StateVector, tol: float = 1e-9) -> list[str]:
     trace, occupations, sigma2, bound = _invariant_columns(x.index, x.values[np.newaxis])
     total = trace.tolist()[0]
     violations = []
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:            # NaN compares False, so it is reported too
         violations.append(f"normalization: diagonal sum {total!r} differs from 1 by {abs(total - 1.0):.3e}")
     for label, p in zip(x.index.diagonal_labels, occupations[0].tolist()):
         if p < -tol:
@@ -361,7 +361,7 @@ def validate_state(x: StateVector, tol: float = 1e-9) -> list[str]:
         if p > 1.0 + tol:
             violations.append(f"overflow: occupation of {label} is {p:.3e} > 1")
     for pair, s2, b in zip(x.index.coherence_pairs, sigma2[0].tolist(), bound[0].tolist()):
-        if s2 > b + tol:
+        if not s2 <= b + tol:
             violations.append(
                 f"coherence block {pair[0]},{pair[1]}: |sigma|^2 = {s2:.3e} exceeds {b:.3e}")
     return violations

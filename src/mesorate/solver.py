@@ -14,7 +14,15 @@ failing the others.  steady_state is its one-generator case, so a sweep
 and a single solve share every line and every bit.  The rank test before
 the solve takes its verdict from a cheap proof where that holds and from
 one SVD call on the rest of the stack; the two never disagree
-(_proven_unique).  A one-member stack goes straight to the SVD.
+(_proven_unique).  A one-member stack goes straight to the SVD.  A stack
+of at least 2 * _PART_MIN members is split into contiguous parts, at
+most one per CPU this process may run on, solved in threads (numpy's
+LAPACK and matmul loops release the GIL) that are joined before the call
+returns.  The split cannot change a bit, since nothing a member gets
+depends on the other members of its stack: the proof settles a member
+only where the SVD gives its verdict, the SVD, the LU solve, each
+refinement solve and the residual check run per member, and a refinement
+block's exit is bit-neutral.
 
 Time evolution is fixed-step classical RK4 with a guarded default step.
 For a constant generator one RK4 step is exactly the matrix polynomial
@@ -36,7 +44,10 @@ exponentials, so reruns are bit-identical.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +59,7 @@ TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
 MAX_STEPS = 1_000_000          # most steps one evolve run may take
 RANK_TOL = 1e-10               # singular values at or below RANK_TOL * sigma_max count as null
 _EXTENDED_BLOCK = 64           # members per refinement block and per rank-test proof block
+_PART_MIN = 256                # fewest members per part of a split stack (see steady_states)
 _TRACE_ROWS = 256              # steps whose traces evolve checks as one slice
 _SCREEN_STEPS = 16             # fewest steps of a slice that evolve screens with numpy
 
@@ -110,8 +122,66 @@ def steady_states(matrices: np.ndarray,
     leaves its bits unchanged.  The rank test's proof
     (_proven_unique) runs per block too, and one SVD call decides the
     members it leaves; a one-member stack goes straight to the SVD.
+
+    A stack of at least 2 * _PART_MIN members is split into
+    min(CPUs, N // _PART_MIN) contiguous parts (CPUs being those this
+    process may run on), each solved as a stack of its own: the caller's
+    thread solves the first, a thread started for this call each other one,
+    in a copy of the caller's context (so its np.errstate holds there), and
+    every thread is joined before the call returns.  numpy's LAPACK and
+    matmul loops release the GIL, so the parts run on as many CPUs.  The
+    split cannot change a bit: nothing a member gets depends on the other
+    members of its stack.  The proof settles a member only where the SVD
+    gives the same verdict; the SVD, the LU solve (and its per-member
+    fallback), each refinement solve and the residual check run per
+    member; and a member that pass 2 leaves unchanged gets the same bits
+    from pass 3, so where a refinement block starts does not matter.  An
+    exception a part raises, rather than returns for a member, is raised
+    here, the first in stack order.  Two parts break even with one near
+    100 members each (measured on a 2-CPU Xeon); at _PART_MIN = 256,
+    validate's stacks of at most 200 members stay whole, which splitting
+    them into 100-member parts made 16% slower in process.
     """
     G = np.asarray(matrices, dtype=float)
+    parts = min(_cpus(), len(G) // _PART_MIN) if len(G) >= 2 * _PART_MIN else 1
+    if parts == 1:
+        return _steady_part(G, index)
+    edges = [len(G) * j // parts for j in range(parts + 1)]
+    outcomes: list = [None] * parts
+
+    def solve_part(j):
+        try:
+            outcomes[j] = _steady_part(G[edges[j]:edges[j + 1]], index)
+        except BaseException as exc:    # handed to the caller's thread
+            outcomes[j] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(solve_part, j))
+               for j in range(1, parts)]
+    try:
+        for t in threads:
+            t.start()
+        solve_part(0)
+    finally:
+        for t in threads:
+            if t.ident is not None:     # it started
+                t.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return (np.concatenate([values for values, _ in outcomes]),
+            [err for _, errors in outcomes for err in errors])
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _steady_part(G: np.ndarray, index: IndexMap) -> tuple[np.ndarray, list[Exception | None]]:
+    """steady_states on one stack, in the calling thread."""
     n_points, n = len(G), len(index)
     errors: list[Exception | None] = [None] * n_points
 
@@ -151,10 +221,9 @@ def steady_states(matrices: np.ndarray,
     # others (their sum is the zero row), so replacing the first one keeps
     # all information and makes the system square and nonsingular.
     # IndexMap puts the diagonal slots first.  A is the only copy of the
-    # stack kept: its replaced row is saved and put back for the residual
-    # check, so a stack the caller does not hold is freed here.
+    # stack made: its replaced row is saved and put back for the residual
+    # check.
     A = G.copy() if len(ok) == n_points else G[ok]
-    del G, matrices, tail
     row0 = A[:, 0, :].copy()
     A[:, 0, :] = 0.0
     A[:, 0, :len(index.diagonal_positions)] = 1.0

@@ -219,6 +219,12 @@ class TestPackUnpack:
         with pytest.raises(KeyError):
             pack(SINGLE_DOT_SET_INDEX, {"q": 1.0})
 
+    @pytest.mark.parametrize("occupations", [{"a": math.nan}, {"a": 1.0, "b": math.nan}])
+    def test_nan_occupation_rejected(self, occupations):
+        with pytest.raises(ValueError) as refused:
+            pack(IndexMap(("a", "b")), occupations)
+        assert str(refused.value) == "occupations sum to nan, expected 1 within 1e-12"
+
     @pytest.mark.parametrize("values,shape", [(np.zeros(3), "(3,)"),
                                               (np.zeros((4, 1)), "(4, 1)")])
     def test_wrong_slot_count_rejected(self, values, shape):
@@ -263,6 +269,19 @@ class TestValidateState:
         x = StateVector(np.array([0.0, 0.5, 0.5, 0.7, 0.0]), DOUBLE_DOT_INDEX)
         assert any("coherence block" in v for v in validate_state(x, 1e-9))
 
+    def test_nan_occupation_reported(self):
+        x = StateVector(np.array([np.nan, 0.0]), IndexMap(("a", "b")))
+        assert validate_state(x, 1e-9) == [
+            "normalization: diagonal sum nan differs from 1 by nan"]
+
+    @pytest.mark.parametrize("slot", [3, 4])
+    def test_nan_coherence_reported(self, slot):
+        values = np.array([0.0, 0.5, 0.5, 0.1, 0.1])
+        values[slot] = np.nan
+        x = StateVector(values, DOUBLE_DOT_INDEX)
+        assert validate_state(x, 1e-9) == [
+            "coherence block b,c: |sigma|^2 = nan exceeds 2.500e-01"]
+
     def test_magnitude_zero_for_clean_state(self):
         x = pack(DOUBLE_DOT_INDEX, {"b": 0.5, "c": 0.5}, {("b", "c"): 0.5j})
         assert violation_magnitudes(x.index, x.values[np.newaxis]).tolist() == [0.0]
@@ -276,7 +295,7 @@ class TestValidateState:
 def reference_validate_state(x, tol):
     """The per-state Python walk that validate_state replaces: the
     reference for its messages, the bits of every number they print
-    included."""
+    included.  A NaN trace or |sigma|^2 is a violation."""
     occupations = [(label, x.occupation(label)) for label in x.index.diagonal_labels]
     blocks = []
     for pair in x.index.coherence_pairs:
@@ -284,7 +303,7 @@ def reference_validate_state(x, tol):
         blocks.append((pair, abs(x.coherence(pair)) ** 2, bound))
     total = x.trace()
     violations = []
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         violations.append(f"normalization: diagonal sum {total!r} differs from 1 by {abs(total - 1.0):.3e}")
     for label, p in occupations:
         if p < -tol:
@@ -292,7 +311,7 @@ def reference_validate_state(x, tol):
         if p > 1.0 + tol:
             violations.append(f"overflow: occupation of {label} is {p:.3e} > 1")
     for pair, sigma2, bound in blocks:
-        if sigma2 > bound + tol:
+        if not sigma2 <= bound + tol:
             violations.append(
                 f"coherence block {pair[0]},{pair[1]}: |sigma|^2 = {sigma2:.3e} exceeds {bound:.3e}")
     return violations

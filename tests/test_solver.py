@@ -1,5 +1,7 @@
 import collections
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -259,7 +261,16 @@ def _grid_stack(scenario, blocking, base, top, n=1000):
 
 
 @pytest.fixture
-def svd_stacks(monkeypatch):
+def one_part(monkeypatch):
+    """steady_states solves every stack in the caller's thread, as on one
+    CPU: the spies below read the engine's calls in their order, which
+    parts run in threads would interleave, and the number of parts would
+    follow the machine's CPU count."""
+    monkeypatch.setattr(solver, "_cpus", lambda: 1)
+
+
+@pytest.fixture
+def svd_stacks(monkeypatch, one_part):
     """The length of every stack np.linalg.svd is called on (the reference
     solver calls it on single matrices, which are not recorded)."""
     lengths = []
@@ -275,7 +286,7 @@ def svd_stacks(monkeypatch):
 
 
 @pytest.fixture
-def proof_stacks(monkeypatch):
+def proof_stacks(monkeypatch, one_part):
     """The length of every stack steady_states runs the uniqueness proof on."""
     lengths = []
     proven_unique = solver._proven_unique
@@ -444,7 +455,7 @@ class TestProofEdges:
 
 
 @pytest.fixture
-def solve_stacks(monkeypatch):
+def solve_stacks(monkeypatch, one_part):
     """Every stack np.linalg.solve is called on, copied, in call order (the
     reference solver calls it on single matrices, which are not recorded)."""
     stacks = []
@@ -469,6 +480,18 @@ def _passes(G, stacks):
     return np.array([taken[k] for k in keys])
 
 
+def _alternating_stack():
+    """README-sweep blocks of 64 in turn with stiff ones; from stiff member
+    558 on the rank test fails them, so later blocks mix the two kinds.
+    Returns the stack, its slot layout and which members are stiff."""
+    sweep, index = _grid_stack("double_dot_set", None, README_SWEEP, 1e4)
+    stiff, _ = _grid_stack("double_dot_set", None, STIFF_BASE, 1e12)
+    chunks = [c for lo in range(0, len(sweep), BLOCK)
+              for c in (sweep[lo:lo + BLOCK], stiff[lo:lo + BLOCK])]
+    is_stiff = np.concatenate([np.full(len(c), k % 2 == 1) for k, c in enumerate(chunks)])
+    return np.concatenate(chunks), index, is_stiff
+
+
 class TestRefinementExit:
     """A refinement block stops after a pass that leaves its bits
     unchanged; the solutions are those of three passes (the reference)."""
@@ -484,23 +507,144 @@ class TestRefinementExit:
         assert set(_passes(G, solve_stacks).tolist()) == {2, 3}
 
     def test_stiff_blocks_take_every_pass(self, solve_stacks):
-        # README-sweep blocks of 64 in turn with stiff ones; from stiff member
-        # 558 on the rank test fails them, so later blocks mix the two kinds
-        sweep, index = _grid_stack("double_dot_set", None, README_SWEEP, 1e4)
-        stiff, _ = _grid_stack("double_dot_set", None, STIFF_BASE, 1e12)
-        chunks = [c for lo in range(0, len(sweep), BLOCK)
-                  for c in (sweep[lo:lo + BLOCK], stiff[lo:lo + BLOCK])]
-        G = np.concatenate(chunks)
-        is_stiff = np.concatenate([np.full(len(c), k % 2 == 1) for k, c in enumerate(chunks)])
+        G, index, is_stiff = _alternating_stack()
         gens = [Generator(g, index, "alternating") for g in G]
         assert assert_stack_matches_reference(gens) == 442
         passes = _passes(G, solve_stacks)
         assert set(passes[is_stiff].tolist()) == {0, 3}        # failed or refined thrice
-        assert (passes[is_stiff] == 3).sum() == len(stiff) - 442
+        assert (passes[is_stiff] == 3).sum() == is_stiff.sum() - 442
         # a README member takes pass 3 only beside a stiff member or one of
         # the few members that pass 2 moves
         assert set(passes[~is_stiff].tolist()) == {2, 3}
         assert (passes[~is_stiff] == 3).sum() <= 3 * BLOCK
+
+
+@pytest.fixture
+def part_stacks(monkeypatch):
+    """The length of every part steady_states solves, in call order."""
+    lengths = []
+    steady_part = solver._steady_part
+
+    def spy(G, *args):
+        lengths.append(len(G))
+        return steady_part(G, *args)
+
+    monkeypatch.setattr(solver, "_steady_part", spy)
+    return lengths
+
+
+def _split_inputs(name):
+    """The README sweep, the stiff sweep to gamma_R = 1e12 (failing from
+    member 558 on), the alternating stack (failing from member 1134 on)
+    and the stiff sweep shuffled, which fails members in every part."""
+    if name == "alternating":
+        G, index, _ = _alternating_stack()
+        return G, index
+    base, top = {"sweep": (README_SWEEP, 1e4)}.get(name, (STIFF_BASE, 1e12))
+    G, index = _grid_stack("double_dot_set", None, base, top)
+    if name == "shuffled":
+        G = G[np.random.default_rng(0).permutation(len(G))]
+    return G, index
+
+
+class TestStackSplit:
+    """A large stack is solved in contiguous parts, one per thread; the
+    parts are forced here through solver._cpus, not taken from the
+    machine."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("name", ["sweep", "stiff", "alternating", "shuffled"])
+    def test_parts_give_the_one_part_bytes(self, name, cpus, monkeypatch, part_stacks):
+        G, index = _split_inputs(name)
+        monkeypatch.setattr(solver, "_cpus", lambda: 1)
+        values, errors = steady_states(G, index)
+        assert part_stacks == [len(G)]
+        part_stacks.clear()
+        monkeypatch.setattr(solver, "_cpus", lambda: cpus)
+        split_values, split_errors = steady_states(G, index)
+        assert sorted(part_stacks) == sorted(len(G) * (j + 1) // cpus - len(G) * j // cpus
+                                             for j in range(cpus))
+        assert split_values.tobytes() == values.tobytes()
+        assert ([(type(e), str(e)) for e in split_errors]
+                == [(type(e), str(e)) for e in errors])
+        edges = [len(G) * j // cpus for j in range(1, cpus)]
+        failing = {int(np.searchsorted(edges, k, side="right"))
+                   for k, e in enumerate(errors) if e is not None}
+        if name == "sweep":
+            assert failing == set()
+        elif name == "shuffled":
+            assert failing == set(range(cpus))
+
+    def test_more_parts_than_cores_with_frequent_switches(self, monkeypatch):
+        # seven parts, more than most test machines have cores, with the
+        # interpreter switching threads every 10 us
+        G, index = _split_inputs("alternating")
+        monkeypatch.setattr(solver, "_cpus", lambda: 1)
+        values, errors = steady_states(G, index)
+        monkeypatch.setattr(solver, "_cpus", lambda: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            split_values, split_errors = steady_states(G, index)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split_values.tobytes() == values.tobytes()
+        assert ([(type(e), str(e)) for e in split_errors]
+                == [(type(e), str(e)) for e in errors])
+
+    @pytest.mark.parametrize("size,cpus,parts", [
+        (2 * solver._PART_MIN - 1, 8, [2 * solver._PART_MIN - 1]),
+        (2 * solver._PART_MIN, 8, [solver._PART_MIN] * 2),
+        (1000, 8, [333, 333, 334]),
+        (1000, 1, [1000]),
+    ])
+    def test_the_part_count(self, size, cpus, parts, monkeypatch, part_stacks):
+        G, index = _grid_stack("double_dot_set", None, README_SWEEP, 1e4, n=size)
+        monkeypatch.setattr(solver, "_cpus", lambda: cpus)
+        steady_states(G, index)
+        assert sorted(part_stacks) == parts
+
+    def test_a_worker_part_keeps_the_callers_errstate(self, monkeypatch):
+        seen = []
+        proven_unique = solver._proven_unique
+
+        def spy(G, *args):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return proven_unique(G, *args)
+
+        monkeypatch.setattr(solver, "_proven_unique", spy)
+        monkeypatch.setattr(solver, "_cpus", lambda: 2)
+        G, index = _split_inputs("sweep")
+        with np.errstate(all="raise"):
+            steady_states(G, index)
+        assert sorted(main for main, _ in seen) == [False, True]
+        raising = {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
+        assert [errs for _, errs in seen] == [raising, raising]
+
+    @pytest.mark.parametrize("failing", [{1}, {2}, {1, 2}, {0, 2}])
+    def test_a_raising_part_propagates_and_no_thread_outlives_the_call(
+            self, failing, monkeypatch):
+        G, index = _split_inputs("sweep")
+        starts = [0, 333, 666]
+        steady_part = solver._steady_part
+        workers = []
+
+        def raising(part, *args):
+            if threading.current_thread() is not threading.main_thread():
+                workers.append(threading.current_thread())
+            start = next(lo for lo in starts if part[0].tobytes() == G[lo].tobytes())
+            if starts.index(start) in failing:
+                raise RuntimeError(f"part at {start}")
+            return steady_part(part, *args)
+
+        monkeypatch.setattr(solver, "_steady_part", raising)
+        monkeypatch.setattr(solver, "_cpus", lambda: 3)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=f"^part at {starts[min(failing)]}$"):
+            steady_states(G, index)
+        assert len(workers) == 2
+        assert not any(t.is_alive() for t in workers)
+        assert set(threading.enumerate()) == before
 
 
 class TestEvolve:
