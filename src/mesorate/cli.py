@@ -5,10 +5,15 @@ blocking, the flags the swept parameter, the grid, the output format and
 steady's tolerance; no value has a second setter.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 numerical
-failure (degenerate model, no convergence or a stationary residual over
-its bound), 4 validation failure.  A ValueError of either sweep, a
-refused grid point's included, is a configuration error, except a
-LinAlgError, which is a numerical failure.
+failure, 4 validation failure.  cli_main maps a command's failure to its
+code in one place, by class, with one stderr line: a degenerate model, a
+refused RK4 run, a LinAlgError or any ArithmeticError (a stationary
+residual over its bound included) is a numerical failure ("numerical
+failure: ..."); any other ValueError, a ConfigError or a refused sweep
+point included, a configuration error ("config error: ..."); an OSError
+exits 2 too ("i/o error: ...").  So one refusal reads the same from
+every command, and steady prints nothing before its state, outputs and
+violations are all computed.
 """
 
 from __future__ import annotations
@@ -24,13 +29,13 @@ from . import acceptance, builders, observables, output
 from .config import ConfigError, load_config, parse_grid
 from .experiments import run_fermi_sweep, run_sweep
 from .model import basis_state, fixed_columns, validate_state
-from .solver import (DegenerateSteadyState, ResidualTooLarge, StepTooLarge, evolve,
-                     steady_state)
+from .solver import DegenerateSteadyState, StepTooLarge, evolve, steady_state
 
 _USAGE_ERROR, _CONFIG_ERROR, _NUMERICAL_ERROR, _VALIDATION_ERROR = 1, 2, 3, 4
-# a LinAlgError is a ValueError, so it is caught before any ValueError
-_NUMERICAL_FAILURES = (DegenerateSteadyState, StepTooLarge, ResidualTooLarge,
-                       np.linalg.LinAlgError)
+# a LinAlgError is a ValueError, so these are caught before any ValueError;
+# ArithmeticError covers ResidualTooLarge
+_NUMERICAL_FAILURES = (DegenerateSteadyState, StepTooLarge, np.linalg.LinAlgError,
+                       ArithmeticError)
 
 
 # built on the first call, not at import; parse_args keeps no state in the
@@ -77,6 +82,8 @@ def _cmd_steady(args) -> int:
         raise ConfigError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     table = builders.scenario_table(cfg.scenario, cfg.blocking)
     x = steady_state(table.generator(cfg.rates))
+    outputs = observables.stationary_outputs(table, fixed_columns(cfg.rates), x.values[np.newaxis])
+    violations = validate_state(x, args.tol)
 
     print(f"scenario: {cfg.scenario}")
     print("occupations:")
@@ -87,10 +94,8 @@ def _cmd_steady(args) -> int:
         # + 0.0 folds negative zeros into plain zeros for display
         print(f"  Re[{pair[0]},{pair[1]}] = {c.real + 0.0:.12g}   "
               f"Im[{pair[0]},{pair[1]}] = {c.imag + 0.0:.12g}")
-    outputs = observables.stationary_outputs(table, fixed_columns(cfg.rates), x.values[np.newaxis])
     for name, column in outputs.items():
         print(f"{name} = {column[0]:.12g}")
-    violations = validate_state(x, args.tol)
     for v in violations:
         print(f"warning: {v}", file=sys.stderr)
     return 0
@@ -124,13 +129,7 @@ def _write_table(table, args, x_label: str) -> None:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    grid = parse_grid(args.grid)
-    try:
-        table = run_sweep(cfg.scenario, cfg.rates, args.param, grid, cfg.blocking)
-    except _NUMERICAL_FAILURES:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = run_sweep(cfg.scenario, cfg.rates, args.param, parse_grid(args.grid), cfg.blocking)
     _write_table(table, args, x_label=args.param)
     return 0
 
@@ -141,13 +140,7 @@ def _cmd_fig3(args) -> int:
         raise ConfigError("fig3 needs scenario generalized_double_dot_set")
     if cfg.E0 is None:
         raise ConfigError("fig3 needs an [energies] section")
-    grid = parse_grid(args.grid)
-    try:
-        table = run_fermi_sweep(cfg.rates, cfg.E0, grid)
-    except _NUMERICAL_FAILURES:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    table = run_fermi_sweep(cfg.rates, cfg.E0, parse_grid(args.grid))
     _write_table(table, args, x_label="detector Fermi level")
     return 0
 
@@ -197,14 +190,11 @@ def cli_main(argv) -> int:
         return 0 if exc.code in (0, None) else _USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _CONFIG_ERROR
     except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:       # a ConfigError included
+        print(f"config error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

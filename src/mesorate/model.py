@@ -373,16 +373,14 @@ def violation_magnitudes(index: IndexMap, values: np.ndarray) -> np.ndarray:
     occupation's distance below 0 or above 1, and each coherence block's
     |sigma|^2 - p*q, with p and q clamped to >= 0.
 
-    Each row has the bits of a Python fold over that row with max, which
-    keeps its first argument, abs(trace - 1) >= +0.0, unless a later one
-    is strictly greater: so a NaN trace gives NaN, any other NaN is
-    skipped (fmax) and a zero result is +0.0 (the final + 0.0).
+    Any NaN invariant, an inf - inf excess included, makes its row NaN,
+    and a zero result is +0.0 (the final + 0.0).
     """
     trace, p, sigma2, bound = _invariant_columns(index, values)
-    with np.errstate(invalid="ignore"):
-        worst = np.fmax(np.abs(trace - 1.0), np.fmax(-p, p - 1.0).max(axis=1, initial=-math.inf))
+    with np.errstate(invalid="ignore"):     # inf - inf
+        worst = np.maximum(np.abs(trace - 1.0),
+                           np.maximum(-p, p - 1.0).max(axis=1, initial=-math.inf))
         for excess in (sigma2 - bound).T:
-            worst = np.fmax(worst, excess)
+            worst = np.maximum(worst, excess)
     worst = worst + 0.0
-    worst[np.isnan(trace)] = math.nan
     return worst

@@ -14,7 +14,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .analytic import single_dot_current
 from .builders import ChannelTable
 from .model import IndexMap, RateColumns
 
@@ -39,13 +38,14 @@ def currents(index: IndexMap, weights: Mapping, values: np.ndarray) -> list[floa
     return list(map(math.fsum, zip(*products)))
 
 
-def detector_drops(columns: RateColumns, detector_currents: list[float]) -> list[float]:
+def detector_drops(columns: RateColumns, detector_currents: list[float]) -> np.ndarray:
     """Drop of each row's detector current below the bare resonant
-    detector current of its unprimed detector widths."""
-    n = len(detector_currents)
-    bare = map(single_dot_current, np.broadcast_to(columns["gamma_L"], n).tolist(),
-               np.broadcast_to(columns["gamma_R"], n).tolist())
-    return [b - i for b, i in zip(bare, detector_currents)]
+    detector current of its unprimed detector widths,
+    gamma_L*gamma_R/(gamma_L + gamma_R), as one float64 column: NaN where
+    both widths are zero and the bare current is undefined."""
+    gamma_L, gamma_R = (np.asarray(columns[name], dtype=float) for name in ("gamma_L", "gamma_R"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gamma_L * gamma_R / (gamma_L + gamma_R) - np.asarray(detector_currents, dtype=float)
 
 
 def stationary_outputs(table: ChannelTable, columns: RateColumns, values: np.ndarray) -> dict:

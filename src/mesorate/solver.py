@@ -47,7 +47,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,18 +125,18 @@ def steady_states(matrices: np.ndarray,
     A stack of at least 2 * _PART_MIN members is split into
     min(CPUs, N // _PART_MIN) contiguous parts (CPUs being those this
     process may run on), each solved as a stack of its own: the caller's
-    thread solves the first, a thread started for this call each other one,
-    in a copy of the caller's context (so its np.errstate holds there), and
-    every thread is joined before the call returns.  numpy's LAPACK and
-    matmul loops release the GIL, so the parts run on as many CPUs.  The
-    split cannot change a bit: nothing a member gets depends on the other
-    members of its stack.  The proof settles a member only where the SVD
-    gives the same verdict; the SVD, the LU solve (and its per-member
-    fallback), each refinement solve and the residual check run per
-    member; and a member that pass 2 leaves unchanged gets the same bits
-    from pass 3, so where a refinement block starts does not matter.  An
-    exception a part raises, rather than returns for a member, is raised
-    here, the first in stack order.  Two parts break even with one near
+    thread solves the first, a thread pool made for this call each other
+    one, in a copy of the caller's context (so its np.errstate holds
+    there), and every thread is joined before the call returns.  numpy's
+    LAPACK and matmul loops release the GIL, so the parts run on as many
+    CPUs.  The split cannot change a bit: nothing a member gets depends on
+    the other members of its stack.  The proof settles a member only where
+    the SVD gives the same verdict; the SVD, the LU solve (and its
+    per-member fallback), each refinement solve and the residual check run
+    per member; and a member that pass 2 leaves unchanged gets the same
+    bits from pass 3, so where a refinement block starts does not matter.
+    An exception a part raises, rather than returns for a member, is
+    raised here, the first in stack order, once every thread is joined.  Two parts break even with one near
     100 members each (measured on a 2-CPU Xeon); at _PART_MIN = 256,
     validate's stacks of at most 200 members stay whole, which splitting
     them into 100-member parts made 16% slower in process.
@@ -146,28 +145,14 @@ def steady_states(matrices: np.ndarray,
     parts = min(_cpus(), len(G) // _PART_MIN) if len(G) >= 2 * _PART_MIN else 1
     if parts == 1:
         return _steady_part(G, index)
+    from concurrent.futures import ThreadPoolExecutor     # here: it imports logging
     edges = [len(G) * j // parts for j in range(parts + 1)]
-    outcomes: list = [None] * parts
-
-    def solve_part(j):
-        try:
-            outcomes[j] = _steady_part(G[edges[j]:edges[j + 1]], index)
-        except BaseException as exc:    # handed to the caller's thread
-            outcomes[j] = exc
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(solve_part, j))
-               for j in range(1, parts)]
-    try:
-        for t in threads:
-            t.start()
-        solve_part(0)
-    finally:
-        for t in threads:
-            if t.ident is not None:     # it started
-                t.join()
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
+    # leaving the with block joins every thread, the first part raising or not
+    with ThreadPoolExecutor(parts - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _steady_part,
+                               G[edges[j]:edges[j + 1]], index) for j in range(1, parts)]
+        first = _steady_part(G[:edges[1]], index)
+    outcomes = [first] + [f.result() for f in futures]
     return (np.concatenate([values for values, _ in outcomes]),
             [err for _, errors in outcomes for err in errors])
 

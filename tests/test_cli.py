@@ -37,6 +37,22 @@ U1 = 1.0
 U2 = 2.0
 """
 
+# single_dot_set without unprimed detector widths: the primed ones keep
+# the detector running, but its bare current gamma_L*gamma_R/(gamma_L + gamma_R)
+# is undefined
+ZERO_WIDTHS_CFG = """\
+[scenario]
+name = single_dot_set
+
+[rates]
+gamma_L = 0
+gamma_R = 0
+gamma_L_p = 1
+gamma_R_p = 1
+Gamma_L = 1
+Gamma_R = 1
+"""
+
 FIG3_CFG = """\
 [scenario]
 name = generalized_double_dot_set
@@ -77,6 +93,54 @@ class TestSteady:
         out = capsys.readouterr().out
         assert "I_D = " in out
         assert "Delta_I_D = " in out
+
+    def test_no_detector_widths_give_a_nan_drop(self, tmp_path, capsys):
+        # the model solves; only the bare detector current is undefined
+        p = tmp_path / "zero.cfg"
+        p.write_text(ZERO_WIDTHS_CFG)
+        assert cli_main(["steady", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("I_S = 0.5\nI_D = 0\nDelta_I_D = nan\n")
+
+    @pytest.mark.parametrize("reader", ["stationary_outputs", "validate_state"])
+    def test_a_failing_read_prints_nothing(self, bare_cfg, capsys, monkeypatch, reader):
+        def raising(*args):
+            raise OverflowError("absolute value too large")
+
+        target = cli.observables if reader == "stationary_outputs" else cli
+        monkeypatch.setattr(target, reader, raising)
+        assert cli_main(["steady", "--config", bare_cfg]) == 3
+        assert capsys.readouterr() == ("", "numerical failure: absolute value too large\n")
+
+
+class TestOneFailureMap:
+    """A refusal reads the same line whichever command meets it."""
+
+    def test_unequal_amplitudes(self, tmp_path, capsys):
+        p = tmp_path / "unequal.cfg"
+        p.write_text(SET_CFG.replace("gamma_R = 100.0", "gamma_R = 100.0\ngamma_R_p = 2.0")
+                     + "\n[run]\nt_final = 1.0\n")
+        out = tmp_path / "x.csv"
+        errs = []
+        for argv in (["steady"], ["evolve", "--out", str(out)],
+                     ["sweep", "--out", str(out), "--param", "gamma_L", "--grid", "1:2:3"]):
+            assert cli_main([*argv, "--config", str(p)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            errs.append(captured.err)
+        assert errs == ["config error: double_dot_set assumes equal tunneling amplitudes; "
+                        "primed widths must equal unprimed ones\n"] * 3
+
+    def test_no_detector_widths_sweep(self, tmp_path, capsys):
+        p = tmp_path / "zero.cfg"
+        p.write_text(ZERO_WIDTHS_CFG)
+        out = tmp_path / "z.csv"
+        assert cli_main(["sweep", "--config", str(p), "--param", "Gamma_L", "--grid", "1:2:3",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote 3 rows to {out}\n", "")
+        rows = out.read_text().splitlines()
+        assert rows[0].split(",")[4] == "Delta_I_D"
+        assert [row.split(",")[4] for row in rows[1:]] == ["nan"] * 3
 
 
 class TestEvolve:

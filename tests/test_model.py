@@ -87,16 +87,18 @@ class TestRateColumns:
 
 def reference_violation_magnitude(x):
     """The per-state Python fold that violation_magnitudes replaces: the
-    reference for its bits."""
+    reference for its bits.  Any NaN invariant makes the result NaN."""
     total = math.fsum(x.values[p] for p in x.index.diagonal_positions)
-    worst = abs(total - 1.0)
+    invariants = [abs(total - 1.0)]
     for label in x.index.diagonal_labels:
         p = x.occupation(label)
-        worst = max(worst, -p, p - 1.0)
+        invariants += [-p, p - 1.0]
     for pair in x.index.coherence_pairs:
         bound = max(x.occupation(pair[0]), 0.0) * max(x.occupation(pair[1]), 0.0)
-        worst = max(worst, abs(x.coherence(pair)) ** 2 - bound)
-    return max(worst, 0.0)
+        invariants.append(abs(x.coherence(pair)) ** 2 - bound)
+    if any(map(math.isnan, invariants)):
+        return math.nan
+    return max(invariants + [0.0])
 
 
 class TestViolationMagnitudes:
@@ -135,6 +137,12 @@ class TestViolationMagnitudes:
         assert self._same(got, self._scalar(index, values))
         assert got.tolist() == [0.0, 0.0, 0.0]
         assert all(math.copysign(1.0, v) == 1.0 for v in got.tolist())
+
+    def test_a_nan_coherence_reads_nan_as_validate_state_reports_it(self):
+        x = StateVector(np.array([0.0, 0.5, 0.5, math.nan, 0.1]), DOUBLE_DOT_INDEX)
+        got = violation_magnitudes(x.index, x.values[np.newaxis])
+        assert math.isnan(got[0]) and math.isnan(reference_violation_magnitude(x))
+        assert validate_state(x) == ["coherence block b,c: |sigma|^2 = nan exceeds 2.500e-01"]
 
     @pytest.mark.parametrize("coherence", [(1e200, 0.0), (1e308, 1e308)])
     def test_overflow_raises_as_the_scalar_path(self, coherence):
