@@ -87,15 +87,15 @@ def _cmd_steady(args) -> int:
 
     print(f"scenario: {cfg.scenario}")
     print("occupations:")
+    # + 0.0 folds negative zeros into plain zeros for display
     for label in x.index.diagonal_labels:
-        print(f"  {label:3s} = {x.occupation(label):.12g}")
+        print(f"  {label:3s} = {x.occupation(label) + 0.0:.12g}")
     for pair in x.index.coherence_pairs:
         c = x.coherence(pair)
-        # + 0.0 folds negative zeros into plain zeros for display
         print(f"  Re[{pair[0]},{pair[1]}] = {c.real + 0.0:.12g}   "
               f"Im[{pair[0]},{pair[1]}] = {c.imag + 0.0:.12g}")
     for name, column in outputs.items():
-        print(f"{name} = {column[0]:.12g}")
+        print(f"{name} = {column[0] + 0.0:.12g}")
     for v in violations:
         print(f"warning: {v}", file=sys.stderr)
     return 0

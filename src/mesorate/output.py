@@ -8,13 +8,13 @@ calls and write them to a file opened in binary mode; the *_text
 functions return the same bytes decoded once.  The time-series writer
 reads a block of samples at a time.  A time series that has settled
 repeats its samples bit for bit, and a row with the bytes of another has
-its text too, so the columns after t are formatted once per distinct row
-of a block, by one % call for all of them.  A block whose rows all have
-the bytes of its first needs one text, and a piece of it is one % call
-over its times, with that text after each %.17g; any other block formats
-its times with one % call and interleaves them with its rows' texts, one
-join per piece.  The file writer streams the pieces, not rows.  The
-sweep table is one % call too, over the table's values in row order.
+its text too, so each distinct row of a block is formatted once, by one %
+call for all of them, into its line format: %.17g for the time, then the
+row's columns after t.  A block is then one % call over its times, its
+format the first row's repeated when every row has the first row's
+bytes, else its rows' formats joined.  The file writer streams the
+blocks, not rows.  The sweep table is one % call too, over the table's
+values in row order.
 """
 
 from __future__ import annotations
@@ -30,15 +30,11 @@ from .model import DIAGONAL, RE_COHERENCE
 from .observables import currents
 from .solver import Trajectory
 
-# samples per block of the time-series writer: the distinct rows of a
-# block, and the times of a block that is not uniform, are formatted at
-# once, so the writer holds the text of one block's times and distinct
-# rows (and the row texts of the block before, if that block repeated a
-# row), not the run
+# samples per block of the time-series writer: a block's distinct rows,
+# then its lines, are formatted at once, so the writer holds the text of
+# one block (and the line formats of the block before, if that block
+# repeated a row), not the run
 _BLOCK = 1024
-# rows per piece of text the time-series writer yields: a block is joined
-# or formatted a piece at a time, never all at once
-_PIECE = 128
 
 def _sweep_csv_bytes(table: SweepTable) -> bytes:
     if not len(table):
@@ -79,16 +75,15 @@ def _row_keys(values: np.ndarray) -> list[bytes]:
 
 
 def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[bytes]:
-    """The header line, then the sample lines _PIECE at a time, read
-    _BLOCK samples at a time, all as UTF-8 bytes.  A row's text is the
-    columns after t, summed and formatted once per distinct row of a
-    block, by one % call for all of them, and a block that repeated a row
-    hands its texts on to the next.  A block whose rows all have the bytes
-    of its first row (one compare of its bits) needs one text, and a piece
-    of it is one % call over its times, each %.17g followed by that text,
-    which holds no % because no %.17g text does.  In any other block the
-    times are formatted by one % call, and a piece is one join of its
-    times interleaved with its rows' texts.  A bad weight map raises here,
+    """The header line, then the sample lines one block of _BLOCK samples
+    at a time, all as UTF-8 bytes.  A row's line format is %.17g for its
+    time followed by the text of its columns after t, summed and
+    formatted once per distinct row of a block, by one % call for all of
+    them; a block that repeated a row hands its formats on to the next.
+    A block is one % call over its times: a block whose rows all have the
+    bytes of its first row (one compare of its bits) repeats that row's
+    format, any other joins its rows' formats.  No format holds a % but
+    its first, as no %.17g text holds one.  A bad weight map raises here,
     before the first line is asked for."""
     header = ["t"] + [column_token(e) for e in traj.index.entries]
     weights = []
@@ -100,47 +95,39 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
         weights.append(detector_weights)
     for w in weights:      # a weight on a missing slot raises on zero rows too
         currents(traj.index, w, traj.values[:0])
-    # the text of a row, then a NUL, which no %.17g text holds, to split on
-    row_format = b",%.17g" * (len(header) - 1) + b"\n\0"
+    # %% leaves the %.17g of the time; a NUL, which no %.17g text holds, to split on
+    row_format = b"%%.17g" + b",%.17g" * (len(header) - 1) + b"\n\0"
     dim = len(traj.index)
 
-    def row_texts(values: np.ndarray) -> list[bytes]:
-        """The text after t of each row of an (N, dim) array."""
+    def line_formats(values: np.ndarray) -> list[bytes]:
+        """The line format of each row of an (N, dim) array."""
         sums = [currents(traj.index, w, values) for w in weights]
         cells = np.column_stack((values, *sums)).ravel().tolist()
         return (row_format * len(values) % tuple(cells)).split(b"\0")[:len(values)]
 
     def lines():
         yield (",".join(header) + "\n").encode()
-        known = {}      # row texts by bytes, of the block before if it repeated a row
+        known = {}      # line formats by bytes, of the block before if it repeated a row
         for lo in range(0, len(traj.times), _BLOCK):
             rows = slice(lo, lo + _BLOCK)
             block = traj.values[rows]
-            n = len(block)
-            times = traj.times[rows].tolist()
+            times = tuple(traj.times[rows].tolist())
             bits = block.view(np.int64)
             if (bits == bits[0]).all():     # a block of zero-width rows is one too
                 key = block[0].tobytes()
-                text = known[key] if key in known else row_texts(block[:1])[0]
-                known = {key: text}
-                line_format = b"%.17g" + text
-                for p in range(0, n, _PIECE):
-                    piece = tuple(times[p:p + _PIECE])
-                    yield line_format * len(piece) % piece
+                fmt = known[key] if key in known else line_formats(block[:1])[0]
+                known = {key: fmt}
+                yield fmt * len(times) % times
                 continue
             keys = _row_keys(block)
             distinct = dict.fromkeys(keys)
-            texts = {key: known[key] for key in distinct if key in known}
-            fresh = [key for key in distinct if key not in texts]
+            formats = {key: known[key] for key in distinct if key in known}
+            fresh = [key for key in distinct if key not in formats]
             values = np.frombuffer(b"".join(fresh), dtype=float).reshape(len(fresh), dim)
-            texts.update(zip(fresh, row_texts(values)))
-            cells = [None] * (2 * n)        # each time, then its row's text
-            cells[::2] = (b"%.17g\0" * n % tuple(times)).split(b"\0")[:n]
-            cells[1::2] = map(texts.__getitem__, keys)
-            for p in range(0, 2 * n, 2 * _PIECE):
-                yield b"".join(cells[p:p + 2 * _PIECE])
-            # a block without a repeated row has not settled, so its texts are not kept
-            known = texts if len(texts) < n else {}
+            formats.update(zip(fresh, line_formats(values)))
+            yield b"".join(map(formats.__getitem__, keys)) % times
+            # a block without a repeated row has not settled, so its formats are not kept
+            known = formats if len(formats) < len(times) else {}
 
     return lines()
 
@@ -152,7 +139,7 @@ def timeseries_csv_text(traj: Trajectory, system_weights=None, detector_weights=
 
 def write_timeseries_csv(traj: Trajectory, path: str,
                          system_weights=None, detector_weights=None) -> None:
-    """The bytes of timeseries_csv_text streamed to path a piece of rows
+    """The bytes of timeseries_csv_text streamed to path a block of rows
     at a time, without holding the whole text; a bad weight map fails
     before the file is created."""
     lines = _timeseries_lines(traj, system_weights, detector_weights)
@@ -172,17 +159,17 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def svg_text(table: SweepTable, x_label: str) -> str:
     """Line chart of the numeric current I_S over the sweep parameter, with
-    a dashed companion line for the analytic reference where it exists."""
+    a dashed companion line for the analytic reference where it exists.
+    A table with no finite current draws empty axes over its grid, around
+    a current of 0."""
     if not len(table):
         raise ValueError("refusing to plot an empty table")
     params = table["param"].tolist()
     pts = [(p, v) for p, v in zip(params, table["I_S_numeric"].tolist()) if math.isfinite(v)]
-    if not pts:
-        raise ValueError("no finite currents to plot")
     ref = [(p, v) for p, v in zip(params, table["I_S_analytic"].tolist()) if math.isfinite(v)]
 
-    xs = [p for p, _ in pts] + [p for p, _ in ref]
-    ys = [v for _, v in pts] + [v for _, v in ref]
+    xs = [p for p, _ in pts + ref] or params
+    ys = [v for _, v in pts + ref] or [0.0]
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys), max(ys)
     if xhi == xlo:
@@ -230,8 +217,9 @@ def svg_text(table: SweepTable, x_label: str) -> str:
     if ref:
         parts.append(f'<polyline points="{poly(ref)}" fill="none" stroke="#888888" '
                      'stroke-dasharray="6 4" stroke-width="1.5"/>')
-    parts.append(f'<polyline points="{poly(pts)}" fill="none" stroke="#1f5fbf" '
-                 'stroke-width="2"/>')
+    if pts:
+        parts.append(f'<polyline points="{poly(pts)}" fill="none" stroke="#1f5fbf" '
+                     'stroke-width="2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

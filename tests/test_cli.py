@@ -102,6 +102,15 @@ class TestSteady:
         out = capsys.readouterr().out
         assert out.endswith("I_S = 0.5\nI_D = 0\nDelta_I_D = nan\n")
 
+    def test_signed_zeros_print_as_zero(self, tmp_path, capsys):
+        # the primed occupations solve to -0.0 here
+        p = tmp_path / "zero.cfg"
+        p.write_text(ZERO_WIDTHS_CFG)
+        assert cli_main(["steady", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "a'  = 0\n" in out and "b'  = 0\n" in out
+        assert not re.search(r"-0(?![.\d])", out), out
+
     @pytest.mark.parametrize("reader", ["stationary_outputs", "validate_state"])
     def test_a_failing_read_prints_nothing(self, bare_cfg, capsys, monkeypatch, reader):
         def raising(*args):
@@ -398,6 +407,23 @@ class TestNanRows:
         assert all(row[1] == "nan" for row in rows)
         assert re.fullmatch(r"warning: 3 of 3 rows are NaN; the first, at detector Fermi "
                             r"level = 0\.5: .+\n", err)
+
+    def test_all_nan_svg_and_csv_agree(self, tmp_path, capsys):
+        # no numeric current to plot is no refusal: the SVG draws empty
+        # axes, and both formats exit 0 with the same warning
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BARE_CFG.replace("= 1.0", "= 0.0"))
+        results = []
+        for fmt in ("csv", "svg"):
+            out = tmp_path / f"out.{fmt}"
+            code = cli_main(["sweep", "--config", str(cfg), "--param", "Omega",
+                             "--grid", "0:0:2", "--format", fmt, "--out", str(out)])
+            captured = capsys.readouterr()
+            assert captured.out == f"wrote 2 rows to {out}\n" and out.exists()
+            results.append((code, captured.err))
+        assert results[0] == results[1] == (
+            0, "warning: 2 of 2 rows are NaN; the first, at Omega = 0.0: "
+               "zero generator: every state is stationary\n")
 
     def test_no_nan_row_no_line(self, tmp_path, capsys):
         rows, err = self.run(tmp_path, capsys, SET_CFG,

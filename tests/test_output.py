@@ -18,12 +18,14 @@ from mesorate import (
     write_svg,
 )
 from mesorate.experiments import SWEEP_HEADER, SweepTable
-from mesorate.output import (_BLOCK, _PIECE, _timeseries_lines, column_token,
-                             sweep_csv_text, svg_text, timeseries_csv_text,
-                             write_timeseries_csv)
+from mesorate.output import (_BLOCK, _timeseries_lines, column_token, sweep_csv_text,
+                             svg_text, timeseries_csv_text, write_timeseries_csv)
 from test_observables import reference_occupation_sum
 
 ROW = (1.0, 0.5, 0.5, math.nan, math.nan, 0.0)     # in SWEEP_HEADER order
+# rows 128 apart inside a time-series block: the repeat cases put runs up
+# to, from and across these edges too
+PIECE = 128
 
 
 def assert_same_text(actual, expected):
@@ -215,7 +217,7 @@ class TestTimeseriesBlocks:
             column = [line.split(",")[1 + a] for line in text.splitlines()[1 + _BLOCK:]]
             assert column[:_BLOCK].count("-0") == 1 and column[500] == "-0"
 
-    @pytest.mark.parametrize("n", [1, _BLOCK + _PIECE + 1])
+    @pytest.mark.parametrize("n", [1, _BLOCK + PIECE + 1])
     def test_zero_slot_trajectory(self, n):
         # rows of no slot all have the bytes of the first: every block is
         # uniform, with no text after t but the currents
@@ -224,11 +226,14 @@ class TestTimeseriesBlocks:
             text = timeseries_csv_text(traj, *weights)
             assert_same_text(text, reference_timeseries_text(traj, *weights))
             assert text.count("\n") == n + 1
-        header, *pieces = _timeseries_lines(traj, {}, None)
-        assert header == b"t,I_S\n" and pieces[0].startswith(b"0,0\n")
-        assert [piece.count(b"\n") for piece in pieces] == [
-            min(_PIECE, n - p) for lo in range(0, n, _BLOCK)
-            for p in range(lo, min(lo + _BLOCK, n), _PIECE)]
+        header, *blocks = _timeseries_lines(traj, {}, None)
+        assert header == b"t,I_S\n" and blocks[0].startswith(b"0,0\n")
+        assert [block.count(b"\n") for block in blocks] == block_rows(n)
+
+
+def block_rows(n):
+    """The rows of each block of an n-row time series."""
+    return [min(_BLOCK, n - lo) for lo in range(0, n, _BLOCK)]
 
 
 def repeating_trajectory(n, copies, seed=0):
@@ -261,12 +266,12 @@ REPEAT_CASES = {
     "cycle_across_block_edges": (3 * _BLOCK + 5, cycle(300, 3 * _BLOCK + 5, 226)),
     "cycle_longer_than_a_block": (4 * _BLOCK, cycle(_BLOCK + 10, 4 * _BLOCK, _BLOCK + 3)),
     "no_rows": (0, []),
-    # pieces of _PIECE rows inside a block
-    "run_starts_at_piece_edge": (_BLOCK, runs(3 * _PIECE, 3 * _PIECE + 9)),
-    "run_ends_at_piece_edge": (2 * _BLOCK, runs(_BLOCK + 2 * _PIECE - 7, _BLOCK + 2 * _PIECE)),
-    "run_straddles_piece_edge": (_BLOCK, runs(_PIECE - 2, _PIECE + 3)),
+    # runs at the PIECE-row edges inside a block
+    "run_starts_at_piece_edge": (_BLOCK, runs(3 * PIECE, 3 * PIECE + 9)),
+    "run_ends_at_piece_edge": (2 * _BLOCK, runs(_BLOCK + 2 * PIECE - 7, _BLOCK + 2 * PIECE)),
+    "run_straddles_piece_edge": (_BLOCK, runs(PIECE - 2, PIECE + 3)),
     "settled_block_in_pieces": (3 * _BLOCK, runs(_BLOCK - 10, 3 * _BLOCK)),
-    "short_final_piece": (2 * _BLOCK + _PIECE + 3, runs(2 * _BLOCK + 1, 2 * _BLOCK + _PIECE + 3)),
+    "short_final_piece": (2 * _BLOCK + PIECE + 3, runs(2 * _BLOCK + 1, 2 * _BLOCK + PIECE + 3)),
     "one_row_final_piece": (_BLOCK + 1, runs(_BLOCK - 3, _BLOCK + 1)),
     # blocks whose rows all have the bytes of the first, and blocks that miss by one row
     "uniform_block_the_block_before_never_held": (2 * _BLOCK + 3, runs(_BLOCK + 1, 2 * _BLOCK)),
@@ -292,16 +297,15 @@ class TestTimeseriesRepeats:
 
     @pytest.mark.parametrize("case", ["settled_block_in_pieces", "short_final_piece",
                                       "cycle_across_block_edges", "uniform_block_after_a_cycle"])
-    def test_lines_stream_a_piece_at_a_time(self, case):
+    def test_lines_stream_a_block_at_a_time(self, case):
         n, copies = REPEAT_CASES[case]
         traj = repeating_trajectory(n, copies)
         w = scenario_table("double_dot_set").weights(HAND_RATES)
-        header, *pieces = _timeseries_lines(traj, w["system"], w["detector"])
+        header, *blocks = _timeseries_lines(traj, w["system"], w["detector"])
         assert header.count(b"\n") == 1 and header.endswith(b"\n")
-        rows = [piece.count(b"\n") for piece in pieces]
-        assert all(0 < k <= _PIECE for k in rows) and sum(rows) == n
-        # a piece never spans a block edge
-        assert len(pieces) == sum(-(-min(_BLOCK, n - lo) // _PIECE) for lo in range(0, n, _BLOCK))
+        # one bytes object per block, the whole block and nothing of the next
+        assert all(type(block) is bytes for block in blocks)
+        assert [block.count(b"\n") for block in blocks] == block_rows(n)
 
     def test_signed_zeros_do_not_share_text(self):
         # rows equal under == but not in their bits: 0.0 and -0.0 in a
@@ -428,10 +432,14 @@ class TestSvg:
             write_svg(table(), str(path), x_label="x")
         assert not path.exists()
 
-    def test_all_nan_rejected(self):
-        with pytest.raises(ValueError, match="^no finite currents to plot$"):
-            svg_text(table(*[(p, math.nan, math.nan, math.nan, math.nan, math.nan)
-                             for p in (1.0, 2.0)]), x_label="x")
+    def test_all_nan_draws_empty_axes(self):
+        # x spans the grid, y the band around a current of 0, and no line is drawn
+        text = svg_text(table(*[(p, math.nan, math.nan, math.nan, math.nan, math.nan)
+                                for p in (1.0, 2.0)]), x_label="x")
+        ticks = re.findall(r'text-anchor="(?:middle|end)">([^<]+)</text>', text)
+        assert ticks[:10] == ["1", "1.25", "1.5", "1.75", "2",
+                              "-0.05", "-0.025", "0", "0.025", "0.05"]
+        assert "<polyline" not in text and text.rstrip().endswith("</svg>")
 
     def test_one_point_spans_a_unit_around_it(self):
         # a single parameter value is widened by 0.5 on each side, so the
