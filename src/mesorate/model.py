@@ -257,10 +257,9 @@ class StateVector:
     index: IndexMap
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
+        arr = read_only(self.values)
         if arr.shape != (len(self.index),):
             raise ValueError(f"expected {len(self.index)} slots, got shape {arr.shape}")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def trace(self) -> float:
@@ -283,11 +282,10 @@ class Generator:
     label: str
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float, copy=True)
+        m = read_only(self.matrix)
         n = len(self.index)
         if m.shape != (n, n):
             raise ValueError(f"generator must be {n}x{n}, got {m.shape}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property

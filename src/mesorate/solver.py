@@ -30,16 +30,16 @@ P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, so P is built once per run
 (a P that overflows is refused before the first step) and each step is
 one product P x written in place into its row of one (n_samples, dim)
 array.  The steps run in chunks, and the trace of every step of a chunk
-is checked after the chunk: a numpy screen with a proven rounding bound
-passes a slice of steps that cannot be over budget, and any other slice
-is walked in step order with math.fsum, so a run fails at the step, and
-with the message, that checking each step as it is made would give.
-A run normally outlasts its relaxation: once a step returns its input bit
-for bit, a floating-point fixed point of P, every later step would
+is checked after the chunk by the rank test's rule: a numpy screen with
+a proven rounding bound clears the steps before the first one that
+could be over budget, and math.fsum walks the rest in step order, so a
+run fails at the step, and with the message, that checking each step as
+it is made would give.  As in refinement, a bit-fixed point ends the
+loop: once a step returns its input bit for bit, every later step would
 repeat it, so the remaining rows are filled with it instead of stepping.
 The trace budget, the step cap and the rank test's tolerance are the
-constants TRACE_BUDGET_PER_STEP, MAX_STEPS and RANK_TOL.  No adaptivity, no matrix
-exponentials, so reruns are bit-identical.
+constants TRACE_BUDGET_PER_STEP, MAX_STEPS and RANK_TOL.  No adaptivity,
+no matrix exponentials, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ MAX_STEPS = 1_000_000          # most steps one evolve run may take
 RANK_TOL = 1e-10               # singular values at or below RANK_TOL * sigma_max count as null
 _EXTENDED_BLOCK = 64           # members per refinement block and per rank-test proof block
 _PART_MIN = 256                # fewest members per part of a split stack (see steady_states)
-_TRACE_ROWS = 256              # steps whose traces evolve checks as one slice
-_SCREEN_STEPS = 16             # fewest steps of a slice that evolve screens with numpy
+_SCREEN_STEPS = 16             # fewest steps of a run whose traces evolve screens with numpy
 
 
 class DegenerateSteadyState(RuntimeError):
@@ -111,16 +110,17 @@ def steady_states(matrices: np.ndarray,
                   index: IndexMap) -> tuple[np.ndarray, list[Exception | None]]:
     """Stationary states of a stack of generators sharing one slot layout.
 
-    matrices has shape (N, dim, dim).  Returns the (N, dim) array of
-    solutions and one entry per generator: None where it was solved, else
-    the exception steady_state raises for that generator alone, whose row
-    of the array is then NaN.  Every check runs per generator; the LU solve
-    is one call on the whole stack (one per member when a member is
-    singular), and each of up to three refinement passes one call per
-    block of _EXTENDED_BLOCK members: a block stops after a pass that
-    leaves its bits unchanged.  The rank test's proof
-    (_proven_unique) runs per block too, and one SVD call decides the
-    members it leaves; a one-member stack goes straight to the SVD.
+    matrices has shape (N, dim, dim), dim = len(index) (any other shape
+    raises ValueError).  Returns the (N, dim) array of solutions and one
+    entry per generator: None where it was solved, else the exception
+    steady_state raises for that generator alone, whose row of the array is
+    then NaN.  Every check runs per generator; the LU solve is one call on
+    the whole stack (one per member when a member is singular), and each of
+    up to three refinement passes one call per block of _EXTENDED_BLOCK
+    members: a block stops after any pass that leaves its bits unchanged.
+    The rank test's proof (_proven_unique) runs per block too, and one SVD
+    call decides the members it leaves; a one-member stack goes straight to
+    the SVD.
 
     A stack of at least 2 * _PART_MIN members is split into
     min(CPUs, N // _PART_MIN) contiguous parts (CPUs being those this
@@ -133,16 +133,20 @@ def steady_states(matrices: np.ndarray,
     the other members of its stack.  The proof settles a member only where
     the SVD gives the same verdict; the SVD, the LU solve (and its
     per-member fallback), each refinement solve and the residual check run
-    per member; and a member that pass 2 leaves unchanged gets the same
-    bits from pass 3, so where a refinement block starts does not matter.
-    An exception a part raises, rather than returns for a member, is
-    raised here, the first in stack order, once every thread is joined.  Two parts break even with one near
-    100 members each (measured on a 2-CPU Xeon); at _PART_MIN = 256,
-    validate's stacks of at most 200 members stay whole, which splitting
-    them into 100-member parts made 16% slower in process.
+    per member; and a member that a pass leaves unchanged gets the same
+    bits from every later pass, so where a refinement block starts does
+    not matter.  An exception a part raises, rather than returns for a
+    member, is raised here, the first in stack order, once every thread is
+    joined.  Two parts break even with one near 100 members each
+    (measured on a 2-CPU Xeon); at _PART_MIN = 256, validate's stacks of
+    at most 200 members stay whole, which splitting them into 100-member
+    parts made 16% slower in process.
     """
     G = np.asarray(matrices, dtype=float)
-    parts = min(_cpus(), len(G) // _PART_MIN) if len(G) >= 2 * _PART_MIN else 1
+    n = len(index)
+    if G.shape[1:] != (n, n):
+        raise ValueError(f"generator stack must have shape (N, {n}, {n}), got {G.shape}")
+    parts = max(1, min(_cpus(), len(G) // _PART_MIN))
     if parts == 1:
         return _steady_part(G, index)
     from concurrent.futures import ThreadPoolExecutor     # here: it imports logging
@@ -183,7 +187,7 @@ def _steady_part(G: np.ndarray, index: IndexMap) -> tuple[np.ndarray, list[Excep
                 errors[proven + k] = s
             else:
                 singulars[k] = s
-    largest = singulars[:, 0] if n else np.zeros(len(tail))
+    largest = singulars.max(axis=1, initial=0.0)
     null_dims = (singulars <= RANK_TOL * largest[:, np.newaxis]).sum(axis=1)
     ok = list(range(proven))
     for k, (top, null_dim) in enumerate(zip(largest.tolist(), null_dims.tolist()), proven):
@@ -236,17 +240,14 @@ def _steady_part(G: np.ndarray, index: IndexMap) -> tuple[np.ndarray, list[Excep
     # runs a block of members at a time, so the longdouble copy of the
     # stack is made once per block and stays small next to the stack.  At
     # most three passes; a pass that returns the block's bits unchanged
-    # found a fixed point, since the next would compute the same residual
-    # from the same bits and return them again, so the block stops there.
-    # Only pass 2 is compared: pass 1 moves nearly every member, and after
-    # pass 3 no pass is left to spare.
+    # ends the block, since every later pass would return them again.
     for lo in range(0, len(A), _EXTENDED_BLOCK):
         block = slice(lo, lo + _EXTENDED_BLOCK)
         A_ext, rhs_ext = A[block].astype(np.longdouble), rhs[block].astype(np.longdouble)
-        for n_pass in (1, 2, 3):
+        for _ in range(3):
             residual = (rhs_ext - A_ext @ x[block].astype(np.longdouble)).astype(float)
             refined = x[block] + np.linalg.solve(A[block], residual)
-            if n_pass == 2 and refined.tobytes() == x[block].tobytes():
+            if refined.tobytes() == x[block].tobytes():
                 break
             x[block] = refined
 
@@ -342,36 +343,36 @@ def _check_traces(diagonals: np.ndarray, h: float) -> None:
     samples, each row one step on from the row before; the message is
     that of checking each step as it is made, with math.fsum traces.
 
-    The rows are read _TRACE_ROWS steps at a time, and a slice of at least
-    _SCREEN_STEPS steps is first screened with one numpy row sum.  A sum of
-    m terms, in any order, is within about (m - 1) u sum|d| of the exact
-    sum (u the unit roundoff) and fsum within u |sum d|, so a row's fsum
-    trace is within m u sum|d| <= m^2 u max|d| of its numpy sum, and a
-    step's fsum drift within the drift of its numpy sums plus
-    2 m^2 u max|d|, max over the slice.  When that is at most half the
-    budget for every step (the other half covers the screen's own
-    rounding and the terms of order u^2), no step of the slice can fail.  Any other slice (a step
-    near or over the budget, a NaN, an inf, or too few steps for the screen
-    to pay) is checked step by step.
+    A run of at least _SCREEN_STEPS steps is first screened with one
+    numpy row sum.  A sum of m terms, in any order, is within about
+    (m - 1) u sum|d| of the exact sum (u the unit roundoff) and fsum within
+    u |sum d|, so a row's fsum trace is within m u sum|d| <= m^2 u max|d|
+    of its numpy sum, and a step's fsum drift within the drift of its
+    numpy sums plus 2 m^2 u max|d|, max over the run.  A step where that
+    is at most half the budget (the other half covers the screen's own
+    rounding and the terms of order u^2) cannot fail: the steps before
+    the first other one (near or over the budget, a NaN, an inf) are
+    cleared, and from that one on, as in a run too short to screen, the
+    steps are walked in order with math.fsum.
     """
-    m = diagonals.shape[1]
-    slack = m * m * np.finfo(float).eps
-    for a in range(1, len(diagonals), _TRACE_ROWS):
-        d = diagonals[a - 1:a + _TRACE_ROWS]
-        if len(d) > _SCREEN_STEPS:
-            sums = d.sum(axis=1)
-            drift = np.abs(sums[1:] - sums[:-1]).max()
-            if drift + slack * np.abs(d).max() <= TRACE_BUDGET_PER_STEP / 2:
-                continue
-        rows = d.tolist()
-        trace = math.fsum(rows[0])
-        for diagonal in rows[1:]:
-            trace_next = math.fsum(diagonal)
-            drift = abs(trace_next - trace)
-            if not drift <= TRACE_BUDGET_PER_STEP:
-                raise StepTooLarge(
-                    f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
-            trace = trace_next
+    start = 0
+    if len(diagonals) > _SCREEN_STEPS:
+        sums = diagonals.sum(axis=1)
+        # 2 m^2 u max|d|, with 2u = 2**-52 the machine epsilon
+        slack = diagonals.shape[1] ** 2 * 2.0 ** -52 * max(diagonals.max(), -diagonals.min())
+        cleared = np.abs(sums[1:] - sums[:-1]) <= TRACE_BUDGET_PER_STEP / 2 - slack
+        start = int(cleared.argmin())               # the first step not cleared
+        if cleared[start]:
+            return
+    rows = diagonals[start:].tolist()
+    trace = math.fsum(rows[0])
+    for diagonal in rows[1:]:
+        trace_next = math.fsum(diagonal)
+        drift = abs(trace_next - trace)
+        if not drift <= TRACE_BUDGET_PER_STEP:
+            raise StepTooLarge(
+                f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt")
+        trace = trace_next
 
 
 def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = None) -> Trajectory:
@@ -385,17 +386,17 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     (the polynomial overflowed) raises StepTooLarge before the first step.
 
     The trace of every step is checked, not once on P: a per-step trace
-    drift beyond TRACE_BUDGET_PER_STEP (or a NaN) raises StepTooLarge, so
-    a run whose step is unstable stops where it blows up.  A well-formed
-    generator keeps the drift at rounding level.  Each product is written
-    in place into its row, a chunk of steps at a time (see below), and the
-    traces of a chunk's steps are checked after it (_check_traces): a
-    numpy row sum of the diagonal slots, with a proven bound on its
-    rounding and on fsum's, passes the slices of steps whose drift cannot
-    reach the budget, and every other slice is walked in step order with
-    math.fsum.  So the first step over budget raises, with the message
-    checking each step as it is made would give, and the rows stepped
-    past it, which may have overflowed without a warning, are discarded.
+    drift beyond TRACE_BUDGET_PER_STEP (or a NaN) raises StepTooLarge, so a
+    run whose step is unstable stops where it blows up.  A well-formed
+    generator keeps the drift at rounding level.  Each product is written in
+    place into its row, a chunk of steps at a time (see below), and the
+    traces of a chunk's steps are checked after it (_check_traces): a numpy
+    row sum of the diagonal slots, with a proven bound on its rounding and
+    on fsum's, clears the steps before the first one whose drift could reach
+    the budget, and math.fsum walks the rest in step order.  So the first
+    step over budget raises, with the message checking each step as it is
+    made would give, and the rows stepped past it, which may have overflowed
+    without a warning, are discarded.
 
     A step that returns its input bit for bit (its trace checked) found a
     fixed point of P in floating point: every later step would compute

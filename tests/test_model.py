@@ -383,6 +383,20 @@ class TestImmutability:
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("make,attr,shape", [
+        (lambda a: StateVector(a, SINGLE_DOT_SET_INDEX), "values", (4,)),
+        (lambda a: Generator(a, SINGLE_DOT_SET_INDEX, "g"), "matrix", (4, 4)),
+    ], ids=["StateVector", "Generator"])
+    def test_intake_copies_a_writable_array_and_keeps_a_read_only_one(self, make, attr, shape):
+        # both take their array through model.read_only
+        writable = np.zeros(shape)
+        taken = getattr(make(writable), attr)
+        writable[0] = 1.0
+        assert not taken.any()
+        owned = np.zeros(shape)
+        owned.setflags(write=False)
+        assert getattr(make(owned), attr) is owned
+
     def test_generator_shape_checked(self):
         with pytest.raises(ValueError, match="4x4"):
             Generator(np.zeros((3, 3)), SINGLE_DOT_SET_INDEX, "bad")

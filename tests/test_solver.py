@@ -205,6 +205,32 @@ class TestStackedEngine:
                 for v in np.geomspace(1.0, 1e6, n).tolist()]
         assert assert_stack_matches_reference(gens) == 0
 
+    @pytest.mark.parametrize("shape,scenario", [
+        ((3, 4, 5), "single_dot_set"),      # not square
+        ((0, 4), "single_dot_set"),         # no stack axis, even empty
+        ((2, 4, 4), "double_dot_set"),      # square, but not the layout's 10 slots
+        ((4, 4), "single_dot_set"),         # one generator without its stack axis
+    ])
+    def test_a_stack_of_the_wrong_shape_is_refused(self, shape, scenario, monkeypatch):
+        # refused before any work: not reported per member as physics, and
+        # not left to numpy's own shape errors
+        def no_work(*args, **kwargs):
+            raise AssertionError("a malformed stack reached the engine")
+
+        monkeypatch.setattr(solver, "_steady_part", no_work)
+        index = scenario_table(scenario).index
+        n = len(index)
+        message = f"generator stack must have shape (N, {n}, {n}), got {shape}"
+        with pytest.raises(ValueError) as info:
+            steady_states(np.ones(shape), index)
+        assert str(info.value) == message
+
+    def test_an_empty_stack_solves_to_no_rows(self):
+        index = scenario_table("double_dot_set").index
+        values, errors = steady_states(np.zeros((0, len(index), len(index))), index)
+        assert values.shape == (0, len(index))
+        assert errors == []
+
     def test_failing_members_fail_alone(self, monkeypatch):
         # a singular constrained system (null vector with zero trace), no
         # stationary direction, a residual beyond the bound and the zero
@@ -517,6 +543,15 @@ class TestRefinementExit:
         # the few members that pass 2 moves
         assert set(passes[~is_stiff].tolist()) == {2, 3}
         assert (passes[~is_stiff] == 3).sum() <= 3 * BLOCK
+
+    def test_a_bit_fixed_lu_answer_takes_one_pass(self, solve_stacks):
+        # the LU solve already gives the exact state [5, 7, 3, 1]/16, so
+        # pass 1 leaves its bits unchanged and the block stops there
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
+        values, errors = steady_states(g.matrix[np.newaxis], g.index)
+        assert errors == [None]
+        assert values[0].tobytes() == (np.array([5.0, 7.0, 3.0, 1.0]) / 16).tobytes()
+        assert len(solve_stacks) == 2                   # the LU and one pass
 
 
 @pytest.fixture
