@@ -29,7 +29,7 @@ from . import acceptance, builders, observables, output
 from .config import ConfigError, load_config, parse_grid
 from .experiments import run_fermi_sweep, run_sweep
 from .model import basis_state, fixed_columns, validate_state
-from .solver import DegenerateSteadyState, StepTooLarge, evolve, steady_state
+from .solver import DegenerateSteadyState, StepTooLarge, evolve_blocks, steady_state
 
 _USAGE_ERROR, _CONFIG_ERROR, _NUMERICAL_ERROR, _VALIDATION_ERROR = 1, 2, 3, 4
 # a LinAlgError is a ValueError, so these are caught before any ValueError;
@@ -109,9 +109,9 @@ def _cmd_evolve(args) -> int:
     g = table.generator(cfg.rates)
     w = table.weights(cfg.rates)
     x0 = basis_state(g.index, g.index.diagonal_labels[0])
-    traj = evolve(g, x0, cfg.t_final, cfg.dt)
-    output.write_timeseries_csv(traj, args.out, w["system"], w["detector"] or None)
-    print(f"wrote {len(traj.times)} samples to {args.out}")
+    n_samples, blocks = evolve_blocks(g, x0, cfg.t_final, cfg.dt)
+    output.write_timeseries_blocks(g.index, blocks, args.out, w["system"], w["detector"] or None)
+    print(f"wrote {n_samples} samples to {args.out}")
     return 0
 
 

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analytic, builders, observables
-from .model import (RATE_FIELDS, RateColumns, RateSet, fixed_columns, read_only,
+from .model import (RATE_FIELDS, RateColumns, RateSet, _Owned, fixed_columns, read_only,
                     sweep_columns, take_rows, violation_magnitudes)
 from .solver import DegenerateSteadyState, steady_states
 
@@ -55,7 +55,9 @@ class SweepTable:
     """A sweep's points in grid order as columns: one read-only (N, 6) array
     of values, read by SWEEP_HEADER name, NaN where undefined or failed; each
     point's regime (None for run_sweep) and message (None or its error).
-    values is taken by model.read_only, so no caller's array is aliased."""
+    values is copied by model.read_only, so no caller's array is aliased;
+    the sweeps hand over their own arrays, which no caller has seen,
+    through model._Owned."""
 
     values: np.ndarray
     regime: tuple[str, ...] | None
@@ -161,8 +163,8 @@ def _solved_rows(table: builders.ChannelTable, columns: RateColumns, matrices: n
     if failure is not None:
         raise failure
     result = np.column_stack((params, outputs[0], references, *outputs[1:]))
-    result.setflags(write=False)     # owned and read-only: SweepTable takes it as is
-    return SweepTable(result, None, tuple(None if err is None else str(err) for err in errors))
+    return SweepTable(_Owned(result), None,
+                      tuple(None if err is None else str(err) for err in errors))
 
 
 def run_sweep(scenario: str, base: RateSet, parameter: str, grid: Sequence[float],
@@ -239,6 +241,5 @@ def run_fermi_sweep(base: RateSet, E0: float, grid: Sequence[float]) -> SweepTab
         rows[code], messages[code] = solved.values[0], solved.message[0]
     values = rows[codes]     # each point takes its regime's row, then its own level
     values[:, 0] = levels
-    values.setflags(write=False)     # owned and read-only: SweepTable takes it as is
-    return SweepTable(values, tuple(map(names.__getitem__, codes)),
+    return SweepTable(_Owned(values), tuple(map(names.__getitem__, codes)),
                       tuple(map(messages.__getitem__, codes)))

@@ -238,13 +238,22 @@ class IndexMap:
             raise KeyError(f"no coherence slot for pair {pair!r}") from None
 
 
+class _Owned:
+    """An array the package made and never exposed, for read_only to take
+    without a copy.  Only evolve and the two sweeps wrap their arrays in
+    it; every other construction copies."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def read_only(a) -> np.ndarray:
-    """a as a read-only float64 array: a itself when it is one and owns its
-    data, else a copy, so a caller's writable array is never aliased."""
-    if (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.base is None
-            and not a.flags.writeable):
-        return a
-    a = np.array(a, dtype=float, copy=True)
+    """a as a read-only float64 array of its own: a copy, so no caller
+    keeps a way to write to it, or, for an _Owned float64 array, that
+    array made read-only."""
+    a = a.array if isinstance(a, _Owned) else np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
 

@@ -6,35 +6,35 @@ byte-identical.  The SVG writer is self-contained (no plotting library)
 for the same reason.  The CSV writers build UTF-8 bytes with bytes %
 calls and write them to a file opened in binary mode; the *_text
 functions return the same bytes decoded once.  The time-series writer
-reads a block of samples at a time.  A time series that has settled
-repeats its samples bit for bit, and a row with the bytes of another has
-its text too, so each distinct row of a block is formatted once, by one %
-call for all of them, into its line format: %.17g for the time, then the
+reads samples as (times, values) blocks, those of solver.evolve_blocks
+or a Trajectory's own, of solver._BLOCK rows, so it holds the text of
+one block, not of the run.  A time series that has settled repeats its
+samples bit for bit, and a row with the bytes of another has its text
+too, so each distinct row of a block is formatted once, by one % call
+for all of them, into its line format: %.17g for the time, then the
 row's columns after t.  A block is then one % call over its times, its
 format the first row's repeated when every row has the first row's
-bytes, else its rows' formats joined.  The file writer streams the
-blocks, not rows.  The sweep table is one % call too, over the table's
-values in row order.
+bytes, else its rows' formats joined.  The time-series file is written
+whole or not at all: the blocks stream into a new file next to the
+path, renamed over it once the last block is written.  The sweep table
+is one % call too, over the table's values in row order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .experiments import SWEEP_HEADER, SweepTable
-from .model import DIAGONAL, RE_COHERENCE
+from .model import DIAGONAL, RE_COHERENCE, IndexMap
 from .observables import currents
-from .solver import Trajectory
+from .solver import _BLOCK, Trajectory
 
-# samples per block of the time-series writer: a block's distinct rows,
-# then its lines, are formatted at once, so the writer holds the text of
-# one block (and the line formats of the block before, if that block
-# repeated a row), not the run
-_BLOCK = 1024
 
 def _sweep_csv_bytes(table: SweepTable) -> bytes:
     if not len(table):
@@ -74,18 +74,20 @@ def _row_keys(values: np.ndarray) -> list[bytes]:
     return values.view(row).ravel().tolist()
 
 
-def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Iterator[bytes]:
-    """The header line, then the sample lines one block of _BLOCK samples
-    at a time, all as UTF-8 bytes.  A row's line format is %.17g for its
-    time followed by the text of its columns after t, summed and
-    formatted once per distinct row of a block, by one % call for all of
-    them; a block that repeated a row hands its formats on to the next.
-    A block is one % call over its times: a block whose rows all have the
-    bytes of its first row (one compare of its bits) repeats that row's
-    format, any other joins its rows' formats.  No format holds a % but
-    its first, as no %.17g text holds one.  A bad weight map raises here,
-    before the first line is asked for."""
-    header = ["t"] + [column_token(e) for e in traj.index.entries]
+def _timeseries_lines(index: IndexMap, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+                      system_weights, detector_weights) -> Iterator[bytes]:
+    """The header line, then the sample lines one block at a time, all as
+    UTF-8 bytes; blocks are (times, values) pairs in the slot layout of
+    index, read once, each before the next is asked for.  A row's line
+    format is %.17g for its time followed by the text of its columns after
+    t, summed and formatted once per distinct row of a block, by one %
+    call for all of them; a block that repeated a row hands its formats on
+    to the next.  A block is one % call over its times: a block whose rows
+    all have the bytes of its first row (one compare of its bits) repeats
+    that row's format, any other joins its rows' formats.  No format holds
+    a % but its first, as no %.17g text holds one.  A bad weight map
+    raises here, before the first line is asked for."""
+    header = ["t"] + [column_token(e) for e in index.entries]
     weights = []
     if system_weights is not None:
         header.append("I_S")
@@ -93,25 +95,23 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
     if detector_weights:
         header.append("I_D")
         weights.append(detector_weights)
+    dim = len(index)
     for w in weights:      # a weight on a missing slot raises on zero rows too
-        currents(traj.index, w, traj.values[:0])
+        currents(index, w, np.empty((0, dim)))
     # %% leaves the %.17g of the time; a NUL, which no %.17g text holds, to split on
     row_format = b"%%.17g" + b",%.17g" * (len(header) - 1) + b"\n\0"
-    dim = len(traj.index)
 
     def line_formats(values: np.ndarray) -> list[bytes]:
         """The line format of each row of an (N, dim) array."""
-        sums = [currents(traj.index, w, values) for w in weights]
+        sums = [currents(index, w, values) for w in weights]
         cells = np.column_stack((values, *sums)).ravel().tolist()
         return (row_format * len(values) % tuple(cells)).split(b"\0")[:len(values)]
 
     def lines():
         yield (",".join(header) + "\n").encode()
         known = {}      # line formats by bytes, of the block before if it repeated a row
-        for lo in range(0, len(traj.times), _BLOCK):
-            rows = slice(lo, lo + _BLOCK)
-            block = traj.values[rows]
-            times = tuple(traj.times[rows].tolist())
+        for block_times, block in blocks:
+            times = tuple(block_times.tolist())
             bits = block.view(np.int64)
             if (bits == bits[0]).all():     # a block of zero-width rows is one too
                 key = block[0].tobytes()
@@ -134,17 +134,49 @@ def _timeseries_lines(traj: Trajectory, system_weights, detector_weights) -> Ite
 
 def timeseries_csv_text(traj: Trajectory, system_weights=None, detector_weights=None) -> str:
     """Columns t, every slot, I_S if system weights are given, I_D if detector ones."""
-    return b"".join(_timeseries_lines(traj, system_weights, detector_weights)).decode()
+    lines = _timeseries_lines(traj.index, traj.blocks(), system_weights, detector_weights)
+    return b"".join(lines).decode()
 
 
 def write_timeseries_csv(traj: Trajectory, path: str,
                          system_weights=None, detector_weights=None) -> None:
-    """The bytes of timeseries_csv_text streamed to path a block of rows
-    at a time, without holding the whole text; a bad weight map fails
-    before the file is created."""
-    lines = _timeseries_lines(traj, system_weights, detector_weights)
-    with open(path, "wb") as fh:
-        fh.writelines(lines)
+    """The bytes of timeseries_csv_text written to path by
+    write_timeseries_blocks."""
+    write_timeseries_blocks(traj.index, traj.blocks(), path, system_weights, detector_weights)
+
+
+def write_timeseries_blocks(index: IndexMap, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+                            path: str, system_weights=None, detector_weights=None) -> None:
+    """The time series of (times, values) blocks, such as those of
+    solver.evolve_blocks, written to path a block at a time, whole or not
+    at all.  The lines go to a new file in the directory of path (which
+    must be writable), renamed over path once the last is written; on any
+    failure that file is removed and path is left as it was.  A bad weight
+    map fails before any file is created.  An OSError names path where it
+    would name the new file, and is raised only once the blocks are all
+    read, so that an error they raise (a step over the trace budget) wins,
+    as it would if the file were opened after the run."""
+    lines = _timeseries_lines(index, blocks, system_weights, detector_weights)
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    created = False
+    try:
+        try:
+            with open(temporary, "xb") as fh:
+                created = True
+                fh.writelines(lines)
+            os.replace(temporary, path)
+            created = False
+        except OSError as exc:
+            for _ in lines:     # the run's own error first, as above
+                pass
+            if exc.filename != temporary:
+                raise
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+    finally:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
 
 
 _SVG_W, _SVG_H = 640, 480

@@ -28,18 +28,22 @@ Time evolution is fixed-step classical RK4 with a guarded default step.
 For a constant generator one RK4 step is exactly the matrix polynomial
 P = I + hG + (hG)^2/2 + (hG)^3/6 + (hG)^4/24, so P is built once per run
 (a P that overflows is refused before the first step) and each step is
-one product P x written in place into its row of one (n_samples, dim)
-array.  The steps run in chunks, and the trace of every step of a chunk
-is checked after the chunk by the rank test's rule: a numpy screen with
-a proven rounding bound clears the steps before the first one that
-could be over budget, and math.fsum walks the rest in step order, so a
-run fails at the step, and with the message, that checking each step as
-it is made would give.  As in refinement, a bit-fixed point ends the
-loop: once a step returns its input bit for bit, every later step would
-repeat it, so the remaining rows are filled with it instead of stepping.
-The trace budget, the step cap and the rank test's tolerance are the
-constants TRACE_BUDGET_PER_STEP, MAX_STEPS and RANK_TOL.  No adaptivity,
-no matrix exponentials, so reruns are bit-identical.
+one product P x written in place into its row.  One generator,
+evolve_blocks, steps a run: it yields the samples in blocks of _BLOCK
+rows from one reused buffer, so a run holds one block, not its samples;
+evolve gathers the blocks into one (n_samples, dim) array and the
+time-series writer streams them.  The steps run in chunks, and the trace
+of every step of a chunk is checked after the chunk by the rank test's
+rule: a numpy screen with a proven rounding bound clears the steps before
+the first one that could be over budget, and math.fsum walks the rest in
+step order, so a run fails at the step, and with the message, that
+checking each step as it is made would give.  As in refinement, a
+bit-fixed point ends the loop: once a step returns its input bit for bit,
+every later step would repeat it, so the remaining samples are that row
+instead of steps.  The trace budget, the step cap and the rank test's
+tolerance are the constants TRACE_BUDGET_PER_STEP, MAX_STEPS and
+RANK_TOL.  No adaptivity, no matrix exponentials, so reruns are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .model import Generator, IndexMap, StateVector, read_only
+from .model import Generator, IndexMap, StateVector, _Owned, read_only
 
 
 TRACE_BUDGET_PER_STEP = 1e-8   # largest trace drift one evolve step may make
@@ -60,6 +65,7 @@ RANK_TOL = 1e-10               # singular values at or below RANK_TOL * sigma_ma
 _EXTENDED_BLOCK = 64           # members per refinement block and per rank-test proof block
 _PART_MIN = 256                # fewest members per part of a split stack (see steady_states)
 _SCREEN_STEPS = 16             # fewest steps of a run whose traces evolve screens with numpy
+_BLOCK = 1024                  # samples per block of evolve_blocks and of the time-series writer
 
 
 class DegenerateSteadyState(RuntimeError):
@@ -78,8 +84,9 @@ class ResidualTooLarge(ArithmeticError):
 class Trajectory:
     """Sampled linear evolution: row k of the read-only (n_samples, dim)
     array values is the state at times[k], in the slot layout of index.
-    times and values are taken by model.read_only (evolve hands over its
-    own as they are), so no caller's array is aliased."""
+    times and values are copied by model.read_only, so no caller's array
+    is aliased; evolve hands over its own, which no caller has seen,
+    through model._Owned."""
 
     times: np.ndarray
     values: np.ndarray
@@ -98,6 +105,12 @@ class Trajectory:
     @property
     def final(self) -> StateVector:
         return StateVector(self.values[-1], self.index)
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The samples as evolve_blocks yields them: (times, values) views
+        of _BLOCK rows at a time."""
+        for lo in range(0, len(self.times), _BLOCK):
+            yield self.times[lo:lo + _BLOCK], self.values[lo:lo + _BLOCK]
 
 
 def default_step(g: Generator) -> float:
@@ -375,42 +388,19 @@ def _check_traces(diagonals: np.ndarray, h: float) -> None:
         trace = trace_next
 
 
-def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = None) -> Trajectory:
-    """Fixed-step RK4 trajectory from x0 over [0, t_final].
-
-    The step is t_final divided into equal pieces no longer than dt
-    (default: the stability guard 0.1/max|G|), so the last sample lands
-    exactly on t_final.  The RK4 step of the constant generator is built
-    once as the propagator P and each step is the one product P x, which
-    agrees with the stage-wise step to rounding; a P that is not finite
-    (the polynomial overflowed) raises StepTooLarge before the first step.
-
-    The trace of every step is checked, not once on P: a per-step trace
-    drift beyond TRACE_BUDGET_PER_STEP (or a NaN) raises StepTooLarge, so a
-    run whose step is unstable stops where it blows up.  A well-formed
-    generator keeps the drift at rounding level.  Each product is written in
-    place into its row, a chunk of steps at a time (see below), and the
-    traces of a chunk's steps are checked after it (_check_traces): a numpy
-    row sum of the diagonal slots, with a proven bound on its rounding and
-    on fsum's, clears the steps before the first one whose drift could reach
-    the budget, and math.fsum walks the rest in step order.  So the first
-    step over budget raises, with the message checking each step as it is
-    made would give, and the rows stepped past it, which may have overflowed
-    without a warning, are discarded.
-
-    A step that returns its input bit for bit (its trace checked) found a
-    fixed point of P in floating point: every later step would compute
-    the same product from the same bits, with a trace drift of exactly 0,
-    so the remaining rows are filled with it and the loop stops.  The
-    samples are those of stepping to the end.  The steps run in chunks,
-    each half as long as the run before it, and the last two samples of a
-    chunk are compared after it: a fixed point persists, so it is found at
-    the end of its chunk, after at most half again the steps that reached
-    it, at the cost of one compare per chunk rather than per step.
-
-    MAX_STEPS bounds runaway runs: a widely spread rate set drives the
-    guard step to t_final/dt in the millions, and the stationary question
-    behind such runs belongs to steady_state, not the integrator.
+def evolve_blocks(g: Generator, x0: StateVector, t_final: float,
+                  dt: float | None = None) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The fixed-step RK4 run of evolve as a stream: the number of samples
+    and an iterator over them as (times, values) blocks of at most _BLOCK
+    rows, in order.  Every argument check, the step cap and the refusal of
+    an overflowing propagator raise here, before the first step; a step
+    over the trace budget raises from the iterator, before the block that
+    holds it is yielded.  A block's arrays are read-only views that are
+    only valid until the next block is asked for: the values of one
+    (_BLOCK + 1, dim) buffer, reused for every block, whose row 0 holds the
+    sample before the block.  See evolve for the step, the checks and the
+    fixed-point exit; after a fixed point the remaining blocks are
+    broadcast views of its row.
     """
     if x0.index != g.index:
         raise ValueError("initial state uses a different slot layout than the generator")
@@ -437,24 +427,105 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
         raise StepTooLarge(f"the RK4 propagator of a step of {h:.3e} overflows; shrink dt")
     # IndexMap puts the diagonal slots first
     n_diag = len(g.index.diagonal_positions)
+    return n_steps + 1, _stepped_blocks(P, x0.values, h, n_steps, n_diag)
 
-    values = np.empty((n_steps + 1, g.dim))
-    x = values[0] = x0.values
+
+def _stepped_blocks(P: np.ndarray, x0: np.ndarray, h: float, n_steps: int,
+                    n_diag: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks of evolve_blocks.  Sample s of the block starting at
+    sample base lies in row s - base + 1 of the buffer.  The chunks are
+    evolve's; a chunk that crosses a block edge is stepped and checked in
+    one piece per block, and the full block is yielded before the piece in
+    the next block is stepped, its last sample moved to row 0 first."""
+    n_samples = n_steps + 1
+    buffer = np.empty((min(_BLOCK, n_samples) + 1, len(x0)))
+    buffer[1] = x0
     step = P.dot                    # np.dot(P, x, out=row) without the dispatcher
-    lo = 0
+    base = lo = 0
     while lo < n_steps:             # in chunks of half the steps taken so far
         hi = min(lo + lo // 2 + 1, n_steps)
-        # rows past a step over budget are discarded, so they may overflow,
-        # here and in the check's screen
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row in values[lo + 1:hi + 1]:
-                x = step(x, row)
-            _check_traces(values[lo:hi + 1, :n_diag], h)
-        if values[hi].tobytes() == values[hi - 1].tobytes():
-            values[hi + 1:] = values[hi]
+        start = lo
+        while start < hi:
+            if start + 1 == base + _BLOCK:      # the block is full
+                yield _block(buffer, base, _BLOCK, h)
+                buffer[0] = buffer[_BLOCK]
+                base += _BLOCK
+            end = min(hi, base + _BLOCK - 1)
+            rows = buffer[start - base + 1:end - base + 2]
+            # rows past a step over budget are never yielded, so they may
+            # overflow, here and in the check's screen
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = rows[0]
+                for row in rows[1:]:
+                    x = step(x, row)
+                _check_traces(rows[:, :n_diag], h)
+            start = end
+        if buffer[hi - base + 1].tobytes() == buffer[hi - base].tobytes():
             break
         lo = hi
-    times = np.arange(n_steps + 1) * h
-    times.setflags(write=False)
-    values.setflags(write=False)
-    return Trajectory(times, values, g.index)
+    # the block holding sample hi, the fixed point if the loop found one
+    last = hi - base + 1
+    size = min(_BLOCK, n_samples - base)
+    buffer[last + 1:size + 1] = buffer[last]
+    yield _block(buffer, base, size, h)
+    fixed = buffer[last]
+    for base in range(base + _BLOCK, n_samples, _BLOCK):
+        size = min(_BLOCK, n_samples - base)
+        yield np.arange(base, base + size) * h, np.broadcast_to(fixed, (size, len(fixed)))
+
+
+def _block(buffer: np.ndarray, base: int, size: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The block of size samples from sample base held in buffer."""
+    values = buffer[1:size + 1]
+    values.flags.writeable = False
+    return np.arange(base, base + size) * h, values
+
+
+def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = None) -> Trajectory:
+    """Fixed-step RK4 trajectory from x0 over [0, t_final]: the blocks of
+    evolve_blocks gathered into one (n_samples, dim) array.
+
+    The step is t_final divided into equal pieces no longer than dt
+    (default: the stability guard 0.1/max|G|), so the last sample lands
+    exactly on t_final.  The RK4 step of the constant generator is built
+    once as the propagator P and each step is the one product P x, which
+    agrees with the stage-wise step to rounding; a P that is not finite
+    (the polynomial overflowed) raises StepTooLarge before the first step.
+
+    The trace of every step is checked, not once on P: a per-step trace
+    drift beyond TRACE_BUDGET_PER_STEP (or a NaN) raises StepTooLarge, so a
+    run whose step is unstable stops where it blows up.  A well-formed
+    generator keeps the drift at rounding level.  Each product is written in
+    place into its row, a chunk of steps at a time (see below), and the
+    traces of a chunk's steps are checked after it (_check_traces): a numpy
+    row sum of the diagonal slots, with a proven bound on its rounding and
+    on fsum's, clears the steps before the first one whose drift could reach
+    the budget, and math.fsum walks the rest in step order.  So the first
+    step over budget raises, with the message checking each step as it is
+    made would give, and the rows stepped past it, which may have overflowed
+    without a warning, are discarded.
+
+    A step that returns its input bit for bit (its trace checked) found a
+    fixed point of P in floating point: every later step would compute
+    the same product from the same bits, with a trace drift of exactly 0,
+    so the remaining samples are that row and the loop stops.  The
+    samples are those of stepping to the end.  The steps run in chunks,
+    each half as long as the run before it, and the last two samples of a
+    chunk are compared after it: a fixed point persists, so it is found at
+    the end of its chunk, after at most half again the steps that reached
+    it, at the cost of one compare per chunk rather than per step.  A
+    chunk that crosses a block edge is split there, so the block edges
+    move no chunk end.
+
+    MAX_STEPS bounds runaway runs: a widely spread rate set drives the
+    guard step to t_final/dt in the millions, and the stationary question
+    behind such runs belongs to steady_state, not the integrator.
+    """
+    n_samples, blocks = evolve_blocks(g, x0, t_final, dt)
+    times, values = np.empty(n_samples), np.empty((n_samples, g.dim))
+    lo = 0
+    for block_times, block_values in blocks:
+        hi = lo + len(block_times)
+        times[lo:hi], values[lo:hi] = block_times, block_values
+        lo = hi
+    return Trajectory(_Owned(times), _Owned(values), g.index)

@@ -187,6 +187,47 @@ class TestEvolve:
             "shrink dt\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("rates,run,code", [
+        ("gamma_R = 3.0", "t_final = 500.0\ndt = 0.52", 3),
+        ("gamma_R = 1e80", "t_final = 1.0\ndt = 0.02", 3),
+        ("gamma_R = 100.0\ngamma_R_p = 2.0", "t_final = 1.0", 2),
+    ], ids=["drift", "overflowing-propagator", "unequal-amplitudes"])
+    def test_a_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, rates, run, code):
+        # the drifting run fails at step 484, after its file was opened
+        p = tmp_path / "run.cfg"
+        p.write_text(SET_CFG.replace("gamma_R = 100.0", rates) + f"\n[run]\n{run}\n")
+        out = tmp_path / "out" / "ts.csv"
+        out.parent.mkdir()
+        out.write_bytes(b"kept\n")
+        assert cli_main(["evolve", "--config", str(p), "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b"kept\n"
+        assert os.listdir(out.parent) == ["ts.csv"]
+
+    def test_a_run_replaces_out_whole(self, bare_cfg, tmp_path, capsys):
+        out = tmp_path / "out" / "ts.csv"
+        out.parent.mkdir()
+        out.write_bytes(b"old\n" * 100000)
+        assert cli_main(["evolve", "--config", bare_cfg, "--out", str(out)]) == 0
+        written = out.read_bytes()
+        samples = written.count(b"\n") - 1
+        assert capsys.readouterr().out == f"wrote {samples} samples to {out}\n"
+        assert written.startswith(b"t,a,b,c,re_bc,im_bc,I_S\n0,1,0,0,0,0,")
+        assert os.listdir(out.parent) == ["ts.csv"]
+
+    def test_a_drift_wins_over_a_missing_directory(self, tmp_path, capsys):
+        # the run is stepped to its failure although its file cannot be
+        # made: the numerical failure is reported, as when the file was
+        # opened after the run
+        p = tmp_path / "drift.cfg"
+        p.write_text(SET_CFG.replace("gamma_R = 100.0", "gamma_R = 3.0")
+                     + "\n[run]\nt_final = 500.0\ndt = 0.52\n")
+        out = tmp_path / "missing" / "ts.csv"
+        assert cli_main(["evolve", "--config", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: trace moved by 1.304e-08 in one step of 5.198e-01; shrink dt\n")
+        assert not out.parent.exists()
+
     def test_infinite_step_count_is_refused_by_the_cap(self, tmp_path, capsys):
         p = tmp_path / "tiny_dt.cfg"
         p.write_text(BARE_CFG.replace("t_final = 30.0", "t_final = 1e308\ndt = 5e-324"))
@@ -583,7 +624,8 @@ class TestExitCodes:
                                                          argv):
         out = tmp_path / "missing" / "x.out"
         assert cli_main(argv[:1] + ["--config", bare_cfg] + argv[1:] + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("i/o error: [Errno 2] No such file or directory")
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 2] No such file or directory: {str(out)!r}\n")
         assert not out.parent.exists()
 
     def test_config_parse_error(self, tmp_path):

@@ -16,7 +16,8 @@ from mesorate import (
     steady_state,
     steady_states,
 )
-from mesorate import StateVector, SweepTable, analytic, builders, experiments, observables
+from mesorate import (StateVector, SweepTable, analytic, builders, experiments, model,
+                      observables)
 from mesorate.acceptance import ORACLE_RTOL
 from mesorate.experiments import SWEEP_HEADER
 from mesorate.model import RATE_FIELDS
@@ -167,8 +168,8 @@ class TestRunSweep:
 
 
 class TestSweepTableRecord:
-    """SweepTable owns a read-only copy of values unless handed an owned,
-    read-only float64 array, and refuses columns of the wrong shape."""
+    """SweepTable owns a read-only copy of values, unless a sweep hands over
+    its own array, and refuses columns of the wrong shape."""
 
     def test_caller_array_is_not_aliased(self):
         base = np.zeros((2, len(SWEEP_HEADER)))
@@ -177,10 +178,15 @@ class TestSweepTableRecord:
         assert table.values[0, 0] == 0.0
         assert base.flags.writeable     # the caller's array stays its own
 
-    def test_owned_read_only_float_array_is_taken_as_is(self):
+    def test_the_owner_of_a_read_only_array_cannot_write_through_it(self):
+        # the owner of a read-only array may turn writes back on; the
+        # table's values must not change
         values = np.zeros((2, len(SWEEP_HEADER)))
         values.setflags(write=False)
-        assert SweepTable(values, None, (None, None)).values is values
+        table = SweepTable(values, None, (None, None))
+        values.setflags(write=True)
+        values[0, 0] = 5.0
+        assert table.values[0, 0] == 0.0 and not table.values.flags.writeable
 
     def test_integer_values_become_read_only_floats(self):
         table = SweepTable(np.zeros((1, len(SWEEP_HEADER)), dtype=int), None, (None,))
@@ -204,12 +210,14 @@ class TestSweepTableRecord:
         lambda: run_fermi_sweep(SET_BASE, 0.0, (0.5, 1.5, 0.7)),
     ], ids=["run_sweep", "run_fermi_sweep"])
     def test_sweeps_hand_over_their_own_array(self, monkeypatch, sweep):
-        # both sweeps build an owned read-only array, which is not copied
+        # both sweeps hand over the array they built, which no caller has
+        # seen, through model._Owned, and it is not copied
         taken, read_only = [], experiments.read_only
 
         def recorded(a):
-            taken.append(read_only(a) is a)
-            return read_only(a)
+            values = read_only(a)
+            taken.append(isinstance(a, model._Owned) and values is a.array)
+            return values
 
         monkeypatch.setattr(experiments, "read_only", recorded)
         sweep()

@@ -387,15 +387,30 @@ class TestImmutability:
         (lambda a: StateVector(a, SINGLE_DOT_SET_INDEX), "values", (4,)),
         (lambda a: Generator(a, SINGLE_DOT_SET_INDEX, "g"), "matrix", (4, 4)),
     ], ids=["StateVector", "Generator"])
-    def test_intake_copies_a_writable_array_and_keeps_a_read_only_one(self, make, attr, shape):
-        # both take their array through model.read_only
+    def test_intake_copies_every_array(self, make, attr, shape):
+        # both take their array through model.read_only, which copies a
+        # writable array and a read-only one alike
         writable = np.zeros(shape)
         taken = getattr(make(writable), attr)
         writable[0] = 1.0
         assert not taken.any()
         owned = np.zeros(shape)
         owned.setflags(write=False)
-        assert getattr(make(owned), attr) is owned
+        assert getattr(make(owned), attr) is not owned
+
+    @pytest.mark.parametrize("make,attr,shape", [
+        (lambda a: StateVector(a, IndexMap(("a",))), "values", (1,)),
+        (lambda a: Generator(a, IndexMap(("a",)), "x"), "matrix", (1, 1)),
+    ], ids=["StateVector", "Generator"])
+    def test_the_owner_of_a_read_only_array_cannot_write_through_it(self, make, attr, shape):
+        # the owner of a read-only array may turn writes back on; what it
+        # handed over must not change
+        a = np.zeros(shape)
+        a.setflags(write=False)
+        taken = getattr(make(a), attr)
+        a.setflags(write=True)
+        a[0] = 5.0
+        assert not taken.any() and not taken.flags.writeable
 
     def test_generator_shape_checked(self):
         with pytest.raises(ValueError, match="4x4"):

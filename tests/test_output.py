@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from mesorate import (
 )
 from mesorate.experiments import SWEEP_HEADER, SweepTable
 from mesorate.output import (_BLOCK, _timeseries_lines, column_token, sweep_csv_text,
-                             svg_text, timeseries_csv_text, write_timeseries_csv)
+                             svg_text, timeseries_csv_text, write_timeseries_blocks,
+                             write_timeseries_csv)
+from mesorate.solver import StepTooLarge, evolve_blocks
 from test_observables import reference_occupation_sum
 
 ROW = (1.0, 0.5, 0.5, math.nan, math.nan, 0.0)     # in SWEEP_HEADER order
@@ -226,7 +229,7 @@ class TestTimeseriesBlocks:
             text = timeseries_csv_text(traj, *weights)
             assert_same_text(text, reference_timeseries_text(traj, *weights))
             assert text.count("\n") == n + 1
-        header, *blocks = _timeseries_lines(traj, {}, None)
+        header, *blocks = _timeseries_lines(traj.index, traj.blocks(), {}, None)
         assert header == b"t,I_S\n" and blocks[0].startswith(b"0,0\n")
         assert [block.count(b"\n") for block in blocks] == block_rows(n)
 
@@ -301,7 +304,8 @@ class TestTimeseriesRepeats:
         n, copies = REPEAT_CASES[case]
         traj = repeating_trajectory(n, copies)
         w = scenario_table("double_dot_set").weights(HAND_RATES)
-        header, *blocks = _timeseries_lines(traj, w["system"], w["detector"])
+        header, *blocks = _timeseries_lines(traj.index, traj.blocks(),
+                                            w["system"], w["detector"])
         assert header.count(b"\n") == 1 and header.endswith(b"\n")
         # one bytes object per block, the whole block and nothing of the next
         assert all(type(block) is bytes for block in blocks)
@@ -404,6 +408,54 @@ class TestFileBytesEqualText:
         path = tmp_path / "sweep.svg"
         write_svg(t, str(path), x_label="Ω")
         assert_same_text(path.read_bytes(), svg_text(t, "Ω").encode("utf-8"))
+
+
+class TestTimeseriesStream:
+    """write_timeseries_blocks writes the file whole or not at all, and a
+    run streamed through the writer holds one block, not its samples."""
+
+    def test_a_stream_failing_mid_run_leaves_the_file_as_it_was(self, tmp_path):
+        traj = repeating_trajectory(3 * _BLOCK, [])
+
+        def failing():
+            yield from list(traj.blocks())[:2]
+            raise StepTooLarge("late")
+
+        path = tmp_path / "ts.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(StepTooLarge, match="^late$"):
+            write_timeseries_blocks(traj.index, failing(), str(path))
+        assert path.read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ts.csv"]
+
+    def test_a_path_that_cannot_be_replaced_is_named(self, tmp_path):
+        traj = repeating_trajectory(5, [])
+        path = tmp_path / "ts.csv"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write_timeseries_blocks(traj.index, traj.blocks(), str(path))
+        assert str(info.value) == f"[Errno 21] Is a directory: {str(path)!r}"
+        assert [p.name for p in tmp_path.iterdir()] == ["ts.csv"]
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # the seed-2 cycle, which never reaches a fixed point: every block
+        # is stepped, and each of its rows is read and looked up
+        scenario, gamma_R = "double_dot_set", 3.2028859394138767
+        rates = RateSet(gamma_L=1.0, gamma_R=gamma_R, Gamma_L=1.0, Gamma_R=1.0, Omega=1.0,
+                        U1=1.0, U2=2.0)
+        g, w = scenario_table(scenario).generator(rates), scenario_table(scenario).weights(rates)
+        x0 = basis_state(g.index, "a")
+        peaks = []
+        for steps in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                _, blocks = evolve_blocks(g, x0, steps * 0.02, 0.02)
+                for _ in _timeseries_lines(g.index, blocks, w["system"], w["detector"]):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 256 * 1024
 
 
 class TestSvg:

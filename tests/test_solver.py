@@ -944,6 +944,18 @@ class TestTrajectory:
         np.testing.assert_array_equal(traj.values, np.stack([x.values, x.values]))
         assert not traj.values.flags.writeable
 
+    def test_the_owner_of_a_read_only_array_cannot_write_through_it(self):
+        # the owner of a read-only array may turn writes back on; the
+        # trajectory's samples must not change
+        times, values = np.array([0.0, 1.0]), np.zeros((2, 1))
+        for a in (times, values):
+            a.setflags(write=False)
+        traj = Trajectory(times, values, IndexMap(("a",)))
+        for a in (times, values):
+            a.setflags(write=True)
+        times[1], values[0, 0] = 5.0, 5.0
+        assert traj.times.tolist() == [0.0, 1.0] and traj.values.tolist() == [[0.0], [0.0]]
+
     def test_states_validate_along_the_way(self):
         g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         traj = evolve(g, basis_state(g.index, "a"), 10.0)
@@ -1069,3 +1081,130 @@ class TestFixedPointExit:
                 row = buffer[offset:offset + dim]
                 products.add(P.dot(x, row).tobytes())
             assert products == {(P @ x).tobytes()}
+
+
+def _counted_steps(monkeypatch, propagator=None):
+    """A list that grows by one for each product P x a run makes; the
+    run's P is propagator(G, h) (default: evolve's own)."""
+    calls = []
+
+    class Counted(np.ndarray):
+        def dot(self, *args):
+            calls.append(1)
+            return np.ndarray.dot(self.view(np.ndarray), *args)
+
+    make = propagator or solver._rk4_propagator
+    monkeypatch.setattr(solver, "_rk4_propagator", lambda G, h: make(G, h).view(Counted))
+    return calls
+
+
+def _chunk_end(n_steps, fixed):
+    """The steps evolve takes: the first chunk end at or past the first
+    fixed-point sample (None: no fixed point), else every step."""
+    lo = 0
+    while lo < n_steps:
+        hi = min(lo + lo // 2 + 1, n_steps)
+        if fixed is not None and hi >= fixed:
+            return hi
+        lo = hi
+    return n_steps
+
+
+def _streamed(g, x0, t_final, dt):
+    """The blocks of evolve_blocks, each copied before the next is asked
+    for, and the sample count it gave."""
+    n_samples, blocks = solver.evolve_blocks(g, x0, t_final, dt)
+    copied = []
+    for times, values in blocks:
+        assert not values.flags.writeable and len(times) == len(values)
+        copied.append((times.copy(), values.copy()))
+    return n_samples, copied
+
+
+def _halving_coherence(fixed):
+    """A generator, its P and x0: P keeps the occupations and halves the
+    coherence slot re_ab, which starts at 2**(fixed - 1076), so the first
+    sample with the bits of the one before is sample fixed (0.5 * 2**-1074
+    rounds to 0)."""
+    index = IndexMap(("a", "b"), [("a", "b")])
+    P = np.diag([1.0, 1.0, 0.5, 1.0])
+    x0 = StateVector(np.array([1.0, 0.0, 2.0 ** (fixed - 1076), 0.0]), index)
+    return Generator(np.zeros((4, 4)), index, "halving"), P, x0
+
+
+class TestStream:
+    """evolve_blocks yields evolve's samples, blocks of _BLOCK rows read
+    from one buffer, with the steps and checks of evolve."""
+
+    BLOCK = solver._BLOCK
+
+    def check(self, monkeypatch, g, x0, t_final, dt, fixed, propagator=None):
+        calls = _counted_steps(monkeypatch, propagator)
+        n_samples, blocks = _streamed(g, x0, t_final, dt)
+        assert len(calls) == _chunk_end(n_samples - 1, fixed)
+        traj = evolve(g, x0, t_final, dt)
+        sizes = [len(t) for t, _ in blocks]
+        assert sizes == [min(self.BLOCK, n_samples - lo) for lo in range(0, n_samples, self.BLOCK)]
+        times = np.concatenate([t for t, _ in blocks])
+        values = np.concatenate([v for _, v in blocks])
+        assert times.tobytes() == traj.times.tobytes()
+        assert values.tobytes() == traj.values.tobytes()
+        if propagator is None:
+            assert values.tobytes() == _plain_steps(g, x0, t_final, dt).tobytes()
+        else:
+            P = propagator(g.matrix, 1.0)
+            plain = [x0.values]
+            for _ in range(n_samples - 1):
+                plain.append(P @ plain[-1])
+            assert values.tobytes() == np.array(plain).tobytes()
+        assert _first_fixed_point(values) == fixed
+
+    def test_a_fixed_point_mid_block(self, monkeypatch):
+        # the fixed point is sample 2142, found at the end of the chunk of
+        # steps 1598-2396, inside block 2
+        g = scenario_table("double_dot_set").generator(README_SLOW)
+        self.check(monkeypatch, g, basis_state(g.index, "a"), 500.0, 0.02, 2142)
+
+    @pytest.mark.parametrize("fixed", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_a_fixed_point_at_a_block_edge(self, monkeypatch, fixed):
+        # found at the end of the chunk of steps 710-1064, which crosses the
+        # edge: the first piece ends the block, the second starts the next
+        g, P, x0 = _halving_coherence(fixed)
+        self.check(monkeypatch, g, x0, 3000.0, 1.0, fixed, lambda G, h: P)
+
+    def test_the_seed_2_cycle(self, monkeypatch):
+        scenario, gamma_R = CYCLING_RUN
+        g = scenario_table(scenario).generator(README_SLOW.replacing("gamma_R", gamma_R))
+        self.check(monkeypatch, g, basis_state(g.index, "a"), 500.0, 0.02, None)
+
+    def test_a_one_step_run(self, monkeypatch):
+        g = scenario_table("double_dot_set").generator(README_SLOW)
+        self.check(monkeypatch, g, basis_state(g.index, "a"), 0.5, 1.0, None)
+
+    def test_the_zero_generator(self, monkeypatch):
+        # P = I: the first step repeats x0, and the run stops there
+        g = scenario_table("double_dot_bare").generator(RateSet())
+        self.check(monkeypatch, g, basis_state(g.index, "b"), 3000.0, 0.5, 1)
+
+    def test_a_step_too_large_after_a_screened_prefix(self):
+        # step 484, in the chunk of steps 473-709, before the first block
+        # is full: no block is yielded
+        g = scenario_table("double_dot_set").generator(README_SLOW)
+        x0 = basis_state(g.index, "a")
+        n_samples, blocks = solver.evolve_blocks(g, x0, 500.0, 0.52)
+        assert n_samples == 963
+        with pytest.raises(StepTooLarge) as info:
+            next(blocks)
+        assert str(info.value) == "trace moved by 1.304e-08 in one step of 5.198e-01; shrink dt"
+        assert str(info.value) == _first_failing_step(g, x0, 500.0, 0.52)
+
+    def test_the_checks_run_before_the_first_block(self):
+        g = scenario_table("double_dot_set").generator(README_SLOW)
+        x0 = basis_state(g.index, "a")
+        with pytest.raises(ValueError, match="^t_final must be positive$"):
+            solver.evolve_blocks(g, x0, -1.0)
+        with pytest.raises(ValueError, match="cap 1000000"):
+            solver.evolve_blocks(g, x0, 1e7, 1.0)
+        with pytest.raises(StepTooLarge, match="propagator"):
+            solver.evolve_blocks(scenario_table("double_dot_set").generator(
+                README_SLOW.replacing("gamma_R", 1e80)), x0, 1.0, 0.02)
