@@ -33,14 +33,13 @@ from .solver import (
     Trajectory,
     default_step,
     evolve,
-    evolve_blocks,
     steady_state,
     steady_states,
 )
 from .analytic import bare_current, dephased_current, single_dot_current
 from .experiments import SweepTable, run_fermi_sweep, run_sweep
 from .config import ConfigError, RunConfig, load_config, parse_config, parse_grid
-from .output import write_csv, write_svg, write_timeseries_blocks, write_timeseries_csv
+from .output import write_csv, write_svg, write_timeseries_csv
 from .cli import cli_main
 
 __version__ = "0.1.0"

@@ -15,8 +15,9 @@ for all of them, into its line format: %.17g for the time, then the
 row's columns after t.  A block is then one % call over its times, its
 format the first row's repeated when every row has the first row's
 bytes, else its rows' formats joined.  The time-series file is written
-whole or not at all: the blocks stream into a new file next to the
-path, renamed over it once the last block is written.  The sweep table
+whole or not at all: the blocks stream into a new file next to a new
+path, renamed to it once the last block is written, or into an unnamed
+temporary file that an existing path takes in full.  The sweep table
 is one % call too, over the table's values in row order.
 """
 
@@ -25,7 +26,9 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import shutil
 import sys
+import tempfile
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -149,30 +152,51 @@ def write_timeseries_blocks(index: IndexMap, blocks: Iterable[tuple[np.ndarray, 
                             path: str, system_weights=None, detector_weights=None) -> None:
     """The time series of (times, values) blocks, such as those of
     solver.evolve_blocks, written to path a block at a time, whole or not
-    at all.  The lines go to a new file in the directory of path (which
-    must be writable), renamed over path once the last is written; on any
-    failure that file is removed and path is left as it was.  A bad weight
-    map fails before any file is created.  An OSError names path where it
-    would name the new file, and is raised only once the blocks are all
-    read, so that an error they raise (a step over the trace budget) wins,
-    as it would if the file were opened after the run."""
+    at all: path is not touched until the last line is written.  A new
+    path is made as a new file in its directory (which must be writable),
+    renamed to path once the last line is written and removed on any
+    failure.  An existing path (a file, a link, a device, a pipe) takes
+    the lines from an unnamed temporary file once they are all there,
+    written into as by open(path, "wb"), so it keeps its links, mode and
+    owner.  A bad weight map fails before any file is created.  An
+    OSError names path where it would name the new file, and is raised
+    only once the blocks are all stepped, so that an error they raise (a
+    step over the trace budget) wins, as it would if path were opened
+    after the run."""
+    blocks = iter(blocks)
     lines = _timeseries_lines(index, blocks, system_weights, detector_weights)
+    try:
+        if os.path.lexists(path):
+            with tempfile.TemporaryFile() as tmp:
+                tmp.writelines(lines)
+                tmp.seek(0)
+                with open(path, "wb") as fh:
+                    shutil.copyfileobj(tmp, fh)
+        else:
+            _write_new_file(lines, path)
+    except OSError:
+        for _ in blocks:    # the run's own error first, as above
+            pass
+        raise
+
+
+def _write_new_file(lines: Iterable[bytes], path: str) -> None:
+    """lines written to a new file next to path, renamed to path once the
+    last is written and removed on any failure; an OSError naming the new
+    file names path."""
     directory, name = os.path.split(path)
     temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     created = False
     try:
-        try:
-            with open(temporary, "xb") as fh:
-                created = True
-                fh.writelines(lines)
-            os.replace(temporary, path)
-            created = False
-        except OSError as exc:
-            for _ in lines:     # the run's own error first, as above
-                pass
-            if exc.filename != temporary:
-                raise
-            raise type(exc)(exc.errno, exc.strerror, path) from None
+        with open(temporary, "xb") as fh:
+            created = True
+            fh.writelines(lines)
+        os.replace(temporary, path)
+        created = False
+    except OSError as exc:
+        if exc.filename != temporary:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     finally:
         if created:
             with contextlib.suppress(OSError):
