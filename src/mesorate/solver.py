@@ -32,18 +32,18 @@ one product P x written in place into its row.  One generator,
 evolve_blocks, steps a run: it yields the samples in blocks of _BLOCK
 rows from one reused buffer, so a run holds one block, not its samples;
 evolve gathers the blocks into one (n_samples, dim) array and the
-time-series writer streams them.  The steps run in chunks, and the trace
-of every step of a chunk is checked after the chunk by the rank test's
-rule: a numpy screen with a proven rounding bound clears the steps before
-the first one that could be over budget, and math.fsum walks the rest in
-step order, so a run fails at the step, and with the message, that
-checking each step as it is made would give.  As in refinement, a
+time-series writer streams them.  The loop steps one block at a time, and
+the trace of every step of a block is checked after it by the rank
+test's rule: a numpy screen with a proven rounding bound clears the steps
+before the first one that could be over budget, and math.fsum walks the
+rest in step order, so a run fails at the step, and with the message,
+that checking each step as it is made would give.  As in refinement, a
 bit-fixed point ends the loop: once a step returns its input bit for bit,
-every later step would repeat it, so the remaining samples are that row
-instead of steps.  The trace budget, the step cap and the rank test's
-tolerance are the constants TRACE_BUDGET_PER_STEP, MAX_STEPS and
-RANK_TOL.  No adaptivity, no matrix exponentials, so reruns are
-bit-identical.
+every later step would repeat it, so after the block whose last two
+samples agree, the remaining samples are that row instead of steps.  The
+trace budget, the step cap and the rank test's tolerance are the
+constants TRACE_BUDGET_PER_STEP, MAX_STEPS and RANK_TOL.  No adaptivity,
+no matrix exponentials, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ MAX_STEPS = 1_000_000          # most steps one evolve run may take
 RANK_TOL = 1e-10               # singular values at or below RANK_TOL * sigma_max count as null
 _EXTENDED_BLOCK = 64           # members per refinement block and per rank-test proof block
 _PART_MIN = 256                # fewest members per part of a split stack (see steady_states)
-_SCREEN_STEPS = 16             # fewest steps of a run whose traces evolve screens with numpy
 _BLOCK = 1024                  # samples per block of evolve_blocks and of the time-series writer
 
 
@@ -356,27 +355,24 @@ def _check_traces(diagonals: np.ndarray, h: float) -> None:
     samples, each row one step on from the row before; the message is
     that of checking each step as it is made, with math.fsum traces.
 
-    A run of at least _SCREEN_STEPS steps is first screened with one
-    numpy row sum.  A sum of m terms, in any order, is within about
-    (m - 1) u sum|d| of the exact sum (u the unit roundoff) and fsum within
-    u |sum d|, so a row's fsum trace is within m u sum|d| <= m^2 u max|d|
-    of its numpy sum, and a step's fsum drift within the drift of its
-    numpy sums plus 2 m^2 u max|d|, max over the run.  A step where that
-    is at most half the budget (the other half covers the screen's own
-    rounding and the terms of order u^2) cannot fail: the steps before
-    the first other one (near or over the budget, a NaN, an inf) are
-    cleared, and from that one on, as in a run too short to screen, the
-    steps are walked in order with math.fsum.
+    The run, at least 2 rows, is first screened with one numpy row sum.  A
+    sum of m terms, in any order, is within about (m - 1) u sum|d| of the
+    exact sum (u the unit roundoff) and fsum within u |sum d|, so a row's
+    fsum trace is within m u sum|d| <= m^2 u max|d| of its numpy sum, and a
+    step's fsum drift within the drift of its numpy sums plus
+    2 m^2 u max|d|, max over the run.  A step where that is at most half
+    the budget (the other half covers the screen's own rounding and the
+    terms of order u^2) cannot fail: the steps before the first other one
+    (near or over the budget, a NaN, an inf) are cleared, and from that
+    one on the steps are walked in order with math.fsum.
     """
-    start = 0
-    if len(diagonals) > _SCREEN_STEPS:
-        sums = diagonals.sum(axis=1)
-        # 2 m^2 u max|d|, with 2u = 2**-52 the machine epsilon
-        slack = diagonals.shape[1] ** 2 * 2.0 ** -52 * max(diagonals.max(), -diagonals.min())
-        cleared = np.abs(sums[1:] - sums[:-1]) <= TRACE_BUDGET_PER_STEP / 2 - slack
-        start = int(cleared.argmin())               # the first step not cleared
-        if cleared[start]:
-            return
+    sums = diagonals.sum(axis=1)
+    # 2 m^2 u max|d|, with 2u = 2**-52 the machine epsilon
+    slack = diagonals.shape[1] ** 2 * 2.0 ** -52 * max(diagonals.max(), -diagonals.min())
+    cleared = np.abs(sums[1:] - sums[:-1]) <= TRACE_BUDGET_PER_STEP / 2 - slack
+    start = int(cleared.argmin())                   # the first step not cleared
+    if cleared[start]:
+        return
     rows = diagonals[start:].tolist()
     trace = math.fsum(rows[0])
     for diagonal in rows[1:]:
@@ -398,9 +394,9 @@ def evolve_blocks(g: Generator, x0: StateVector, t_final: float,
     holds it is yielded.  A block's arrays are read-only views that are
     only valid until the next block is asked for: the values of one
     (_BLOCK + 1, dim) buffer, reused for every block, whose row 0 holds the
-    sample before the block.  See evolve for the step, the checks and the
-    fixed-point exit; after a fixed point the remaining blocks are
-    broadcast views of its row.
+    sample before the block.  The last sample's time is t_final itself.
+    See evolve for the step, the checks and the fixed-point exit; after a
+    fixed point the remaining blocks are broadcast views of its row.
     """
     if x0.index != g.index:
         raise ValueError("initial state uses a different slot layout than the generator")
@@ -427,77 +423,72 @@ def evolve_blocks(g: Generator, x0: StateVector, t_final: float,
         raise StepTooLarge(f"the RK4 propagator of a step of {h:.3e} overflows; shrink dt")
     # IndexMap puts the diagonal slots first
     n_diag = len(g.index.diagonal_positions)
-    return n_steps + 1, _stepped_blocks(P, x0.values, h, n_steps, n_diag)
+    return n_steps + 1, _stepped_blocks(P, x0.values, t_final, n_steps, n_diag)
 
 
-def _stepped_blocks(P: np.ndarray, x0: np.ndarray, h: float, n_steps: int,
+def _stepped_blocks(P: np.ndarray, x0: np.ndarray, t_final: float, n_steps: int,
                     n_diag: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The blocks of evolve_blocks.  Sample s of the block starting at
-    sample base lies in row s - base + 1 of the buffer.  The chunks are
-    evolve's; a chunk that crosses a block edge is stepped and checked in
-    one piece per block, and the full block is yielded before the piece in
-    the next block is stepped, its last sample moved to row 0 first."""
+    sample base lies in row s - base + 1 of the buffer, and row 0 holds the
+    sample before the block; the first block has none, so its steps start
+    from x0, in row 1."""
+    h = t_final / n_steps
     n_samples = n_steps + 1
     buffer = np.empty((min(_BLOCK, n_samples) + 1, len(x0)))
     buffer[1] = x0
     step = P.dot                    # np.dot(P, x, out=row) without the dispatcher
-    base = lo = 0
-    while lo < n_steps:             # in chunks of half the steps taken so far
-        hi = min(lo + lo // 2 + 1, n_steps)
-        start = lo
-        while start < hi:
-            if start + 1 == base + _BLOCK:      # the block is full
-                yield _block(buffer, base, _BLOCK, h)
-                buffer[0] = buffer[_BLOCK]
-                base += _BLOCK
-            end = min(hi, base + _BLOCK - 1)
-            rows = buffer[start - base + 1:end - base + 2]
-            # rows past a step over budget are never yielded, so they may
-            # overflow, here and in the check's screen
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = rows[0]
-                for row in rows[1:]:
-                    x = step(x, row)
-                _check_traces(rows[:, :n_diag], h)
-            start = end
-        if buffer[hi - base + 1].tobytes() == buffer[hi - base].tobytes():
+    lo = 1                          # the row a block steps from: x0's, then row 0
+    for base in range(0, n_samples, _BLOCK):
+        size = min(_BLOCK, n_samples - base)
+        rows = buffer[lo:size + 1]  # at least 2: x0 and a step, or row 0 and a sample
+        # rows past a step over budget are never yielded, so they may
+        # overflow, here and in the check's screen
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = rows[0]
+            for row in rows[1:]:
+                x = step(x, row)
+            _check_traces(rows[:, :n_diag], h)
+        values = buffer[1:size + 1]
+        values.flags.writeable = False
+        yield _times(base, size, t_final, n_steps), values
+        if rows[-1].tobytes() == rows[-2].tobytes():
             break
-        lo = hi
-    # the block holding sample hi, the fixed point if the loop found one
-    last = hi - base + 1
-    size = min(_BLOCK, n_samples - base)
-    buffer[last + 1:size + 1] = buffer[last]
-    yield _block(buffer, base, size, h)
-    fixed = buffer[last]
+        buffer[0] = rows[-1]
+        lo = 0
+    # after a fixed point, the blocks left are broadcast views of its row
     for base in range(base + _BLOCK, n_samples, _BLOCK):
         size = min(_BLOCK, n_samples - base)
-        yield np.arange(base, base + size) * h, np.broadcast_to(fixed, (size, len(fixed)))
+        yield _times(base, size, t_final, n_steps), np.broadcast_to(rows[-1], (size, len(x0)))
 
 
-def _block(buffer: np.ndarray, base: int, size: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The block of size samples from sample base held in buffer."""
-    values = buffer[1:size + 1]
-    values.flags.writeable = False
-    return np.arange(base, base + size) * h, values
+def _times(base: int, size: int, t_final: float, n_steps: int) -> np.ndarray:
+    """The times of the size samples from sample base: sample k at
+    k * (t_final / n_steps), except sample n_steps, at t_final itself (as
+    np.linspace puts its last point), since n_steps * h may round off it."""
+    times = np.arange(base, base + size) * (t_final / n_steps)
+    if base + size > n_steps:
+        times[-1] = t_final
+    return times
 
 
 def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = None) -> Trajectory:
     """Fixed-step RK4 trajectory from x0 over [0, t_final]: the blocks of
     evolve_blocks gathered into one (n_samples, dim) array.
 
-    The step is t_final divided into equal pieces no longer than dt
-    (default: the stability guard 0.1/max|G|), so the last sample lands
-    exactly on t_final.  The RK4 step of the constant generator is built
-    once as the propagator P and each step is the one product P x, which
-    agrees with the stage-wise step to rounding; a P that is not finite
+    The step h is t_final divided into equal pieces no longer than dt
+    (default: the stability guard 0.1/max|G|); sample k lies at k * h, and
+    the last sample exactly on t_final, as in np.linspace, where n_steps * h
+    may round to a neighbour of t_final.  The RK4 step of the constant
+    generator is built once as the propagator P and each step is the one
+    product P x, which agrees with the stage-wise step to rounding; a P that is not finite
     (the polynomial overflowed) raises StepTooLarge before the first step.
 
     The trace of every step is checked, not once on P: a per-step trace
     drift beyond TRACE_BUDGET_PER_STEP (or a NaN) raises StepTooLarge, so a
     run whose step is unstable stops where it blows up.  A well-formed
     generator keeps the drift at rounding level.  Each product is written in
-    place into its row, a chunk of steps at a time (see below), and the
-    traces of a chunk's steps are checked after it (_check_traces): a numpy
+    place into its row, a block of _BLOCK samples at a time, and the
+    traces of a block's steps are checked after it (_check_traces): a numpy
     row sum of the diagonal slots, with a proven bound on its rounding and
     on fsum's, clears the steps before the first one whose drift could reach
     the budget, and math.fsum walks the rest in step order.  So the first
@@ -509,13 +500,10 @@ def evolve(g: Generator, x0: StateVector, t_final: float, dt: float | None = Non
     fixed point of P in floating point: every later step would compute
     the same product from the same bits, with a trace drift of exactly 0,
     so the remaining samples are that row and the loop stops.  The
-    samples are those of stepping to the end.  The steps run in chunks,
-    each half as long as the run before it, and the last two samples of a
-    chunk are compared after it: a fixed point persists, so it is found at
-    the end of its chunk, after at most half again the steps that reached
-    it, at the cost of one compare per chunk rather than per step.  A
-    chunk that crosses a block edge is split there, so the block edges
-    move no chunk end.
+    samples are those of stepping to the end.  The last two samples of a
+    block are compared after it: a fixed point persists, so it is found at
+    the end of its block, after at most _BLOCK - 1 steps more than reached
+    it, at the cost of one compare per block rather than per step.
 
     MAX_STEPS bounds runaway runs: a widely spread rate set drives the
     guard step to t_final/dt in the millions, and the stationary question

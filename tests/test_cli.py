@@ -162,6 +162,18 @@ class TestEvolve:
         assert lines[0] == "t,a,b,c,re_bc,im_bc,I_S"
         assert len(lines) > 100
 
+    @pytest.mark.parametrize("t_final,dt,last", [
+        ("0.9", "0.3", "0.90000000000000002"), ("0.7", "0.02", "0.69999999999999996")])
+    def test_last_sample_is_at_t_final(self, tmp_path, capsys, t_final, dt, last):
+        # n_steps * h rounds off t_final here (to 0.89999999999999991 and
+        # 0.70000000000000007); the last line's time is t_final's %.17g text
+        p = tmp_path / "unit.cfg"
+        p.write_text("[scenario]\nname = single_dot_set\n[rates]\ngamma_L = 1\ngamma_R = 1\n"
+                     f"Gamma_L = 1\nGamma_R = 1\n[run]\nt_final = {t_final}\ndt = {dt}\n")
+        out = tmp_path / "ts.csv"
+        assert cli_main(["evolve", "--config", str(p), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1].split(",")[0] == last
+
     def test_unstable_step_is_numerical_failure(self, tmp_path, capsys):
         # the README rates with gamma_R = 3: trace-conserving, but dt = 2
         # is outside RK4's stability region

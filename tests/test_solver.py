@@ -776,9 +776,8 @@ class TestEvolve:
         assert str(info.value) == _first_failing_step(leaky, x0, 1.0, 0.5)
 
     # a 1x1 leaky generator whose every step moves the trace by between half
-    # the budget and the budget: the screen cannot pass a slice of it, so the
-    # step-by-step check decides, and passes it (its chunks of 19 and 28
-    # steps reach the screen)
+    # the budget and the budget: the screen cannot clear a step of it, so
+    # the step-by-step walk decides, and passes it
     def test_a_drift_between_half_the_budget_and_the_budget_passes(self):
         leaky = Generator(np.array([[-0.75e-8]]), IndexMap(("a",)), "leaky")
         x0 = basis_state(leaky.index, "a")
@@ -800,15 +799,12 @@ class TestEvolve:
 
     def test_a_failure_after_a_screened_slice(self, monkeypatch):
         # slot b grows from a 3e-30 seed at 5% a step: the first step over
-        # budget is step 992, in the second slice of the chunk of steps
-        # 710-1064, whose first slice (steps 710-965, drift below 3e-9) the
-        # screen passes: only short slices and the failing one are walked
-        # (77 fsum traces; walking the first slice too would add 256)
+        # budget is step 992, in block 0, whose steps before it the screen
+        # clears (drift below 3e-9 up to step 965): only the steps from the
+        # first one near the budget are walked, fewer than 256 fsum traces
         g = Generator(np.array([[0.0, 0.0], [3e-30, 0.05]]), IndexMap(("a", "b")), "growing")
         x0 = basis_state(g.index, "a")
-        walked = []
-        fsum = math.fsum
-        monkeypatch.setattr(solver.math, "fsum", lambda xs: walked.append(xs) or fsum(xs))
+        walked = _count_fsum(monkeypatch)
         with pytest.raises(StepTooLarge) as info:
             evolve(g, x0, 2000.0, 1.0)
         assert len(walked) < 256
@@ -816,10 +812,10 @@ class TestEvolve:
         assert str(info.value) == "trace moved by 1.017e-08 in one step of 1.000e+00; shrink dt"
         assert str(info.value) == _first_failing_step(g, x0, 2000.0, 1.0)
 
-    def test_a_blow_up_mid_chunk(self, monkeypatch):
+    def test_a_blow_up_mid_block(self, monkeypatch):
         # a shift chain a -> b -> ... -> h -> a, exact except e -> f and
         # f -> g, which multiply by 1e300: step 5 is the first over budget,
-        # and steps 6 and 7 of its chunk overflow, then turn 0 * inf into NaN
+        # and steps 6 and 7 of its block overflow, then turn 0 * inf into NaN
         labels = tuple("abcdefgh")
         g = Generator(np.zeros((8, 8)), IndexMap(labels), "chain")
         shift = np.roll(np.eye(8), 1, axis=0)
@@ -833,6 +829,34 @@ class TestEvolve:
         message = "trace moved by 1.000e+300 in one step of 1.000e+00; shrink dt"
         assert str(info.value) == message
         assert _first_failing_step(g, x0, 20.0, 1.0) == message
+
+    # the shortest inputs the check gets: 2 rows, from a one-step run (x0,
+    # then the step) or a last block of one sample (the sample before it,
+    # then it), and 3, from a two-step run; the screen clears a drift of a
+    # quarter of the budget with no fsum trace, and leaves the others to
+    # the walk, with the outcome and message of checking each step as it
+    # is made
+    @pytest.mark.parametrize("n_rows", [2, 3])
+    @pytest.mark.parametrize("rate", [0.25e-8, 0.75e-8, 1.01e-8])
+    def test_the_check_of_a_short_block(self, monkeypatch, n_rows, rate):
+        leaky = Generator(np.array([[-rate]]), IndexMap(("a",)), "leaky")
+        x0 = basis_state(leaky.index, "a")
+        diagonals = _plain_steps(leaky, x0, n_rows - 1.0, 1.0)
+        assert diagonals.shape == (n_rows, 1)
+        walked = _count_fsum(monkeypatch)
+        outcome = _check_outcome(diagonals, 1.0)
+        assert (len(walked) == 0) == (rate < 0.5e-8)
+        monkeypatch.undo()
+        assert outcome == _first_failing_step(leaky, x0, n_rows - 1.0, 1.0)
+        assert (outcome is None) == (rate < 1e-8)
+
+    @pytest.mark.parametrize("n_rows", [2, 3])
+    def test_a_nan_in_a_short_block(self, n_rows):
+        diagonals = np.full((n_rows, 2), 0.5)
+        diagonals[-1, 1] = np.nan
+        outcome = _check_outcome(diagonals, 1.0)
+        assert outcome == _first_failing_drift(diagonals, 1.0)
+        assert outcome == "trace moved by nan in one step of 1.000e+00; shrink dt"
 
     def test_an_overflowing_propagator_is_refused_before_stepping(self):
         # hG is finite, but its fourth power overflows: P is refused as a
@@ -897,6 +921,28 @@ class TestEvolve:
         traj = evolve(g, basis_state(g.index, "a"), 1.0, dt=0.3)
         assert traj.times[-1] == 1.0
         assert len(traj.times) == 5  # 4 equal steps of 0.25
+
+    @pytest.mark.parametrize("t_final,dt,n_steps", [(0.9, 0.3, 3), (0.7, 0.02, 35)])
+    def test_endpoint_is_t_final_where_n_steps_h_rounds_off_it(self, t_final, dt, n_steps):
+        # 3 * (0.9 / 3) and 35 * (0.7 / 35) each round to a neighbour of
+        # t_final; the samples before the last stay at k * h
+        h = t_final / n_steps
+        assert n_steps * h != t_final
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
+        traj = evolve(g, basis_state(g.index, "a"), t_final, dt)
+        assert traj.times.tolist() == [k * h for k in range(n_steps)] + [t_final]
+
+    def test_endpoint_is_t_final_in_a_broadcast_block(self):
+        # the zero generator repeats x0 at once, so blocks 1 and 2 of these
+        # 2859 samples are broadcast; 2858 * (2000.3 / 2858) != 2000.3
+        g = scenario_table("double_dot_bare").generator(RateSet())
+        n_samples, blocks = solver.evolve_blocks(g, basis_state(g.index, "b"), 2000.3, 0.7)
+        blocks = [(times.copy(), values) for times, values in blocks]
+        h = 2000.3 / (n_samples - 1)
+        assert n_samples == 2859 and (n_samples - 1) * h != 2000.3
+        assert blocks[-1][1].strides[0] == 0
+        times = np.concatenate([t for t, _ in blocks])
+        assert times.tolist() == [k * h for k in range(n_samples - 1)] + [2000.3]
 
 
 class TestTrajectory:
@@ -991,13 +1037,38 @@ def _first_failing_step(g, x0, t_final, dt):
     trace drift as it is made and stops at the first over budget, or None."""
     n_diag = len(g.index.diagonal_positions)
     h, samples = _plain_samples(g, x0, t_final, dt)
-    trace = math.fsum(next(samples)[:n_diag].tolist())
-    for x in samples:
-        trace_next = math.fsum(x[:n_diag].tolist())
+    return _first_failing_drift((x[:n_diag] for x in samples), h)
+
+
+def _first_failing_drift(diagonals, h):
+    """The StepTooLarge message of walking rows of diagonal slots, each
+    one step of h on from the row before, in order with math.fsum traces,
+    stopping at the first drift over budget, or None."""
+    diagonals = iter(diagonals)
+    trace = math.fsum(next(diagonals).tolist())
+    for diagonal in diagonals:
+        trace_next = math.fsum(diagonal.tolist())
         drift = abs(trace_next - trace)
         if not drift <= solver.TRACE_BUDGET_PER_STEP:
             return f"trace moved by {drift:.3e} in one step of {h:.3e}; shrink dt"
         trace = trace_next
+    return None
+
+
+def _count_fsum(monkeypatch):
+    """A list that grows by one for each math.fsum trace the check takes."""
+    walked = []
+    fsum = math.fsum
+    monkeypatch.setattr(solver.math, "fsum", lambda xs: walked.append(xs) or fsum(xs))
+    return walked
+
+
+def _check_outcome(diagonals, h):
+    """The StepTooLarge message _check_traces raises on diagonals, or None."""
+    try:
+        solver._check_traces(diagonals, h)
+    except StepTooLarge as error:
+        return str(error)
     return None
 
 
@@ -1098,16 +1169,12 @@ def _counted_steps(monkeypatch, propagator=None):
     return calls
 
 
-def _chunk_end(n_steps, fixed):
-    """The steps evolve takes: the first chunk end at or past the first
-    fixed-point sample (None: no fixed point), else every step."""
-    lo = 0
-    while lo < n_steps:
-        hi = min(lo + lo // 2 + 1, n_steps)
-        if fixed is not None and hi >= fixed:
-            return hi
-        lo = hi
-    return n_steps
+def _block_end(n_steps, fixed):
+    """The steps evolve takes: to the last sample of the block that holds
+    the first fixed-point sample (None: no fixed point), else every step."""
+    if fixed is None:
+        return n_steps
+    return min(n_steps, (fixed // solver._BLOCK + 1) * solver._BLOCK - 1)
 
 
 def _streamed(g, x0, t_final, dt):
@@ -1139,9 +1206,12 @@ class TestStream:
     BLOCK = solver._BLOCK
 
     def check(self, monkeypatch, g, x0, t_final, dt, fixed, propagator=None):
+        """Step the run once as a stream, counting its products, and check
+        its blocks against evolve and plain stepping; return the count."""
         calls = _counted_steps(monkeypatch, propagator)
         n_samples, blocks = _streamed(g, x0, t_final, dt)
-        assert len(calls) == _chunk_end(n_samples - 1, fixed)
+        steps = len(calls)
+        assert steps == _block_end(n_samples - 1, fixed)
         traj = evolve(g, x0, t_final, dt)
         sizes = [len(t) for t, _ in blocks]
         assert sizes == [min(self.BLOCK, n_samples - lo) for lo in range(0, n_samples, self.BLOCK)]
@@ -1158,19 +1228,36 @@ class TestStream:
                 plain.append(P @ plain[-1])
             assert values.tobytes() == np.array(plain).tobytes()
         assert _first_fixed_point(values) == fixed
+        return steps
 
     def test_a_fixed_point_mid_block(self, monkeypatch):
-        # the fixed point is sample 2142, found at the end of the chunk of
-        # steps 1598-2396, inside block 2
+        # the fixed point is sample 2142, in block 2 (samples 2048-3071):
+        # found at the end of that block, after 3071 steps
         g = scenario_table("double_dot_set").generator(README_SLOW)
         self.check(monkeypatch, g, basis_state(g.index, "a"), 500.0, 0.02, 2142)
 
     @pytest.mark.parametrize("fixed", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_a_fixed_point_at_a_block_edge(self, monkeypatch, fixed):
-        # found at the end of the chunk of steps 710-1064, which crosses the
-        # edge: the first piece ends the block, the second starts the next
+        # found at the end of the block that holds it: sample 1023 ends
+        # block 0, after 1023 steps; 1024 and 1025 are in block 1, found
+        # after 2047
         g, P, x0 = _halving_coherence(fixed)
         self.check(monkeypatch, g, x0, 3000.0, 1.0, fixed, lambda G, h: P)
+
+    def test_a_fixed_point_in_a_last_block_of_one_sample(self, monkeypatch):
+        # 1025 samples: block 1 is sample 1024 alone, so its check and its
+        # compare read row 0, the last sample of block 0
+        g, P, x0 = _halving_coherence(self.BLOCK)
+        steps = self.check(monkeypatch, g, x0, 1024.0, 1.0, self.BLOCK, lambda G, h: P)
+        assert steps == 1024
+
+    def test_a_late_fixed_point(self, monkeypatch):
+        # sample 2000 of 3001, found at the end of block 1 after 2047 steps
+        # (stepping in chunks each half as long as the run before, an
+        # earlier schedule, found it after 2396)
+        g, P, x0 = _halving_coherence(2000)
+        steps = self.check(monkeypatch, g, x0, 3000.0, 1.0, 2000, lambda G, h: P)
+        assert steps == 2047
 
     def test_the_seed_2_cycle(self, monkeypatch):
         scenario, gamma_R = CYCLING_RUN
@@ -1182,13 +1269,14 @@ class TestStream:
         self.check(monkeypatch, g, basis_state(g.index, "a"), 0.5, 1.0, None)
 
     def test_the_zero_generator(self, monkeypatch):
-        # P = I: the first step repeats x0, and the run stops there
+        # P = I: the first step repeats x0, so the run steps to the end of
+        # block 0 and broadcasts the rest
         g = scenario_table("double_dot_bare").generator(RateSet())
         self.check(monkeypatch, g, basis_state(g.index, "b"), 3000.0, 0.5, 1)
 
     def test_a_step_too_large_after_a_screened_prefix(self):
-        # step 484, in the chunk of steps 473-709, before the first block
-        # is full: no block is yielded
+        # step 484, in block 0 (all 963 samples), after a prefix the screen
+        # clears: no block is yielded
         g = scenario_table("double_dot_set").generator(README_SLOW)
         x0 = basis_state(g.index, "a")
         n_samples, blocks = solver.evolve_blocks(g, x0, 500.0, 0.52)
