@@ -1253,8 +1253,6 @@ class TestStream:
 
     def test_a_late_fixed_point(self, monkeypatch):
         # sample 2000 of 3001, found at the end of block 1 after 2047 steps
-        # (stepping in chunks each half as long as the run before, an
-        # earlier schedule, found it after 2396)
         g, P, x0 = _halving_coherence(2000)
         steps = self.check(monkeypatch, g, x0, 3000.0, 1.0, 2000, lambda G, h: P)
         assert steps == 2047
@@ -1274,9 +1272,8 @@ class TestStream:
         g = scenario_table("double_dot_bare").generator(RateSet())
         self.check(monkeypatch, g, basis_state(g.index, "b"), 3000.0, 0.5, 1)
 
-    def test_a_step_too_large_after_a_screened_prefix(self):
-        # step 484, in block 0 (all 963 samples), after a prefix the screen
-        # clears: no block is yielded
+    def test_a_step_too_large_in_the_only_block(self):
+        # step 484, in block 0 (all 963 samples): no block is yielded
         g = scenario_table("double_dot_set").generator(README_SLOW)
         x0 = basis_state(g.index, "a")
         n_samples, blocks = solver.evolve_blocks(g, x0, 500.0, 0.52)
