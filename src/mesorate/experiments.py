@@ -25,7 +25,7 @@ The points of a Fermi-level sweep differ only in their regime, so each
 regime is one generator: it is solved once, and one fancy index gives
 every point its regime's row before the grid fills the param column.
 
-A grid point whose model is disconnected is reported as a row of NaNs
+A grid point whose model is degenerate is reported as a row of NaNs
 with the error message attached instead of aborting the sweep; any other
 error is raised, the one the first failing point in grid order raises
 alone: the channel table's stack reports the first row it refuses

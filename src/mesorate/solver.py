@@ -209,7 +209,8 @@ def _steady_part(G: np.ndarray, index: IndexMap) -> tuple[np.ndarray, list[Excep
             errors[k] = DegenerateSteadyState("zero generator: every state is stationary")
         elif null_dim > 1:
             errors[k] = DegenerateSteadyState(
-                f"{null_dim}-dimensional null space: the model is disconnected")
+                f"{null_dim}-dimensional numerical null space "
+                "(singular values <= RANK_TOL * sigma_max)")
         elif null_dim == 0:
             errors[k] = ValueError(
                 "generator has no stationary direction; it does not conserve trace")
@@ -329,9 +330,11 @@ def _each_member(fn, stack, *args, **kwargs) -> list:
 def steady_state(g: Generator) -> StateVector:
     """Stationary state: G x = 0 with the diagonal slots summing to 1.
 
-    The one-generator case of steady_states.  A null space of more than
-    one dimension, singular values at or below RANK_TOL times the largest,
-    flags a disconnected model.  The returned vector satisfies
+    The one-generator case of steady_states.  A numerical null space of
+    more than one dimension, singular values at or below RANK_TOL times the
+    largest, raises DegenerateSteadyState; the model need not be
+    disconnected, as in a stiff one whose rates spread past 1/RANK_TOL.
+    The returned vector satisfies
     ||G x||_inf <= 1e-12 ||G||_inf; a state that misses it raises
     ResidualTooLarge.
     """

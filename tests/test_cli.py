@@ -207,14 +207,18 @@ class TestEvolve:
         ("gamma_R = 100.0\ngamma_R_p = 2.0", "t_final = 1.0", 2),
     ], ids=["drift", "overflowing-propagator", "unequal-amplitudes"])
     def test_a_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, rates, run, code):
-        # the drifting run fails at step 484, after its file was opened
+        # the drifting run fails at step 484, after its file was opened; onto
+        # a new path and onto an existing file, a run fails alike
         p = tmp_path / "run.cfg"
         p.write_text(SET_CFG.replace("gamma_R = 100.0", rates) + f"\n[run]\n{run}\n")
         out = tmp_path / "out" / "ts.csv"
         out.parent.mkdir()
+        assert cli_main(["evolve", "--config", str(p), "--out", str(out)]) == code
+        fresh = capsys.readouterr()
+        assert fresh.out == "" and os.listdir(out.parent) == []
         out.write_bytes(b"kept\n")
         assert cli_main(["evolve", "--config", str(p), "--out", str(out)]) == code
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == fresh
         assert out.read_bytes() == b"kept\n"
         assert os.listdir(out.parent) == ["ts.csv"]
 
@@ -371,12 +375,14 @@ class TestSweep:
         assert cli_main(["steady", "--config", str(cfg)]) == 2
         assert "unknown key U in section [rates]" in capsys.readouterr().err
 
-    def test_negative_width_in_grid_is_config_error(self, tmp_path, capsys):
+    # refused at the first point and at the last
+    @pytest.mark.parametrize("grid", ["-1:1:3", "1:-1:3"])
+    def test_negative_width_in_grid_is_config_error(self, tmp_path, capsys, grid):
         cfg = tmp_path / "set.cfg"
         cfg.write_text(SET_CFG)
         out = tmp_path / "x.csv"
         assert cli_main(["sweep", "--config", str(cfg), "--param", "gamma_R",
-                         "--grid", "-1:1:3", "--out", str(out)]) == 2
+                         "--grid", grid, "--out", str(out)]) == 2
         # a refused point is a configuration error of sweep, as of fig3
         assert capsys.readouterr().err == "config error: width gamma_R must be >= 0, got -1.0\n"
         assert not out.exists()
@@ -510,8 +516,8 @@ class TestNanRows:
         nan_rows = [row for row in rows if row[1] == "nan"]
         assert 0 < len(nan_rows) < len(rows)
         assert err == (f"warning: {len(nan_rows)} of 1000 rows are NaN; the first, at "
-                       f"gamma_R = {float(nan_rows[0][0])!r}: 2-dimensional null space: "
-                       "the model is disconnected\n")
+                       f"gamma_R = {float(nan_rows[0][0])!r}: 2-dimensional numerical "
+                       "null space (singular values <= RANK_TOL * sigma_max)\n")
 
     def test_all_nan_sweep(self, tmp_path, capsys):
         # Gamma_R = 0 leaves the b-c oscillation undamped at every point
@@ -519,7 +525,8 @@ class TestNanRows:
                              ["sweep", "--param", "Gamma_L", "--grid", "0.5:2:3"])
         assert all(row[1] == "nan" for row in rows)
         assert err == ("warning: 3 of 3 rows are NaN; the first, at Gamma_L = 0.5: "
-                       "2-dimensional null space: the model is disconnected\n")
+                       "2-dimensional numerical null space "
+                       "(singular values <= RANK_TOL * sigma_max)\n")
 
     def test_all_nan_fig3(self, tmp_path, capsys):
         rows, err = self.run(tmp_path, capsys, ZERO_FIG3_CFG,
@@ -539,7 +546,7 @@ class TestNanRows:
             code = cli_main(["sweep", "--config", str(cfg), "--param", "Omega",
                              "--grid", "0:0:2", "--format", fmt, "--out", str(out)])
             captured = capsys.readouterr()
-            assert captured.out == f"wrote 2 rows to {out}\n" and out.exists()
+            assert captured.out == f"wrote 2 rows to {out}\n" and out.stat().st_size > 0
             results.append((code, captured.err))
         assert results[0] == results[1] == (
             0, "warning: 2 of 2 rows are NaN; the first, at Omega = 0.0: "

@@ -233,7 +233,8 @@ class TestSweepErrors:
         grid = (0.5, 1.0, 0.0, 2.0, 4.0, -0.0)
         table = run_sweep("double_dot_bare", BARE_BASE, "Gamma_R", grid)
         assert math.isnan(table["I_S_numeric"][2])
-        assert table.message[2] == "2-dimensional null space: the model is disconnected"
+        assert table.message[2] == ("2-dimensional numerical null space "
+                                    "(singular values <= RANK_TOL * sigma_max)")
         # every column, the failed rows and their messages included, is
         # that of the points swept one at a time
         alone = [run_sweep("double_dot_bare", BARE_BASE, "Gamma_R", (value,))
@@ -502,7 +503,7 @@ class TestStiffRegime:
         assert solved.any()
         assert table["I_S_numeric"][solved] == pytest.approx(table["I_S_analytic"][solved],
                                                              rel=ORACLE_RTOL, abs=0)
-        # a NaN row is a point the rank test calls disconnected, never a
+        # a NaN row is a point the rank test calls degenerate, never a
         # lost answer: solved alone it raises that same degeneracy
         for value, message in zip(table["param"][~solved].tolist(),
                                   np.array(table.message, dtype=object)[~solved]):

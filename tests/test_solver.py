@@ -63,7 +63,8 @@ def _steady_state_reference(g):
     null_dim = int(np.count_nonzero(singulars <= 1e-10 * largest))
     if null_dim > 1:
         raise DegenerateSteadyState(
-            f"{null_dim}-dimensional null space: the model is disconnected")
+            f"{null_dim}-dimensional numerical null space "
+            "(singular values <= RANK_TOL * sigma_max)")
     if null_dim == 0:
         raise ValueError("generator has no stationary direction; it does not conserve trace")
     A = G.copy()
@@ -374,12 +375,35 @@ class TestUniquenessProof:
             gens.append(Generator(np.ldexp(g.matrix, -535), g.index, g.label))
         assert assert_stack_matches_reference(gens) >= len(FAILING_SETS)
 
+    def test_members_at_the_rank_line_are_left_to_the_svd(self):
+        # one population pair and one coherence whose parts decay at rates
+        # 1 and delta: singular values 2, 1, delta and 0, and a Gram matrix
+        # of the constrained matrix, diag(2, 2, 1, delta^2), that rounds to
+        # nothing.  The column-sum bound holds, so the Cholesky factorization
+        # alone decides, and its shift settles no member: the SVD finds two
+        # null directions where delta is just below RANK_TOL * sigma_max and
+        # one where it is just above
+        index = IndexMap(("a", "b"), [("a", "b")])
+        line = solver.RANK_TOL * 2.0
+        deltas = ([line * (1 - k / 1000) for k in range(1, 65)]
+                  + [line * (1 + k / 1000) for k in range(1, 65)])
+        gens = [Generator(np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0],
+                                    [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -delta]]),
+                          index, "synthetic") for delta in deltas]
+        G = np.stack([g.matrix for g in gens])
+        singulars = np.linalg.svd(G, compute_uv=False)
+        null_dims = (singulars <= solver.RANK_TOL * singulars[:, :1]).sum(axis=1)
+        assert null_dims.tolist() == [2] * 64 + [1] * 64
+        assert [solver._proven_unique(g[np.newaxis], 2) for g in G] == [0] * 128
+        assert solver._proven_unique(G, 2) == 0
+        assert assert_stack_matches_reference(gens) == 64
+
     def test_a_tiny_dense_disconnected_generator_is_disconnected(self):
         block = np.array([[-1.0, 2.0, 3.0], [0.5, -2.0, 1.0], [0.5, 0.0, -4.0]])
         matrix = np.ldexp(np.kron(np.eye(2), block), -535)
         g = Generator(matrix, IndexMap(tuple("abcdef")), "synthetic")
         assert assert_stack_matches_reference([g]) == 1
-        with pytest.raises(DegenerateSteadyState, match="^2-dimensional null space"):
+        with pytest.raises(DegenerateSteadyState, match="^2-dimensional numerical null space"):
             steady_state(g)
 
 
@@ -849,6 +873,21 @@ class TestEvolve:
         monkeypatch.undo()
         assert outcome == _first_failing_step(leaky, x0, n_rows - 1.0, 1.0)
         assert (outcome is None) == (rate < 1e-8)
+
+    def test_the_screen_at_its_rounding_margin(self):
+        # slots near 1e8 that cancel: each row's numpy sum rounds 1e8 + t to
+        # a multiple of 2^-26, so the numpy traces never move while the fsum
+        # traces move by just over the budget at step 3; the screen's slack
+        # n^2 u max|d| clears none of it, and the walk fails that step
+        traces = [1.0 - 0.505e-8] * 3 + [1.0 + 0.505e-8]
+        diagonals = np.array([[1e8, t, -1e8] for t in traces])
+        sums = diagonals.sum(axis=1)
+        assert (sums == sums[0]).all()
+        assert (np.abs(sums - traces) > solver.TRACE_BUDGET_PER_STEP / 2).all()
+        assert 1e-8 < traces[-1] - traces[0] < 1.02e-8
+        outcome = _check_outcome(diagonals, 1.0)
+        assert outcome == _first_failing_drift(diagonals, 1.0)
+        assert outcome == "trace moved by 1.010e-08 in one step of 1.000e+00; shrink dt"
 
     @pytest.mark.parametrize("n_rows", [2, 3])
     def test_a_nan_in_a_short_block(self, n_rows):
