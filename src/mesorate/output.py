@@ -14,11 +14,12 @@ too, so each distinct row of a block is formatted once, by one % call
 for all of them, into its line format: %.17g for the time, then the
 row's columns after t.  A block is then one % call over its times, its
 format the first row's repeated when every row has the first row's
-bytes, else its rows' formats joined.  The time-series file is written
-whole or not at all: the blocks stream into a new file next to a new
-path, renamed to it once the last block is written, or into an unnamed
-temporary file that an existing path takes in full.  The sweep table
-is one % call too, over the table's values in row order.
+bytes, else its rows' formats joined.  The sweep table is one % call
+too, over the table's values in row order.  One writer, _write_file,
+writes every file, the table, the SVG and the time series, whole or not
+at all: the bytes stream into a new file next to a new path, renamed to
+it once the last byte is written, or into an unnamed temporary file that
+an existing path takes in full.
 """
 
 from __future__ import annotations
@@ -51,14 +52,10 @@ def sweep_csv_text(table: SweepTable) -> str:
     return _sweep_csv_bytes(table).decode()
 
 
-def _write_bytes(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def write_csv(table: SweepTable, path: str) -> None:
-    """Sweep table as CSV; fails before creating the file when empty."""
-    _write_bytes(path, _sweep_csv_bytes(table))
+    """Sweep table as CSV, written to path whole or not at all by
+    _write_file; an empty table fails before any file is touched."""
+    _write_file([_sweep_csv_bytes(table)], path)
 
 
 def column_token(entry) -> str:
@@ -152,45 +149,50 @@ def write_timeseries_blocks(index: IndexMap, blocks: Iterable[tuple[np.ndarray, 
                             path: str, system_weights=None, detector_weights=None) -> None:
     """The time series of (times, values) blocks, such as those of
     solver.evolve_blocks, written to path a block at a time, whole or not
-    at all: path is not touched until the last line is written.  A new
-    path is made as a new file in its directory (which must be writable),
-    renamed to path once the last line is written and removed on any
-    failure.  An existing path (a file, a link, a device, a pipe) takes
-    the lines from an unnamed temporary file once they are all there,
-    written into as by open(path, "wb"), so it keeps its links, mode and
-    owner.  A bad weight map fails before any file is created.  An
-    OSError names path where it would name the new file, and is raised
-    only once the blocks are all stepped, so that an error they raise (a
-    step over the trace budget) wins, as it would if path were opened
-    after the run."""
+    at all, by _write_file.  A bad weight map fails before any file is
+    created.  An OSError is raised only once the blocks are all stepped,
+    so that an error they raise (a step over the trace budget) wins, as it
+    would if path were opened after the run."""
     blocks = iter(blocks)
     lines = _timeseries_lines(index, blocks, system_weights, detector_weights)
     try:
-        if os.path.lexists(path):
-            with tempfile.TemporaryFile() as tmp:
-                tmp.writelines(lines)
-                tmp.seek(0)
-                with open(path, "wb") as fh:
-                    shutil.copyfileobj(tmp, fh)
-        else:
-            _write_new_file(lines, path)
+        _write_file(lines, path)
     except OSError:
         for _ in blocks:    # the run's own error first, as above
             pass
         raise
 
 
-def _write_new_file(lines: Iterable[bytes], path: str) -> None:
-    """lines written to a new file next to path, renamed to path once the
+def _write_file(chunks: Iterable[bytes], path: str) -> None:
+    """The bytes of chunks written to path whole or not at all: path is
+    not touched until the last chunk is written.  A new path is made as a
+    new file in its directory (which must be writable) by _write_new_file.
+    An existing path (a file, a link, a device, a pipe) takes the chunks
+    from an unnamed temporary file once they are all there, written into
+    as by open(path, "wb"), so it keeps its links, mode and owner; only a
+    failure of that copy leaves it partly written.  An OSError names path
+    where it would name the new file."""
+    if os.path.lexists(path):
+        with tempfile.TemporaryFile() as tmp:
+            tmp.writelines(chunks)
+            tmp.seek(0)
+            with open(path, "wb") as fh:
+                shutil.copyfileobj(tmp, fh)
+    else:
+        _write_new_file(chunks, path)
+
+
+def _write_new_file(chunks: Iterable[bytes], path: str) -> None:
+    """chunks written to a new file next to path, renamed to path once the
     last is written and removed on any failure; an OSError naming the new
-    file names path."""
-    directory, name = os.path.split(path)
-    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    file names path.  The new file's name does not grow with path's, so
+    any name path may have leaves room for it."""
+    temporary = os.path.join(os.path.dirname(path), f".{os.urandom(6).hex()}.tmp")
     created = False
     try:
         with open(temporary, "xb") as fh:
             created = True
-            fh.writelines(lines)
+            fh.writelines(chunks)
         os.replace(temporary, path)
         created = False
     except OSError as exc:
@@ -281,4 +283,6 @@ def svg_text(table: SweepTable, x_label: str) -> str:
 
 
 def write_svg(table: SweepTable, path: str, x_label: str) -> None:
-    _write_bytes(path, svg_text(table, x_label).encode())
+    """svg_text written to path whole or not at all by _write_file; an
+    empty table fails before any file is touched."""
+    _write_file([svg_text(table, x_label).encode()], path)

@@ -361,17 +361,20 @@ def _check_traces(diagonals: np.ndarray, h: float) -> None:
     The run, at least 2 rows, is first screened with one numpy row sum.  A
     sum of m terms, in any order, is within about (m - 1) u sum|d| of the
     exact sum (u the unit roundoff) and fsum within u |sum d|, so a row's
-    fsum trace is within m u sum|d| <= m^2 u max|d| of its numpy sum, and a
-    step's fsum drift within the drift of its numpy sums plus
-    2 m^2 u max|d|, max over the run.  A step where that is at most half
-    the budget (the other half covers the screen's own rounding and the
-    terms of order u^2) cannot fail: the steps before the first other one
-    (near or over the budget, a NaN, an inf) are cleared, and from that
-    one on the steps are walked in order with math.fsum.
+    fsum trace is within m u sum|d| of its numpy sum, and a step's fsum
+    drift within the drift of its numpy sums plus 2 m u sum|d|, the larger
+    sum|d| of the step's two rows.  Each row's sum|d| is one product with
+    a vector of ones, a sum of terms of one sign and so within about
+    (m - 1) u of it, relative.  A step where that is at most half the
+    budget (the other half covers the screen's own rounding and the terms
+    of order u^2) cannot fail: the steps before the first other one (near
+    or over the budget, a NaN, an inf) are cleared, and from that one on
+    the steps are walked in order with math.fsum.
     """
     sums = diagonals.sum(axis=1)
-    # 2 m^2 u max|d|, with 2u = 2**-52 the machine epsilon
-    slack = diagonals.shape[1] ** 2 * 2.0 ** -52 * max(diagonals.max(), -diagonals.min())
+    sizes = np.abs(diagonals).dot(np.ones(diagonals.shape[1]))    # sum|d| of each row
+    # 2 m u sum|d|, with 2u = 2**-52 the machine epsilon
+    slack = diagonals.shape[1] * 2.0 ** -52 * np.maximum(sizes[:-1], sizes[1:])
     cleared = np.abs(sums[1:] - sums[:-1]) <= TRACE_BUDGET_PER_STEP / 2 - slack
     start = int(cleared.argmin())                   # the first step not cleared
     if cleared[start]:

@@ -3,13 +3,13 @@ import re
 import stat
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
 
 import mesorate
 from mesorate import cli, cli_main, validate_state
+from test_output import read_through_fifo
 
 BARE_CFG = """\
 [scenario]
@@ -233,11 +233,7 @@ class TestEvolve:
         assert written.startswith(b"t,a,b,c,re_bc,im_bc,I_S\n0,1,0,0,0,0,")
         assert os.listdir(out.parent) == ["ts.csv"]
 
-    def test_a_linked_out_keeps_its_link_and_updates_its_target(self, bare_cfg, tmp_path,
-                                                                 capsys):
-        # a run writes through the link; a failed one leaves the target as it was
-        fresh = tmp_path / "fresh.csv"
-        assert cli_main(["evolve", "--config", bare_cfg, "--out", str(fresh)]) == 0
+    def test_a_failed_run_leaves_a_linked_out_as_it_was(self, tmp_path, capsys):
         target = tmp_path / "data" / "ts.csv"
         target.parent.mkdir()
         target.write_bytes(b"kept\n")
@@ -248,55 +244,10 @@ class TestEvolve:
         drift.write_text(SET_CFG.replace("gamma_R = 100.0", "gamma_R = 3.0")
                          + "\n[run]\nt_final = 500.0\ndt = 0.52\n")
         assert cli_main(["evolve", "--config", str(drift), "--out", str(link)]) == 3
-        assert target.read_bytes() == b"kept\n"
-        assert cli_main(["evolve", "--config", bare_cfg, "--out", str(link)]) == 0
         assert link.is_symlink() and os.readlink(link) == str(target)
-        assert target.read_bytes() == fresh.read_bytes()
+        assert target.read_bytes() == b"kept\n"
         assert sorted(os.listdir(tmp_path / "out")) == ["ts.csv"]
         assert sorted(os.listdir(target.parent)) == ["ts.csv"]
-
-    def test_an_existing_out_keeps_its_file_mode_and_links(self, bare_cfg, tmp_path, capsys):
-        fresh = tmp_path / "fresh.csv"
-        assert cli_main(["evolve", "--config", bare_cfg, "--out", str(fresh)]) == 0
-        out = tmp_path / "ts.csv"
-        out.write_bytes(b"old\n")
-        out.chmod(0o640)
-        other = tmp_path / "other-name.csv"
-        os.link(out, other)
-        before = os.stat(out)
-        assert cli_main(["evolve", "--config", bare_cfg, "--out", str(out)]) == 0
-        after = os.stat(out)
-        assert (after.st_ino, after.st_mode, after.st_uid, after.st_nlink) == (
-            before.st_ino, before.st_mode, before.st_uid, 2)
-        assert out.read_bytes() == other.read_bytes() == fresh.read_bytes()
-
-    def test_an_out_that_is_a_pipe_is_written_into(self, bare_cfg, tmp_path, capsys):
-        fresh = tmp_path / "fresh.csv"
-        assert cli_main(["evolve", "--config", bare_cfg, "--out", str(fresh)]) == 0
-        fifo = tmp_path / "ts.fifo"
-        os.mkfifo(fifo)
-        # a write end held open here keeps the reader waiting for the run's
-        # bytes, and ends its read once closed whatever the run did
-        rfd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-        wfd = os.open(fifo, os.O_WRONLY)
-        os.set_blocking(rfd, True)
-        read = []
-
-        def reader():
-            with open(rfd, "rb") as fh:
-                read.append(fh.read())
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        try:
-            code = cli_main(["evolve", "--config", bare_cfg, "--out", str(fifo)])
-        finally:
-            os.close(wfd)
-            thread.join()
-        assert code == 0
-        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-        assert read == [fresh.read_bytes()]
-        assert sorted(os.listdir(tmp_path)) == ["bare.cfg", "fresh.csv", "ts.fifo"]
 
     def test_a_drift_wins_over_a_missing_directory(self, tmp_path, capsys):
         # the run is stepped to its failure although its file cannot be
@@ -324,6 +275,70 @@ class TestEvolve:
         p.write_text(BARE_CFG.replace("t_final = 30.0", ""))
         assert cli_main(["evolve", "--config", str(p), "--out",
                          str(tmp_path / "x.csv")]) == 2
+
+
+# each command that writes --out, as a command line on a model it solves
+OUT_COMMANDS = {
+    "evolve": (BARE_CFG, ["evolve"]),
+    "sweep-csv": (BARE_CFG, ["sweep", "--param", "Omega", "--grid", "1:2:3"]),
+    "sweep-svg": (BARE_CFG, ["sweep", "--param", "Omega", "--grid", "1:2:3", "--format", "svg"]),
+    "fig3": (FIG3_CFG, ["fig3", "--grid", "0.1:0.9:3"]),
+}
+
+
+class TestOut:
+    """Every command writes --out by the same rules: an existing --out is
+    written into, so it keeps its links, its mode and what it is."""
+
+    @pytest.fixture(params=sorted(OUT_COMMANDS))
+    def command(self, request, tmp_path):
+        """A function running the command with --out path, and the bytes
+        the command writes to a new file."""
+        text, argv = OUT_COMMANDS[request.param]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+
+        def run(path):
+            return cli_main(argv[:1] + ["--config", str(cfg)] + argv[1:] + ["--out", str(path)])
+
+        fresh = tmp_path / "fresh.out"
+        assert run(fresh) == 0
+        return run, fresh.read_bytes()
+
+    def test_a_linked_out_keeps_its_link_and_updates_its_target(self, tmp_path, command):
+        run, data = command
+        target = tmp_path / "data" / "x.out"
+        target.parent.mkdir()
+        target.write_bytes(b"kept\n")
+        link = tmp_path / "out" / "x.out"
+        link.parent.mkdir()
+        link.symlink_to(target)
+        assert run(link) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == data
+        assert sorted(os.listdir(tmp_path / "out")) == ["x.out"]
+        assert sorted(os.listdir(target.parent)) == ["x.out"]
+
+    def test_an_existing_out_keeps_its_file_mode_and_links(self, tmp_path, command):
+        run, data = command
+        out = tmp_path / "x.out"
+        out.write_bytes(b"old\n")
+        out.chmod(0o640)
+        other = tmp_path / "other-name.out"
+        os.link(out, other)
+        before = os.stat(out)
+        assert run(out) == 0
+        after = os.stat(out)
+        assert (after.st_ino, after.st_mode, after.st_uid, after.st_nlink) == (
+            before.st_ino, before.st_mode, before.st_uid, 2)
+        assert out.read_bytes() == other.read_bytes() == data
+
+    def test_an_out_that_is_a_pipe_is_written_into(self, tmp_path, command):
+        run, data = command
+        fifo = tmp_path / "x.fifo"
+        assert read_through_fifo(fifo, lambda: run(fifo)) == (data, 0)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["fresh.out", "run.cfg", "x.fifo"]
 
 
 class TestSweep:

@@ -1,11 +1,18 @@
+import ast
+import errno
 import hashlib
 import math
+import os
+import pathlib
 import re
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mesorate
 from mesorate import (
     IndexMap,
     RateSet,
@@ -428,15 +435,6 @@ class TestTimeseriesStream:
         assert path.read_bytes() == b"kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ts.csv"]
 
-    def test_a_path_that_cannot_be_replaced_is_named(self, tmp_path):
-        traj = repeating_trajectory(5, [])
-        path = tmp_path / "ts.csv"
-        path.mkdir()
-        with pytest.raises(IsADirectoryError) as info:
-            write_timeseries_blocks(traj.index, traj.blocks(), str(path))
-        assert str(info.value) == f"[Errno 21] Is a directory: {str(path)!r}"
-        assert [p.name for p in tmp_path.iterdir()] == ["ts.csv"]
-
     def test_memory_does_not_grow_with_the_step_count(self):
         # the seed-2 cycle, which never reaches a fixed point: every block
         # is stepped, and each of its rows is read and looked up
@@ -456,6 +454,119 @@ class TestTimeseriesStream:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 256 * 1024
+
+
+def read_through_fifo(fifo, write):
+    """Make a FIFO at fifo; return the bytes that write() sends into it,
+    and what write() returns.  A write end held open here keeps the reader
+    waiting for write's bytes, and ends its read once closed, whatever
+    write did."""
+    os.mkfifo(fifo)
+    rfd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    wfd = os.open(fifo, os.O_WRONLY)
+    os.set_blocking(rfd, True)
+    read = []
+
+    def reader():
+        with open(rfd, "rb") as fh:
+            read.append(fh.read())
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        result = write()
+    finally:
+        os.close(wfd)
+        thread.join()
+    return read[0], result
+
+
+@pytest.fixture(params=["csv", "svg", "timeseries"])
+def writer(request):
+    """A function that writes a file to a path through one of output.py's
+    writers, and the bytes it writes."""
+    if request.param == "timeseries":
+        traj = repeating_trajectory(2 * _BLOCK + 5, runs(3, 9))
+        return (lambda path: write_timeseries_blocks(traj.index, traj.blocks(), path),
+                timeseries_csv_text(traj).encode())
+    rows = table(ROW, (2.0, 0.6, 0.6, math.nan, math.nan, 0.0))
+    if request.param == "csv":
+        return lambda path: write_csv(rows, path), sweep_csv_text(rows).encode()
+    return lambda path: write_svg(rows, path, x_label="x"), svg_text(rows, "x").encode()
+
+
+class TestOneWriter:
+    """write_csv, write_svg and write_timeseries_blocks reach the disk
+    through one writer: a new path is renamed in once its last byte is
+    written, and an existing one is written into once every byte exists."""
+
+    # the writer's own new file is named apart from the path, so a name
+    # of the longest length a file system takes is written too
+    @pytest.mark.parametrize("name", ["out", "x" * 255], ids=["short", "longest"])
+    def test_a_new_path(self, tmp_path, writer, name):
+        write, data = writer
+        path = tmp_path / name
+        write(str(path))
+        assert path.read_bytes() == data
+        assert os.listdir(tmp_path) == [name]
+
+    def test_an_existing_file_keeps_its_inode_mode_and_links(self, tmp_path, writer):
+        write, data = writer
+        path, other = tmp_path / "out", tmp_path / "other"
+        path.write_bytes(b"old\n" * 100_000)
+        path.chmod(0o640)
+        os.link(path, other)
+        before = os.stat(path)
+        write(str(path))
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+        assert path.read_bytes() == other.read_bytes() == data
+        assert sorted(os.listdir(tmp_path)) == ["other", "out"]
+
+    def test_a_link_keeps_its_link_and_updates_its_target(self, tmp_path, writer):
+        write, data = writer
+        target = tmp_path / "data" / "out"
+        target.parent.mkdir()
+        target.write_bytes(b"old\n")
+        link = tmp_path / "out"
+        link.symlink_to(target)
+        write(str(link))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == data
+        assert sorted(os.listdir(tmp_path)) == ["data", "out"]
+        assert os.listdir(target.parent) == ["out"]
+
+    def test_a_fifo_is_written_into(self, tmp_path, writer):
+        write, data = writer
+        fifo = tmp_path / "out"
+        assert read_through_fifo(fifo, lambda: write(str(fifo))) == (data, None)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_a_directory_is_named(self, tmp_path, writer):
+        write, _ = writer
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write(str(path))
+        assert str(info.value) == f"[Errno 21] Is a directory: {str(path)!r}"
+        assert os.listdir(tmp_path) == ["out"] and os.listdir(path) == []
+
+    def test_a_new_path_whose_write_fails_is_left_absent(self, tmp_path, writer, monkeypatch):
+        # the rename, the last step of writing a new path, fails as a full
+        # or vanished disk would make it fail: the error names the path,
+        # and neither the path nor the writer's own new file is left
+        write, _ = writer
+
+        def fail(src, dst):
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src, None, dst)
+
+        monkeypatch.setattr(os, "replace", fail)
+        path = tmp_path / "out"
+        with pytest.raises(OSError) as info:
+            write(str(path))
+        assert str(info.value) == f"[Errno 5] Input/output error: {str(path)!r}"
+        assert os.listdir(tmp_path) == []
 
 
 class TestSvg:
@@ -519,3 +630,35 @@ class TestSvg:
         content = path.read_text()
         assert content.startswith("<svg")
         assert content.rstrip().endswith("</svg>")
+
+
+def _write_opens(node, function=None):
+    """(function, line) of each call under node, in the function that
+    holds it, that opens a file for writing: open() with a mode that
+    writes or one that is not a constant, or a pathlib write_*."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _write_opens(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wxa+"):
+                    yield function, child.lineno
+            elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+                yield function, child.lineno
+        yield from _write_opens(child, function)
+
+
+def test_every_file_is_written_by_the_one_writer():
+    # a second route to the disk would write a file by other rules: every
+    # open for writing in the package sits in the one writer or in the
+    # function that makes a new file for it
+    package = pathlib.Path(mesorate.__file__).parent
+    opens = {}
+    for source in sorted(package.glob("*.py")):
+        for function, line in _write_opens(ast.parse(source.read_text(), str(source))):
+            opens.setdefault(f"{source.name}:{function}", []).append(line)
+    assert sorted(opens) == ["output.py:_write_file", "output.py:_write_new_file"], opens

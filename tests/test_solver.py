@@ -836,6 +836,21 @@ class TestEvolve:
         assert str(info.value) == "trace moved by 1.017e-08 in one step of 1.000e+00; shrink dt"
         assert str(info.value) == _first_failing_step(g, x0, 2000.0, 1.0)
 
+    def test_the_drift_run_clears_a_prefix(self, monkeypatch):
+        # the drift run of the CLI tests: its slots grow late, so a slack
+        # from the whole block's max|d| cleared none of its steps, and the
+        # walk took an fsum trace of each of its 485 rows; the slack of the
+        # rows up to each step clears the steps before the slots grow
+        g = scenario_table("double_dot_set").generator(README_SLOW)
+        x0 = basis_state(g.index, g.index.diagonal_labels[0])
+        walked = _count_fsum(monkeypatch)
+        with pytest.raises(StepTooLarge) as info:
+            evolve(g, x0, 500.0, 0.52)
+        assert len(walked) < 200
+        monkeypatch.undo()
+        assert str(info.value) == "trace moved by 1.304e-08 in one step of 5.198e-01; shrink dt"
+        assert str(info.value) == _first_failing_step(g, x0, 500.0, 0.52)
+
     def test_a_blow_up_mid_block(self, monkeypatch):
         # a shift chain a -> b -> ... -> h -> a, exact except e -> f and
         # f -> g, which multiply by 1e300: step 5 is the first over budget,
@@ -878,13 +893,29 @@ class TestEvolve:
         # slots near 1e8 that cancel: each row's numpy sum rounds 1e8 + t to
         # a multiple of 2^-26, so the numpy traces never move while the fsum
         # traces move by just over the budget at step 3; the screen's slack
-        # n^2 u max|d| clears none of it, and the walk fails that step
+        # 2 m u sum|d| clears none of it, and the walk fails that step
         traces = [1.0 - 0.505e-8] * 3 + [1.0 + 0.505e-8]
         diagonals = np.array([[1e8, t, -1e8] for t in traces])
         sums = diagonals.sum(axis=1)
         assert (sums == sums[0]).all()
         assert (np.abs(sums - traces) > solver.TRACE_BUDGET_PER_STEP / 2).all()
         assert 1e-8 < traces[-1] - traces[0] < 1.02e-8
+        outcome = _check_outcome(diagonals, 1.0)
+        assert outcome == _first_failing_drift(diagonals, 1.0)
+        assert outcome == "trace moved by 1.010e-08 in one step of 1.000e+00; shrink dt"
+
+    # one step from a row of slots near 1 to one near 1e9 that cancel, and
+    # one back: the numpy traces of both rows are 1, while the fsum traces
+    # move by just over the budget; the slack of the step must come from
+    # the larger row, whichever of the two it is, or the screen clears it
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0, 0.0], [1.0 + 1.01e-8, 1e9, -1e9]],
+        [[1.0 - 1.01e-8, 1e9, -1e9], [1.0, 0.0, 0.0]],
+    ], ids=["small-to-large", "large-to-small"])
+    def test_the_screen_bounds_both_rows_of_a_step(self, rows):
+        diagonals = np.array(rows)
+        sums = diagonals.sum(axis=1)
+        assert (sums == 1.0).all()
         outcome = _check_outcome(diagonals, 1.0)
         assert outcome == _first_failing_drift(diagonals, 1.0)
         assert outcome == "trace moved by 1.010e-08 in one step of 1.000e+00; shrink dt"
@@ -926,6 +957,14 @@ class TestEvolve:
         g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
         with pytest.raises(ValueError, match="^t_final must be positive$"):
             evolve(g, basis_state(g.index, "a"), math.nan)
+
+    # refused before the first step, with evolve_blocks' message: a zero
+    # t_final would be one step of h = 0, two samples at t = 0
+    @pytest.mark.parametrize("t_final", [0.0, -0.0])
+    def test_zero_t_final_is_not_positive(self, t_final):
+        g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
+        with pytest.raises(ValueError, match="^t_final must be positive$"):
+            solver.evolve_blocks(g, basis_state(g.index, "a"), t_final, 0.5)
 
     def test_nan_dt_is_not_positive(self):
         g = scenario_table("single_dot_set").generator(ALL_ONES_SINGLE)
