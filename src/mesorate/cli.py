@@ -14,6 +14,11 @@ point included, a configuration error ("config error: ..."); an OSError
 exits 2 too ("i/o error: ...").  So one refusal reads the same from
 every command, and steady prints nothing before its state, outputs and
 violations are all computed.
+
+The module imports what every command uses; a command imports what only
+it uses when it runs (acceptance for validate, experiments for sweep and
+fig3, output for the commands that write a file), so a command's start-up
+loads no module it does not run.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ import sys
 
 import numpy as np
 
-from . import acceptance, builders, observables, output
+from . import builders, observables
 from .config import ConfigError, load_config, parse_grid
-from .experiments import run_fermi_sweep, run_sweep
 from .model import basis_state, fixed_columns, validate_state
 from .solver import DegenerateSteadyState, StepTooLarge, evolve_blocks, steady_state
 
@@ -102,6 +106,7 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from . import output
     cfg = load_config(args.config)
     if cfg.t_final is None:
         raise ConfigError("evolve needs t_final in [run]")
@@ -116,6 +121,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _write_table(table, args, x_label: str) -> None:
+    from . import output
     if args.format == "svg":
         output.write_svg(table, args.out, x_label=x_label)
     else:
@@ -128,6 +134,7 @@ def _write_table(table, args, x_label: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    from .experiments import run_sweep
     cfg = load_config(args.config)
     table = run_sweep(cfg.scenario, cfg.rates, args.param, parse_grid(args.grid), cfg.blocking)
     _write_table(table, args, x_label=args.param)
@@ -135,6 +142,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
+    from .experiments import run_fermi_sweep
     cfg = load_config(args.config)
     if cfg.scenario != builders.GENERALIZED_DOUBLE_DOT_SET:
         raise ConfigError("fig3 needs scenario generalized_double_dot_set")
@@ -146,6 +154,7 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_validate(_args) -> int:
+    from . import acceptance
     results = acceptance.run_all()
     for r in results:
         status = "PASS" if r.passed else "FAIL"

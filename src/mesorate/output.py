@@ -170,23 +170,28 @@ def _write_file(chunks: Iterable[bytes], path: str) -> None:
     An existing path (a file, a link, a device, a pipe) takes the chunks
     from an unnamed temporary file once they are all there, written into
     as by open(path, "wb"), so it keeps its links, mode and owner; only a
-    failure of that copy leaves it partly written.  An OSError names path
-    where it would name the new file."""
-    if os.path.lexists(path):
+    failure of that copy leaves it partly written.  An OSError that names
+    no file (a failed write) or the new file names path."""
+    if not os.path.lexists(path):
+        _write_new_file(chunks, path)
+        return
+    try:
         with tempfile.TemporaryFile() as tmp:
             tmp.writelines(chunks)
             tmp.seek(0)
             with open(path, "wb") as fh:
                 shutil.copyfileobj(tmp, fh)
-    else:
-        _write_new_file(chunks, path)
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def _write_new_file(chunks: Iterable[bytes], path: str) -> None:
     """chunks written to a new file next to path, renamed to path once the
-    last is written and removed on any failure; an OSError naming the new
-    file names path.  The new file's name does not grow with path's, so
-    any name path may have leaves room for it."""
+    last is written and removed on any failure; an OSError naming no file
+    or the new file names path.  The new file's name does not grow with
+    path's, so any name path may have leaves room for it."""
     temporary = os.path.join(os.path.dirname(path), f".{os.urandom(6).hex()}.tmp")
     created = False
     try:
@@ -196,7 +201,7 @@ def _write_new_file(chunks: Iterable[bytes], path: str) -> None:
         os.replace(temporary, path)
         created = False
     except OSError as exc:
-        if exc.filename != temporary:
+        if exc.filename not in (None, temporary):
             raise
         raise type(exc)(exc.errno, exc.strerror, path) from None
     finally:

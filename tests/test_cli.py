@@ -340,6 +340,15 @@ class TestOut:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert sorted(os.listdir(tmp_path)) == ["fresh.out", "run.cfg", "x.fifo"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_device_is_named(self, capsys, command):
+        # the copy into an existing --out fails with an error naming no file
+        run, _ = command
+        capsys.readouterr()
+        assert run("/dev/full") == 2
+        assert capsys.readouterr() == (
+            "", "i/o error: [Errno 28] No space left on device: '/dev/full'\n")
+
 
 class TestSweep:
     def test_log_grid_deterministic_bytes(self, bare_cfg, tmp_path):

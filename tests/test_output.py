@@ -568,6 +568,28 @@ class TestOneWriter:
         assert str(info.value) == f"[Errno 5] Input/output error: {str(path)!r}"
         assert os.listdir(tmp_path) == []
 
+    def test_a_new_path_whose_write_names_no_file_is_named(self, tmp_path, writer,
+                                                           monkeypatch):
+        # a failed write names no file, as a full disk's ENOSPC does
+        write, _ = writer
+
+        def fail(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", fail)
+        path = tmp_path / "out"
+        with pytest.raises(OSError) as info:
+            write(str(path))
+        assert info.value.filename == str(path)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_an_existing_path_whose_write_fails_is_named(self, writer):
+        write, _ = writer
+        with pytest.raises(OSError) as info:
+            write("/dev/full")
+        assert str(info.value) == "[Errno 28] No space left on device: '/dev/full'"
+
 
 class TestSvg:
     def fig3_table(self):
