@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import stat
+import sys
 import threading
 import tracemalloc
 
@@ -26,7 +27,7 @@ from mesorate import (
     write_svg,
 )
 from mesorate.experiments import SWEEP_HEADER, SweepTable
-from mesorate.output import (_BLOCK, _timeseries_lines, column_token, sweep_csv_text,
+from mesorate.output import (_BLOCK, _g17, _timeseries_lines, column_token, sweep_csv_text,
                              svg_text, timeseries_csv_text, write_timeseries_blocks,
                              write_timeseries_csv)
 from mesorate.solver import StepTooLarge, evolve_blocks
@@ -54,6 +55,80 @@ def assert_same_text(actual, expected):
 def table(*rows) -> SweepTable:
     return SweepTable(np.array(rows, dtype=float).reshape(-1, len(SWEEP_HEADER)), None,
                       (None,) * len(rows))
+
+
+def reference_g17(values, seps):
+    """b"%.17g" % v for each float v of values, one % call per float, row
+    by row, each followed by its column's byte of seps."""
+    rows = np.asarray(values, dtype=float).reshape(-1, len(seps)).tolist()
+    return b"".join(b"%.17g%c" % (v, sep) for row in rows for v, sep in zip(row, seps))
+
+
+def log_uniform(rng, shape):
+    """Floats of both signs whose exponents are uniform over 1e-8 .. 1e18:
+    most where the kernel decides, 1e-6 .. 1e17, some on either side;
+    about 2% of them +-0 and 1% NaN of either sign."""
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 18.0, size=shape)
+    for value, share in ((0.0, 0.01), (-0.0, 0.01), (math.nan, 0.005), (-math.nan, 0.005)):
+        values[rng.random(shape) < share] = value
+    return values
+
+
+def powers_of_ten():
+    """10**k for k = -8 .. 18, the double below it and the double above it."""
+    p = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    return np.concatenate((p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)))
+
+
+G17_CASES = {
+    "random_bit_patterns": lambda: np.random.default_rng(17).integers(
+        0, 2 ** 64, 200_000, dtype=np.uint64).view(float),
+    "powers_of_ten_and_neighbours": lambda: np.concatenate((powers_of_ten(), -powers_of_ten())),
+    # the double below 10**(k + 1), where 17 digits could round up into the next decade
+    "carry": lambda: np.nextafter(np.array([float(f"1e{k + 1}") for k in range(-8, 19)]), 0.0),
+    # odd multiples of 2**-17 in [1, 8): 18 digits, the last a 5, so 17 digits are a tie
+    "ties": lambda: np.concatenate([sign * np.arange(2 ** 17 + 1, 2 ** 20, 2) * 2.0 ** -17
+                                    for sign in (1.0, -1.0)]),
+    "named_and_extremes": lambda: np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                            5e-324, -5e-324, sys.float_info.max,
+                                            -sys.float_info.max]),
+    "log_uniform": lambda: log_uniform(np.random.default_rng(18), 100_000),
+}
+
+
+class TestG17:
+    """The kernel writes the bytes of b"%.17g" % v for every float."""
+
+    @pytest.mark.parametrize("case", sorted(G17_CASES))
+    def test_bytes_equal_percent(self, case):
+        values = G17_CASES[case]()
+        assert_same_text(_g17(values[:, None], b"\n"), reference_g17(values, b"\n"))
+
+    @pytest.mark.parametrize("digits", range(1, 18))
+    def test_integer_parts_of_each_width(self, digits):
+        # floats whose integer parts all have this many digits, so no other
+        # width decides how a pass writes them
+        rng = np.random.default_rng(digits)
+        values = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(digits - 1, digits, 1000)
+        assert_same_text(_g17(values[:, None], b"\n"), reference_g17(values, b"\n"))
+
+    @pytest.mark.parametrize("shift", [-1.0, -0.5, 0.5, 1.0])
+    def test_bytes_do_not_depend_on_log10(self, monkeypatch, shift):
+        # log10 gives the kernel only the exponent it tries first: one that
+        # is off by up to a decade either way costs steps, not bytes
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        values = np.concatenate((G17_CASES["powers_of_ten_and_neighbours"](),
+                                 G17_CASES["log_uniform"]()[:20_000]))
+        assert_same_text(_g17(values[:, None], b"\n"), reference_g17(values, b"\n"))
+
+    def test_rows_take_their_columns_separators(self):
+        values = log_uniform(np.random.default_rng(19), (5000, 6))
+        assert_same_text(_g17(values, b",,,,,\n"), reference_g17(values, b",,,,,\n"))
+
+    @pytest.mark.parametrize("shape", [(0, 6), (0, 0), (5, 0)])
+    def test_no_floats_are_no_bytes(self, shape):
+        assert _g17(np.empty(shape), b"," * shape[1]) == b""
 
 
 class TestSweepCsv:
@@ -97,6 +172,14 @@ class TestSweepCsv:
             row_format % tuple(row) for row in values.tolist())
         assert_same_text(sweep_csv_text(table(*values)), expected)
         assert "nan" in expected and ",-0," in expected
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_kernel_range_bytes_equal_the_per_row_reference(self, n):
+        values = log_uniform(np.random.default_rng(n), (n, len(SWEEP_HEADER)))
+        row_format = ",".join(["%.17g"] * len(SWEEP_HEADER)) + "\n"
+        expected = ",".join(SWEEP_HEADER) + "\n" + "".join(
+            row_format % tuple(row) for row in values.tolist())
+        assert_same_text(sweep_csv_text(table(*values)), expected)
 
     def test_byte_determinism(self, tmp_path):
         base = RateSet(gamma_L=1, gamma_R=1, Gamma_L=1, Gamma_R=1)
@@ -210,6 +293,24 @@ class TestTimeseriesBlocks:
             path = tmp_path / "ts.csv"
             write_timeseries_csv(traj, str(path), *weights)
             assert_same_text(path.read_bytes(), expected.encode())
+
+    @pytest.mark.parametrize("case", ["run_straddles_block_edge", "uniform_block_after_a_cycle"])
+    def test_kernel_range_bytes_equal_the_per_row_reference(self, case):
+        # times and slots drawn where the kernel decides (the times in
+        # order), across block edges, with repeated rows and with a block
+        # that repeats one row
+        n, copies = REPEAT_CASES[case]
+        rng = np.random.default_rng(n)
+        g = scenario_table("double_dot_set").generator(HAND_RATES)
+        values = log_uniform(rng, (n, g.dim))
+        for dst, src in copies:
+            values[dst] = values[src]
+        times = np.sort(rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-8.0, 18.0, size=n))
+        traj = Trajectory(times, values, g.index)
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        for weights in ((), (w["system"],), (w["system"], w["detector"])):
+            assert_same_text(timeseries_csv_text(traj, *weights),
+                             reference_timeseries_text(traj, *weights))
 
     def test_signed_zero_breaks_a_uniform_block(self):
         # block 1 repeats one row but for -0.0 in one slot of one row:
@@ -454,6 +555,25 @@ class TestTimeseriesStream:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 256 * 1024
+
+    def test_a_block_of_distinct_rows_is_formatted_in_bounded_memory(self):
+        # one block of distinct rows of 12 columns (10 slots, I_S and I_D):
+        # the kernel formats its 12,288 cells 2,048 at a time, about 1.06 MiB
+        # with the block's text, where all of them at once take 3.6 MiB
+        g = scenario_table("double_dot_set").generator(HAND_RATES)
+        w = scenario_table("double_dot_set").weights(HAND_RATES)
+        rng = np.random.default_rng(0)
+        block = (np.cumsum(rng.random(_BLOCK)), rng.random((_BLOCK, g.dim)))
+        lines = _timeseries_lines(g.index, iter([block]), w["system"], w["detector"])
+        next(lines)
+        tracemalloc.start()
+        try:
+            text = next(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count(b"\n") == _BLOCK
+        assert peak <= 1.25 * 2 ** 20
 
 
 def read_through_fifo(fifo, write):
